@@ -111,13 +111,6 @@ class FieldExpr:
             return cls.scalar(ctx, 1)
         return cls(ctx, {(mu, ()): ctx.one()})
 
-    @classmethod
-    def from_terms(cls, ctx: ParameterContext, items) -> "FieldExpr":
-        out = cls(ctx, {})
-        for key, c in items:
-            out._bump(key, ctx.scalar(c))
-        return out
-
     # -- linear structure ----------------------------------------------------------
 
     def _bump(self, key, c: ParamScalar):
@@ -698,11 +691,6 @@ def ope_bracket_action(ope: OpeResult, s: int, t: int, vec: FockVector) -> FockV
         piece = _binom(n_raw, k - 1) * piece
         out = piece if out is None else out + piece
     return out if out is not None else FockVector(vec.space, {})
-
-
-def mode_exponent(n: int, weight: int) -> int:
-    """Raw z-exponent carried by the conventional mode X_n of weight-`weight` X."""
-    return -n - weight
 
 
 # -- textual grammar --------------------------------------------------------------------

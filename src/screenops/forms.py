@@ -41,6 +41,7 @@ __all__ = [
     "clear_pairs",
     "FnValue",
     "koszul_value",
+    "TotalComplex",
     "one_var_twisted_cohomology",
     "contraction_cochain",
 ]
@@ -568,9 +569,6 @@ class LaurentForm:
     def zero(cls, nvars: int) -> "LaurentForm":
         return cls(nvars)
 
-    def is_empty(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         out = dict(self.terms)
         for key, value in other.terms.items():
@@ -646,9 +644,6 @@ class LaurentForm:
                 piece = LaurentForm(self.nvars, out, _win_shift(self.window, q, k))
                 total = total + piece
         return total
-
-    def restrict(self, window) -> "LaurentForm":
-        return LaurentForm(self.nvars, self.terms, _win_intersect(self.window, window))
 
     def nonzero_terms(self) -> list:
         out = []
@@ -775,6 +770,51 @@ def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callabl
                 t = -1 * t
             total = t if total is None else total + t
     return total
+
+
+class TotalComplex:
+    """Rows of the total differential d' + (-1)^m d'' on a cochain family.
+
+    A family supplies ``component(xs)`` (the depth-len(xs) component as an
+    ``FnValue`` on source vectors), the module actions ``act_target(x, v)``
+    on values and ``act_source(x, u)`` on arguments, ``bracket(x, y)``, a
+    ``connection`` and the number ``depth`` of slots.  The row at m elements
+    is d' (the Koszul differential of the depth m-1 component) plus (-1)^m
+    d'' (the twisted de Rham differential of the depth-m component); there is
+    no depth-m component past ``depth``, and the depth-0 row is d'' alone.
+    ``cleared_d`` returns Delta * d'', so d' is multiplied by the same pair
+    product Delta (``clear_pairs``, the identity without pairs) before the
+    two are added.  Every row is expected to vanish inside its window.
+    """
+
+    def bracket(self, x, y):
+        return x.bracket(y)
+
+    def _action(self, x, value: FnValue) -> FnValue:
+        def fn(u):
+            moved = value(u).map_values(lambda v: self.act_target(x, v))
+            return moved - value(self.act_source(x, u))
+
+        return FnValue(fn)
+
+    def residual(self, xs: Sequence, u) -> LaurentForm:
+        """The total-differential row at the elements xs on the vector u."""
+        xs = list(xs)
+        m = len(xs)
+        if m == 0:
+            out = cleared_d(self.component([])(u), self.connection)
+        else:
+            dprime = koszul_value(self.component, xs, action=self._action, bracket=self.bracket)
+            out = clear_pairs(dprime(u), self.connection)
+            if m <= self.depth:
+                second = cleared_d(self.component(xs)(u), self.connection)
+                out = out - second if m % 2 else out + second
+        if out.window_is_empty():
+            raise ValueError(
+                "window exceeded: the residual window is empty; widen the "
+                "exponent window or lower the loop modes"
+            )
+        return out
 
 
 def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement], twist: bool = True) -> LaurentForm:

@@ -131,11 +131,6 @@ class ParamPolynomial:
             raise ValueError("not a constant polynomial: %s" % self)
         return self.terms[self.context._zero_exp]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, var: int) -> int:
         if not self.terms:
             return -1
@@ -270,15 +265,6 @@ class ParamPolynomial:
             e0 = e[:var] + (0,) + e[var + 1 :]
             out.setdefault(d, {})[e0] = c
         return {d: ParamPolynomial(self.context, t) for d, t in out.items()}
-
-    @staticmethod
-    def _from_univariate(context: ParameterContext, var: int, coeffs: dict) -> "ParamPolynomial":
-        terms: dict = {}
-        for d, poly in coeffs.items():
-            for e, c in poly.terms.items():
-                e2 = e[:var] + (d,) + e[var + 1 :]
-                terms[e2] = terms.get(e2, QQ(0)) + c
-        return ParamPolynomial(context, terms)
 
     def monic(self) -> "ParamPolynomial":
         if self.is_zero():

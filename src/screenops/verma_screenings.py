@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .scalars import QQ, ParameterContext, ParamScalar
 from .kacmoody import CartanData, VermaModule, VermaVector, br, gen
-from .forms import Connection, FnValue, LaurentForm, _in_window, cleared_d, koszul_value
+from .forms import Connection, FnValue, LaurentForm, TotalComplex, _in_window
 
 __all__ = [
     "ToyModule",
@@ -130,23 +130,47 @@ class ToyModule:
         return self.f(vec)
 
 
-class ToyScreening:
+class ModeFamily:
+    """Mode operators V_n: source -> target with companion families V_n(X).
+
+    Subclasses supply the ``target`` and ``source`` modules (each with
+    ``act(tree, vec)``), the modes ``apply(n, vec)``, the companion of a
+    single generator ``_generator_companion(tree, n, vec)`` and the
+    eigenvalue ``kappa`` of the commutation law [X, V_n] = (kappa - n) V_n(X).
+    Companions of bracket trees follow from the generators' by induction.
+    """
+
+    def companion(self, tree, n: int, vec):
+        if tree[0] == "br":
+            _, x, y = tree
+            return self._bracket_with(x, y, n, vec) - self._bracket_with(y, x, n, vec)
+        return self._generator_companion(tree, n, vec)
+
+    def _bracket_with(self, x, y, n: int, vec):
+        inner = self.companion(y, n, vec)
+        return self.target.act(x, inner) - self.companion(y, n, self.source.act(x, vec))
+
+    def commutator(self, tree, n: int, vec):
+        return self.target.act(tree, self.apply(n, vec)) - self.apply(n, self.source.act(tree, vec))
+
+    def commutation_defect(self, tree, n: int, vec):
+        return self.commutator(tree, n, vec) - (self.kappa - n) * self.companion(tree, n, vec)
+
+
+class ToyScreening(ModeFamily):
     """Mode operators F^a v -> F^(a+n) v from weight -lam-1 to weight lam-1."""
 
     def __init__(self, ctx: ParameterContext, lam):
         self.ctx = ctx
-        self.lam = ctx.scalar(lam)
+        self.lam = self.kappa = ctx.scalar(lam)
         self.target = ToyModule(ctx, self.lam - 1)
         self.source = ToyModule(ctx, -self.lam - 1)
 
     def apply(self, n: int, vec: ToyVector) -> ToyVector:
         return ToyVector(self.target, {a + n: c for a, c in vec.comps.items()})
 
-    def companion(self, tree, n: int, vec: ToyVector) -> ToyVector:
+    def _generator_companion(self, tree, n: int, vec: ToyVector) -> ToyVector:
         kind = tree[0]
-        if kind == "br":
-            _, x, y = tree
-            return self._bracket_with(x, y, n, vec) - self._bracket_with(y, x, n, vec)
         if kind == "f":
             return self.target.zero()
         if kind == "h":
@@ -157,16 +181,6 @@ class ToyScreening:
             if a + n >= 1:
                 out[a + n - 1] = c * (n + 2 * a)
         return ToyVector(self.target, out)
-
-    def _bracket_with(self, x, y, n: int, vec: ToyVector) -> ToyVector:
-        inner = self.companion(y, n, vec)
-        return self.target.act(x, inner) - self.companion(y, n, self.source.act(x, vec))
-
-    def commutator(self, tree, n: int, vec: ToyVector) -> ToyVector:
-        return self.target.act(tree, self.apply(n, vec)) - self.apply(n, self.source.act(tree, vec))
-
-    def commutation_defect(self, tree, n: int, vec: ToyVector) -> ToyVector:
-        return self.commutator(tree, n, vec) - (self.lam - n) * self.companion(tree, n, vec)
 
 
 def toy_uniqueness_scan(return_constraints: bool = False) -> dict:
@@ -242,7 +256,7 @@ def _collect_constraints(scalar: ParamScalar, names: Sequence[str]) -> dict:
 # general screening family between a module and its reflected partner
 
 
-class ScreeningFamily:
+class ScreeningFamily(ModeFamily):
     """V_n: x v' -> x F_i^n v with companions, between fixed modules."""
 
     def __init__(self, target: VermaModule, source: VermaModule, i: int):
@@ -267,12 +281,8 @@ class ScreeningFamily:
     def apply(self, n: int, vec: VermaVector) -> VermaVector:
         return self.target.multiply_right(self._retag(vec), (self.i,) * n)
 
-    def companion(self, tree, n: int, vec: VermaVector) -> VermaVector:
-        kind = tree[0]
-        if kind == "br":
-            _, x, y = tree
-            return self._bracket_with(x, y, n, vec) - self._bracket_with(y, x, n, vec)
-        _, j = tree
+    def _generator_companion(self, tree, n: int, vec: VermaVector) -> VermaVector:
+        kind, j = tree
         if kind == "f":
             return self.target.zero()
         if kind == "h":
@@ -281,16 +291,6 @@ class ScreeningFamily:
         if j == self.i and n >= 1:
             out = out + n * self.apply(n - 1, vec)
         return out
-
-    def _bracket_with(self, x, y, n: int, vec: VermaVector) -> VermaVector:
-        inner = self.companion(y, n, vec)
-        return self.target.act(x, inner) - self.companion(y, n, self.source.act(x, vec))
-
-    def commutator(self, tree, n: int, vec: VermaVector) -> VermaVector:
-        return self.target.act(tree, self.apply(n, vec)) - self.apply(n, self.source.act(tree, vec))
-
-    def commutation_defect(self, tree, n: int, vec: VermaVector) -> VermaVector:
-        return self.commutator(tree, n, vec) - (self.kappa - n) * self.companion(tree, n, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ def _perm_sign(sigma: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-class ReflectionCochains:
+class ReflectionCochains(TotalComplex):
     """Cochain family for a word of simple reflections.
 
     Slot p (1-based) carries the mode family between M(lam_{p+1}) and
@@ -335,7 +335,7 @@ class ReflectionCochains:
         self.cd = cd
         self.ctx = ctx
         self.reflections = tuple(reflections)
-        self.a = len(self.reflections)
+        self.a = self.depth = len(self.reflections)
         self.mode_max = mode_max
         weights = cd.weight_sequence(tuple(ctx.scalar(x) for x in hw), self.reflections)
         self.modules = [VermaModule(cd, w, ctx) for w in weights]
@@ -389,38 +389,21 @@ class ReflectionCochains:
 
         rec(a, u)
 
-    def cochain(self, xs: Sequence) -> FnValue:
+    def component(self, xs: Sequence) -> FnValue:
         return FnValue(lambda u: self.evaluate(list(xs), u))
 
-    # -- total-complex residual -------------------------------------------------
+    # -- total-complex data -----------------------------------------------------
 
-    def _action(self, x, value: FnValue) -> FnValue:
-        def fn(u):
-            lf = value(u)
-            moved = lf.map_values(lambda v: self.target.act(x, v))
-            return moved - value(self.source.act(x, u))
+    bracket = staticmethod(br)
 
-        return FnValue(fn)
+    def act_target(self, x, v: VermaVector) -> VermaVector:
+        return self.target.act(x, v)
 
-    def residual(self, xs: Sequence, u: VermaVector) -> LaurentForm:
-        """d'(depth m-1 component) + (-1)^m d''(depth m component) at xs, u."""
-        m = len(xs)
-        if m == 0:
-            return cleared_d(self.evaluate([], u), self.connection)
-        dprime = koszul_value(
-            lambda rest: self.cochain(rest),
-            list(xs),
-            action=self._action,
-            bracket=br,
-        )
-        total = dprime(u)
-        if m <= self.a:
-            second = cleared_d(self.evaluate(list(xs), u), self.connection)
-            if m % 2:
-                total = total - second
-            else:
-                total = total + second
-        return total
+    def act_source(self, x, u: VermaVector) -> VermaVector:
+        return self.source.act(x, u)
+
+    # bound in the class body: perfbench/tracer.py wraps it via __dict__
+    residual = TotalComplex.residual
 
 
 # ---------------------------------------------------------------------------

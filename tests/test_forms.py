@@ -360,6 +360,18 @@ class TestLaurentLayer:
         g = LaurentForm(1, {((), (1,)): ctx.scalar(2)}, ((0, 9),))
         assert (f + g).window == ((0, 1),)
 
+    def test_clear_pairs_is_identity_without_active_pairs(self):
+        # the total-complex rows clear d' with the same call for every family
+        ctx = ParameterContext(("t",))
+        form = LaurentForm(2, {((0,), (1, -1)): ctx.param("t")}, ((-2, 2), (-3, 1)))
+        for conn in (
+            Connection([Fraction(1), Fraction(2)]),
+            Connection([Fraction(1), Fraction(2)], {(0, 1): ctx.zero()}),
+        ):
+            out = clear_pairs(form, conn)
+            assert out.terms == form.terms
+            assert out.window == form.window
+
     def test_out_of_window_terms_ignored_by_zero_test(self):
         ctx = ParameterContext(())
         f = LaurentForm(1, {((), (5,)): ctx.scalar(1)}, ((-2, 2),))

@@ -318,6 +318,18 @@ class TestScreeningCochains:
         res = fam.residual([WittElement.basis(1)], fam.space.vacuum())
         assert not res.is_zero()
 
+    def test_empty_residual_window_is_rejected(self):
+        # regression: a row whose window shrank to nothing passed vacuously
+        ctx = ParameterContext(())
+        fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=0)
+        with pytest.raises(ValueError, match="window exceeded"):
+            fam.residual([WittElement.basis(2)], fam.space.vacuum())
+        broken = VertexScreeningCochains(
+            ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=1, include_pairs=False
+        )
+        with pytest.raises(ValueError, match="window exceeded"):
+            broken.residual([WittElement.basis(1)], broken.space.vacuum())
+
 
 class TestResidueIntertwiner:
     def test_pair_power_expansion(self):
