@@ -29,6 +29,11 @@ Two independent evaluation routes are provided and cross-checked in tests:
   source vector and creation by the (determined) target block, so every mode
   sum is finite and no truncation error is introduced.
 
+The exponential vertex is expanded in one place: ``vertex_annihilation_coeff``
+and ``vertex_creation_coeff`` are its two halves (label shift left out), and
+``apply_vertex`` composes them, the creation half of order ``down + eps``
+acting on the label-shifted annihilation half of order ``down``.
+
 ``ope_bracket_action`` converts an OPE table into mode brackets through
 residues of ``z^n/(z-w)^k``; agreement with direct double application is the
 engine's central cross-check.
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .fock import (
     FockSpace,
@@ -505,40 +510,37 @@ def _taylor_accumulate(ctx, table, coeff, order, rest_left, rest_right, rmu):
 # -- exact mode action ------------------------------------------------------------------
 
 
-def apply_vertex(mu: ParamScalar, eps: int, vec: FockVector) -> FockVector:
-    """Coefficient of z^eps in the exponential vertex with exponent mu.
-
-    The annihilation half is bounded by the source vector's energy and the
-    creation half is then pinned by eps, so the expansion is exact.
-    """
+def vertex_annihilation_coeff(mu, k: int, vec: FockVector) -> FockVector:
+    """Coefficient of z^-k in the annihilation half of the exponential field."""
     space = vec.space
-    ctx = space.ctx
-    mu = ctx.scalar(mu)
-    target = space.shifted(mu)
-    out = target.zero()
-    if vec.is_zero():
+    mu = space.ctx.scalar(mu)
+    out = space.zero()
+    if k < 0 or vec.is_zero():
         return out
-    top = vec.energy_bound()
-    for down in range(top + 1):
-        up = down + eps
-        if up < 0:
+    for part in _partitions(k):
+        low = vec
+        for n in part:
+            low = osc_apply(("b", n), low)
+            if low.is_zero():
+                break
+        if low.is_zero():
             continue
-        for apart in _partitions(down):
-            lowered = vec
-            for n in apart:
-                lowered = osc_apply(("b", n), lowered)
-                if lowered.is_zero():
-                    break
-            if lowered.is_zero():
-                continue
-            c_a = _exp_multiset_coeff(ctx, mu, apart, annihilate=True)
-            shifted = FockVector(target, lowered.terms)
-            for cpart in _partitions(up):
-                raised = shifted
-                for m in cpart:
-                    raised = osc_apply(("b", -m), raised)
-                c = c_a * _exp_multiset_coeff(ctx, mu, cpart, annihilate=False)
-                out = out + c * raised
+        out = out + _exp_multiset_coeff(space.ctx, mu, part, annihilate=True) * low
+    return out
+
+
+def vertex_creation_coeff(mu, k: int, vec: FockVector) -> FockVector:
+    """Coefficient of z^+k in the creation half of the exponential field."""
+    space = vec.space
+    mu = space.ctx.scalar(mu)
+    out = space.zero()
+    if k < 0 or vec.is_zero():
+        return out
+    for part in _partitions(k):
+        raised = vec
+        for m in part:
+            raised = osc_apply(("b", -m), raised)
+        out = out + _exp_multiset_coeff(space.ctx, mu, part, annihilate=False) * raised
     return out
 
 
@@ -553,6 +555,26 @@ def _exp_multiset_coeff(ctx, mu, part: tuple[int, ...], annihilate: bool) -> Par
     for m in mult.values():
         coeff = QQ(1, math.factorial(m)) * coeff
     return coeff
+
+
+def apply_vertex(mu: ParamScalar, eps: int, vec: FockVector) -> FockVector:
+    """Coefficient of z^eps in the exponential vertex with exponent mu.
+
+    For each annihilation order ``down`` (bounded by the source vector's
+    energy) the annihilation half is applied, the label is shifted by mu and
+    the creation half of order ``down + eps`` follows, so the expansion is
+    exact.
+    """
+    space = vec.space
+    mu = space.ctx.scalar(mu)
+    target = space.shifted(mu)
+    out = target.zero()
+    for down in range(vec.energy_bound() + 1):
+        lowered = vertex_annihilation_coeff(mu, down, vec)
+        if not lowered.is_zero():
+            shifted = FockVector(target, lowered.terms)
+            out = out + vertex_creation_coeff(mu, down + eps, shifted)
+    return out
 
 
 def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:

@@ -19,11 +19,10 @@ Layers:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .scalars import QQ, ParameterContext, ParamScalar
-from .kacmoody import CartanData, VermaModule, VermaVector, br, gen
+from .kacmoody import CartanData, VermaModule, VermaVector, br
 from .forms import Connection, FnValue, LaurentForm, TotalComplex, _in_window
 
 __all__ = [

@@ -13,17 +13,19 @@ is an exact zero test with no truncation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as QQ
 from typing import Sequence
 
-from .checks import CheckResult, control, passed
+from .checks import _fmt, control, first_failure, passed
 from .fields import (
     FieldExpr,
-    _exp_multiset_coeff,
     apply_field_coeff,
     apply_vertex,
     stress_tensor,
+    vertex_annihilation_coeff,
+    vertex_creation_coeff,
     vertex_field,
     wick_ope,
 )
@@ -32,7 +34,6 @@ from .fock import (
     FockVector,
     ModeOperator,
     OscSpec,
-    _partitions,
     osc_apply,
 )
 from .forms import (
@@ -56,8 +57,6 @@ __all__ = [
     "virasoro_mode",
     "vertex_mode",
     "scalar_binomial",
-    "vertex_annihilation_coeff",
-    "vertex_creation_coeff",
     "normal_multi_vertex",
     "multi_vertex_form",
     "multi_vertex_transport_defect",
@@ -269,46 +268,6 @@ def _exp_series_coeffs(ctx: ParameterContext, gamma, order: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# half vertex operators (annihilation / creation halves, no label shift)
-
-
-def vertex_annihilation_coeff(mu, k: int, vec: FockVector) -> FockVector:
-    """Coefficient of z^-k in the annihilation half of the exponential field."""
-    space = vec.space
-    ctx = space.ctx
-    mu = ctx.scalar(mu)
-    out = space.zero()
-    if k < 0 or vec.is_zero():
-        return out
-    for part in _partitions(k):
-        low = vec
-        for n in part:
-            low = osc_apply(("b", n), low)
-            if low.is_zero():
-                break
-        if low.is_zero():
-            continue
-        out = out + _exp_multiset_coeff(ctx, mu, part, annihilate=True) * low
-    return out
-
-
-def vertex_creation_coeff(mu, k: int, vec: FockVector) -> FockVector:
-    """Coefficient of z^+k in the creation half of the exponential field."""
-    space = vec.space
-    ctx = space.ctx
-    mu = ctx.scalar(mu)
-    out = space.zero()
-    if k < 0 or vec.is_zero():
-        return out
-    for part in _partitions(k):
-        raised = vec
-        for m in part:
-            raised = osc_apply(("b", -m), raised)
-        out = out + _exp_multiset_coeff(ctx, mu, part, annihilate=False) * raised
-    return out
-
-
-# ---------------------------------------------------------------------------
 # normal-ordered multi-point vertex products
 
 
@@ -340,39 +299,25 @@ def normal_multi_vertex(mus: Sequence, vec: FockVector, window: Sequence) -> Lau
     target = space.shifted(total)
     terms: dict = {}
 
-    def create(i: int, cur: FockVector, downs: tuple, exps: tuple, coeff: ParamScalar):
+    def create(i: int, cur: FockVector, downs: tuple, exps: tuple):
         if i == p:
             key = ((), exps)
-            add = coeff * cur
-            terms[key] = terms[key] + add if key in terms else add
+            terms[key] = terms[key] + cur if key in terms else cur
             return
         lo, hi = window[i]
         d = downs[i]
         for amount in range(max(0, lo + d), hi + d + 1):
-            for part in _partitions(amount):
-                raised = cur
-                for m in part:
-                    raised = osc_apply(("b", -m), raised)
-                c2 = coeff * _exp_multiset_coeff(ctx, mus[i], part, annihilate=False)
-                create(i + 1, raised, downs, exps + (amount - d,), c2)
+            raised = vertex_creation_coeff(mus[i], amount, cur)
+            create(i + 1, raised, downs, exps + (amount - d,))
 
     def annihilate(i: int, cur: FockVector, downs: tuple):
-        if cur.is_zero():
-            return
         if i == p:
-            create(0, FockVector(target, cur.terms), downs, (), ctx.one())
+            create(0, FockVector(target, cur.terms), downs, ())
             return
         for d in range(cur.energy_bound() + 1):
-            for part in _partitions(d):
-                low = cur
-                for n in part:
-                    low = osc_apply(("b", n), low)
-                    if low.is_zero():
-                        break
-                if low.is_zero():
-                    continue
-                c = _exp_multiset_coeff(ctx, mus[i], part, annihilate=True)
-                annihilate(i + 1, c * low, downs + (d,))
+            low = vertex_annihilation_coeff(mus[i], d, cur)
+            if not low.is_zero():
+                annihilate(i + 1, low, downs + (d,))
 
     annihilate(0, vec, ())
     return LaurentForm(p, terms, window)
@@ -445,11 +390,6 @@ def multi_vertex_transport_defect(
 # verification batteries
 
 
-def _fmt(x) -> str:
-    s = repr(x)
-    return s if len(s) <= 120 else s[:117] + "..."
-
-
 def verify_virasoro(
     mode_max: int = 5, energy_max: int = 6, negative_controls: bool = True
 ) -> list:
@@ -484,24 +424,17 @@ def verify_virasoro(
     for e in range(energy_max + 1):
         for mon in space.block_basis(e):
             basis.append(FockVector(space, {mon: ctx.one()}))
-    ok, witness = True, ""
-    for nn in range(-3, 4):
-        for v in basis:
-            if v.energy_bound() > 3:
-                continue
-            direct = virasoro_apply(nn, alpha0, v)
-            via_field = apply_field_coeff(T, -nn - 2, v)
-            if direct != via_field:
-                ok, witness = False, "n=%d on %s" % (nn, _fmt(v))
-                break
-        if not ok:
-            break
+    light = [(idx, v) for idx, v in enumerate(basis) if v.energy_bound() <= 3]
     results.append(
         passed(
             "stress-mode-cross",
             "direct oscillator sums for L_n match the stress-field coefficients",
-            ok,
-            witness,
+            *first_failure(
+                ((nn, v) for nn in range(-3, 4) for _, v in light),
+                lambda nn, v: virasoro_apply(nn, alpha0, v)
+                == apply_field_coeff(T, -nn - 2, v),
+                lambda nn, v: "n=%d on %s" % (nn, _fmt(v)),
+            ),
         )
     )
 
@@ -516,60 +449,57 @@ def verify_virasoro(
             images[key] = got
         return got
 
-    ok, witness, pairs = True, "", 0
-    for n in range(-mode_max, mode_max + 1):
-        for m in range(n + 1, mode_max + 1):
-            for idx, v in enumerate(basis):
-                lhs = virasoro_apply(n, alpha0, img(m, idx)) - virasoro_apply(
-                    m, alpha0, img(n, idx)
-                )
-                rhs = QQ(n - m) * img(n + m, idx)
-                if n + m == 0:
-                    rhs = rhs + (QQ(n**3 - n, 12) * c) * v
-                if lhs != rhs:
-                    ok, witness = False, "[L_%d, L_%d] on %s" % (n, m, _fmt(v))
-                    break
-            pairs += 1
-            if not ok:
-                break
-        if not ok:
-            break
+    def bracket_holds(n, m, idx, v):
+        lhs = virasoro_apply(n, alpha0, img(m, idx)) - virasoro_apply(
+            m, alpha0, img(n, idx)
+        )
+        rhs = QQ(n - m) * img(n + m, idx)
+        if n + m == 0:
+            rhs = rhs + (QQ(n**3 - n, 12) * c) * v
+        return lhs == rhs
+
+    mode_pairs = [
+        (n, m)
+        for n in range(-mode_max, mode_max + 1)
+        for m in range(n + 1, mode_max + 1)
+    ]
     results.append(
         passed(
             "virasoro-bracket-mode",
             "[L_n, L_m] = (n-m) L_(n+m) + (n^3-n)/12 c on every block, "
-            "%d mode pairs through energy %d" % (pairs, energy_max),
-            ok,
-            witness,
+            "%d mode pairs through energy %d" % (len(mode_pairs), energy_max),
+            *first_failure(
+                ((n, m, idx, v) for n, m in mode_pairs for idx, v in enumerate(basis)),
+                bracket_holds,
+                lambda n, m, idx, v: "[L_%d, L_%d] on %s" % (n, m, _fmt(v)),
+            ),
         )
     )
 
     # oscillator-stress commutator
-    ok, witness = True, ""
-    for k in range(-4, 5):
-        for m in range(-4, 5):
-            for idx, v in enumerate(basis):
-                if v.energy_bound() > 3:
-                    continue
-                lhs = osc_apply(("b", k), img(m, idx)) - virasoro_apply(
-                    m, alpha0, osc_apply(("b", k), v)
-                )
-                rhs = QQ(k) * osc_apply(("b", k + m), v)
-                if k + m == 0:
-                    rhs = rhs + (QQ(2 * k * (k - 1)) * alpha0) * v
-                if lhs != rhs:
-                    ok, witness = False, "[b_%d, L_%d] on %s" % (k, m, _fmt(v))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    def heisenberg_holds(k, m, idx, v):
+        lhs = osc_apply(("b", k), img(m, idx)) - virasoro_apply(
+            m, alpha0, osc_apply(("b", k), v)
+        )
+        rhs = QQ(k) * osc_apply(("b", k + m), v)
+        if k + m == 0:
+            rhs = rhs + (QQ(2 * k * (k - 1)) * alpha0) * v
+        return lhs == rhs
+
     results.append(
         passed(
             "heisenberg-stress",
             "[b_k, L_m] = k b_(k+m) + 2k(k-1) alpha0 delta_(k+m,0)",
-            ok,
-            witness,
+            *first_failure(
+                (
+                    (k, m, idx, v)
+                    for k in range(-4, 5)
+                    for m in range(-4, 5)
+                    for idx, v in light
+                ),
+                heisenberg_holds,
+                lambda k, m, idx, v: "[b_%d, L_%d] on %s" % (k, m, _fmt(v)),
+            ),
         )
     )
 
@@ -625,56 +555,42 @@ def check_L_vertex(mode_max: int = 5, negative_controls: bool = True) -> list:
     twist = space.spec.pairing * (alpha * beta)
     results = []
 
-    ok, witness, count = True, "", 0
-    for n in range(-mode_max, mode_max + 1):
-        for m in range(-2, 3):
-            coeff = QQ(n + 1) * h + twist - ctx.scalar(n + m)
-            for u in probes:
-                vm_u = apply_vertex(beta, -m, u)
-                lhs = virasoro_apply(n, alpha0, vm_u) - apply_vertex(
-                    beta, -m, virasoro_apply(n, alpha0, u)
-                )
-                rhs = coeff * apply_vertex(beta, -(n + m), u)
-                if lhs != rhs:
-                    ok, witness = False, "(n, m) = (%d, %d) on %s" % (n, m, _fmt(u))
-                    break
-            count += 1
-            if not ok:
-                break
-        if not ok:
-            break
+    def transport_holds(n, m, u):
+        coeff = QQ(n + 1) * h + twist - ctx.scalar(n + m)
+        lhs = virasoro_apply(n, alpha0, apply_vertex(beta, -m, u)) - apply_vertex(
+            beta, -m, virasoro_apply(n, alpha0, u)
+        )
+        return lhs == coeff * apply_vertex(beta, -(n + m), u)
+
+    mode_pairs = [(n, m) for n in range(-mode_max, mode_max + 1) for m in range(-2, 3)]
     results.append(
         passed(
             "vertex-transport",
             "[L_n, V_m] = ((n+1) h(beta) + pairing*alpha*beta - (n+m)) V_(n+m), "
-            "%d symbolic mode pairs" % count,
-            ok,
-            witness,
+            "%d symbolic mode pairs" % len(mode_pairs),
+            *first_failure(
+                ((n, m, u) for n, m in mode_pairs for u in probes),
+                transport_holds,
+                lambda n, m, u: "(n, m) = (%d, %d) on %s" % (n, m, _fmt(u)),
+            ),
         )
     )
 
-    ok, witness = True, ""
-    for k in range(-4, 5):
-        for m in range(-2, 3):
-            for u in probes[:2]:
-                vm_u = apply_vertex(beta, -m, u)
-                lhs = osc_apply(("b", k), vm_u) - apply_vertex(
-                    beta, -m, osc_apply(("b", k), u)
-                )
-                rhs = (space.spec.pairing * beta) * apply_vertex(beta, -(k + m), u)
-                if lhs != rhs:
-                    ok, witness = False, "(k, m) = (%d, %d)" % (k, m)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    def heisenberg_holds(k, m, u):
+        lhs = osc_apply(("b", k), apply_vertex(beta, -m, u)) - apply_vertex(
+            beta, -m, osc_apply(("b", k), u)
+        )
+        return lhs == (space.spec.pairing * beta) * apply_vertex(beta, -(k + m), u)
+
     results.append(
         passed(
             "heisenberg-vertex",
             "[b_k, V_m] = pairing*beta V_(k+m) for the exponential field",
-            ok,
-            witness,
+            *first_failure(
+                ((k, m, u) for k in range(-4, 5) for m in range(-2, 3) for u in probes[:2]),
+                heisenberg_holds,
+                lambda k, m, u: "(k, m) = (%d, %d)" % (k, m),
+            ),
         )
     )
 
@@ -694,6 +610,20 @@ def check_L_vertex(mode_max: int = 5, negative_controls: bool = True) -> list:
             )
         )
     return results
+
+
+def _two_slot_cases(b1, b2, probes, window):
+    """(u, E, normal product, e1, e2) for |e1|, |e2| <= 2 on each probe.
+
+    ``window(E)`` gives the product's window for a probe of energy E; each
+    product is built once, when its probe is reached.
+    """
+    for u in probes:
+        E = u.energy_bound()
+        M = normal_multi_vertex([b1, b2], u, window(E))
+        for e1 in range(-2, 3):
+            for e2 in range(-2, 3):
+                yield u, E, M, e1, e2
 
 
 def product_formula_check(order_max: int = 6, negative_controls: bool = True) -> list:
@@ -726,59 +656,49 @@ def product_formula_check(order_max: int = 6, negative_controls: bool = True) ->
         osc_apply(("b", -1), vac),
         osc_apply(("b", -2), osc_apply(("b", -1), vac)),
     ]
-    ok, witness = True, ""
-    for a in range(order_max + 1):
-        for bb in range(order_max + 1):
-            for u in probes:
-                lhs = vertex_annihilation_coeff(b1, a, vertex_creation_coeff(b2, bb, u))
-                rhs = space.zero()
-                for k in range(min(a, bb) + 1):
-                    rhs = rhs + binomial[k] * vertex_creation_coeff(
-                        b2, bb - k, vertex_annihilation_coeff(b1, a - k, u)
-                    )
-                if lhs != rhs:
-                    ok, witness = False, "orders (%d, %d) on %s" % (a, bb, _fmt(u))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+
+    def commutation_holds(a, bb, u):
+        lhs = vertex_annihilation_coeff(b1, a, vertex_creation_coeff(b2, bb, u))
+        rhs = space.zero()
+        for k in range(min(a, bb) + 1):
+            rhs = rhs + binomial[k] * vertex_creation_coeff(
+                b2, bb - k, vertex_annihilation_coeff(b1, a - k, u)
+            )
+        return lhs == rhs
+
+    orders = range(order_max + 1)
     results.append(
         passed(
             "half-vertex-commutation",
             "annihilation half past creation half picks up (1-z2/z1)^(pairing b1 b2), "
             "bi-order %d" % order_max,
-            ok,
-            witness,
+            *first_failure(
+                ((a, bb, u) for a in orders for bb in orders for u in probes),
+                commutation_holds,
+                lambda a, bb, u: "orders (%d, %d) on %s" % (a, bb, _fmt(u)),
+            ),
         )
     )
 
     # factorization of the composed full vertices against the normal product
-    ok, witness = True, ""
-    for u in probes[:2]:
-        E = u.energy_bound()
-        window = ((-2, 4 + E), (-E, 2))
-        M = normal_multi_vertex([b1, b2], u, window)
-        tgt_zero = space.shifted(b1 + b2).zero()
-        for e1 in range(-2, 3):
-            for e2 in range(-2, 3):
-                lhs = apply_vertex(b1, e1, apply_vertex(b2, e2, u))
-                rhs = tgt_zero
-                for k in range(e2 + E + 1):
-                    rhs = rhs + binomial[k] * _entry(M, (e1 + k, e2 - k), tgt_zero)
-                if lhs != rhs:
-                    ok, witness = False, "exponents (%d, %d) on %s" % (e1, e2, _fmt(u))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    tgt_zero = space.shifted(b1 + b2).zero()
+
+    def factorization_holds(u, E, M, e1, e2):
+        lhs = apply_vertex(b1, e1, apply_vertex(b2, e2, u))
+        rhs = tgt_zero
+        for k in range(e2 + E + 1):
+            rhs = rhs + binomial[k] * _entry(M, (e1 + k, e2 - k), tgt_zero)
+        return lhs == rhs
+
     results.append(
         passed(
             "vertex-factorization",
             "composed vertices equal the commutation factor times the normal product",
-            ok,
-            witness,
+            *first_failure(
+                _two_slot_cases(b1, b2, probes[:2], lambda E: ((-2, 4 + E), (-E, 2))),
+                factorization_holds,
+                lambda u, E, M, e1, e2: "exponents (%d, %d) on %s" % (e1, e2, _fmt(u)),
+            ),
         )
     )
 
@@ -787,7 +707,6 @@ def product_formula_check(order_max: int = 6, negative_controls: bool = True) ->
         u = vac
         window = ((-2, 4), (0, 2))
         M = normal_multi_vertex([b1, b2], u, window)
-        tgt_zero = space.shifted(b1 + b2).zero()
         lhs = apply_vertex(b1, -1, apply_vertex(b2, 1, u))
         naive = _entry(M, (-1, 1), tgt_zero)
         results.append(
@@ -814,42 +733,37 @@ def check_multi_vertex_products(negative_controls: bool = True) -> list:
     gamma = space.spec.pairing * (b1 * b2)
     coeffs = _commutation_coeffs(ctx, gamma, 8)
     probes = [vac, osc_apply(("b", -1), vac)]
-    ok, witness = True, ""
-    for u in probes:
-        E = u.energy_bound()
-        window = ((-2 - E, 4 + E), (-2 - E, 4 + E))
-        M = normal_multi_vertex([b1, b2], u, window)
-        tgt_zero = space.shifted(b1 + b2).zero()
-        for e1 in range(-2, 3):
-            for e2 in range(-2, 3):
-                first = apply_vertex(b1, e1, apply_vertex(b2, e2, u))
-                red1 = tgt_zero
-                for k in range(e2 + E + 1):
-                    red1 = red1 + coeffs[k] * _entry(M, (e1 + k, e2 - k), tgt_zero)
-                second = apply_vertex(b2, e2, apply_vertex(b1, e1, u))
-                red2 = tgt_zero
-                for k in range(e1 + E + 1):
-                    red2 = red2 + coeffs[k] * _entry(M, (e1 - k, e2 + k), tgt_zero)
-                if first != red1 or second != red2:
-                    ok, witness = False, "exponents (%d, %d)" % (e1, e2)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    tgt_zero = space.shifted(b1 + b2).zero()
+
+    def orderings_hold(u, E, M, e1, e2):
+        first = apply_vertex(b1, e1, apply_vertex(b2, e2, u))
+        red1 = tgt_zero
+        for k in range(e2 + E + 1):
+            red1 = red1 + coeffs[k] * _entry(M, (e1 + k, e2 - k), tgt_zero)
+        second = apply_vertex(b2, e2, apply_vertex(b1, e1, u))
+        red2 = tgt_zero
+        for k in range(e1 + E + 1):
+            red2 = red2 + coeffs[k] * _entry(M, (e1 - k, e2 + k), tgt_zero)
+        return first == red1 and second == red2
+
     results.append(
         passed(
             "two-slot-orderings",
             "both orderings of two vertices reduce to the same normal product "
             "with mirrored commutation factors",
-            ok,
-            witness,
+            *first_failure(
+                _two_slot_cases(
+                    b1, b2, probes, lambda E: ((-2 - E, 4 + E), (-2 - E, 4 + E))
+                ),
+                orderings_hold,
+                lambda u, E, M, e1, e2: "exponents (%d, %d)" % (e1, e2),
+            ),
         )
     )
 
     # leading coefficient on the highest vector
     M0 = normal_multi_vertex([b1, b2], vac, ((0, 0), (0, 0)))
-    lead = _entry(M0, (0, 0), space.shifted(b1 + b2).zero())
+    lead = _entry(M0, (0, 0), tgt_zero)
     ok = lead == space.shifted(b1 + b2).vacuum()
     results.append(
         passed(
@@ -872,43 +786,39 @@ def check_multi_vertex_products(negative_controls: bool = True) -> list:
     c23 = _commutation_coeffs(ctx3, pairing * mus[1] * mus[2], 8)
     window = ((-1, 6), (-1, 4), (-1, 2))
     M3 = normal_multi_vertex(mus, vac3, window)
-    tgt_zero = space3.shifted(mus[0] + mus[1] + mus[2]).zero()
-    ok, witness = True, ""
-    for e1 in range(-1, 3):
-        for e2 in range(-1, 3):
-            for e3 in range(-1, 3):
-                lhs = apply_vertex(
-                    mus[0], e1, apply_vertex(mus[1], e2, apply_vertex(mus[2], e3, vac3))
-                )
-                rhs = tgt_zero
-                for k23 in range(max(0, e3) + 1):
-                    for k13 in range(e3 - k23 + 1):
-                        for k12 in range(e2 + k23 + 1):
-                            c = c12[k12] * c13[k13] * c23[k23]
-                            rhs = rhs + c * _entry(
-                                M3,
-                                (e1 + k12 + k13, e2 - k12 + k23, e3 - k13 - k23),
-                                tgt_zero,
-                            )
-                if lhs != rhs:
-                    ok, witness = False, "exponents (%d, %d, %d)" % (e1, e2, e3)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    tgt_zero3 = space3.shifted(mus[0] + mus[1] + mus[2]).zero()
+
+    def reduction_holds(e1, e2, e3):
+        lhs = apply_vertex(
+            mus[0], e1, apply_vertex(mus[1], e2, apply_vertex(mus[2], e3, vac3))
+        )
+        rhs = tgt_zero3
+        for k23 in range(max(0, e3) + 1):
+            for k13 in range(e3 - k23 + 1):
+                for k12 in range(e2 + k23 + 1):
+                    c = c12[k12] * c13[k13] * c23[k23]
+                    rhs = rhs + c * _entry(
+                        M3,
+                        (e1 + k12 + k13, e2 - k12 + k23, e3 - k13 - k23),
+                        tgt_zero3,
+                    )
+        return lhs == rhs
+
     results.append(
         passed(
             "three-slot-reduction",
             "a triple vertex composition reduces through all three pair factors "
             "to the symmetric normal product",
-            ok,
-            witness,
+            *first_failure(
+                itertools.product(range(-1, 3), repeat=3),
+                reduction_holds,
+                lambda e1, e2, e3: "exponents (%d, %d, %d)" % (e1, e2, e3),
+            ),
         )
     )
 
     if negative_controls:
-        wrong = _entry(M3, (0, 0, 0), tgt_zero) + _entry(M3, (1, 0, 0), tgt_zero)
+        wrong = _entry(M3, (0, 0, 0), tgt_zero3) + _entry(M3, (1, 0, 0), tgt_zero3)
         lhs = apply_vertex(mus[0], 0, apply_vertex(mus[1], 0, apply_vertex(mus[2], 0, vac3)))
         results.append(
             control(
@@ -933,22 +843,18 @@ def check_multi_vertex_transport(negative_controls: bool = True) -> list:
     vac = space.vacuum()
     probes = [vac, osc_apply(("b", -1), vac)]
     window = ((-4, 4), (-4, 4))
-    ok, witness = True, ""
-    for n in range(-3, 4):
-        for u in probes:
-            defect = multi_vertex_transport_defect(n, mus, alpha0, u, window)
-            if not defect.is_zero():
-                ok, witness = False, "n=%d on %s" % (n, _fmt(u))
-                break
-        if not ok:
-            break
     results.append(
         passed(
             "transport-two-slots",
             "[L_n, :VV:] matches the first-order transport operator with pair "
             "quotients, two symbolic exponents, |n| <= 3",
-            ok,
-            witness,
+            *first_failure(
+                ((n, u) for n in range(-3, 4) for u in probes),
+                lambda n, u: multi_vertex_transport_defect(
+                    n, mus, alpha0, u, window
+                ).is_zero(),
+                lambda n, u: "n=%d on %s" % (n, _fmt(u)),
+            ),
         )
     )
 
@@ -959,19 +865,18 @@ def check_multi_vertex_transport(negative_controls: bool = True) -> list:
     space3 = FockSpace(OscSpec(ctx3), ctx3.scalar(QQ(2, 7)))
     vac3 = space3.vacuum()
     window3 = ((-3, 3), (-3, 3), (-3, 3))
-    ok, witness = True, ""
-    for n in (-1, 0, 1):
-        defect = multi_vertex_transport_defect(n, mus3, alpha0_3, vac3, window3)
-        if not defect.is_zero():
-            ok, witness = False, "n=%d" % n
-            break
     results.append(
         passed(
             "transport-three-slots",
             "[L_n, :VVV:] matches the transport operator at three points, "
             "n in {-1, 0, 1}",
-            ok,
-            witness,
+            *first_failure(
+                ((n,) for n in (-1, 0, 1)),
+                lambda n: multi_vertex_transport_defect(
+                    n, mus3, alpha0_3, vac3, window3
+                ).is_zero(),
+                lambda n: "n=%d" % n,
+            ),
         )
     )
 
@@ -1098,22 +1003,16 @@ def screening_cochain_checks(negative_controls: bool = True) -> list:
         vac = fam.space.vacuum()
         probes = [vac, osc_apply(("b", -1), vac)]
 
-        ok, witness = True, ""
-        for x in witts + [combo]:
-            for u in probes:
-                defect = fam.invariance_defect(x, u)
-                if not defect.is_zero():
-                    ok, witness = False, "x=%r on %s" % (x, _fmt(u))
-                    break
-            if not ok:
-                break
         results.append(
             passed(
                 "screening-invariance-%d" % slots,
                 "commutator action plus twisted Lie derivative kills the "
                 "%d-slot screening product" % slots,
-                ok,
-                witness,
+                *first_failure(
+                    ((x, u) for x in witts + [combo] for u in probes),
+                    lambda x, u: fam.invariance_defect(x, u).is_zero(),
+                    lambda x, u: "x=%r on %s" % (x, _fmt(u)),
+                ),
             )
         )
 
@@ -1125,29 +1024,17 @@ def screening_cochain_checks(negative_controls: bool = True) -> list:
             [combo, WittElement.basis(0)],
         ]
         rows += [[WittElement.basis(-1), WittElement.basis(0), WittElement.basis(1)]]
-        ok, witness, count = True, "", 0
-        for xs in rows:
-            if len(xs) > slots + 1:
-                continue
-            for u in probes:
-                res = fam.residual(xs, u)
-                if not res.is_zero():
-                    ok, witness = False, "depth %d row %r on %s" % (
-                        len(xs),
-                        xs,
-                        _fmt(u),
-                    )
-                    break
-            count += 1
-            if not ok:
-                break
+        rows = [xs for xs in rows if len(xs) <= slots + 1]
         results.append(
             passed(
                 "screening-cocycle-%d" % slots,
                 "every total-differential row of the %d-slot cochain family "
-                "vanishes (%d rows, symbolic label and exponent)" % (slots, count),
-                ok,
-                witness,
+                "vanishes (%d rows, symbolic label and exponent)" % (slots, len(rows)),
+                *first_failure(
+                    ((xs, u) for xs in rows for u in probes),
+                    lambda xs, u: fam.residual(xs, u).is_zero(),
+                    lambda xs, u: "depth %d row %r on %s" % (len(xs), xs, _fmt(u)),
+                ),
             )
         )
 
@@ -1164,19 +1051,16 @@ def screening_cochain_checks(negative_controls: bool = True) -> list:
         [WittElement.basis(-1), WittElement.basis(1)],
         [WittElement.basis(-1), WittElement.basis(0), WittElement.basis(1)],
     ]
-    ok, witness = True, ""
-    for xs in rows3:
-        res = fam3.residual(xs, vac3)
-        if not res.is_zero():
-            ok, witness = False, "depth %d row" % len(xs)
-            break
     results.append(
         passed(
             "screening-cocycle-3",
             "total-differential rows vanish for three slots at rational "
             "parameters",
-            ok,
-            witness,
+            *first_failure(
+                ((xs,) for xs in rows3),
+                lambda xs: fam3.residual(xs, vac3).is_zero(),
+                lambda xs: "depth %d row" % len(xs),
+            ),
         )
     )
 
@@ -1295,15 +1179,11 @@ def ff_intertwiner_checks(negative_controls: bool = True) -> list:
         for e in range(e_max + 1):
             for mon in op.space.block_basis(e):
                 basis.append(FockVector(op.space, {mon: ctx.one()}))
-        ok, witness = True, ""
-        for n in range(-n_max, n_max + 1):
-            for v in basis:
-                defect = op.commutation_defect(n, v)
-                if not defect.is_zero():
-                    ok, witness = False, "n=%d on %s" % (n, _fmt(v))
-                    break
-            if not ok:
-                break
+        ok, witness = first_failure(
+            ((n, v) for n in range(-n_max, n_max + 1) for v in basis),
+            lambda n, v: op.commutation_defect(n, v).is_zero(),
+            lambda n, v: "n=%d on %s" % (n, _fmt(v)),
+        )
         nonzero = any(not op.apply(v).is_zero() for v in basis)
         results.append(
             passed(

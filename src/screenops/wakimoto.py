@@ -26,7 +26,7 @@ import json
 from fractions import Fraction as QQ
 from typing import Mapping, Sequence
 
-from .checks import CheckResult, control, passed
+from .checks import _fmt, control, first_failure, passed
 from .fields import (
     FieldExpr,
     apply_field_coeff,
@@ -79,6 +79,7 @@ __all__ = [
 # -- parameters and currents ----------------------------------------------------------
 
 _GENERATORS = ("E", "H", "F")
+_ORDERED_PAIRS = tuple(itertools.product(_GENERATORS, repeat=2))
 
 # structure constants of the rank-one triple: [H,E]=2E, [H,F]=-2F, [E,F]=H
 _BRACKET_TABLE = {
@@ -505,11 +506,6 @@ def _deep_probes(space: FockSpace) -> list:
     ]
 
 
-def _fmt(vec: FockVector) -> str:
-    text = repr(vec)
-    return text if len(text) <= 60 else text[:57] + "..."
-
-
 # -- current algebra checks ---------------------------------------------------------
 
 
@@ -536,28 +532,26 @@ def verify_current_algebra(
     results = []
 
     # contraction route: all ordered pairs
-    opes = {}
-    ok, witness = True, ""
-    for x in _GENERATORS:
-        for y in _GENERATORS:
-            ope = wick_ope(act.field(x), act.field(y))
-            opes[(x, y)] = ope
-            expected2 = FieldExpr.scalar(ctx, current_pairing(params, x, y))
-            expected1 = current_bracket(params, x, y)
-            good = (
-                ope.max_order() <= 2
-                and ope.pole(2) == expected2
-                and ope.pole(1) == expected1
-            )
-            if not good and ok:
-                ok, witness = False, "%s(z)%s(w) = %s" % (x, y, ope.render())
+    opes = {(x, y): wick_ope(act.field(x), act.field(y)) for x, y in _ORDERED_PAIRS}
+
+    def table_holds(x, y):
+        ope = opes[(x, y)]
+        return (
+            ope.max_order() <= 2
+            and ope.pole(2) == FieldExpr.scalar(ctx, current_pairing(params, x, y))
+            and ope.pole(1) == current_bracket(params, x, y)
+        )
+
     results.append(
         passed(
             "current-ope-table",
             "singular products of the three currents equal the level-k "
             "bracket table",
-            ok,
-            witness,
+            *first_failure(
+                _ORDERED_PAIRS,
+                table_holds,
+                lambda x, y: "%s(z)%s(w) = %s" % (x, y, opes[(x, y)].render()),
+            ),
         )
     )
 
@@ -565,11 +559,16 @@ def verify_current_algebra(
         elem = LoopElement.basis(ctx, x, n).bracket(LoopElement.basis(ctx, y, m))
         return act.apply_element(elem, vec)
 
-    def bracket_defects(x, y, n, m, vec):
+    def bracket_verdicts(x, y, n, m, vec):
+        """Whether the mode bracket matches the loop relations, and whether
+        it matches the bracket extracted from the contraction table."""
         lhs = act.apply(x, n, act.apply(y, m, vec)) - act.apply(y, m, act.apply(x, n, vec))
         rhs = mode_rhs(x, y, n, m, vec)
         cross = ope_bracket_action(opes[(x, y)], -n - 1, -m - 1, vec)
-        return (lhs - rhs), (cross - lhs)
+        return (lhs - rhs).is_zero(), (cross - lhs).is_zero()
+
+    def bracket_witness(x, y, n, m, vec):
+        return "[%s<%d>, %s<%d>] on %s" % (x, n, y, m, _fmt(vec))
 
     pairs = [("E", "H"), ("E", "F"), ("H", "F"), ("E", "E"), ("H", "H"), ("F", "F")]
     core = _core_probes(module.space)
@@ -577,49 +576,45 @@ def verify_current_algebra(
     # every (n, m) in the grid is exercised and cross-checked; the probe
     # rotates deterministically through the core list so each bracket hits
     # a different block without multiplying the grid size
-    ok, agree_ok, witness, agree_witness = True, True, "", ""
+    span = range(-mode_max, mode_max + 1)
     width = 2 * mode_max + 1
-    for x, y in pairs:
-        for n in range(-mode_max, mode_max + 1):
-            for m in range(-mode_max, mode_max + 1):
-                idx = (n + mode_max) * width + (m + mode_max)
-                vec = core[idx % len(core)]
-                defect, cross = bracket_defects(x, y, n, m, vec)
-                if ok and not defect.is_zero():
-                    ok = False
-                    witness = "[%s<%d>, %s<%d>] on %s" % (x, n, y, m, _fmt(vec))
-                if agree_ok and not cross.is_zero():
-                    agree_ok = False
-                    agree_witness = "(%s,%s,n=%d,m=%d)" % (x, y, n, m)
+    core_grid = [
+        (x, y, n, m, core[((n + mode_max) * width + (m + mode_max)) % len(core)])
+        for x, y in pairs
+        for n in span
+        for m in span
+    ]
+    # one computation per grid point feeds both the core and the agreement check
+    core_verdicts = [bracket_verdicts(*case) for case in core_grid]
     results.append(
         passed(
             "current-modes-core",
             "mode brackets close on the loop relations for |n|,|m| <= %d "
             "on light probes" % mode_max,
-            ok,
-            witness,
+            *first_failure(
+                zip(core_grid, core_verdicts),
+                lambda case, verdicts: verdicts[0],
+                lambda case, verdicts: bracket_witness(*case),
+            ),
         )
     )
 
-    ok, witness = True, ""
     deep = _deep_probes(module.space)
-    for px, (x, y) in enumerate(pairs):
-        for n in range(-2, 3):
-            for m in range(-2, 3):
-                idx = px + (n + 2) * 5 + (m + 2)
-                vec = deep[idx % len(deep)]
-                defect, cross = bracket_defects(x, y, n, m, vec)
-                if not defect.is_zero() or not cross.is_zero():
-                    ok = False
-                    witness = "[%s<%d>, %s<%d>] on %s" % (x, n, y, m, _fmt(vec))
-                    break
     results.append(
         passed(
             "current-modes-deep",
             "mode brackets close on probes reaching energy %d and charge %d"
             % (energy_max, charge_max),
-            ok,
-            witness,
+            *first_failure(
+                (
+                    (x, y, n, m, deep[(px + (n + 2) * 5 + (m + 2)) % len(deep)])
+                    for px, (x, y) in enumerate(pairs)
+                    for n in range(-2, 3)
+                    for m in range(-2, 3)
+                ),
+                lambda *case: all(bracket_verdicts(*case)),
+                bracket_witness,
+            ),
         )
     )
     results.append(
@@ -627,36 +622,42 @@ def verify_current_algebra(
             "current-route-agreement",
             "bracket extracted from each contraction table equals the "
             "direct mode bracket on every probe",
-            agree_ok,
-            agree_witness,
+            *first_failure(
+                zip(core_grid, core_verdicts),
+                lambda case, verdicts: verdicts[1],
+                lambda case, verdicts: "(%s,%s,n=%d,m=%d)" % case[:4],
+            ),
         )
     )
 
     # exhaustive small blocks through matrices
-    ok, witness = True, ""
-    for x, y in (("E", "F"), ("H", "F"), ("H", "E")):
-        for n, m in ((1, -1), (0, 0), (2, -2), (-1, 1)):
-            a = module.mode(x, n)
-            b = module.mode(y, m)
-            elem = LoopElement.basis(ctx, x, n).bracket(LoopElement.basis(ctx, y, m))
-            for energy in range(0, 3):
-                for charge in range(-2, 3):
-                    src, tgt, rows = commutator_blocks(a, b, energy, charge)
-                    for j, mon in enumerate(src):
-                        unit = FockVector(module.space, {mon: ctx.one()})
-                        rhs = act.apply_element(elem, unit)
-                        image = {tgt[i]: rows[i][j] for i in range(len(tgt))}
-                        got = FockVector(module.space, image)
-                        if not (got - rhs).is_zero():
-                            ok, witness = False, "(%s,%s,n=%d,m=%d) block (%d,%d)" % (
-                                x, y, n, m, energy, charge)
+    def block_holds(x, y, n, m, energy, charge):
+        elem = LoopElement.basis(ctx, x, n).bracket(LoopElement.basis(ctx, y, m))
+        src, tgt, rows = commutator_blocks(
+            module.mode(x, n), module.mode(y, m), energy, charge
+        )
+        return all(
+            FockVector(module.space, {tgt[i]: rows[i][j] for i in range(len(tgt))})
+            == act.apply_element(elem, FockVector(module.space, {mon: ctx.one()}))
+            for j, mon in enumerate(src)
+        )
+
     results.append(
         passed(
             "current-modes-blocks",
             "exact block matrices of mode commutators match the loop "
             "relations on full small blocks",
-            ok,
-            witness,
+            *first_failure(
+                (
+                    (x, y, n, m, energy, charge)
+                    for x, y in (("E", "F"), ("H", "F"), ("H", "E"))
+                    for n, m in ((1, -1), (0, 0), (2, -2), (-1, 1))
+                    for energy in range(0, 3)
+                    for charge in range(-2, 3)
+                ),
+                block_holds,
+                lambda *case: "(%s,%s,n=%d,m=%d) block (%d,%d)" % case,
+            ),
         )
     )
 
@@ -815,11 +816,10 @@ def verify_screening_regularity(
     """
     params = params or AffineParams.generic()
     ctx = params.ctx
-    data = screening_ops(params)
-    module = WakimotoModule(params)
-    target_space = module.space.shifted(data.label_shift)
-    act_src = CurrentAction(params, module.space)
-    act_tgt = CurrentAction(params, target_space)
+    screened = _ScreenedAction(params)
+    data, module = screened.data, screened.module
+    act_src, act_tgt = screened.act_src, screened.act_tgt
+    target_space = act_tgt.space
     results = []
 
     f_expr = act_src.field("F")
@@ -891,33 +891,32 @@ def verify_screening_regularity(
         for s in range(-4, 2)
     ]
 
-    ok, witness = True, ""
-    invisible_ok, invisible_witness = True, ""
-    for idx, vec, n, s in grid:
+    def screen_verdicts(idx, vec, n, s):
+        """Whether [X<n>, S(s)] vec equals its expected value, per X."""
         fs = screen_coeff(s, idx, vec)
-        lhs = act_tgt.apply("F", n, fs) - apply_field_coeff(
-            data.screen, s, act_src.apply("F", n, vec)
-        )
-        scalar = ctx.scalar(s + 1) + tau
-        rhs = scalar * apply_field_coeff(g, s + 1 - n, vec)
-        if ok and not (lhs - rhs).is_zero():
-            ok = False
-            witness = "n=%d, s=%d on %s" % (n, s, _fmt(vec))
-        for name in ("E", "H"):
+        verdicts = {}
+        for name in ("F", "E", "H"):
             d = act_tgt.apply(name, n, fs) - apply_field_coeff(
                 data.screen, s, act_src.apply(name, n, vec)
             )
-            if invisible_ok and not d.is_zero():
-                invisible_ok = False
-                invisible_witness = "[%s<%d>, S(%d)] on %s" % (
-                    name, n, s, _fmt(vec))
+            if name == "F":
+                d = d - (ctx.scalar(s + 1) + tau) * apply_field_coeff(g, s + 1 - n, vec)
+            verdicts[name] = d.is_zero()
+        return verdicts
+
+    # one computation per grid point feeds both the transport and the
+    # invisibility check
+    verdicts = [screen_verdicts(*case) for case in grid]
     results.append(
         passed(
             "screen-mode-transport",
             "lowering modes move the screening coefficients by the twisted "
             "derivative of the companion family (|n|,|s| <= %d)" % mode_max,
-            ok,
-            witness,
+            *first_failure(
+                zip(grid, verdicts),
+                lambda case, zero: zero["F"],
+                lambda case, zero: "n=%d, s=%d on %s" % (case[2], case[3], _fmt(case[1])),
+            ),
         )
     )
     results.append(
@@ -925,8 +924,16 @@ def verify_screening_regularity(
             "screen-mode-invisible",
             "raising and Cartan modes commute with every screening "
             "coefficient",
-            invisible_ok,
-            invisible_witness,
+            *first_failure(
+                (
+                    (name, case, zero)
+                    for case, zero in zip(grid, verdicts)
+                    for name in ("E", "H")
+                ),
+                lambda name, case, zero: zero[name],
+                lambda name, case, zero: "[%s<%d>, S(%d)] on %s" % (
+                    name, case[2], case[3], _fmt(case[1])),
+            ),
         )
     )
 
@@ -952,6 +959,59 @@ def verify_screening_regularity(
 # -- screened current brackets --------------------------------------------------------
 
 
+class _ScreenedAction:
+    """Current action on a module and on its one-slot screened target,
+    together with the companion family of the rank-one screening data."""
+
+    def __init__(self, params: AffineParams):
+        self.data = screening_ops(params)
+        self.module = WakimotoModule(params)
+        self.act_src = CurrentAction(params, self.module.space)
+        self.act_tgt = CurrentAction(
+            params, self.module.space.shifted(self.data.label_shift)
+        )
+
+    def commutator(self, word, image_of: LoopElement, s: int, vec: FockVector) -> FockVector:
+        """[word, companion(image_of)](s) vec for a bracket tree ``word``."""
+        moved = _word_apply(self.act_tgt, word, self.data.loop_image_coeff(image_of, s, vec))
+        back = self.data.loop_image_coeff(image_of, s, _word_apply(self.act_src, word, vec))
+        return moved - back
+
+    def descent_defect(self, word, s: int, vec: FockVector) -> FockVector:
+        """Inductive companion rule on the tree [W1, W2] minus the companion
+        family of its reduction: [W1, S(red W2)] - [W2, S(red W1)] - S(red [W1, W2])."""
+        _, w1, w2 = word
+        ctx = self.data.ctx
+        lhs = self.commutator(w1, _word_reduce(ctx, w2), s, vec) - self.commutator(
+            w2, _word_reduce(ctx, w1), s, vec
+        )
+        return lhs - self.data.loop_image_coeff(_word_reduce(ctx, word), s, vec)
+
+    def wrong_structure_defect(self) -> FockVector:
+        """[H<0>, companion(F<0>)](0) on the vacuum against the companion of
+        [H, F] with the structure constant flipped from -2 to +2."""
+        f0 = LoopElement.basis(self.data.ctx, "F", 0)
+        vac = self.module.vacuum()
+        lhs = self.commutator(("gen", "H", 0), f0, 0, vac)
+        return lhs - QQ(2) * self.data.loop_image_coeff(f0, 0, vac)
+
+
+def _companion_opes(params: AffineParams, data: ScreeningData) -> dict:
+    """Singular parts of each current against each companion field."""
+    return {
+        (x, y): wick_ope(wakimoto_current(x, params), data.image(y))
+        for x, y in _ORDERED_PAIRS
+    }
+
+
+def _companion_residue_defect(opes: dict, data: ScreeningData, x: str, y: str) -> FieldExpr:
+    """Antisymmetrized companion residue of (x, y) minus the companion of [x, y]."""
+    expected = FieldExpr.zero(data.ctx)
+    for coeff, z in _BRACKET_TABLE.get((x, y), ()):
+        expected = expected + coeff * data.image(z)
+    return opes[(x, y)].pole(1) - opes[(y, x)].pole(1) - expected
+
+
 def verify_screened_current_brackets(
     mode_max: int = 2,
     negative_controls: bool = True,
@@ -966,20 +1026,13 @@ def verify_screened_current_brackets(
     """
     params = params or AffineParams.generic()
     ctx = params.ctx
-    data = screening_ops(params)
-    module = WakimotoModule(params)
-    target_space = module.space.shifted(data.label_shift)
-    act_src = CurrentAction(params, module.space)
-    act_tgt = CurrentAction(params, target_space)
+    screened = _ScreenedAction(params)
+    data = screened.data
     results = []
 
     g = data.image("F")
     gamma_g = FieldExpr.field(ctx, "gamma", 0) * g
-
-    opes = {}
-    for x in _GENERATORS:
-        for y in _GENERATORS:
-            opes[(x, y)] = wick_ope(act_src.field(x), data.image(y))
+    opes = _companion_opes(params, data)
 
     results.append(
         passed(
@@ -995,103 +1048,71 @@ def verify_screened_current_brackets(
             "F-product: %s" % opes[("F", "F")].render(),
         )
     )
-
-    ok, witness = True, ""
-    for x in _GENERATORS:
-        for y in _GENERATORS:
-            if opes[(x, y)].max_order() > 1:
-                ok, witness = False, "%s against image of %s" % (x, y)
     results.append(
         passed(
             "screened-pole-shape",
             "every current against a companion field has at most a simple "
             "pole",
-            ok,
-            witness,
+            *first_failure(
+                _ORDERED_PAIRS,
+                lambda x, y: opes[(x, y)].max_order() <= 1,
+                lambda x, y: "%s against image of %s" % (x, y),
+            ),
         )
     )
-
-    ok, witness = True, ""
-    for x in _GENERATORS:
-        for y in _GENERATORS:
-            anti = opes[(x, y)].pole(1) - opes[(y, x)].pole(1)
-            expected = FieldExpr.zero(ctx)
-            for coeff, z in _BRACKET_TABLE.get((x, y), ()):
-                expected = expected + coeff * data.image(z)
-            if not (anti - expected).is_zero():
-                ok, witness = False, "(%s,%s): %s" % (x, y, (anti - expected).render())
     results.append(
         passed(
             "screened-bracket-ope",
             "antisymmetrized companion residues realize the bracket's "
             "companion field",
-            ok,
-            witness,
+            *first_failure(
+                _ORDERED_PAIRS,
+                lambda x, y: _companion_residue_defect(opes, data, x, y).is_zero(),
+                lambda x, y: "(%s,%s): %s" % (
+                    x, y, _companion_residue_defect(opes, data, x, y).render()),
+            ),
         )
     )
 
     # mode route including central pairs
-    def companion_bracket_defect(x_name, n, y_name, m, s, vec):
-        ex = LoopElement.basis(ctx, x_name, n)
-        ey = LoopElement.basis(ctx, y_name, m)
-
-        def half(a_elem, b_elem):
-            # [a, companion(b)](s) vec
-            fb = data.loop_image_coeff(b_elem, s, vec)
-            moved = act_tgt.apply_element(a_elem, fb)
-            back = data.loop_image_coeff(b_elem, s, act_src.apply_element(a_elem, vec))
-            return moved - back
-
-        lhs = half(ex, ey) - half(ey, ex)
-        rhs = data.loop_image_coeff(ex.bracket(ey), s, vec)
-        return lhs - rhs
-
     grid = [(x, n, y, m)
             for x in _GENERATORS for y in _GENERATORS
             for n in range(-mode_max, mode_max + 1)
             for m in range(-mode_max, mode_max + 1)]
     grid += [("E", 3, "F", -3), ("H", 3, "H", -3), ("F", 4, "E", -4)]
-    probes = [module.vacuum(), _unit(module.space, [("as", -1)])]
-    ok, witness = True, ""
-    for x, n, y, m in grid:
-        for s in (-2, 0, 1):
-            for vec in probes:
-                d = companion_bracket_defect(x, n, y, m, s, vec)
-                if not d.is_zero():
-                    ok = False
-                    witness = "[%s<%d>, S(%s)] - [%s<%d>, S(%s)] at s=%d on %s" % (
-                        x, n, y, y, m, x, s, _fmt(vec))
-                    break
+    probes = [screened.module.vacuum(), _unit(screened.module.space, [("as", -1)])]
     results.append(
         passed(
             "screened-bracket-modes",
             "mode transcription of the companion bracket identity holds "
             "including central pairs",
-            ok,
-            witness,
+            *first_failure(
+                (
+                    (x, n, y, m, s, vec)
+                    for x, n, y, m in grid
+                    for s in (-2, 0, 1)
+                    for vec in probes
+                ),
+                lambda x, n, y, m, s, vec: screened.descent_defect(
+                    ("br", ("gen", x, n), ("gen", y, m)), s, vec
+                ).is_zero(),
+                lambda x, n, y, m, s, vec: (
+                    "[%s<%d>, S(%s)] - [%s<%d>, S(%s)] at s=%d on %s"
+                    % (x, n, y, y, m, x, s, _fmt(vec))
+                ),
+            ),
         )
     )
 
     if negative_controls:
-        vac = module.vacuum()
-        # seeded bug: claim [H, F] has coefficient +2 instead of -2
-        wrong = QQ(2) * data.loop_image_coeff(
-            LoopElement.basis(ctx, "F", 0), 0, vac
-        )
-        fh = data.loop_image_coeff(LoopElement.basis(ctx, "F", 0), 0, vac)
-        lhs = (
-            act_tgt.apply("H", 0, fh)
-            - data.loop_image_coeff(
-                LoopElement.basis(ctx, "F", 0), 0, act_src.apply("H", 0, vac)
-            )
-        )
+        defect = screened.wrong_structure_defect()
         results.append(
             control(
                 "screened-wrong-structure",
                 "flipping the Cartan-lowering structure constant must leave "
                 "a visible defect",
-                broke=not (lhs - wrong).is_zero(),
-                witness=_fmt(lhs - wrong),
+                broke=not defect.is_zero(),
+                witness=_fmt(defect),
             )
         )
     return results
@@ -1378,29 +1399,23 @@ def screening_cocycle(
         ],
     ]
 
-    ok, witness, count = True, "", 0
-    for xs in rows:
-        if len(xs) > slots + 1:
-            continue
-        # deepest rows run on the vacuum; shallower ones also on the
-        # charged probe
-        row_probes = probes[:1] if len(xs) > slots else probes
-        for u in row_probes:
-            res = fam.residual(xs, u)
-            count += 1
-            if not res.is_zero():
-                ok = False
-                witness = "depth %d row %r on %s" % (len(xs), xs, _fmt(u))
-                break
-        if not ok:
-            break
+    # deepest rows run on the vacuum; shallower ones also on the charged probe
+    cases = [
+        (xs, u)
+        for xs in rows
+        if len(xs) <= slots + 1
+        for u in (probes[:1] if len(xs) > slots else probes)
+    ]
     results.append(
         passed(
             "cocycle-%d-rows" % slots,
             "all %d total-differential rows clear to zero on %d-slot "
-            "screening products" % (count, slots),
-            ok,
-            witness,
+            "screening products" % (len(cases), slots),
+            *first_failure(
+                cases,
+                lambda xs, u: fam.residual(xs, u).is_zero(),
+                lambda xs, u: "depth %d row %r on %s" % (len(xs), xs, _fmt(u)),
+            ),
         )
     )
 
@@ -1468,7 +1483,6 @@ def generic_extension_and_descent(
     (conjecture — evidence only).
     """
     params = params or AffineParams.generic()
-    ctx = params.ctx
     results = []
 
     def gen(name, n=0):
@@ -1492,117 +1506,79 @@ def generic_extension_and_descent(
         br(gen("H", -1), br(gen("H", 1), gen("F"))),
     ]
 
-    def run_descent(run_params: AffineParams, words, probes_count=2, s_values=(-1, 0, 1)):
-        run_ctx = run_params.ctx
-        run_data = screening_ops(run_params)
-        module = WakimotoModule(run_params)
-        act_src = CurrentAction(run_params, module.space)
-        act_tgt = CurrentAction(
-            run_params, module.space.shifted(run_data.label_shift)
-        )
+    def descent_cases(screened, words, probes_count=2, s_values=(-1, 0, 1)):
+        module = screened.module
         probes = [module.vacuum(), _unit(module.space, [("as", -1)])][:probes_count]
-
-        def half(word, other_reduced, s, vec):
-            fb = run_data.loop_image_coeff(other_reduced, s, vec)
-            moved = _word_apply(act_tgt, word, fb)
-            back = run_data.loop_image_coeff(
-                other_reduced, s, _word_apply(act_src, word, vec)
-            )
-            return moved - back
-
         for word in words:
-            w1, w2 = word[1], word[2]
-            r1 = _word_reduce(run_ctx, w1)
-            r2 = _word_reduce(run_ctx, w2)
-            rb = _word_reduce(run_ctx, word)
             for s in s_values:
                 for vec in probes:
-                    lhs = half(w1, r2, s, vec) - half(w2, r1, s, vec)
-                    rhs = run_data.loop_image_coeff(rb, s, vec)
-                    if not (lhs - rhs).is_zero():
-                        return False, "word %s at s=%d on %s" % (
-                            _word_render(word), s, _fmt(vec))
-        return True, ""
+                    yield screened, word, s, vec
 
-    ok, witness = run_descent(params, word_pairs)
+    def descent_holds(screened, word, s, vec):
+        return screened.descent_defect(word, s, vec).is_zero()
+
+    def descent_witness(screened, word, s, vec):
+        return "word %s at s=%d on %s" % (_word_render(word), s, _fmt(vec))
+
+    symbolic = _ScreenedAction(params)
     results.append(
         passed(
             "descent-tree-pairs",
             "inductive companion rule on %d bracket trees matches the "
             "reduced seeds symbolically in (nu, chi)" % len(word_pairs),
-            ok,
-            witness,
+            *first_failure(
+                descent_cases(symbolic, word_pairs), descent_holds, descent_witness
+            ),
         )
     )
 
-    spec_ok, spec_witness = True, ""
     chis = [QQ(7, 3), QQ(-5, 2), QQ(13, 7), QQ(3, 5), QQ(-9, 4), QQ(2)]
-    for chi in chis:
-        run_params = AffineParams(ParameterContext(("nu",)), chi=chi)
-        okk, wit = run_descent(run_params, word_pairs[:4], probes_count=1,
-                               s_values=(0, 1))
-        if not okk:
-            spec_ok, spec_witness = False, "chi=%s: %s" % (chi, wit)
-            break
     results.append(
         passed(
             "descent-specializations",
             "descent persists at five random weight labels plus one "
             "integral label",
-            spec_ok,
-            spec_witness,
+            *first_failure(
+                (
+                    (chi,) + case
+                    for chi in chis
+                    for case in descent_cases(
+                        _ScreenedAction(AffineParams(ParameterContext(("nu",)), chi=chi)),
+                        word_pairs[:4],
+                        probes_count=1,
+                        s_values=(0, 1),
+                    )
+                ),
+                lambda chi, *case: descent_holds(*case),
+                lambda chi, *case: "chi=%s: %s" % (chi, descent_witness(*case)),
+            ),
         )
     )
 
-    data = screening_ops(params)
-    act = CurrentAction(params, WakimotoModule(params).space)
-    conj_ok, conj_witness = True, ""
-    for x in _GENERATORS:
-        for y in _GENERATORS:
-            left = wick_ope(act.field(x), data.image(y))
-            right = wick_ope(act.field(y), data.image(x))
-            expected = FieldExpr.zero(ctx)
-            for coeff, z in _BRACKET_TABLE.get((x, y), ()):
-                expected = expected + coeff * data.image(z)
-            if (
-                left.max_order() > 1
-                or not (left.pole(1) - right.pole(1) - expected).is_zero()
-            ):
-                conj_ok, conj_witness = False, "(%s,%s)" % (x, y)
+    opes = _companion_opes(params, symbolic.data)
     results.append(
         passed(
             "descent-conjecture-evidence",
             "antisymmetrized residue identity for the generic-level "
             "statement holds at rank one (conjecture — evidence only)",
-            conj_ok,
-            conj_witness,
+            *first_failure(
+                _ORDERED_PAIRS,
+                lambda x, y: opes[(x, y)].max_order() <= 1
+                and _companion_residue_defect(opes, symbolic.data, x, y).is_zero(),
+                lambda x, y: "(%s,%s)" % (x, y),
+            ),
         )
     )
 
     if negative_controls:
-        module = WakimotoModule(params)
-        act_src = CurrentAction(params, module.space)
-        act_tgt = CurrentAction(params, module.space.shifted(data.label_shift))
-        vac = module.vacuum()
-        word = br(gen("H"), gen("F"))
-        fb = data.loop_image_coeff(LoopElement.basis(ctx, "F", 0), 0, vac)
-        lhs = (
-            _word_apply(act_tgt, gen("H"), fb)
-            - data.loop_image_coeff(
-                LoopElement.basis(ctx, "F", 0), 0,
-                _word_apply(act_src, gen("H"), vac),
-            )
-        )
-        wrong = QQ(2) * data.loop_image_coeff(
-            LoopElement.basis(ctx, "F", 0), 0, vac
-        )
+        defect = symbolic.wrong_structure_defect()
         results.append(
             control(
                 "descent-wrong-reduction",
                 "mis-reducing the Cartan-lowering bracket must leave a "
                 "visible defect",
-                broke=not (lhs - wrong).is_zero(),
-                witness=_fmt(lhs - wrong),
+                broke=not defect.is_zero(),
+                witness=_fmt(defect),
             )
         )
     return results

@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 
 from screenops.scalars import ParameterContext
-from screenops.fock import FockSpace, OscSpec, osc_apply, oscillator_mode
+from screenops.fock import FockSpace, OscSpec, osc_apply
 from screenops.fields import (
     FieldExpr,
     FieldParseError,
-    OpeResult,
     UnsupportedPairingError,
     apply_field_coeff,
     apply_vertex,

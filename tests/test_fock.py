@@ -15,7 +15,6 @@ from screenops.scalars import ParameterContext
 from screenops.fock import (
     FockSpace,
     FockVector,
-    ModeOperator,
     OscSpec,
     apply_monomial,
     apply_ordered_word,

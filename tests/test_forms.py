@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from screenops.scalars import ParameterContext, ParamScalar
+from screenops.scalars import ParameterContext
 from screenops.forms import (
     Connection,
     FormSpace,

@@ -1,12 +1,11 @@
 """Packaging metadata describes the package it ships."""
 
+import ast
 import re
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "screenops"
@@ -14,6 +13,7 @@ PACKAGE = ROOT / "src" / "screenops"
 
 @pytest.fixture(scope="module")
 def pyproject():
+    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)
 
@@ -36,3 +36,32 @@ def test_screening_data_is_package_data(pyproject):
     assert (PACKAGE / data).is_file()
     patterns = pyproject["tool"]["setuptools"]["package-data"]["screenops"]
     assert any(fnmatch(data, pattern) for pattern in patterns)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = set(_imported_names(tree)) - used - _exported_names(tree)
+    assert not unused, "%s imports %s without using them" % (path.name, sorted(unused))

@@ -13,8 +13,14 @@ from fractions import Fraction
 import pytest
 
 from screenops.scalars import ParameterContext
-from screenops.fock import FockSpace, FockVector, OscSpec, osc_apply
-from screenops.fields import apply_field_coeff, apply_vertex, stress_tensor
+from screenops.fock import FockSpace, OscSpec, osc_apply
+from screenops.fields import (
+    apply_field_coeff,
+    apply_vertex,
+    stress_tensor,
+    vertex_annihilation_coeff,
+    vertex_creation_coeff,
+)
 from screenops.forms import WittElement
 from screenops.virasoro import (
     FeiginFuchsModule,
@@ -36,8 +42,6 @@ from screenops.virasoro import (
     product_formula_check,
     scalar_binomial,
     screening_cochain_checks,
-    vertex_annihilation_coeff,
-    vertex_creation_coeff,
     verify_virasoro,
     virasoro_apply,
     virasoro_mode,
