@@ -525,7 +525,7 @@ def vertex_annihilation_coeff(mu, k: int, vec: FockVector) -> FockVector:
                 break
         if low.is_zero():
             continue
-        out = out + _exp_multiset_coeff(space.ctx, mu, part, annihilate=True) * low
+        out = out + _exp_multiset_coeff(mu, part, annihilate=True) * low
     return out
 
 
@@ -540,21 +540,21 @@ def vertex_creation_coeff(mu, k: int, vec: FockVector) -> FockVector:
         raised = vec
         for m in part:
             raised = osc_apply(("b", -m), raised)
-        out = out + _exp_multiset_coeff(space.ctx, mu, part, annihilate=False) * raised
+        out = out + _exp_multiset_coeff(mu, part, annihilate=False) * raised
     return out
 
 
-def _exp_multiset_coeff(ctx, mu, part: tuple[int, ...], annihilate: bool) -> ParamScalar:
+def _exp_multiset_coeff(mu, part: tuple[int, ...], annihilate: bool) -> ParamScalar:
     """Coefficient of a creation/annihilation multiset in exp expansion:
     prod over occurrences of (-+ mu / n), divided by multiplicities!."""
-    coeff = ctx.one()
+    q = QQ(1)
     mult: dict[int, int] = {}
     for n in part:
         mult[n] = mult.get(n, 0) + 1
-        coeff = coeff * (QQ(-1 if annihilate else 1, n) * mu)
+        q /= -n if annihilate else n
     for m in mult.values():
-        coeff = QQ(1, math.factorial(m)) * coeff
-    return coeff
+        q /= math.factorial(m)
+    return q * mu ** len(part)
 
 
 def apply_vertex(mu: ParamScalar, eps: int, vec: FockVector) -> FockVector:
@@ -585,7 +585,6 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     is bounded by the source and creation by the resulting block.
     """
     space = vec.space
-    ctx = space.ctx
     mu = expr.vertex_exponent()
     target = space.shifted(mu) if not mu.is_zero() else space
     out = target.zero()
@@ -597,20 +596,24 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
         tgt_max = energy + e + delta
         if tgt_max < 0:
             continue
-        for assignment, c in _factor_assignments(ctx, factors, e, energy, tgt_max,
-                                                 tmu is not None):
-            result = _apply_assignment(assignment, tmu, vec, target)
+        for modes, veps, c in _factor_assignments(factors, e, energy, tgt_max,
+                                                  tmu is not None):
+            result = _apply_assignment(modes, veps, tmu, vec, target)
             if result is not None and not result.is_zero():
                 out = out + (coeff * c) * result
     return out
 
 
-def _factor_assignments(ctx, factors, e, energy, tgt_max, has_vertex):
+def _factor_assignments(factors, e, energy, tgt_max, has_vertex):
     """Enumerate exponent assignments (factor modes + vertex remainder).
 
-    Yields (assignment, coefficient) where assignment is a list of oscillator
-    modes for the factors followed by an optional ("vertex", eps) entry.
+    Yields ``(modes, vertex_eps, coefficient)``: the oscillator mode of each
+    factor, the vertex's z exponent (None for a term without a vertex) and
+    the integer product of the factors' derivative coefficients.  Without a
+    vertex the exponents must sum to ``e``, so the last factor's exponent is
+    solved from the others, not enumerated.
     """
+    last = len(factors) - 1 if not has_vertex else -1
 
     def rec(i, remaining, modes, c):
         if i == len(factors):
@@ -618,15 +621,17 @@ def _factor_assignments(ctx, factors, e, energy, tgt_max, has_vertex):
                 # net vertex shift: annihilation bounded by the source,
                 # creation bounded by the largest reachable target block
                 if -energy <= remaining <= tgt_max + energy:
-                    yield modes + [("vertex", remaining)], c
-            else:
-                if remaining == 0:
-                    yield modes, c
+                    yield modes, remaining, c
+            elif remaining == 0:
+                yield modes, None, c
             return
         sym, k = factors[i]
         off = 1 + k if sym in ("p", "beta") else k
         lo = -energy - off
         hi = tgt_max + energy - off
+        if i == last:
+            lo = max(lo, remaining)
+            hi = min(hi, remaining)
         for eps in range(lo, hi + 1):
             d = _rising(eps + 1, k)  # product (eps+1)...(eps+k)
             if d == 0:
@@ -637,28 +642,23 @@ def _factor_assignments(ctx, factors, e, energy, tgt_max, has_vertex):
                 mode, sign = ("a", -eps - 1 - k), 1
             else:
                 mode, sign = ("as", -eps - k), 1
-            yield from rec(i + 1, remaining - eps, modes + [mode],
-                           (sign * d) * c)
+            yield from rec(i + 1, remaining - eps, modes + [mode], sign * d * c)
 
-    yield from rec(0, e, [], ctx.one())
+    yield from rec(0, e, [], 1)
 
 
-def _apply_assignment(assignment, tmu, vec, target):
+def _apply_assignment(modes, veps, tmu, vec, target):
     """Apply one complete mode assignment in normal order."""
-    modes = [m for m in assignment if m[0] != "vertex"]
-    vertex = [m for m in assignment if m[0] == "vertex"]
     current = vec
     for mode in modes:
         if is_annihilator(mode):
             current = osc_apply(mode, current)
             if current.is_zero():
                 return None
-    if vertex:
-        current = apply_vertex(tmu, vertex[0][1], current)
-    elif target != vec.space:
-        current = FockVector(target, current.terms)
+    if veps is not None:
+        current = apply_vertex(tmu, veps, current)
     else:
-        current = FockVector(current.space, current.terms)
+        current = FockVector(target, current.terms)
     if current.is_zero():
         return None
     for mode in modes:

@@ -28,6 +28,7 @@ zero-test, never a tolerance comparison.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .scalars import ParamScalar, ParameterContext
@@ -280,10 +281,10 @@ class FockVector:
         return FockVector(self.space, {m: -c for m, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "FockVector":
-        c = self.space.ctx.scalar(scalar)
-        if c.is_zero():
+        c = scalar if isinstance(scalar, (int, Fraction)) else self.space.ctx.scalar(scalar)
+        if not c:
             return self.space.zero()
-        return FockVector(self.space, {m: c * v for m, v in self.terms.items()})
+        return FockVector(self.space, {m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
         return (

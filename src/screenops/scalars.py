@@ -77,7 +77,9 @@ class ParameterContext:
             return self._zero
         if c == 1:
             return self._one
-        return ParamScalar(self.poly_const(c), self._poly_one, _reduced=True)
+        num = ParamPolynomial(self, {})
+        num.terms[self._zero_exp] = c if type(c) is Fraction else QQ(c)
+        return ParamScalar(num, self._poly_one, _reduced=True)
 
     def param(self, name: str) -> "ParamScalar":
         return ParamScalar(self.poly_param(name), self._poly_one, _reduced=True)
@@ -427,6 +429,11 @@ class ParamScalar:
 
     Canonical form: gcd(num, den) == 1 and den monic in graded-lex order, so
     == is structural equality.  All arithmetic stays exact.
+
+    Multiplying by an int or Fraction q never builds a constant scalar: zero
+    gives zero, a rational scalar gives ``const``, and otherwise the result is
+    (q*num)/den without a gcd, which is still canonical because a nonzero q
+    changes neither gcd(num, den) nor the monic den.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -453,6 +460,8 @@ class ParamScalar:
         return self.num.is_constant() and self.den.is_constant()
 
     def as_fraction(self) -> Fraction:
+        if self.den is self.context._poly_one:
+            return self.num.constant_value()
         return self.num.constant_value() / self.den.constant_value()
 
     def is_integer(self) -> bool:
@@ -516,6 +525,12 @@ class ParamScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self.context.zero()
+            if self.is_rational():
+                return self.context.const(self.as_fraction() * other)
+            return ParamScalar(self.num * other, self.den, _reduced=True)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -5,6 +5,7 @@ application on Fock vectors) are independent implementations; their
 agreement through the residue formula is the load-bearing cross-check.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from screenops.fields import (
     FieldExpr,
     FieldParseError,
     UnsupportedPairingError,
+    _factor_assignments,
     apply_field_coeff,
     apply_vertex,
     beta_field,
@@ -237,6 +239,62 @@ def _direct_bracket(X, s, Y, t, vec):
     a = apply_field_coeff(X, s, apply_field_coeff(Y, t, vec))
     b = apply_field_coeff(Y, t, apply_field_coeff(X, s, vec))
     return a - b
+
+
+# field -> (oscillator family, conformal weight, sign of the mode expansion)
+_FIELD_MODES = {"p": ("b", 1, -1), "beta": ("a", 1, 1), "gamma": ("as", 0, 1)}
+_FACTORS = [(sym, k) for sym in ("p", "beta", "gamma") for k in range(3)]
+
+
+def _reference_assignments(factors, e, energy, tgt_max, has_vertex):
+    """Brute force: every exponent of every factor, filtered afterwards.
+
+    D^k X(z) with X(z) = sign * sum_n X_n z^(-n-w) has the z^eps coefficient
+    sign * (-n-w)(-n-w-1)...(-n-w-k+1) X_n, where eps = -n-w-k.
+    """
+    ranges = []
+    for sym, k in factors:
+        _, w, _ = _FIELD_MODES[sym]
+        ranges.append(range(-energy - w - k, tgt_max + energy - w - k + 1))
+    for exps in itertools.product(*ranges):
+        rest = e - sum(exps)
+        if has_vertex:
+            if not -energy <= rest <= tgt_max + energy:
+                continue
+        elif rest != 0:
+            continue
+        modes, coeff = [], 1
+        for (sym, k), eps in zip(factors, exps):
+            fam, w, sign = _FIELD_MODES[sym]
+            n = -eps - w - k
+            coeff *= sign
+            for j in range(k):
+                coeff *= -n - w - j
+            modes.append((fam, n))
+        if coeff:
+            yield modes, (rest if has_vertex else None), coeff
+
+
+class TestFactorAssignments:
+    @pytest.mark.parametrize("has_vertex", [False, True])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    def test_matches_brute_force(self, has_vertex, length):
+        shapes = list(itertools.product(_FACTORS, repeat=length))
+        if length == 3:
+            shapes = shapes[::23]
+        compared = 0
+        for factors in shapes:
+            delta = sum(_FIELD_MODES[sym][1] + k for sym, k in factors)
+            for e, energy in [(-3, 0), (0, 0), (0, 2), (2, 1), (-1, 3)]:
+                tgt_max = energy + e + delta
+                if tgt_max < 0:
+                    continue
+                got = list(_factor_assignments(factors, e, energy, tgt_max, has_vertex))
+                want = list(_reference_assignments(factors, e, energy, tgt_max, has_vertex))
+                assert got == want, (factors, e, energy)
+                assert all(type(c) is int for _, _, c in got)
+                compared += len(got)
+        assert compared > 0
 
 
 class TestOpeModeCrossCheck:

@@ -129,3 +129,69 @@ class TestPowerAndPrinting:
         s = (A**2 - 2 * A * B + B**2) / (A - B)
         assert str(s) == "a-b"
         assert "/" in str(CTX.one() / (2 * B))
+
+
+def _quotient_strategy():
+    """Scalars with nontrivial denominators: x / y for polynomial x, y."""
+    return st.tuples(_poly_strategy(), _poly_strategy()).map(
+        lambda t: t[0] / t[1] if not t[1].is_zero() else t[0]
+    )
+
+
+_RATIONALS = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-50, 50),
+    st.fractions(max_denominator=60).filter(lambda q: abs(q) < 100),
+)
+_SCALARS = st.one_of(
+    _quotient_strategy(),
+    st.fractions(max_denominator=30).map(CTX.const),
+)
+
+
+class TestConstantFastPath:
+    @settings(max_examples=150, deadline=None)
+    @given(_SCALARS, _RATIONALS)
+    def test_matches_general_product(self, s, q):
+        general = s * CTX.const(q)
+        for fast in (s * q, q * s):
+            assert isinstance(fast, ParamScalar)
+            assert (fast.num, fast.den) == (general.num, general.den)
+            assert all(type(c) is Fraction for c in fast.num.terms.values())
+            assert hash(fast) == hash(general)
+            assert fast == general
+
+
+def _to_sympy(s: ParamScalar, sympy):
+    gens = sympy.symbols(CTX.names)
+
+    def poly(p):
+        total = sympy.Integer(0)
+        for exp, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for g, k in zip(gens, exp):
+                term *= g**k
+            total += term
+        return total
+
+    return poly(s.num), poly(s.den)
+
+
+class TestSympyOracle:
+    """Products checked against sympy, which shares no code with ParamScalar."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SCALARS, st.one_of(_RATIONALS, _SCALARS))
+    def test_product_matches_cancel(self, s, t):
+        sympy = pytest.importorskip("sympy")
+        got = s * t
+        num, den = _to_sympy(got, sympy)
+        if isinstance(t, ParamScalar):
+            t_num, t_den = _to_sympy(t, sympy)
+        else:
+            t_num, t_den = sympy.Rational(t.numerator, t.denominator), sympy.Integer(1)
+        s_num, s_den = _to_sympy(s, sympy)
+        expected = sympy.cancel(s_num * t_num / (s_den * t_den))
+        assert sympy.cancel(num / den - expected) == 0
+        # canonical form: coprime numerator and denominator
+        assert sympy.gcd(num, den).is_number
