@@ -582,25 +582,8 @@ def oscillator_mode(mode: Mode, space: FockSpace) -> ModeOperator:
 def commutator_blocks(a: ModeOperator, b: ModeOperator, energy: int, charge: int = 0):
     """Exact matrix of [a, b] on the (energy, charge) block of the common source.
 
-    Returns ``(source_basis, target_basis, rows)``.
+    Returns ``(source_basis, target_basis, rows)`` as ``ModeOperator.matrix``.
     """
     if a.source != b.source or a.target != b.target or a.source != a.target:
         raise ValueError("commutator needs endomorphisms of one space")
-    if a.energy_shift + b.energy_shift != b.energy_shift + a.energy_shift:
-        raise ValueError("incompatible degree shifts")
-    src = a.source.block_basis(energy, charge)
-    tgt_energy = energy + a.energy_shift + b.energy_shift
-    tgt_charge = charge + a.charge_shift + b.charge_shift
-    tgt = a.source.block_basis(tgt_energy, tgt_charge)
-    index = {mon: i for i, mon in enumerate(tgt)}
-    zero = a.source.ctx.zero()
-    rows = [[zero] * len(src) for _ in tgt]
-    for j, mon in enumerate(src):
-        v = FockVector(a.source, {mon: a.source.ctx.one()})
-        image = a.fn(b.fn(v)) - b.fn(a.fn(v))
-        for m, c in image.terms.items():
-            i = index.get(m)
-            if i is None:
-                raise ValueError("commutator leaves the expected block: %r" % (m,))
-            rows[i][j] = c
-    return src, tgt, rows
+    return (b.then(a) - a.then(b)).matrix(energy, charge)

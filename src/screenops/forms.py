@@ -785,10 +785,21 @@ class TotalComplex:
     ``cleared_d`` returns Delta * d'', so d' is multiplied by the same pair
     product Delta (``clear_pairs``, the identity without pairs) before the
     two are added.  Every row is expected to vanish inside its window.
+
+    A family also supplies ``residue(u)``: the iterated residue of its top
+    component on u at the connection's integral exponents, a map from
+    source vectors to target vectors that raises ``ValueError`` when the
+    exponents are not integral.  At integral exponents the residue of the
+    exact part vanishes, so the residue is an intertwiner:
+    ``intertwining_defect`` is expected to vanish.
     """
 
     def bracket(self, x, y):
         return x.bracket(y)
+
+    def intertwining_defect(self, x, u):
+        """Target action after the residue minus the residue after the source action."""
+        return self.act_target(x, self.residue(u)) - self.residue(self.act_source(x, u))
 
     def _action(self, x, value: FnValue) -> FnValue:
         def fn(u):

@@ -35,7 +35,6 @@ __all__ = [
     "partial_derivation",
     "gen",
     "br",
-    "tree_in_sl2",
 ]
 
 
@@ -367,28 +366,6 @@ def gen(kind: str, i: int = 0):
 
 def br(x, y):
     return ("br", x, y)
-
-
-def tree_in_sl2(tree) -> dict:
-    """Image of a bracket tree in sl2 as {e|h|f|1: Fraction} coordinates."""
-    if tree[0] != "br":
-        return {tree[0]: QQ(1)}
-    x = tree_in_sl2(tree[1])
-    y = tree_in_sl2(tree[2])
-    table = {
-        ("e", "f"): {"h": 1},
-        ("f", "e"): {"h": -1},
-        ("h", "e"): {"e": 2},
-        ("e", "h"): {"e": -2},
-        ("h", "f"): {"f": -2},
-        ("f", "h"): {"f": 2},
-    }
-    out: dict = {}
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            for kz, cz in table.get((kx, ky), {}).items():
-                out[kz] = out.get(kz, QQ(0)) + cx * cy * cz
-    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Layers:
 
 * multi-variable cochains attached to a reduced reflection word, the total
   complex residuals pairing the Koszul differential with the twisted de Rham
-  differential, and the residue functional extracting an intertwiner from the
-  top component.
+  differential, and the residue of the top component at nonnegative integral
+  exponents (``ReflectionCochains.residue``), a module map whose intertwining
+  defect vanishes; ``residue_functional`` reads the same residue off a
+  Laurent form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 from .scalars import QQ, ParameterContext, ParamScalar
 from .kacmoody import CartanData, VermaModule, VermaVector, br
-from .forms import Connection, FnValue, LaurentForm, TotalComplex, _in_window
+from .forms import Connection, FnValue, LaurentForm, TotalComplex, _in_window, _scalar_is_zero
 
 __all__ = [
     "ToyModule",
@@ -32,7 +34,6 @@ __all__ = [
     "toy_uniqueness_scan",
     "ScreeningFamily",
     "ReflectionCochains",
-    "ResidueIntertwiner",
     "residue_functional",
 ]
 
@@ -48,7 +49,7 @@ class ToyVector:
 
     def __init__(self, module: "ToyModule", comps: dict):
         self.module = module
-        self.comps = {a: c for a, c in comps.items() if not _is_zero(c)}
+        self.comps = {a: c for a, c in comps.items() if not _scalar_is_zero(c)}
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -80,12 +81,6 @@ class ToyVector:
         return " + ".join("(%s)*F^%d v" % (c, a) for a, c in sorted(self.comps.items()))
 
     __repr__ = __str__
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, ParamScalar):
-        return c.is_zero()
-    return c == 0
 
 
 class ToyModule:
@@ -404,9 +399,29 @@ class ReflectionCochains(TotalComplex):
     # bound in the class body: perfbench/tracer.py wraps it via __dict__
     residual = TotalComplex.residual
 
+    # -- residue at integral exponents ------------------------------------------
+
+    def residue_exponents(self) -> list:
+        """The connection's exponents kappa_p, which must be nonnegative integers."""
+        out = []
+        for k in self.connection.kappa:
+            if not (k.is_integer() and k.as_fraction() >= 0):
+                raise ValueError("residue intertwiner needs nonnegative integer pairings")
+            out.append(int(k.as_fraction()))
+        return out
+
+    def residue(self, u: VermaVector) -> VermaVector:
+        """Iterated residue of the top component on u.
+
+        Slot p applies its mode kappa_p, last slot first.
+        """
+        for fam, k in reversed(list(zip(self.slots, self.residue_exponents()))):
+            u = fam.apply(k, u)
+        return u
+
 
 # ---------------------------------------------------------------------------
-# residue functional and the induced intertwiner
+# residue functional
 
 
 def residue_functional(form: LaurentForm, kappas: Sequence[int]):
@@ -424,41 +439,3 @@ def residue_functional(form: LaurentForm, kappas: Sequence[int]):
         if subset == full and exps == target:
             return value
     return None
-
-
-class ResidueIntertwiner:
-    """Module map induced by the residue functional on the depth-0 component.
-
-    Threads the distinguished mode kappa_p = <H_{i_p}, lam_p> through slot p;
-    requires each kappa_p to be a nonnegative integer.
-    """
-
-    def __init__(self, cochains: ReflectionCochains):
-        self.cochains = cochains
-        self.exponents = []
-        for fam in cochains.slots:
-            k = fam.kappa
-            if not (k.is_integer() and k.as_fraction() >= 0):
-                raise ValueError("residue intertwiner needs nonnegative integer pairings")
-            self.exponents.append(int(k.as_fraction()))
-
-    def apply(self, u: VermaVector) -> VermaVector:
-        vec = u
-        for p in range(self.cochains.a, 0, -1):
-            vec = self.cochains.slots[p - 1].apply(self.exponents[p - 1], vec)
-        return vec
-
-    def defect(self, tree, u: VermaVector) -> VermaVector:
-        lhs = self.cochains.target.act(tree, self.apply(u))
-        rhs = self.apply(self.cochains.source.act(tree, u))
-        return lhs - rhs
-
-    def vacuum_image(self) -> VermaVector:
-        return self.apply(self.cochains.source.vacuum())
-
-    def expected_vacuum_image(self) -> VermaVector:
-        """Last-slot-first lowering word applied to the target vacuum."""
-        word: tuple = ()
-        for p in range(self.cochains.a, 0, -1):
-            word = word + (self.cochains.reflections[p - 1],) * self.exponents[p - 1]
-        return self.cochains.target.from_words({word: 1})

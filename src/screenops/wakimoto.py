@@ -432,7 +432,6 @@ def load_screening_data(source, ctx: ParameterContext | None = None) -> Screenin
 
         {
           "parameters": ["nu", "chi"],
-          "level": "nu^2 - 2",
           "currents": {"E": "beta", "H": "2:gamma beta: + nu p", "F": "..."},
           "screen": "-:beta V[1/nu]:",
           "images": {"E": "0", "H": "0", "F": "-nu^2 V[1/nu]"},
@@ -442,13 +441,23 @@ def load_screening_data(source, ctx: ParameterContext | None = None) -> Screenin
           "weight_shift": -2
         }
 
-    so alternative current families can be exercised without code changes.
+    ``screen``, ``images``, ``twist``, ``pair_weight`` and ``label_shift``
+    are required; a missing key raises ``ValueError`` naming it.  Only the
+    screening current, its companion images and the exponents come from the
+    file: ``currents`` is parsed and kept on the bundle, but the batteries
+    build the current action from ``wakimoto_current``.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     else:
         data = dict(source)
+    missing = [
+        key for key in ("screen", "images", "twist", "pair_weight", "label_shift")
+        if key not in data
+    ]
+    if missing:
+        raise ValueError("screening data is missing required keys: %s" % ", ".join(missing))
     if ctx is None:
         ctx = ParameterContext(tuple(data.get("parameters", ("nu", "chi"))))
     nu = parse_scalar_expr(data.get("nu", "nu"), ctx)

@@ -10,7 +10,6 @@ from screenops.kacmoody import CartanData, VermaModule, br, gen
 from screenops.scalars import ParameterContext
 from screenops.verma_screenings import (
     ReflectionCochains,
-    ResidueIntertwiner,
     ScreeningFamily,
     ToyModule,
     ToyScreening,
@@ -320,14 +319,12 @@ class TestResidueIntertwiner:
     def test_rank_one_integer_weight(self):
         ctx = ParameterContext(())
         rc = ReflectionCochains(CartanData.sl2(), (Fraction(3),), [0], ctx)
-        ri = ResidueIntertwiner(rc)
-        assert ri.exponents == [3]
+        assert rc.residue_exponents() == [3]
         for u in _basis_up_to(rc.source, 4):
             for kind in ("e", "h", "f"):
-                assert ri.defect(gen(kind, 0), u).is_zero()
-        image = ri.vacuum_image()
+                assert rc.intertwining_defect(gen(kind, 0), u).is_zero()
+        image = rc.residue(rc.source.vacuum())
         assert image == rc.target.from_words({(0, 0, 0): 1})
-        assert image == ri.expected_vacuum_image()
         assert not image.is_zero()
 
     def test_rank_one_shifted_exponent_fails(self):
@@ -344,24 +341,42 @@ class TestResidueIntertwiner:
         cd = CartanData.sl3()
         ctx = ParameterContext(())
         rc = ReflectionCochains(cd, (Fraction(2), Fraction(1)), [0, 1], ctx)
-        ri = ResidueIntertwiner(rc)
-        assert ri.exponents == [2, 3]
+        assert rc.residue_exponents() == [2, 3]
         trees = [gen(k, i) for k in ("e", "h", "f") for i in range(2)]
         trees.append(br(gen("e", 0), gen("e", 1)))
         trees.append(br(gen("f", 0), gen("f", 1)))
         for u in _basis_up_to(rc.source, 2):
             for tree in trees:
-                assert ri.defect(tree, u).is_zero(), tree
-        image = ri.vacuum_image()
+                assert rc.intertwining_defect(tree, u).is_zero(), tree
+        image = rc.residue(rc.source.vacuum())
         assert image == rc.target.from_words({(1, 1, 1, 0, 0): 1})
-        assert image == ri.expected_vacuum_image()
         assert not image.is_zero()
 
     def test_nonintegral_weight_rejected(self):
         ctx = ParameterContext(("lam",))
         rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx)
         with pytest.raises(ValueError):
-            ResidueIntertwiner(rc)
+            rc.residue(rc.source.vacuum())
+
+    def test_residue_matches_residue_functional(self):
+        # threading the modes kappa_p slot by slot reads the same coefficient
+        # as the residue functional on the evaluated top component
+        ctx = ParameterContext(())
+        cases = [
+            (CartanData.sl2(), (Fraction(3),), [0], 4),
+            (CartanData.sl3(), (Fraction(2), Fraction(1)), [0, 1], 2),
+        ]
+        for cd, hw, word, cap in cases:
+            rc = ReflectionCochains(cd, hw, word, ctx)
+            kappas = rc.residue_exponents()
+            nonzero = 0
+            for u in _basis_up_to(rc.source, cap):
+                form = rc.evaluate([], u, mode_max=max(kappas) + 1)
+                got = residue_functional(form, kappas)
+                want = rc.residue(u)
+                assert want.is_zero() if got is None else got == want
+                nonzero += not want.is_zero()
+            assert nonzero
 
     def test_distinguished_mode_is_cohomological(self):
         # the surviving mode sits exactly where the one-variable twisted

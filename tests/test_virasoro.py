@@ -7,13 +7,14 @@ the large sweeps live in the verify_* batteries and are asserted all-green
 here at their full sizes.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from screenops.scalars import ParameterContext
-from screenops.fock import FockSpace, OscSpec, osc_apply
+from screenops.fock import FockSpace, FockVector, ModeOperator, OscSpec, osc_apply
 from screenops.fields import (
     apply_field_coeff,
     apply_vertex,
@@ -22,9 +23,9 @@ from screenops.fields import (
     vertex_creation_coeff,
 )
 from screenops.forms import WittElement
+from screenops.verma_screenings import residue_functional
 from screenops.virasoro import (
     FeiginFuchsModule,
-    FockResidueIntertwiner,
     VertexOperatorSeries,
     VertexScreeningCochains,
     VirasoroParams,
@@ -37,6 +38,7 @@ from screenops.virasoro import (
     check_multi_vertex_products,
     check_multi_vertex_transport,
     ff_intertwiner_checks,
+    multi_vertex_form,
     multi_vertex_transport_defect,
     normal_multi_vertex,
     product_formula_check,
@@ -346,39 +348,73 @@ class TestResidueIntertwiner:
 
     def test_single_slot_sends_vacuum_to_shifted_vacuum(self):
         ctx = ParameterContext(())
-        op = FockResidueIntertwiner(ctx, QQ(-1, 2), QQ(1), 1)
-        assert op.kappa == -1
-        assert op.expansion == {(0,): QQ(1)}
-        assert op.apply(op.space.vacuum()) == op.target.vacuum()
+        fam = VertexScreeningCochains(ctx, QQ(-1, 2), QQ(1), 1)
+        assert fam.residue_exponents() == (-1, 2)
+        assert _pair_power_monomials(1, 2) == {(0,): QQ(1)}
+        assert fam.residue(fam.space.vacuum()) == fam.target.vacuum()
 
     def test_two_slot_vacuum_values(self):
         ctx = ParameterContext(())
-        op = FockResidueIntertwiner(ctx, QQ(-1), QQ(1), 2)
-        assert op.kappa == -2 and op.pair_power == 2
-        assert op.apply(op.space.vacuum()) == QQ(-2) * op.target.vacuum()
-        deformed = FockResidueIntertwiner(ctx, QQ(-5, 4), QQ(2), 2)
-        assert deformed.kappa == -5 and deformed.pair_power == 8
-        assert deformed.apply(deformed.space.vacuum()) == QQ(70) * deformed.target.vacuum()
+        fam = VertexScreeningCochains(ctx, QQ(-1), QQ(1), 2)
+        assert fam.residue_exponents() == (-2, 2)
+        assert fam.residue(fam.space.vacuum()) == QQ(-2) * fam.target.vacuum()
+        deformed = VertexScreeningCochains(ctx, QQ(-5, 4), QQ(2), 2)
+        assert deformed.residue_exponents() == (-5, 8)
+        assert deformed.residue(deformed.space.vacuum()) == QQ(70) * deformed.target.vacuum()
 
     def test_energy_preserving_grading(self):
+        # ModeOperator.matrix raises if an image leaves the energy-e block
         ctx = ParameterContext(())
-        op = FockResidueIntertwiner(ctx, QQ(-1), QQ(1), 2)
-        assert op.mode_operator().energy_shift == 0
+        fam = VertexScreeningCochains(ctx, QQ(-1), QQ(1), 2)
+        op = ModeOperator(fam.residue, fam.space, fam.target, 0)
+        for e in range(3):
+            src, tgt, _ = op.matrix(e)
+            assert len(src) == len(tgt)
 
     def test_commutes_with_stress(self):
         ctx = ParameterContext(())
-        op = FockResidueIntertwiner(ctx, QQ(-1), QQ(1), 2)
-        u = osc_apply(("b", -1), op.space.vacuum())
+        fam = VertexScreeningCochains(ctx, QQ(-1), QQ(1), 2)
+        u = osc_apply(("b", -1), fam.space.vacuum())
         for n in (-2, -1, 0, 1, 2):
-            assert op.commutation_defect(n, u).is_zero()
+            assert fam.intertwining_defect(WittElement.basis(n), u).is_zero()
 
     def test_rejects_non_integral_exponents(self):
         ctx = ParameterContext(())
         with pytest.raises(ValueError, match="non-integral exponent"):
-            FockResidueIntertwiner(ctx, QQ(1, 3), QQ(1), 1)
+            VertexScreeningCochains(ctx, QQ(1, 3), QQ(1), 1).residue_exponents()
         sym = ParameterContext(("alpha",))
+        fam = VertexScreeningCochains(sym, sym.param("alpha"), sym.scalar(1), 1)
         with pytest.raises(ValueError, match="non-integral exponent"):
-            FockResidueIntertwiner(sym, sym.param("alpha"), sym.scalar(1), 1)
+            fam.residue(fam.space.vacuum())
+
+    def test_residue_matches_pair_product_route(self):
+        # the monomial expansion of prod (z_i - z_j)^P read off the product
+        # equals the residue functional of the form multiplied P times by
+        # every pair difference
+        ctx = ParameterContext(())
+        cases = [
+            (QQ(-1, 2), QQ(1), 1, 3),
+            (QQ(-1), QQ(1), 2, 2),
+            (QQ(-5, 4), QQ(2), 2, 1),
+        ]
+        for alpha, beta, slots, e_max in cases:
+            fam = VertexScreeningCochains(ctx, alpha, beta, slots)
+            kappa, power = fam.residue_exponents()
+            e0 = -1 - kappa
+            window = ((e0 - power * (slots - 1), e0),) * slots
+            nonzero = 0
+            for e in range(e_max + 1):
+                for mon in fam.space.block_basis(e):
+                    u = FockVector(fam.space, {mon: ctx.one()})
+                    form = multi_vertex_form((beta,) * slots, u, window)
+                    for i, j in itertools.combinations(range(slots), 2):
+                        for _ in range(power):
+                            form = form.mul_zdiff(i, j)
+                    got = residue_functional(form, [kappa] * slots)
+                    want = fam.residue(u)
+                    assert want.is_zero() if got is None else got == want
+                    nonzero += not want.is_zero()
+            assert nonzero
 
 
 def _all_green(results):

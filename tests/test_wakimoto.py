@@ -274,6 +274,21 @@ class TestScreeningData:
         assert data.weight_shift == -2
         assert data.images["F"].vertex_exponent() == data.label_shift
 
+    def test_loader_names_missing_keys(self, tmp_path):
+        partial = {
+            "images": {"E": "0", "H": "0", "F": "-nu^2 V[1/nu]"},
+            "pair_weight": "2/nu^2",
+            "label_shift": "1/nu",
+        }
+        with pytest.raises(ValueError, match="missing required keys: screen, twist$"):
+            load_screening_data(partial)
+        path = tmp_path / "empty.json"
+        path.write_text("{}", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="screen, images, twist, pair_weight, label_shift$"
+        ):
+            load_screening_data(str(path))
+
     def test_cocycle_rejects_non_vertex_images(self):
         params = AffineParams.generic()
         ctx = params.ctx
