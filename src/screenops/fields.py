@@ -13,7 +13,7 @@ where each ``f_i`` is one of the basic fields
 and ``V[mu]`` is an (optional, at most one per point) exponential vertex
 factor: the normally ordered exponential of ``-mu`` times the boson
 potential, together with the vacuum-label shift by ``mu``.  Derivatives of
-vertex factors reduce inside the grammar: D(V[mu]) = -mu :p V[mu]:, which is
+vertex factors reduce inside the expression algebra: D(V[mu]) = -mu :p V[mu]:, which is
 exact here because the mode expansion of ``p`` retains the boson zero mode.
 
 Two independent evaluation routes are provided and cross-checked in tests:
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
 
 from .fock import (
     FockSpace,
@@ -714,279 +713,3 @@ def ope_bracket_action(ope: OpeResult, s: int, t: int, vec: FockVector) -> FockV
         out = piece if out is None else out + piece
     return out if out is not None else FockVector(vec.space, {})
 
-
-# -- textual grammar --------------------------------------------------------------------
-
-
-class FieldParseError(ValueError):
-    """Parse failure with position information."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__("%s (at position %d)" % (message, pos))
-        self.pos = pos
-
-
-_TOKEN_RE = __import__("re").compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^():\[\]]))"
-)
-
-_PHI = object()  # sentinel: the undifferentiated potential, legal only under D
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip():
-                raise FieldParseError("unexpected character %r" % text[pos], pos)
-            break
-        if m.group("num"):
-            tokens.append(("num", int(m.group("num")), m.start("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-def parse_field_expr(text: str, ctx: ParameterContext,
-                     named: Mapping[str, FieldExpr] | None = None) -> FieldExpr:
-    """Parse the small field grammar.
-
-    Grammar: sums/differences of products; factors are numbers, parameter
-    names, the basic fields ``p``/``beta``/``gamma`` (with prime suffixes for
-    derivatives), ``D^k(f)``, normal products ``:f g:``, vertex factors
-    ``V[mu]`` with a scalar exponent expression, parenthesised expressions,
-    and integer powers.  ``named`` supplies extra named expressions
-    (e.g. a stress tensor or current presets).
-    """
-    parser = _FieldParser(text, ctx, named or {})
-    value = parser.parse_expr()
-    parser.expect_end()
-    return parser.as_field(value)
-
-
-def parse_scalar_expr(text: str, ctx: ParameterContext) -> ParamScalar:
-    """Parse a scalar expression over the context's parameters."""
-    parser = _FieldParser(text, ctx, {})
-    value = parser.parse_expr()
-    parser.expect_end()
-    return parser.as_scalar(value)
-
-
-class _FieldParser:
-    def __init__(self, text: str, ctx: ParameterContext, named):
-        self.ctx = ctx
-        self.named = named
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    # -- token plumbing --------------------------------------------------------
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise FieldParseError("expected %r" % op, pos)
-        return self.advance()
-
-    def expect_end(self):
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise FieldParseError("trailing input", pos)
-
-    # -- value plumbing (scalar | field union) -------------------------------------
-
-    def as_field(self, value) -> FieldExpr:
-        kind, payload, pos = value
-        if kind == "phi":
-            raise FieldParseError(
-                "phi itself is not a field factor; use D(phi) or a vertex factor V[mu]",
-                pos,
-            )
-        if kind == "s":
-            return FieldExpr.scalar(self.ctx, payload)
-        return payload
-
-    def as_scalar(self, value) -> ParamScalar:
-        kind, payload, pos = value
-        if kind != "s":
-            raise FieldParseError("expected a scalar expression", pos)
-        return payload
-
-    def _mul(self, a, b, pos):
-        if a[0] == "phi" or b[0] == "phi":
-            raise FieldParseError("phi can appear only under D(...)", pos)
-        if a[0] == "s" and b[0] == "s":
-            return ("s", a[1] * b[1], pos)
-        if a[0] == "s":
-            return ("f", a[1] * b[1], pos)
-        if b[0] == "s":
-            return ("f", b[1] * a[1], pos)
-        return ("f", a[1] * b[1], pos)
-
-    def _div(self, a, b, pos):
-        if a[0] != "s" or b[0] != "s":
-            raise FieldParseError("division is defined for scalars only", pos)
-        if b[1].is_zero():
-            raise FieldParseError("division by zero", pos)
-        return ("s", a[1] / b[1], pos)
-
-    def _addsub(self, a, b, pos, sign):
-        if a[0] == "phi" or b[0] == "phi":
-            raise FieldParseError("phi can appear only under D(...)", pos)
-        if a[0] == "s" and b[0] == "s":
-            return ("s", a[1] + sign * b[1], pos)
-        fa = self.as_field(a)
-        fb = self.as_field(b)
-        return ("f", fa + self.ctx.scalar(sign) * fb, pos)
-
-    def _pow(self, a, n: int, pos):
-        if a[0] == "s":
-            base = a[1]
-            if n < 0:
-                if base.is_zero():
-                    raise FieldParseError("zero to a negative power", pos)
-                base, n = 1 / base, -n
-            out = self.ctx.one()
-            for _ in range(n):
-                out = out * base
-            return ("s", out, pos)
-        if a[0] != "f" or n < 0:
-            raise FieldParseError("this power is not supported", pos)
-        out = FieldExpr.scalar(self.ctx, 1)
-        for _ in range(n):
-            out = out * a[1]
-        return ("f", out, pos)
-
-    # -- grammar ---------------------------------------------------------------
-
-    def parse_expr(self):
-        value = self.parse_term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                value = self._addsub(value, rhs, pos, 1 if val == "+" else -1)
-            else:
-                return value
-
-    def parse_term(self):
-        value = self.parse_atom()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                value = self._mul(value, self.parse_atom(), pos)
-            elif kind == "op" and val == "/":
-                self.advance()
-                value = self._div(value, self.parse_atom(), pos)
-            elif kind in ("num", "name") or (kind == "op" and val in "(:"):
-                # implicit product by juxtaposition
-                value = self._mul(value, self.parse_atom(), pos)
-            else:
-                return value
-
-    def parse_atom(self):
-        value = self.parse_primary()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            sign = 1
-            kind2, val2, pos2 = self.peek()
-            if kind2 == "op" and val2 == "-":
-                self.advance()
-                sign = -1
-                kind2, val2, pos2 = self.peek()
-            if kind2 != "num":
-                raise FieldParseError("expected an integer exponent", pos2)
-            self.advance()
-            value = self._pow(value, sign * val2, pos)
-        return value
-
-    def parse_primary(self):
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return ("s", self.ctx.scalar(val), pos)
-        if kind == "op" and val == "-":
-            inner = self.parse_atom()
-            return self._mul(("s", self.ctx.scalar(-1), pos), inner, pos)
-        if kind == "op" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and val == ":":
-            product = ("s", self.ctx.one(), pos)
-            while True:
-                k2, v2, p2 = self.peek()
-                if k2 == "op" and v2 == ":":
-                    self.advance()
-                    return product
-                if k2 == "end":
-                    raise FieldParseError("unterminated normal product", p2)
-                product = self._mul(product, self.parse_atom(), p2)
-        if kind == "name":
-            return self.parse_name(val, pos)
-        raise FieldParseError("unexpected token %r" % (val,), pos)
-
-    def parse_name(self, name: str, pos: int):
-        primes = 0
-        while name.endswith("'"):
-            primes += 1
-            name = name[:-1]
-        if name == "D":
-            order = 1
-            kind, val, p2 = self.peek()
-            if kind == "op" and val == "^":
-                self.advance()
-                kind, val, p3 = self.advance()
-                if kind != "num":
-                    raise FieldParseError("expected an integer derivative order", p3)
-                order = val
-            self.expect_op("(")
-            inner = self.parse_expr()
-            self.expect_op(")")
-            if inner[0] == "phi":
-                if order < 1:
-                    raise FieldParseError("phi needs at least one derivative", pos)
-                return ("f", FieldExpr.field(self.ctx, "p", order - 1 + primes), pos)
-            expr = self.as_field(inner)
-            for _ in range(order + primes):
-                expr = expr.derivative()
-            return ("f", expr, pos)
-        if name == "V":
-            self.expect_op("[")
-            mu = self.parse_expr()
-            self.expect_op("]")
-            expr = FieldExpr.vertex(self.ctx, self.as_scalar(mu))
-            for _ in range(primes):
-                expr = expr.derivative()
-            return ("f", expr, pos)
-        if name == "phi":
-            if primes:
-                return ("f", FieldExpr.field(self.ctx, "p", primes - 1), pos)
-            return ("phi", None, pos)
-        if name in _FIELD_SYMBOLS:
-            return ("f", FieldExpr.field(self.ctx, name, primes), pos)
-        if name in self.named:
-            expr = self.named[name]
-            for _ in range(primes):
-                expr = expr.derivative()
-            return ("f", expr, pos)
-        if name in self.ctx.names:
-            if primes:
-                raise FieldParseError("parameters cannot be differentiated", pos)
-            return ("s", self.ctx.param(name), pos)
-        raise FieldParseError("unknown identifier %r" % name, pos)

@@ -383,72 +383,6 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
     return FockVector(space, out)
 
 
-def apply_monomial(modes: Sequence[Mode], vec: FockVector) -> FockVector:
-    """Apply an operator word right-to-left (the rightmost mode acts first)."""
-    for mode in reversed(modes):
-        vec = osc_apply(mode, vec)
-    return vec
-
-
-# -- normal ordering --------------------------------------------------------------
-
-
-def normal_order(spec: OscSpec, mon: Sequence[Mode]):
-    """Normal-order an oscillator word.
-
-    Returns ``(ordered, expansion, ledger)`` where ``ordered`` is the word
-    with every annihilation operator moved to the right (the normal-ordered
-    monomial itself), ``expansion`` maps ordered words to scalars so that the
-    original operator product equals ``sum(expansion[w] * w)``, and
-    ``ledger`` records every extracted pairing ``{x y}`` with its value.
-    """
-    mon = tuple(_check_mode(m) for m in mon)
-    ledger: dict = {}
-    expansion: dict = {}
-
-    def reorder(word: tuple[Mode, ...], coeff: ParamScalar):
-        for i in range(len(word) - 1):
-            x, y = word[i], word[i + 1]
-            if is_annihilator(x) and not is_annihilator(y):
-                c = spec.contraction(x, y)
-                swapped = word[:i] + (y, x) + word[i + 2 :]
-                reorder(swapped, coeff)
-                if not c.is_zero():
-                    key = (x, y)
-                    ledger[key] = ledger.get(key, spec.ctx.zero()) + c
-                    reorder(word[:i] + word[i + 2 :], coeff * c)
-                return
-        key = _canonical_word(word)
-        expansion[key] = expansion.get(key, spec.ctx.zero()) + coeff
-
-    reorder(mon, spec.ctx.one())
-    ordered = _canonical_word(
-        tuple(m for m in mon if not is_annihilator(m))
-        + tuple(m for m in mon if is_annihilator(m))
-    )
-    expansion = {w: c for w, c in expansion.items() if not c.is_zero()}
-    return ordered, expansion, ledger
-
-
-def _canonical_word(word: tuple[Mode, ...]) -> tuple[Mode, ...]:
-    # Elements on the same side of the annihilation split commute, so sort
-    # each side; q sorts before creation modes.
-    left = sorted((m for m in word if not is_annihilator(m)), key=lambda m: (m[0] != "q", m))
-    right = sorted(m for m in word if is_annihilator(m))
-    return tuple(left) + tuple(right)
-
-
-def apply_ordered_word(word: Sequence[Mode], vec: FockVector) -> FockVector:
-    """Apply a normal-ordered word: annihilation part first, then creation."""
-    for mode in (m for m in reversed(word) if is_annihilator(m)):
-        vec = osc_apply(mode, vec)
-        if vec.is_zero():
-            return vec
-    for mode in (m for m in reversed(word) if not is_annihilator(m)):
-        vec = osc_apply(mode, vec)
-    return vec
-
-
 # -- mode operators -----------------------------------------------------------------
 
 

@@ -332,24 +332,6 @@ class FactoredCoeff:
             out = out + FactoredCoeff(space, self.num * QQ(-b * sigma), self.zexp, pairs, self.base_den)
         return out._normalized()
 
-    # -- inspection -------------------------------------------------------------
-
-    def laurent_terms(self) -> dict:
-        """z-exponent tuple -> Fraction; requires a pure Laurent value."""
-        if self.pairs:
-            raise ValueError("pair factors remain in the denominator")
-        if not self.base_den.is_constant():
-            raise ValueError("base-parameter denominator remains")
-        c0 = self.base_den.constant_value()
-        nbase = self.space._zoff
-        out: dict = {}
-        for exp, val in self.num.terms.items():
-            if any(exp[:nbase]):
-                raise ValueError("base parameters present in the numerator")
-            z = tuple(exp[nbase + q] - self.zexp[q] for q in range(self.space.nvars))
-            out[z] = out.get(z, QQ(0)) + val / c0
-        return {k: v for k, v in out.items() if v}
-
     def __repr__(self):
         return "FactoredCoeff(num=%s, zexp=%r, pairs=%r, base_den=%s)" % (
             self.num,
@@ -501,13 +483,6 @@ class WittElement:
                     key = n + m
                     out[key] = out.get(key, 0) + k
         return WittElement(out)
-
-    def mu_exact(self, space: FormSpace, q: int) -> ParamScalar:
-        z = space.z(q)
-        total = space.ctx.zero()
-        for n, c in self.coeffs.items():
-            total = total + space.lift(c) * (-1) * z ** (n + 1)
-        return total
 
     def monomials(self) -> list:
         """[(coefficient, exponent)] with mu(z) = sum c z^k."""

@@ -41,7 +41,7 @@ __all__ = [
 class CartanData:
     """A symmetrizable generalized Cartan matrix with symmetrizers."""
 
-    __slots__ = ("matrix", "sym", "name", "_ws_cache", "_roots_cache")
+    __slots__ = ("matrix", "sym", "name", "_ws_cache")
 
     def __init__(self, matrix: Sequence[Sequence[int]], sym: Sequence[Fraction] | None = None, name: str = ""):
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
@@ -67,7 +67,6 @@ class CartanData:
                     raise ValueError("d_i a_ij != d_j a_ji: matrix not symmetrized by sym")
         self.name = name or "rank%d" % r
         self._ws_cache: dict = {}
-        self._roots_cache: dict = {}
 
     def _symmetrize(self) -> tuple:
         r = len(self.matrix)
@@ -120,62 +119,6 @@ class CartanData:
     @classmethod
     def g2(cls):
         return cls([[2, -1], [-3, 2]], name="G2")
-
-    # -- root combinatorics (independent dimension oracle) -------------------
-
-    def positive_roots(self, height_max: int = 12) -> list:
-        """Real positive roots up to the height cap, via the reflection orbit.
-
-        For finite type this is the full positive system once height_max is
-        at least the highest root's height.
-        """
-        if height_max in self._roots_cache:
-            return self._roots_cache[height_max]
-        r = self.rank
-        simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-        seen = set(simple)
-        queue = list(simple)
-        while queue:
-            beta = queue.pop()
-            for i in range(r):
-                pairing = sum(self.matrix[i][j] * beta[j] for j in range(r))
-                new = list(beta)
-                new[i] -= pairing
-                new = tuple(new)
-                ht = sum(abs(x) for x in new)
-                if ht == 0 or ht > height_max:
-                    continue
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-        out = sorted(b for b in seen if all(x >= 0 for x in b))
-        self._roots_cache[height_max] = out
-        return out
-
-    def pbw_dim(self, depth: Depth) -> int:
-        """Multisets of positive roots with given multidegree sum."""
-        roots = self.positive_roots(height_max=max(2 * sum(depth), 2))
-        roots = [b for b in roots if all(x <= y for x, y in zip(b, depth))]
-
-        def count(idx: int, rem: Depth) -> int:
-            if all(x == 0 for x in rem):
-                return 1
-            if idx == len(roots):
-                return 0
-            beta = roots[idx]
-            total = 0
-            mult = 0
-            cur = rem
-            while True:
-                total += count(idx + 1, cur)
-                if all(x >= y for x, y in zip(cur, beta)) and any(beta):
-                    cur = tuple(x - y for x, y in zip(cur, beta))
-                    mult += 1
-                else:
-                    break
-            return total
-
-        return count(0, depth)
 
     # -- weights --------------------------------------------------------------
 
@@ -508,24 +451,6 @@ class VermaModule:
                 for w, c in reduced.items():
                     tgt[w] = tgt.get(w, 0) + c
         return VermaVector(self, out)
-
-    def e_recursive(self, i: int, vec: VermaVector) -> VermaVector:
-        """Cross-check route: E_i(theta_j u v) = theta_j E_i(u v) + delta_ij H_i(u v)."""
-        out = self.zero()
-        for depth, part in vec.comps.items():
-            for w, c in part.items():
-                out = out + c * self._e_word(i, w)
-        return out
-
-    def _e_word(self, i: int, w: Word) -> VermaVector:
-        if not w:
-            return self.zero()
-        j, rest = w[0], w[1:]
-        tail = VermaVector(self, {_word_depth(rest, self.cd.rank): {rest: self.ctx.one()}})
-        out = self.f(j, self._e_word(i, rest))
-        if j == i:
-            out = out + self.h(i, tail)
-        return out
 
     def act(self, tree, vec: VermaVector) -> VermaVector:
         """Action of a bracket tree via nested commutators."""

@@ -631,11 +631,6 @@ def _reduce(num: ParamPolynomial, den: ParamPolynomial):
     return num * (1 / lc), den * (1 / lc)
 
 
-def scalars_equal_lazy(a: ParamScalar, b: ParamScalar) -> bool:
-    """Cross-multiplication equality; no canonicalization assumed."""
-    return (a.num * b.den - b.num * a.den).is_zero()
-
-
 def random_specialize(
     scalars: Iterable[ParamScalar],
     context: ParameterContext,

@@ -97,12 +97,6 @@ class VirasoroParams:
         self.alpha0 = ctx.scalar(alpha0)
         self.beta = None if beta is None else ctx.scalar(beta)
 
-    @classmethod
-    def from_screening(cls, ctx: ParameterContext, beta) -> "VirasoroParams":
-        b = ctx.scalar(beta)
-        alpha0 = (b * b - ctx.one()) / (QQ(2) * b)
-        return cls(ctx, alpha0, b)
-
     @property
     def central_charge(self) -> ParamScalar:
         return central_charge(self.ctx, self.alpha0)
@@ -112,11 +106,6 @@ class VirasoroParams:
         if self.beta is None:
             raise ValueError("no screening exponent attached")
         return self.beta
-
-    @property
-    def beta_minus(self) -> ParamScalar:
-        """The companion exponent: product -1, sum 2*alpha0 with beta_plus."""
-        return QQ(-1) / self.beta_plus
 
     def weight(self, alpha) -> ParamScalar:
         """Conformal weight alpha^2 - 2*alpha0*alpha of the highest vector."""

@@ -22,7 +22,6 @@ returns a CheckResult and negative controls guard against vacuous passes.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction as QQ
 from typing import Mapping, Sequence
 
@@ -32,8 +31,6 @@ from .fields import (
     apply_field_coeff,
     mode_of_field,
     ope_bracket_action,
-    parse_field_expr,
-    parse_scalar_expr,
     wick_ope,
 )
 from .fock import (
@@ -64,15 +61,12 @@ __all__ = [
     "current_bracket",
     "current_pairing",
     "screening_ops",
-    "load_screening_data",
-    "default_screening_path",
     "verify_current_algebra",
     "screening_contraction_coefficients",
     "verify_screening_regularity",
     "verify_screened_current_brackets",
     "screening_cocycle",
     "generic_extension_and_descent",
-    "verify_wakimoto",
 ]
 
 
@@ -325,71 +319,26 @@ class CurrentAction:
 
 
 class ScreeningData:
-    """Declarative bundle: currents, screening current, companion images.
+    """The rank-one screening operator over the charged pair plus one boson.
 
     ``screen`` is the plain coefficient part of the screening current (the
     overall z-power twist is carried as the ``twist`` exponent and never
     expanded); ``images`` maps each generator name to the plain part of its
     companion field.  ``label_shift`` is the boson-label translation of one
-    screening slot and ``weight_shift`` the corresponding change of chi.
-    ``pair_weight`` is the pair exponent of the log-derivative connection
-    used by the multi-slot cocycles.
+    screening slot.  ``pair_weight`` is the pair exponent of the
+    log-derivative connection used by the multi-slot cocycles.
     """
 
-    __slots__ = (
-        "ctx",
-        "nu",
-        "chi",
-        "currents",
-        "screen",
-        "images",
-        "twist",
-        "pair_weight",
-        "label_shift",
-        "weight_shift",
-    )
+    __slots__ = ("params", "ctx", "screen", "images", "twist", "pair_weight", "label_shift")
 
-    def __init__(self, ctx, nu, chi, currents, screen, images, twist, pair_weight,
-                 label_shift, weight_shift):
-        self.ctx = ctx
-        self.nu = ctx.scalar(nu)
-        self.chi = ctx.scalar(chi)
-        self.currents = dict(currents)
+    def __init__(self, params, screen, images, twist, pair_weight, label_shift):
+        self.params = params
+        self.ctx = params.ctx
         self.screen = screen
         self.images = dict(images)
-        self.twist = ctx.scalar(twist)
-        self.pair_weight = ctx.scalar(pair_weight)
-        self.label_shift = ctx.scalar(label_shift)
-        self.weight_shift = int(weight_shift)
-
-    @classmethod
-    def rank_one(cls, params: AffineParams) -> "ScreeningData":
-        """The shipped instance over the charged pair plus one boson."""
-        ctx = params.ctx
-        nu = params.nu
-        inv = ctx.one() / nu
-        vertex = FieldExpr.vertex(ctx, inv)
-        beta = FieldExpr.field(ctx, "beta", 0)
-        screen = QQ(-1) * (beta * vertex)
-        images = {
-            "E": FieldExpr.zero(ctx),
-            "H": FieldExpr.zero(ctx),
-            "F": (QQ(-1) * (nu * nu)) * vertex,
-        }
-        currents = {name: wakimoto_current(name, params) for name in _GENERATORS}
-        chi = params.chi
-        return cls(
-            ctx,
-            nu,
-            chi,
-            currents,
-            screen,
-            images,
-            twist=(QQ(-1) * chi) / (nu * nu),
-            pair_weight=ctx.scalar(2) / (nu * nu),
-            label_shift=inv,
-            weight_shift=-2,
-        )
+        self.twist = twist
+        self.pair_weight = pair_weight
+        self.label_shift = label_shift
 
     def image(self, name: str) -> FieldExpr:
         return self.images[name.upper()]
@@ -415,73 +364,18 @@ class ScreeningData:
 
 def screening_ops(params: AffineParams | None = None) -> ScreeningData:
     """Screening current and companion family for the rank-one realization."""
-    return ScreeningData.rank_one(params or AffineParams.generic())
-
-
-def default_screening_path() -> str:
-    """Filesystem path of the shipped rank-one screening-data file."""
-    from importlib.resources import files
-
-    return str(files("screenops").joinpath("data/sl2_screening.json"))
-
-
-def load_screening_data(source, ctx: ParameterContext | None = None) -> ScreeningData:
-    """Load a ScreeningData bundle from a declarative mapping or JSON file.
-
-    The file holds named field expressions in the field-expression grammar:
-
-        {
-          "parameters": ["nu", "chi"],
-          "currents": {"E": "beta", "H": "2:gamma beta: + nu p", "F": "..."},
-          "screen": "-:beta V[1/nu]:",
-          "images": {"E": "0", "H": "0", "F": "-nu^2 V[1/nu]"},
-          "twist": "-chi/nu^2",
-          "pair_weight": "2/nu^2",
-          "label_shift": "1/nu",
-          "weight_shift": -2
-        }
-
-    ``screen``, ``images``, ``twist``, ``pair_weight`` and ``label_shift``
-    are required; a missing key raises ``ValueError`` naming it.  Only the
-    screening current, its companion images and the exponents come from the
-    file: ``currents`` is parsed and kept on the bundle, but the batteries
-    build the current action from ``wakimoto_current``.
-    """
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = dict(source)
-    missing = [
-        key for key in ("screen", "images", "twist", "pair_weight", "label_shift")
-        if key not in data
-    ]
-    if missing:
-        raise ValueError("screening data is missing required keys: %s" % ", ".join(missing))
-    if ctx is None:
-        ctx = ParameterContext(tuple(data.get("parameters", ("nu", "chi"))))
-    nu = parse_scalar_expr(data.get("nu", "nu"), ctx)
-    chi = parse_scalar_expr(data.get("chi", "chi"), ctx)
-    currents = {
-        name.upper(): parse_field_expr(text, ctx)
-        for name, text in data.get("currents", {}).items()
-    }
-    screen = parse_field_expr(data["screen"], ctx)
-    images = {
-        name.upper(): parse_field_expr(text, ctx)
-        for name, text in data["images"].items()
-    }
+    params = params or AffineParams.generic()
+    ctx, nu = params.ctx, params.nu
+    inv = ctx.one() / nu
+    vertex = FieldExpr.vertex(ctx, inv)
+    zero = FieldExpr.zero(ctx)
     return ScreeningData(
-        ctx,
-        nu,
-        chi,
-        currents,
-        screen,
-        images,
-        twist=parse_scalar_expr(data["twist"], ctx),
-        pair_weight=parse_scalar_expr(data["pair_weight"], ctx),
-        label_shift=parse_scalar_expr(data["label_shift"], ctx),
-        weight_shift=int(data.get("weight_shift", -2)),
+        params,
+        screen=QQ(-1) * (FieldExpr.field(ctx, "beta", 0) * vertex),
+        images={"E": zero, "H": zero, "F": (QQ(-1) * (nu * nu)) * vertex},
+        twist=(QQ(-1) * params.chi) / (nu * nu),
+        pair_weight=ctx.scalar(2) / (nu * nu),
+        label_shift=inv,
     )
 
 
@@ -1155,8 +1049,7 @@ class ScreeningCochains(TotalComplex):
         self.ctx = data.ctx
         self.slots = self.depth = slots
         self.mode_bound = mode_bound
-        params = AffineParams(data.ctx, nu=data.nu, chi=data.chi)
-        self.params = params
+        params = self.params = data.params
         self.module = WakimotoModule(params)
         self.source = self.module.space
         total_shift = data.label_shift * self.ctx.scalar(slots)
@@ -1590,28 +1483,4 @@ def generic_extension_and_descent(
                 witness=_fmt(defect),
             )
         )
-    return results
-
-
-# -- assembled battery -----------------------------------------------------------------
-
-
-def verify_wakimoto(
-    mode_max: int = 4,
-    energy_max: int = 5,
-    charge_max: int = 3,
-    negative_controls: bool = True,
-) -> list:
-    """Current algebra, screening regularity, companion brackets, one-slot rows."""
-    results = []
-    results += verify_current_algebra(
-        mode_max=mode_max,
-        energy_max=energy_max,
-        charge_max=charge_max,
-        negative_controls=negative_controls,
-    )
-    results += screening_contraction_coefficients(negative_controls=negative_controls)
-    results += verify_screening_regularity(negative_controls=negative_controls)
-    results += verify_screened_current_brackets(negative_controls=negative_controls)
-    results += screening_cocycle(1, negative_controls=negative_controls)
     return results

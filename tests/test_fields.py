@@ -14,7 +14,6 @@ from screenops.scalars import ParameterContext
 from screenops.fock import FockSpace, OscSpec, osc_apply
 from screenops.fields import (
     FieldExpr,
-    FieldParseError,
     UnsupportedPairingError,
     _factor_assignments,
     apply_field_coeff,
@@ -24,8 +23,6 @@ from screenops.fields import (
     mode_of_field,
     ope_bracket_action,
     p_field,
-    parse_field_expr,
-    parse_scalar_expr,
     stress_tensor,
     vertex_field,
     wick_ope,
@@ -340,53 +337,7 @@ class TestOpeModeCrossCheck:
                         assert (via_ope - direct).is_zero(), (X, Y, s, t)
 
 
-class TestParser:
-    def test_basic_fields(self, charged):
-        ctx, F = charged
-        assert parse_field_expr("p", ctx) == p_field(ctx)
-        assert parse_field_expr("beta", ctx) == beta_field(ctx)
-        assert parse_field_expr(":beta gamma:", ctx) == beta_field(ctx) * gamma_field(ctx)
-        assert parse_field_expr("D(p)", ctx) == FieldExpr.field(ctx, "p", 1)
-        assert parse_field_expr("D^2(beta)", ctx) == FieldExpr.field(ctx, "beta", 2)
-        assert parse_field_expr("p''", ctx) == FieldExpr.field(ctx, "p", 2)
-        assert parse_field_expr("gamma'", ctx) == FieldExpr.field(ctx, "gamma", 1)
-
-    def test_phi_rules(self, charged):
-        ctx, F = charged
-        assert parse_field_expr("D(phi)", ctx) == p_field(ctx)
-        assert parse_field_expr("D^2(phi)", ctx) == FieldExpr.field(ctx, "p", 1)
-        assert parse_field_expr("phi'", ctx) == p_field(ctx)
-        with pytest.raises(FieldParseError):
-            parse_field_expr("phi", ctx)
-
-    def test_scalars_and_vertex(self, charged):
-        ctx, F = charged
-        nu = ctx.param("nu")
-        got = parse_field_expr("V[nu^-1]", ctx)
-        assert got == vertex_field(ctx, 1 / nu)
-        got = parse_field_expr("-nu * :gamma p: - 2 :gamma' beta:", ctx)
-        expected = (-nu) * (gamma_field(ctx) * p_field(ctx)) \
-            - 2 * (FieldExpr.field(ctx, "gamma", 1) * beta_field(ctx))
-        assert got == expected
-        assert parse_scalar_expr("(nu^2-2)/2", ctx) == (nu * nu - 2) / 2
-
-    def test_stress_tensor_text(self, boson):
-        ctx, F = boson
-        a0 = ctx.param("alpha0")
-        got = parse_field_expr("1/4 :p p: - alpha0 * D(p)", ctx)
-        assert got == stress_tensor(ctx, a0)
-
-    def test_named_and_errors(self, charged):
-        ctx, F = charged
-        named = {"E": beta_field(ctx)}
-        assert parse_field_expr("2 E", ctx, named) == 2 * beta_field(ctx)
-        with pytest.raises(FieldParseError):
-            parse_field_expr("unknownfield", ctx)
-        with pytest.raises(FieldParseError):
-            parse_field_expr(":p p", ctx)
-        with pytest.raises(FieldParseError):
-            parse_field_expr("p / beta", ctx)
-
+class TestRender:
     def test_render_round_trip(self, boson):
         ctx, F = boson
         result = wick_ope(p_field(ctx), p_field(ctx))

@@ -16,15 +16,14 @@ from screenops.fock import (
     FockSpace,
     FockVector,
     OscSpec,
-    apply_monomial,
-    apply_ordered_word,
     commutator_blocks,
     monomial_charge,
     monomial_energy,
-    normal_order,
     osc_apply,
     oscillator_mode,
 )
+
+from oracles import apply_monomial, apply_ordered_word, normal_order
 
 
 def gf_block_dims(energy_cap: int, charge_cap: int, has_pair: bool):

@@ -1,8 +1,8 @@
 """Packaging metadata describes the package it ships."""
 
 import ast
+import importlib
 import re
-from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -31,11 +31,13 @@ def test_runtime_dependencies_are_imported(pyproject):
         assert re.search(pattern, sources, re.MULTILINE), requirement
 
 
-def test_screening_data_is_package_data(pyproject):
-    data = "data/sl2_screening.json"
-    assert (PACKAGE / data).is_file()
-    patterns = pyproject["tool"]["setuptools"]["package-data"]["screenops"]
-    assert any(fnmatch(data, pattern) for pattern in patterns)
+def test_console_scripts_resolve(pyproject):
+    for name, target in pyproject["project"].get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        entry = importlib.import_module(module)
+        for part in attr.split("."):
+            entry = getattr(entry, part)
+        assert callable(entry), name
 
 
 def _imported_names(tree):

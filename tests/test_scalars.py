@@ -10,7 +10,6 @@ from screenops.scalars import (
     ParamScalar,
     PoleError,
     random_specialize,
-    scalars_equal_lazy,
 )
 
 CTX = ParameterContext(["a", "b", "c"])
@@ -82,7 +81,6 @@ class TestFieldAxioms:
             return
         q = x / y
         raw = ParamScalar(x.num * y.den, x.den * y.num)
-        assert scalars_equal_lazy(q, raw)
         assert q == raw
 
 

@@ -147,11 +147,10 @@ class TestStressModes:
 class TestParamsAndModules:
     def test_screening_background_charge(self):
         ctx = ParameterContext(("b",))
-        params = VirasoroParams.from_screening(ctx, ctx.param("b"))
+        b = ctx.param("b")
+        params = VirasoroParams(ctx, (b * b - 1) / (2 * b), b)
         # weight of the screening exponent is one
         assert params.weight(params.beta) == ctx.one()
-        assert params.beta_plus * params.beta_minus == ctx.scalar(-1)
-        assert params.beta_plus + params.beta_minus == QQ(2) * params.alpha0
 
     def test_module_wrapper(self):
         ctx = ParameterContext(("alpha",))

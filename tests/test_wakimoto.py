@@ -23,7 +23,6 @@ from screenops.wakimoto import (
     current_bracket,
     current_pairing,
     generic_extension_and_descent,
-    load_screening_data,
     screening_cocycle,
     screening_contraction_coefficients,
     screening_ops,
@@ -243,61 +242,36 @@ class TestScreeningTransport:
         ).is_zero()
 
 
-class TestScreeningData:
-    def test_loader_round_trip(self):
-        from screenops.wakimoto import default_screening_path
-
+def _shipped_params(kind):
+    if kind == "generic":
         params = AffineParams.generic()
-        builtin = screening_ops(params)
-        loaded = load_screening_data(default_screening_path())
-        assert loaded.screen == builtin.screen
-        for name in ("E", "H", "F"):
-            assert loaded.currents[name] == builtin.currents[name]
-            assert loaded.images[name] == builtin.images[name]
-        assert (loaded.twist - builtin.twist).is_zero()
-        assert (loaded.pair_weight - builtin.pair_weight).is_zero()
-        assert (loaded.label_shift - builtin.label_shift).is_zero()
-        assert loaded.weight_shift == -2
+        return params, params.ctx.param("nu"), params.ctx.param("chi")
+    ctx = ParameterContext(())
+    return AffineParams(ctx, nu=2, chi=1), ctx.scalar(2), ctx.scalar(1)
 
-    def test_loader_from_mapping(self):
-        data = load_screening_data(
-            {
-                "parameters": ["nu", "chi"],
-                "currents": {"E": "beta"},
-                "screen": "-:beta V[1/nu]:",
-                "images": {"E": "0", "H": "0", "F": "-nu^2 V[1/nu]"},
-                "twist": "-chi/nu^2",
-                "pair_weight": "2/nu^2",
-                "label_shift": "1/nu",
-            }
-        )
-        assert data.weight_shift == -2
-        assert data.images["F"].vertex_exponent() == data.label_shift
 
-    def test_loader_names_missing_keys(self, tmp_path):
-        partial = {
-            "images": {"E": "0", "H": "0", "F": "-nu^2 V[1/nu]"},
-            "pair_weight": "2/nu^2",
-            "label_shift": "1/nu",
-        }
-        with pytest.raises(ValueError, match="missing required keys: screen, twist$"):
-            load_screening_data(partial)
-        path = tmp_path / "empty.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(
-            ValueError, match="screen, images, twist, pair_weight, label_shift$"
-        ):
-            load_screening_data(str(path))
+class TestScreeningData:
+    @pytest.mark.parametrize("kind", ["generic", "rational"])
+    def test_shipped_data(self, kind):
+        params, nu, chi = _shipped_params(kind)
+        ctx = params.ctx
+        data = screening_ops(params)
+        assert data.params is params and data.ctx is ctx
+        vertex = FieldExpr.vertex(ctx, 1 / nu)
+        assert data.screen == QQ(-1) * (FieldExpr.field(ctx, "beta", 0) * vertex)
+        assert data.images["E"] == FieldExpr.zero(ctx)
+        assert data.images["H"] == FieldExpr.zero(ctx)
+        assert data.images["F"] == (QQ(-1) * nu * nu) * vertex
+        assert (data.twist + chi / (nu * nu)).is_zero()
+        assert (data.pair_weight - 2 / (nu * nu)).is_zero()
+        assert (data.label_shift - 1 / nu).is_zero()
 
     def test_cocycle_rejects_non_vertex_images(self):
         params = AffineParams.generic()
         ctx = params.ctx
         data = screening_ops(params)
         bad = ScreeningData(
-            ctx,
-            data.nu,
-            data.chi,
-            data.currents,
+            params,
             data.screen,
             {
                 "E": data.images["E"],
@@ -307,7 +281,6 @@ class TestScreeningData:
             data.twist,
             data.pair_weight,
             data.label_shift,
-            data.weight_shift,
         )
         with pytest.raises(ValueError, match="proportional to"):
             ScreeningCochains(bad, 1)
