@@ -9,6 +9,7 @@ from screenops.scalars import (
     ParameterContext,
     ParamScalar,
     PoleError,
+    _reduce,
     random_specialize,
 )
 
@@ -160,19 +161,19 @@ class TestConstantFastPath:
             assert fast == general
 
 
-def _to_sympy(s: ParamScalar, sympy):
+def _poly_to_sympy(p, sympy):
     gens = sympy.symbols(CTX.names)
+    total = sympy.Integer(0)
+    for exp, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for g, k in zip(gens, exp):
+            term *= g**k
+        total += term
+    return total
 
-    def poly(p):
-        total = sympy.Integer(0)
-        for exp, c in p.terms.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for g, k in zip(gens, exp):
-                term *= g**k
-            total += term
-        return total
 
-    return poly(s.num), poly(s.den)
+def _to_sympy(s: ParamScalar, sympy):
+    return _poly_to_sympy(s.num, sympy), _poly_to_sympy(s.den, sympy)
 
 
 class TestSympyOracle:
@@ -193,3 +194,66 @@ class TestSympyOracle:
         assert sympy.cancel(num / den - expected) == 0
         # canonical form: coprime numerator and denominator
         assert sympy.gcd(num, den).is_number
+
+
+_POLYS = _poly_strategy().map(lambda s: s.num)
+_NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
+
+
+def _dividend_and_divisor():
+    """(dividend, divisor) pairs; half are divisor * r + perturbation."""
+    multiple = st.tuples(_NONZERO_POLYS, _POLYS, st.one_of(st.just(None), _POLYS)).map(
+        lambda t: (t[0] * t[1] + (t[2] if t[2] is not None else CTX._poly_zero), t[0])
+    )
+    return st.one_of(multiple, st.tuples(_POLYS, _NONZERO_POLYS))
+
+
+def _is_monic(p) -> bool:
+    return p.leading()[1] == 1
+
+
+class TestPolynomialKernelOracle:
+    """exact_div, gcd and _reduce checked against sympy's polynomial routines."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_dividend_and_divisor())
+    def test_exact_div_matches_sympy_div(self, pair):
+        sympy = pytest.importorskip("sympy")
+        f, g = pair
+        gens = sympy.symbols(CTX.names)
+        q_ref, r_ref = sympy.div(_poly_to_sympy(f, sympy), _poly_to_sympy(g, sympy), *gens, domain="QQ")
+        if r_ref == 0:
+            q = f.exact_div(g)
+            assert q * g == f
+            assert sympy.expand(_poly_to_sympy(q, sympy) - q_ref) == 0
+        else:
+            with pytest.raises(ValueError, match="polynomial not divisible"):
+                f.exact_div(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_POLYS, _POLYS, _POLYS)
+    def test_gcd_is_monic_associate_of_sympy_gcd(self, common, x, y):
+        sympy = pytest.importorskip("sympy")
+        a, b = common * x, common * y
+        if a.is_zero() and b.is_zero():
+            return
+        g = a.gcd(b)
+        assert _is_monic(g)
+        ratio = sympy.cancel(
+            _poly_to_sympy(g, sympy) / sympy.gcd(_poly_to_sympy(a, sympy), _poly_to_sympy(b, sympy))
+        )
+        assert ratio.is_number and ratio != 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(_POLYS, _NONZERO_POLYS, _POLYS)
+    def test_reduce_matches_sympy_cancel(self, common, den_part, num_part):
+        sympy = pytest.importorskip("sympy")
+        num_in, den_in = common * num_part, common * den_part
+        if den_in.is_zero():
+            return
+        num, den = _reduce(num_in, den_in)
+        assert _is_monic(den)
+        num_s, den_s = _poly_to_sympy(num, sympy), _poly_to_sympy(den, sympy)
+        assert sympy.gcd(num_s, den_s).is_number
+        want = sympy.cancel(_poly_to_sympy(num_in, sympy) / _poly_to_sympy(den_in, sympy))
+        assert sympy.cancel(num_s / den_s - want) == 0
