@@ -6,8 +6,10 @@ Two coefficient models share the same connection/contraction conventions:
   parameters together with the configuration variables z_1..z_p.  The
   denominators that twisted calculus produces are always products of z
   monomials, pairwise differences (z_i - z_j), and base-parameter factors, so
-  coefficients are kept in factored form (`FactoredCoeff`) and reduced by
-  trial division — no general multivariate gcd is ever needed.  Everything
+  coefficients are kept in factored form (`FactoredCoeff`) and reduced
+  against those known factors — no general multivariate gcd is ever needed.
+  A pair difference is divided out only after substituting z_i = z_j shows
+  that it divides; the exact division follows.  Everything
   (d, contractions, Lie derivatives) is computed in closed form; used for the
   abstract dg-module identities.
 
@@ -113,6 +115,25 @@ class FormSpace:
     def pair_poly(self, i: int, j: int) -> ParamPolynomial:
         return self._pair_polys[(i, j) if i < j else (j, i)]
 
+    def pair_divides(self, key: tuple, poly: ParamPolynomial) -> bool:
+        """Whether (z_i - z_j) divides poly, for key = (i, j) with i < j.
+
+        Substitutes z_i = z_j and tests the image for zero, in one pass over
+        the terms.  The divisor is monic and linear in z_i, so the image is
+        the remainder of the division and vanishes iff the division is exact.
+        """
+        vi, vj = self.zvar(key[0]), self.zvar(key[1])
+        image: dict = {}
+        for exp, c in poly.terms.items():
+            k = exp[vi]
+            if k:
+                exp = list(exp)
+                exp[vj] += k
+                exp[vi] = 0
+                exp = tuple(exp)
+            image[exp] = image.get(exp, 0) + c
+        return not any(image.values())
+
     def lift(self, scalar) -> ParamScalar:
         """Embed a base-context scalar (or rational) into the enlarged context."""
         if isinstance(scalar, ParamScalar):
@@ -144,9 +165,11 @@ class FactoredCoeff:
     """num / (prod z_q^zexp[q] * prod (z_i - z_j)^pairs[i,j] * base_den).
 
     `num` is a polynomial over the enlarged context, `base_den` a nonzero
-    polynomial in the base parameters only.  Reduction is by trial division
-    against the (known) denominator factors, which keeps twisted-calculus
-    chains fast without a general gcd.
+    polynomial in the base parameters only.  Reduction cancels the (known)
+    denominator factors without a general gcd: z monomials by exponent
+    shifts; each pair difference by a substitution test
+    (`FormSpace.pair_divides`) followed by an exact division, repeated while
+    the test passes; `base_den` by one exact division attempt.
     """
 
     __slots__ = ("space", "num", "zexp", "pairs", "base_den")
@@ -184,10 +207,9 @@ class FactoredCoeff:
         pairs: dict = {}
         while not _is_base_only(space, den):
             for key, pp in space._pair_polys.items():
-                try:
-                    den = den.exact_div(pp)
-                except ValueError:
+                if not space.pair_divides(key, den):
                     continue
+                den = den.exact_div(pp)
                 pairs[key] = pairs.get(key, 0) + 1
                 break
             else:
@@ -221,11 +243,8 @@ class FactoredCoeff:
                     zexp[q] -= d
         for key in list(pairs):
             pp = space.pair_poly(*key)
-            while pairs[key]:
-                try:
-                    num = num.exact_div(pp)
-                except ValueError:
-                    break
+            while pairs[key] and space.pair_divides(key, num):
+                num = num.exact_div(pp)
                 pairs[key] -= 1
             if not pairs[key]:
                 del pairs[key]

@@ -11,6 +11,7 @@ numeric tolerance.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -106,6 +107,11 @@ class ParameterContext:
 def _grlex_key(item):
     exp, _ = item
     return (sum(exp), exp)
+
+
+def _heap_entry(exp):
+    # heapq pops its least entry first, so negate degree and exponents
+    return (-sum(exp), tuple(-x for x in exp), exp)
 
 
 class ParamPolynomial:
@@ -224,7 +230,23 @@ class ParamPolynomial:
     # -- division and gcd ---------------------------------------------------
 
     def exact_div(self, divisor: "ParamPolynomial") -> "ParamPolynomial":
-        """Exact polynomial division; raises ValueError if not divisible."""
+        """The quotient self / divisor, when the division is exact.
+
+        Single-divisor division in graded-lex order (total degree first,
+        then lexicographic on the exponent tuple): each step cancels the
+        leading term of the remainder.  Raises ``ValueError("polynomial not
+        divisible")`` as soon as that leading term is not a multiple of the
+        divisor's leading term, which happens iff the division is not exact;
+        a zero divisor raises ``ZeroDivisionError``.  A constant divisor
+        scales.
+
+        The remainder's exponents sit in a max-heap with lazy deletion
+        (Monagan and Pearce, "Sparse polynomial division using a heap",
+        J. Symb. Comput. 2011): an exponent is pushed when it first enters
+        the remainder, and a popped one that has cancelled meanwhile is
+        skipped.  No cancelled exponent comes back, since every term a step
+        adds lies below the leading term it cancels.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
@@ -235,22 +257,34 @@ class ParamPolynomial:
         rem = dict(self.terms)
         out: dict = {}
         dexp, dcoef = divisor.leading()
-        # graded-lex single-divisor division; exact iff remainder empties
-        while rem:
-            exp = max(rem.items(), key=_grlex_key)[0]
-            coef = rem[exp]
+        tail = [(e, c) for e, c in divisor.terms.items() if e != dexp]
+        heap = [_heap_entry(e) for e in rem]
+        heapq.heapify(heap)
+        pushed = set(rem)
+        while heap:
+            exp = heapq.heappop(heap)[2]
+            coef = rem.pop(exp, None)
+            if coef is None:
+                continue
             qexp = tuple(a - b for a, b in zip(exp, dexp))
             if any(x < 0 for x in qexp):
                 raise ValueError("polynomial not divisible")
             qcoef = coef / dcoef
-            out[qexp] = out.get(qexp, QQ(0)) + qcoef
-            for e2, c2 in divisor.terms.items():
+            out[qexp] = qcoef
+            for e2, c2 in tail:
                 e = tuple(a + b for a, b in zip(qexp, e2))
-                s = rem.get(e, QQ(0)) - qcoef * c2
-                if s:
-                    rem[e] = s
+                old = rem.get(e)
+                if old is None:
+                    rem[e] = -qcoef * c2
+                    if e not in pushed:
+                        pushed.add(e)
+                        heapq.heappush(heap, _heap_entry(e))
                 else:
-                    rem.pop(e, None)
+                    s = old - qcoef * c2
+                    if s:
+                        rem[e] = s
+                    else:
+                        del rem[e]
         return ParamPolynomial(self.context, out)
 
     def _main_var(self, other: "ParamPolynomial") -> int:

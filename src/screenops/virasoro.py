@@ -928,6 +928,7 @@ class VertexScreeningCochains(TotalComplex):
         self.connection = Connection([kappa] * slots, pairs)
         self.window = tuple((-window_halfwidth, window_halfwidth) for _ in range(slots))
         self._tops: dict = {}
+        self._residues: dict = {}
 
     # -- building blocks -------------------------------------------------------
 
@@ -995,19 +996,24 @@ class VertexScreeningCochains(TotalComplex):
 
         The coefficient at z^(-1-kappa) in every slot of the product with
         prod_{i<j} (z_i - z_j)^power, read off the normal-ordered product
-        through the monomials of the pair factor.
+        through the monomials of the pair factor.  Cached per input vector:
+        the intertwining checks ask for the same residue once per stress mode.
         """
         kappa, power = self.residue_exponents()
+        key = (u.space, tuple(sorted(u.terms.items())))
+        got = self._residues.get(key)
+        if got is not None:
+            return got
         out = self.target.zero()
-        if u.is_zero():
-            return out
-        e0 = -1 - kappa
-        window = ((e0 - power * (self.slots - 1), e0),) * self.slots
-        top = normal_multi_vertex((self.beta,) * self.slots, u, window)
-        for degs, c in _pair_power_monomials(self.slots, power).items():
-            got = top.terms.get(((), tuple(e0 - d for d in degs)))
-            if got is not None:
-                out = out + c * got
+        if not u.is_zero():
+            e0 = -1 - kappa
+            window = ((e0 - power * (self.slots - 1), e0),) * self.slots
+            top = normal_multi_vertex((self.beta,) * self.slots, u, window)
+            for degs, c in _pair_power_monomials(self.slots, power).items():
+                got = top.terms.get(((), tuple(e0 - d for d in degs)))
+                if got is not None:
+                    out = out + c * got
+        self._residues[key] = out
         return out
 
 

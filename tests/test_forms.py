@@ -9,10 +9,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from screenops.scalars import ParameterContext
+from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.forms import (
     Connection,
+    FactoredCoeff,
     FormSpace,
     LaurentForm,
     RationalForm,
@@ -133,6 +135,56 @@ class TestRationalLayer:
         e = WittElement.basis
         assert e(2).bracket(e(-1)).coeffs == {1: Fraction(3)}
         assert e(0).bracket(e(0)).coeffs == {}
+
+
+DIAG_SPACE = FormSpace(ParameterContext(("t",)), 3)
+
+_DIAG_POLYS = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in DIAG_SPACE.ctx.names)),
+    st.integers(-3, 3).map(Fraction),
+    max_size=4,
+).map(lambda terms: ParamPolynomial(DIAG_SPACE.ctx, terms))
+
+
+class TestPairDivisibility:
+    """The substitution test z_i = z_j against exact division by z_i - z_j."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(DIAG_SPACE._pair_polys)),
+        st.integers(0, 3),
+        _DIAG_POLYS,
+        st.one_of(st.none(), _DIAG_POLYS),
+    )
+    def test_substitution_agrees_with_exact_div(self, key, k, r, perturbation):
+        pp = DIAG_SPACE.pair_poly(*key)
+        poly = pp**k * r
+        if perturbation is not None:
+            poly = poly + perturbation
+        try:
+            quotient = poly.exact_div(pp)
+        except ValueError:
+            divisible = False
+        else:
+            divisible = True
+            assert quotient * pp == poly
+        assert DIAG_SPACE.pair_divides(key, poly) == divisible
+        if k and perturbation is None:
+            assert divisible
+
+    def test_from_scalar_counts_pair_factors(self):
+        z = DIAG_SPACE.z
+        t = DIAG_SPACE.ctx.param("t")
+        value = t / ((z(0) - z(1)) ** 2 * (z(2) - z(1)) * z(2))
+        fc = FactoredCoeff.from_scalar(DIAG_SPACE, value)
+        assert fc.pairs == {(0, 1): 2, (1, 2): 1}
+        assert fc.zexp == (0, 0, 1)
+        assert fc.num == (-t).num
+
+    def test_from_scalar_rejects_unsupported_denominator(self):
+        z = DIAG_SPACE.z
+        with pytest.raises(ValueError, match="not a product of supported factors"):
+            FactoredCoeff.from_scalar(DIAG_SPACE, DIAG_SPACE.ctx.one() / (z(0) + z(1)))
 
 
 def graded_commutator_with_d(form, fields, conn):
