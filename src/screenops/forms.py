@@ -27,6 +27,7 @@ variables, with [e_n, e_m] = (n - m) e_{n+m}.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -118,21 +119,26 @@ class FormSpace:
     def pair_divides(self, key: tuple, poly: ParamPolynomial) -> bool:
         """Whether (z_i - z_j) divides poly, for key = (i, j) with i < j.
 
-        Substitutes z_i = z_j and tests the image for zero, in one pass over
-        the terms.  The divisor is monic and linear in z_i, so the image is
-        the remainder of the division and vanishes iff the division is exact.
+        Substitutes z_i = z_j and tests the image for zero.  The divisor is
+        monic and linear in z_i, so the image is the remainder of the
+        division and vanishes iff the division is exact.  Terms are grouped
+        by image exponent first: a group of one term cannot cancel, and each
+        other group is summed over the lcm of its denominators in integers.
         """
         vi, vj = self.zvar(key[0]), self.zvar(key[1])
-        image: dict = {}
+        groups: dict = {}
         for exp, c in poly.terms.items():
             k = exp[vi]
             if k:
-                exp = list(exp)
-                exp[vj] += k
-                exp[vi] = 0
-                exp = tuple(exp)
-            image[exp] = image.get(exp, 0) + c
-        return not any(image.values())
+                exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + k,) + exp[vj + 1 :]
+            groups.setdefault(exp, []).append(c)
+        if any(len(cs) == 1 for cs in groups.values()):
+            return False
+        for cs in groups.values():
+            lcm = math.lcm(*(c.denominator for c in cs))
+            if sum(c.numerator * (lcm // c.denominator) for c in cs):
+                return False
+        return True
 
     def lift(self, scalar) -> ParamScalar:
         """Embed a base-context scalar (or rational) into the enlarged context."""

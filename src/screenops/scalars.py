@@ -242,10 +242,10 @@ class ParamPolynomial:
 
         The remainder's exponents sit in a max-heap with lazy deletion
         (Monagan and Pearce, "Sparse polynomial division using a heap",
-        J. Symb. Comput. 2011): an exponent is pushed when it first enters
-        the remainder, and a popped one that has cancelled meanwhile is
-        skipped.  No cancelled exponent comes back, since every term a step
-        adds lies below the leading term it cancels.
+        J. Symb. Comput. 2011): an exponent is pushed whenever it enters the
+        remainder, and a popped one no longer in the remainder is skipped.
+        Every term a step adds lies below the leading term it cancels, so a
+        popped exponent never comes back.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -260,7 +260,6 @@ class ParamPolynomial:
         tail = [(e, c) for e, c in divisor.terms.items() if e != dexp]
         heap = [_heap_entry(e) for e in rem]
         heapq.heapify(heap)
-        pushed = set(rem)
         while heap:
             exp = heapq.heappop(heap)[2]
             coef = rem.pop(exp, None)
@@ -276,9 +275,7 @@ class ParamPolynomial:
                 old = rem.get(e)
                 if old is None:
                     rem[e] = -qcoef * c2
-                    if e not in pushed:
-                        pushed.add(e)
-                        heapq.heappush(heap, _heap_entry(e))
+                    heapq.heappush(heap, _heap_entry(e))
                 else:
                     s = old - qcoef * c2
                     if s:

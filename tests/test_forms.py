@@ -154,11 +154,20 @@ class TestPairDivisibility:
         st.sampled_from(sorted(DIAG_SPACE._pair_polys)),
         st.integers(0, 3),
         _DIAG_POLYS,
-        st.one_of(st.none(), _DIAG_POLYS),
+        st.one_of(
+            st.none(),
+            _DIAG_POLYS,
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2), _DIAG_POLYS),
+        ),
     )
     def test_substitution_agrees_with_exact_div(self, key, k, r, perturbation):
         pp = DIAG_SPACE.pair_poly(*key)
         poly = pp**k * r
+        if isinstance(perturbation, tuple):
+            # (a z_i + b z_j) m maps to (a + b) z_j m: no image term has one preimage
+            a, b, m = perturbation
+            zi, zj = (DIAG_SPACE.ctx.poly_param(DIAG_SPACE.var_names[q]) for q in key)
+            perturbation = (zi * a + zj * b) * m
         if perturbation is not None:
             poly = poly + perturbation
         try:
