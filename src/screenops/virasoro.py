@@ -1001,9 +1001,9 @@ class VertexScreeningCochains(TotalComplex):
         """
         kappa, power = self.residue_exponents()
         key = (u.space, tuple(sorted(u.terms.items())))
-        got = self._residues.get(key)
-        if got is not None:
-            return got
+        cached = self._residues.get(key)
+        if cached is not None:
+            return cached
         out = self.target.zero()
         if not u.is_zero():
             e0 = -1 - kappa
