@@ -19,10 +19,12 @@ exact here because the mode expansion of ``p`` retains the boson zero mode.
 Two independent evaluation routes are provided and cross-checked in tests:
 
 * ``wick_ope`` -- the symbolic pairing expansion of a product
-  ``L(z) R(w)``: sum over sets of contractions between the two points, with
-  the uncontracted z-side factors re-expanded at w to the order of the pole.
-  Contraction seeds: {p p} = 2/(z-w)^2, {gamma beta} = +1/(z-w),
-  {beta gamma} = -1/(z-w), {p V[mu]} = -2 mu/(z-w) * V[mu].
+  ``L(z) R(w)`` of two expressions: sum over sets of contractions between
+  the two points, with the uncontracted z-side factors re-expanded at w to
+  the order of the pole.  Contraction seeds: {p p} = 2/(z-w)^2,
+  {gamma beta} = +1/(z-w), {beta gamma} = -1/(z-w),
+  {p V[mu]} = -2 mu/(z-w) * V[mu]; the 2 is the boson pairing
+  ``fock.OscSpec.pairing``.
 
 * ``apply_field_coeff`` -- the exact action of the coefficient of ``z^e`` in
   a field expression on a Fock vector.  Annihilation is bounded by the
@@ -215,14 +217,14 @@ class FieldExpr:
 
     # -- display -----------------------------------------------------------------
 
-    def render(self, point: str = "w") -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for key in sorted(self.terms, key=_term_sort_key):
             mu, factors = key
             c = self.terms[key]
-            body = _render_body(mu, factors, point)
+            body = _render_body(mu, factors)
             coeff = str(c)
             if body is None:
                 bits.append(coeff)
@@ -258,14 +260,12 @@ def _term_sort_key(key):
     return (mu is not None, factors)
 
 
-def _render_body(mu, factors, point):
+def _render_body(mu, factors):
     names = []
     for sym, k in factors:
-        prime = "'" * k if k <= 3 else None
-        names.append("%s%s(%s)" % (sym, prime, point) if prime is not None
-                     else "D^%d(%s)(%s)" % (k, sym, point))
+        names.append("%s%s(w)" % (sym, "'" * k) if k <= 3 else "D^%d(%s)(w)" % (k, sym))
     if mu is not None:
-        names.append("V[%s](%s)" % (mu, point))
+        names.append("V[%s](w)" % (mu,))
     if not names:
         return None
     if len(names) == 1:
@@ -338,33 +338,22 @@ def _vertex_contraction(ctx, left: Factor, mu: ParamScalar):
 
 
 class OpeResult:
-    """Singular part of a product: pole order -> coefficient expression.
+    """Singular part of a product: pole order -> coefficient expression."""
 
-    For a multi-point insertion list the keys are (insertion index, pole
-    order) and each coefficient is reported per insertion point, the other
-    (untouched) insertions multiplying on unchanged.
-    """
+    __slots__ = ("ctx", "table")
 
-    __slots__ = ("ctx", "table", "npoints")
-
-    def __init__(self, ctx: ParameterContext, table: dict, npoints: int = 1):
+    def __init__(self, ctx: ParameterContext, table: dict):
         self.ctx = ctx
         self.table = {k: v for k, v in table.items() if not v.is_zero()}
-        self.npoints = npoints
 
-    def pole(self, order, point: int | None = None) -> FieldExpr:
-        key = order if self.npoints == 1 else (0 if point is None else point, order)
-        return self.table.get(key, FieldExpr.zero(self.ctx))
+    def pole(self, order: int) -> FieldExpr:
+        return self.table.get(order, FieldExpr.zero(self.ctx))
 
     def orders(self):
         return sorted(self.table)
 
     def max_order(self) -> int:
-        if not self.table:
-            return 0
-        if self.npoints == 1:
-            return max(self.table)
-        return max(k for (_, k) in self.table)
+        return max(self.table, default=0)
 
     def is_regular(self) -> bool:
         return not self.table
@@ -373,7 +362,7 @@ class OpeResult:
         if not isinstance(other, OpeResult):
             return NotImplemented
         keys = set(self.table) | set(other.table)
-        return self.npoints == other.npoints and all(
+        return all(
             (self.table.get(k, FieldExpr.zero(self.ctx))
              == other.table.get(k, FieldExpr.zero(self.ctx)))
             for k in keys
@@ -385,12 +374,9 @@ class OpeResult:
         if not self.table:
             return "regular"
         bits = []
-        for key in sorted(self.table, reverse=True):
-            order = key if self.npoints == 1 else key[1]
-            wname = "w" if self.npoints == 1 else "w%d" % (key[0] + 1)
-            expr = self.table[key]
-            body = expr.render(point=wname)
-            pole = "(z-%s)" % wname if order == 1 else "(z-%s)^%d" % (wname, order)
+        for order in sorted(self.table, reverse=True):
+            body = self.table[order].render()
+            pole = "(z-w)" if order == 1 else "(z-w)^%d" % order
             if body == "1":
                 bits.append("1/%s" % pole)
             elif all(ch not in body for ch in "+-") or body.lstrip("-").isdigit():
@@ -403,35 +389,16 @@ class OpeResult:
         return self.render()
 
 
-def wick_ope(left: FieldExpr, right) -> OpeResult:
+def wick_ope(left: FieldExpr, right: FieldExpr) -> OpeResult:
     """Exact singular part of left(z) * right(w) by pairing expansion.
 
-    ``right`` may be a single expression or a list of insertion expressions;
-    in the list form at most one insertion may carry a vertex factor (the
-    mutual singularity of two vertex insertions is not a Wick pairing; use
-    the explicit multi-point normal-ordered product ``normal_multi_vertex``
-    for that) and each pairing pattern touches one insertion at a time.
+    Every pairing pattern contracts each z-side factor with at most one
+    w-side factor or with the w-side vertex factor; the uncontracted z-side
+    factors are Taylor-expanded at w.  A vertex factor on the z-side raises
+    ``UnsupportedPairingError``: the mutual singularity of two vertex fields
+    is not a Wick pairing (``virasoro.normal_multi_vertex`` computes their
+    normal-ordered product).
     """
-    if isinstance(right, FieldExpr):
-        return OpeResult(left.ctx, _single_point_ope(left, right))
-    insertions = list(right)
-    with_vertex = [
-        i for i, r in enumerate(insertions)
-        if any(mu is not None for (mu, _) in r.terms)
-    ]
-    if len(with_vertex) >= 2:
-        raise UnsupportedPairingError(
-            "insertions %r both carry vertex factors; their mutual singularity "
-            "is not a Wick pairing -- use normal_multi_vertex" % (with_vertex,)
-        )
-    table: dict = {}
-    for i, r in enumerate(insertions):
-        for k, expr in _single_point_ope(left, r).items():
-            table[(i, k)] = expr
-    return OpeResult(left.ctx, table, npoints=len(insertions))
-
-
-def _single_point_ope(left: FieldExpr, right: FieldExpr) -> dict:
     ctx = left.ctx
     table: dict[int, FieldExpr] = {}
     for (lmu, lfac), lc in left.terms.items():
@@ -464,7 +431,7 @@ def _single_point_ope(left: FieldExpr, right: FieldExpr) -> dict:
                                   if i not in {li for li, _ in pairs})
                 rest_right = tuple(rfac[j] for j in range(len(rfac)) if j not in used)
                 _taylor_accumulate(ctx, table, coeff, order, rest_left, rest_right, rmu)
-    return {k: v for k, v in table.items() if not v.is_zero()}
+    return OpeResult(ctx, table)
 
 
 def _patterns(lfac, rfac, has_vertex):
@@ -666,14 +633,13 @@ def _apply_assignment(modes, veps, tmu, vec, target):
     return current
 
 
-def mode_of_field(expr: FieldExpr, n: int, space: FockSpace,
-                  weight: int | None = None) -> ModeOperator:
+def mode_of_field(expr: FieldExpr, n: int, space: FockSpace) -> ModeOperator:
     """Mode X_n of the field X(z) = sum X_n z^{-n-weight} as a ModeOperator.
 
-    The weight defaults to the expression's homogeneous conformal weight
-    (T: 2, currents/p/beta: 1, gamma: 0, vertex: 0).
+    The weight is the expression's homogeneous conformal weight (T: 2,
+    currents/p/beta: 1, gamma: 0, vertex: 0).
     """
-    delta = expr.conformal_weight() if weight is None else weight
+    delta = expr.conformal_weight()
     mu = expr.vertex_exponent()
     target = space.shifted(mu) if not mu.is_zero() else space
     e = -n - delta
@@ -703,8 +669,6 @@ def ope_bracket_action(ope: OpeResult, s: int, t: int, vec: FockVector) -> FockV
     Residues of z^{-s-1}/(z-w)^k give binomial factors; the w^t coefficient
     is then read off each pole coefficient exactly.
     """
-    if ope.npoints != 1:
-        raise ValueError("bracket extraction needs a single-point OPE")
     n_raw = -s - 1
     out = None
     for k, expr in ope.table.items():

@@ -3,15 +3,13 @@
 Three layers:
 
 * an oscillator alphabet: even boson modes ``b_n`` with
-  ``[b_n, b_m] = pairing * n * delta_{n+m,0}``, optionally extended by a
-  charged first-order pair ``a_n`` / ``a*_n`` (weight-one and weight-zero
-  partners) with ``[a_n, a*_m] = -delta_{n+m,0}``, plus a formal zero-mode
-  partner ``q`` with ``[q, b_n] = pairing * delta_{n,0}`` that exists only
-  inside normal-ordering bookkeeping and never inside module vectors;
+  ``[b_n, b_m] = 2 n delta_{n+m,0}``, optionally extended by a charged
+  first-order pair ``a_n`` / ``a*_n`` (weight-one and weight-zero partners)
+  with ``[a_n, a*_m] = -delta_{n+m,0}``;
 
 * Fock modules: a vacuum vector killed by every annihilation operator
   (``b_n`` for n > 0, ``a_n`` for n >= 0, ``a*_n`` for n > 0) on which the
-  boson zero mode acts by ``pairing * alpha`` for a vacuum label ``alpha``;
+  boson zero mode acts by ``2 alpha`` for a vacuum label ``alpha``;
   vectors are finite combinations of creation monomials and are bigraded by
   energy (total mode depth) and charge (number of ``a*`` minus number of
   ``a`` factors), with finite-dimensional bigraded blocks;
@@ -29,38 +27,30 @@ zero-test, never a tolerance comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .scalars import ParamScalar, ParameterContext
 
 Mode = tuple[str, int]
 
-_FAMILIES = ("b", "a", "as", "q")
+_FAMILIES = ("b", "a", "as")
 
 
 def _check_mode(mode: Mode) -> Mode:
     fam, n = mode
     if fam not in _FAMILIES:
         raise ValueError("unknown oscillator family %r" % (fam,))
-    if fam == "q" and n != 0:
-        raise ValueError("the zero-mode partner carries no mode index")
     return mode
 
 
 def is_annihilator(mode: Mode) -> bool:
     """Right-movers under normal ordering: b_n (n>0), a_n (n>=0), a*_n (n>0).
 
-    The boson zero mode b_0 also sorts to the right (it acts as a scalar on
-    every Fock vector and the only nontrivial reordering is past ``q``).
+    The boson zero mode b_0 also sorts to the right: it acts as a scalar on
+    every Fock vector.
     """
     fam, n = _check_mode(mode)
-    if fam == "b":
-        return n >= 0
-    if fam == "a":
-        return n >= 0
-    if fam == "as":
-        return n > 0
-    return False  # q
+    return n > 0 if fam == "as" else n >= 0
 
 
 def mode_energy(mode: Mode) -> int:
@@ -92,40 +82,41 @@ def _sorted_monomial(modes: Iterable[Mode]) -> tuple[Mode, ...]:
 class OscSpec:
     """Oscillator alphabet: bracket table and annihilation split.
 
-    ``pairing`` is the symmetric-form value entering ``[b_n, b_m]``; the
-    rank-one normalization used throughout is ``pairing = 2``.
+    ``pairing`` is the symmetric-form value entering ``[b_n, b_m]``, fixed
+    at the rank-one normalization 2.  The Wick seeds of
+    :mod:`screenops.fields` (``_BASE_CONTRACTIONS``, ``_vertex_contraction``),
+    ``stress_tensor`` and ``virasoro.virasoro_apply`` assume this value.
     ``has_pair`` switches the charged a/a* pair on (current algebras) or
     off (pure boson).
     """
 
     __slots__ = ("ctx", "pairing", "has_pair")
 
-    def __init__(self, ctx: ParameterContext, pairing=2, has_pair: bool = False):
+    def __init__(self, ctx: ParameterContext, has_pair: bool = False):
         self.ctx = ctx
-        self.pairing = ctx.scalar(pairing)
+        self.pairing = ctx.scalar(2)
         self.has_pair = has_pair
 
     def __eq__(self, other):
         return (
             isinstance(other, OscSpec)
             and self.ctx == other.ctx
-            and self.pairing == other.pairing
             and self.has_pair == other.has_pair
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.pairing, self.has_pair))
+        return hash((self.ctx, self.has_pair))
 
     def __repr__(self):
-        return "OscSpec(pairing=%s, has_pair=%r)" % (self.pairing, self.has_pair)
+        return "OscSpec(has_pair=%r)" % (self.has_pair,)
 
     # -- bracket table ------------------------------------------------------
 
     def bracket(self, x: Mode, y: Mode) -> ParamScalar:
         """[x, y] when the bracket is central (a scalar); zero otherwise.
 
-        Table: [b_n, b_m] = pairing*n*d_{n+m,0}; [a_n, a*_m] = -d_{n+m,0};
-        [q, b_0] = pairing.  All brackets of this alphabet are central.
+        Table: [b_n, b_m] = pairing*n*d_{n+m,0}; [a_n, a*_m] = -d_{n+m,0}.
+        All brackets of this alphabet are central.
         """
         (fx, nx), (fy, ny) = _check_mode(x), _check_mode(y)
         zero = self.ctx.zero()
@@ -135,18 +126,7 @@ class OscSpec:
             return self.ctx.scalar(-1) if nx + ny == 0 else zero
         if fx == "as" and fy == "a":
             return self.ctx.scalar(1) if nx + ny == 0 else zero
-        if fx == "q" and fy == "b" and ny == 0:
-            return self.pairing
-        if fx == "b" and nx == 0 and fy == "q":
-            return -self.pairing
         return zero
-
-    def contraction(self, x: Mode, y: Mode) -> ParamScalar:
-        """{x y} = xy - :xy: for a two-letter product; nonzero only when x
-        sorts right and y sorts left."""
-        if is_annihilator(x) and not is_annihilator(y):
-            return self.bracket(x, y)
-        return self.ctx.zero()
 
 
 class FockSpace:
@@ -183,18 +163,6 @@ class FockSpace:
 
     def vacuum(self) -> "FockVector":
         return FockVector(self, {(): self.ctx.one()})
-
-    def vector(self, terms: Mapping[Sequence[Mode], object]) -> "FockVector":
-        out: dict = {}
-        for mon, c in terms.items():
-            mon = _sorted_monomial(_check_mode(m) for m in mon)
-            for m in mon:
-                if is_annihilator(m) or m[0] == "q":
-                    raise ValueError("%r is not a creation mode" % (m,))
-            c = self.ctx.scalar(c)
-            if not c.is_zero():
-                out[mon] = out.get(mon, self.ctx.zero()) + c
-        return FockVector(self, {m: c for m, c in out.items() if not c.is_zero()})
 
     def shifted(self, beta) -> "FockSpace":
         """Same oscillator alphabet, vacuum label translated by beta."""
@@ -330,7 +298,7 @@ class FockVector:
 
 def _mode_name(mode: Mode) -> str:
     fam, n = mode
-    label = {"b": "b", "a": "a", "as": "a*", "q": "q"}[fam]
+    label = {"b": "b", "a": "a", "as": "a*"}[fam]
     return "%s(%d)" % (label, n)
 
 
@@ -347,8 +315,6 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
     fam, n = _check_mode(mode)
     space = vec.space
     spec = space.spec
-    if fam == "q":
-        raise ValueError("q acts only inside normal-ordering bookkeeping")
     if fam in ("a", "as") and not spec.has_pair:
         raise ValueError("this oscillator alphabet has no charged pair")
     if fam == "b" and n == 0:
@@ -414,9 +380,6 @@ class ModeOperator:
         if vec.space != self.source:
             raise ValueError("vector lives over %r, operator expects %r" % (vec.space, self.source))
         return self.fn(vec)
-
-    def __call__(self, vec: FockVector) -> FockVector:
-        return self.apply(vec)
 
     # -- algebra -------------------------------------------------------------
 

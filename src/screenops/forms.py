@@ -65,10 +65,6 @@ class Connection:
             key = (i, j) if i < j else (j, i)
             self.pairs[key] = c
 
-    @property
-    def nvars(self) -> int:
-        return len(self.kappa)
-
     def pair(self, i: int, j: int):
         key = (i, j) if i < j else (j, i)
         return self.pairs.get(key)
@@ -94,10 +90,10 @@ def _value_is_zero(v) -> bool:
 class FormSpace:
     """Scalar context enlarged by configuration variables z_1..z_p."""
 
-    def __init__(self, base: ParameterContext, nvars: int, prefix: str = "z"):
+    def __init__(self, base: ParameterContext, nvars: int):
         self.base = base
         self.nvars = nvars
-        self.var_names = tuple("%s%d" % (prefix, q + 1) for q in range(nvars))
+        self.var_names = tuple("z%d" % (q + 1) for q in range(nvars))
         self.ctx = ParameterContext(base.names + self.var_names)
         self._zoff = len(base.names)
         self._pair_polys = {}
@@ -147,9 +143,6 @@ class FormSpace:
                 return scalar
             return scalar.substitute({}, target=self.ctx)
         return self.ctx.scalar(scalar)
-
-    def coeff(self, value) -> "FactoredCoeff":
-        return FactoredCoeff.from_scalar(self, value)
 
 
 def _shift_poly_var(poly: ParamPolynomial, var: int, delta: int) -> ParamPolynomial:
@@ -406,10 +399,6 @@ class RationalForm:
             if not coeff.is_zero():
                 self.terms[tuple(subset)] = coeff
 
-    @classmethod
-    def function(cls, space: FormSpace, coeff) -> "RationalForm":
-        return cls(space, {(): coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -564,10 +553,6 @@ class LaurentForm:
         self.window = (
             tuple(window) if window is not None else tuple((_NEG_INF, _POS_INF) for _ in range(nvars))
         )
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentForm":
-        return cls(nvars)
 
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         out = dict(self.terms)

@@ -96,9 +96,6 @@ class CartanData:
         """<H_i, alpha_j>."""
         return self.matrix[i][j]
 
-    def key(self):
-        return (self.matrix, self.sym)
-
     def __repr__(self):
         return "CartanData(%s)" % self.name
 

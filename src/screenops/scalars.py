@@ -224,9 +224,6 @@ class ParamPolynomial:
             n >>= 1
         return result
 
-    def scale(self, q: Fraction) -> "ParamPolynomial":
-        return self * q
-
     # -- division and gcd ---------------------------------------------------
 
     def exact_div(self, divisor: "ParamPolynomial") -> "ParamPolynomial":

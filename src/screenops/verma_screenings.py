@@ -177,7 +177,7 @@ class ToyScreening(ModeFamily):
         return ToyVector(self.target, out)
 
 
-def toy_uniqueness_scan(return_constraints: bool = False) -> dict:
+def toy_uniqueness_scan() -> dict:
     """Solve [E, V_n] = (alpha - n) V_n(E) for the mode family F^a -> F^(a+n).
 
     Works symbolically: the commutator coefficient on F^a v is compared with
@@ -185,7 +185,9 @@ def toy_uniqueness_scan(return_constraints: bool = False) -> dict:
     mode n.  The coefficient constraints force beta1 = 2, beta0 = alpha - lam,
     2*alpha = lam - lam_src and alpha(alpha - lam) = 0.  The alpha = 0 root
     collapses to lam_src = lam (excluded when the two weights differ); the
-    surviving branch is alpha = lam, lam_src = -lam, beta(a) = 2a.
+    surviving branch is alpha = lam, lam_src = -lam, beta(a) = 2a.  The
+    result reports both branches and keeps the constraints, keyed by their
+    (a, n) exponents, under ``"constraints"``.
     """
     ctx = ParameterContext(("lam", "lam_src", "alpha", "beta0", "beta1", "a", "n"))
     lam, lam_src, alpha, beta0, beta1, a, n = (ctx.param(s) for s in ctx.names)
@@ -207,7 +209,7 @@ def toy_uniqueness_scan(return_constraints: bool = False) -> dict:
 
     screening = {"alpha": lam, "lam_src": -1 * lam, "beta0": ctx.zero(), "beta1": ctx.scalar(2)}
     degenerate = {"alpha": ctx.zero(), "lam_src": lam, "beta0": -1 * lam, "beta1": ctx.scalar(2)}
-    out = {
+    return {
         "screening_branch": {
             "alpha": "lam",
             "lam_src": "-lam",
@@ -220,10 +222,8 @@ def toy_uniqueness_scan(return_constraints: bool = False) -> dict:
             "excluded": "source weight equals target weight",
             "valid": check_branch(degenerate),
         },
+        "constraints": constraints,
     }
-    if return_constraints:
-        out["constraints"] = constraints
-    return out
 
 
 def _collect_constraints(scalar: ParamScalar, names: Sequence[str]) -> dict:

@@ -1,11 +1,10 @@
 """Exact Virasoro layer over rank-one Fock modules.
 
-Builds the deformed quadratic stress tensor as exact mode operators, the
-label-shifting exponential fields as weight-graded vertex operators,
-normal-ordered multi-point vertex products as windowed Laurent forms with
-module-vector values, and the contraction-assembled cochain family of
-weight-one screening currents.  At integral exponents the family's
-``residue`` maps its Fock space to the label-shifted ``target`` and
+Builds the deformed quadratic stress tensor as exact mode operators,
+normal-ordered products of label-shifting exponential fields as windowed
+Laurent forms with module-vector values, and the contraction-assembled
+cochain family of weight-one screening currents.  At integral exponents the
+family's ``residue`` maps its Fock space to the label-shifted ``target`` and
 commutes with every stress mode.
 
 Everything is computed over Q(params): annihilation is bounded by the
@@ -28,7 +27,6 @@ from .fields import (
     stress_tensor,
     vertex_annihilation_coeff,
     vertex_creation_coeff,
-    vertex_field,
     wick_ope,
 )
 from .fock import (
@@ -51,13 +49,9 @@ from .forms import (
 from .scalars import ParameterContext, ParamScalar
 
 __all__ = [
-    "VirasoroParams",
-    "FeiginFuchsModule",
-    "VertexOperatorSeries",
     "central_charge",
     "virasoro_apply",
     "virasoro_mode",
-    "vertex_mode",
     "scalar_binomial",
     "normal_multi_vertex",
     "multi_vertex_form",
@@ -74,95 +68,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# parameters and module wrappers
+# the deformed central charge
 
 
 def central_charge(ctx: ParameterContext, alpha0) -> ParamScalar:
     """Central charge 1 - 24*alpha0^2 of the deformed stress tensor."""
     a = ctx.scalar(alpha0)
     return ctx.one() - QQ(24) * (a * a)
-
-
-class VirasoroParams:
-    """Background-charge data for the deformed quadratic stress tensor.
-
-    The screening constructor derives the background charge from a free
-    exponent beta via alpha0 = (beta^2 - 1)/(2*beta); this is exactly the
-    condition that the exponential field with exponent beta has conformal
-    weight one, equivalently beta^2 - 2*alpha0*beta = 1.
-    """
-
-    def __init__(self, ctx: ParameterContext, alpha0, beta=None):
-        self.ctx = ctx
-        self.alpha0 = ctx.scalar(alpha0)
-        self.beta = None if beta is None else ctx.scalar(beta)
-
-    @property
-    def central_charge(self) -> ParamScalar:
-        return central_charge(self.ctx, self.alpha0)
-
-    @property
-    def beta_plus(self) -> ParamScalar:
-        if self.beta is None:
-            raise ValueError("no screening exponent attached")
-        return self.beta
-
-    def weight(self, alpha) -> ParamScalar:
-        """Conformal weight alpha^2 - 2*alpha0*alpha of the highest vector."""
-        a = self.ctx.scalar(alpha)
-        return a * a - QQ(2) * (self.alpha0 * a)
-
-
-class FeiginFuchsModule:
-    """Fock module with the deformed Virasoro action attached."""
-
-    def __init__(self, params: VirasoroParams, alpha, pairing: int = 2):
-        self.params = params
-        self.ctx = params.ctx
-        self.space = FockSpace(OscSpec(self.ctx, pairing=pairing), self.ctx.scalar(alpha))
-
-    @property
-    def alpha(self) -> ParamScalar:
-        return self.space.alpha
-
-    def vacuum(self) -> FockVector:
-        return self.space.vacuum()
-
-    def zero(self) -> FockVector:
-        return self.space.zero()
-
-    def block_basis(self, energy: int, charge: int = 0):
-        return self.space.block_basis(energy, charge)
-
-    def weight(self) -> ParamScalar:
-        return self.params.weight(self.space.alpha)
-
-    def mode(self, n: int) -> ModeOperator:
-        return virasoro_mode(n, self.params.alpha0, self.space)
-
-
-class VertexOperatorSeries:
-    """Label-shifting exponential field with its monodromy exponent attached.
-
-    The integer-indexed coefficients act exactly on Fock blocks; the overall
-    monodromy z^(pairing*mu*alpha) is carried as metadata (``twist``) and
-    enters the de Rham side through connection exponents, never through a
-    series expansion.
-    """
-
-    def __init__(self, source: FockSpace, mu):
-        self.source = source
-        self.ctx = source.ctx
-        self.mu = self.ctx.scalar(mu)
-        self.target = source.shifted(self.mu)
-        self.expr = vertex_field(self.ctx, self.mu)
-        self.twist = source.spec.pairing * (self.mu * source.alpha)
-
-    def mode(self, n: int) -> ModeOperator:
-        return vertex_mode(self.mu, n, self.source)
-
-    def coefficient(self, e: int, vec: FockVector) -> FockVector:
-        return apply_vertex(self.mu, e, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +114,6 @@ def virasoro_mode(n: int, alpha0, space: FockSpace) -> ModeOperator:
     """The stress mode L_n as a ModeOperator on ``space``."""
     return ModeOperator(
         lambda v: virasoro_apply(n, alpha0, v), space, space, energy_shift=-n
-    )
-
-
-def vertex_mode(mu, n: int, space: FockSpace) -> ModeOperator:
-    """Mode V_n of the exponential field, graded with weight zero.
-
-    V_n shifts the module label by mu, the energy by -n; V_0 sends the
-    highest vector to the shifted highest vector.
-    """
-    mu = space.ctx.scalar(mu)
-    return ModeOperator(
-        lambda v: apply_vertex(mu, -n, v),
-        space,
-        space.shifted(mu),
-        energy_shift=-n,
     )
 
 
@@ -380,9 +277,7 @@ def multi_vertex_transport_defect(
 # verification batteries
 
 
-def verify_virasoro(
-    mode_max: int = 5, energy_max: int = 6, negative_controls: bool = True
-) -> list:
+def verify_virasoro(mode_max: int = 5, energy_max: int = 6) -> list:
     """Both routes to the Virasoro relations, with symbolic label and charge."""
     ctx = ParameterContext(("alpha", "alpha0"))
     alpha = ctx.param("alpha")
@@ -508,26 +403,25 @@ def verify_virasoro(
         )
     )
 
-    if negative_controls:
-        # drop the background-charge term but keep the deformed central charge
-        zero0 = ctx.zero()
-        lhs = virasoro_apply(2, zero0, virasoro_apply(-2, zero0, vac)) - virasoro_apply(
-            -2, zero0, virasoro_apply(2, zero0, vac)
+    # drop the background-charge term but keep the deformed central charge
+    zero0 = ctx.zero()
+    lhs = virasoro_apply(2, zero0, virasoro_apply(-2, zero0, vac)) - virasoro_apply(
+        -2, zero0, virasoro_apply(2, zero0, vac)
+    )
+    rhs = QQ(4) * virasoro_apply(0, zero0, vac) + (QQ(1, 2) * c) * vac
+    broke = lhs != rhs
+    results.append(
+        control(
+            "virasoro-drop-background",
+            "dropping the linear background term breaks the central term",
+            broke,
+            "defect %s" % _fmt(lhs - rhs),
         )
-        rhs = QQ(4) * virasoro_apply(0, zero0, vac) + (QQ(1, 2) * c) * vac
-        broke = lhs != rhs
-        results.append(
-            control(
-                "virasoro-drop-background",
-                "dropping the linear background term breaks the central term",
-                broke,
-                "defect %s" % _fmt(lhs - rhs),
-            )
-        )
+    )
     return results
 
 
-def check_L_vertex(mode_max: int = 5, negative_controls: bool = True) -> list:
+def check_L_vertex(mode_max: int = 5) -> list:
     """Transport of exponential-field modes by the stress modes, fully symbolic."""
     ctx = ParameterContext(("alpha", "alpha0", "b"))
     alpha = ctx.param("alpha")
@@ -584,21 +478,20 @@ def check_L_vertex(mode_max: int = 5, negative_controls: bool = True) -> list:
         )
     )
 
-    if negative_controls:
-        wrong = alpha0 + ctx.one()
-        n, m = 1, -1
-        coeff = QQ(n + 1) * h + twist - ctx.scalar(n + m)
-        lhs = virasoro_apply(n, wrong, apply_vertex(beta, -m, vac)) - apply_vertex(
-            beta, -m, virasoro_apply(n, wrong, vac)
+    wrong = alpha0 + ctx.one()
+    n, m = 1, -1
+    coeff = QQ(n + 1) * h + twist - ctx.scalar(n + m)
+    lhs = virasoro_apply(n, wrong, apply_vertex(beta, -m, vac)) - apply_vertex(
+        beta, -m, virasoro_apply(n, wrong, vac)
+    )
+    rhs = coeff * apply_vertex(beta, -(n + m), vac)
+    results.append(
+        control(
+            "vertex-transport-wrong-charge",
+            "shifting the background charge in L_n only breaks the transport",
+            lhs != rhs,
         )
-        rhs = coeff * apply_vertex(beta, -(n + m), vac)
-        results.append(
-            control(
-                "vertex-transport-wrong-charge",
-                "shifting the background charge in L_n only breaks the transport",
-                lhs != rhs,
-            )
-        )
+    )
     return results
 
 
@@ -616,7 +509,7 @@ def _two_slot_cases(b1, b2, probes, window):
                 yield u, E, M, e1, e2
 
 
-def product_formula_check(order_max: int = 6, negative_controls: bool = True) -> list:
+def product_formula_check(order_max: int = 6) -> list:
     """Commutation of half vertices and factorization of the full product."""
     ctx = ParameterContext(("alpha", "b1", "b2"))
     alpha = ctx.param("alpha")
@@ -692,24 +585,23 @@ def product_formula_check(order_max: int = 6, negative_controls: bool = True) ->
         )
     )
 
-    if negative_controls:
-        # forget the commutation factor entirely
-        u = vac
-        window = ((-2, 4), (0, 2))
-        M = normal_multi_vertex([b1, b2], u, window)
-        lhs = apply_vertex(b1, -1, apply_vertex(b2, 1, u))
-        naive = _entry(M, (-1, 1), tgt_zero)
-        results.append(
-            control(
-                "factorization-drop-commutation",
-                "omitting the commutation factor breaks the factorization",
-                lhs != naive,
-            )
+    # forget the commutation factor entirely
+    u = vac
+    window = ((-2, 4), (0, 2))
+    M = normal_multi_vertex([b1, b2], u, window)
+    lhs = apply_vertex(b1, -1, apply_vertex(b2, 1, u))
+    naive = _entry(M, (-1, 1), tgt_zero)
+    results.append(
+        control(
+            "factorization-drop-commutation",
+            "omitting the commutation factor breaks the factorization",
+            lhs != naive,
         )
+    )
     return results
 
 
-def check_multi_vertex_products(negative_controls: bool = True) -> list:
+def check_multi_vertex_products() -> list:
     """Iterated vertex products reduce to one symmetric normal product."""
     results = []
 
@@ -807,20 +699,19 @@ def check_multi_vertex_products(negative_controls: bool = True) -> list:
         )
     )
 
-    if negative_controls:
-        wrong = _entry(M3, (0, 0, 0), tgt_zero3) + _entry(M3, (1, 0, 0), tgt_zero3)
-        lhs = apply_vertex(mus[0], 0, apply_vertex(mus[1], 0, apply_vertex(mus[2], 0, vac3)))
-        results.append(
-            control(
-                "three-slot-wrong-reduction",
-                "a mismatched reduction pattern fails against the composition",
-                lhs != wrong,
-            )
+    wrong = _entry(M3, (0, 0, 0), tgt_zero3) + _entry(M3, (1, 0, 0), tgt_zero3)
+    lhs = apply_vertex(mus[0], 0, apply_vertex(mus[1], 0, apply_vertex(mus[2], 0, vac3)))
+    results.append(
+        control(
+            "three-slot-wrong-reduction",
+            "a mismatched reduction pattern fails against the composition",
+            lhs != wrong,
         )
+    )
     return results
 
 
-def check_multi_vertex_transport(negative_controls: bool = True) -> list:
+def check_multi_vertex_transport() -> list:
     """Stress transport of normal-ordered multi-vertex products."""
     results = []
 
@@ -870,17 +761,14 @@ def check_multi_vertex_transport(negative_controls: bool = True) -> list:
         )
     )
 
-    if negative_controls:
-        defect = multi_vertex_transport_defect(
-            1, mus, alpha0, vac, window, weight_shift=1
+    defect = multi_vertex_transport_defect(1, mus, alpha0, vac, window, weight_shift=1)
+    results.append(
+        control(
+            "transport-wrong-weight",
+            "bumping the conformal weight in the transport operator fails",
+            not defect.is_zero(),
         )
-        results.append(
-            control(
-                "transport-wrong-weight",
-                "bumping the conformal weight in the transport operator fails",
-                not defect.is_zero(),
-            )
-        )
+    )
     return results
 
 
@@ -1017,7 +905,7 @@ class VertexScreeningCochains(TotalComplex):
         return out
 
 
-def screening_cochain_checks(negative_controls: bool = True) -> list:
+def screening_cochain_checks() -> list:
     """Invariance and total-cocycle rows of the Feigin-Fuchs cochain family.
 
     The one- and two-slot rows are symbolic in the label alpha and the
@@ -1098,17 +986,16 @@ def screening_cochain_checks(negative_controls: bool = True) -> list:
         )
     )
 
-    if negative_controls:
-        broken = VertexScreeningCochains(ctx, alpha, beta, 2, include_pairs=False)
-        res = broken.residual([WittElement.basis(1)], broken.space.vacuum())
-        results.append(
-            control(
-                "screening-cocycle-drop-pairs",
-                "dropping the pair exponents from the connection breaks the "
-                "two-slot cocycle",
-                not res.is_zero(),
-            )
+    broken = VertexScreeningCochains(ctx, alpha, beta, 2, include_pairs=False)
+    res = broken.residual([WittElement.basis(1)], broken.space.vacuum())
+    results.append(
+        control(
+            "screening-cocycle-drop-pairs",
+            "dropping the pair exponents from the connection breaks the "
+            "two-slot cocycle",
+            not res.is_zero(),
         )
+    )
     return results
 
 
@@ -1143,7 +1030,7 @@ def _pair_power_monomials(slots: int, power: int) -> dict:
     return terms
 
 
-def ff_intertwiner_checks(negative_controls: bool = True) -> list:
+def ff_intertwiner_checks() -> list:
     """Residue intertwiners at integral specializations commute with the stress."""
     ctx = ParameterContext(())
     results = []
@@ -1191,20 +1078,19 @@ def ff_intertwiner_checks(negative_controls: bool = True) -> list:
         )
     )
 
-    if negative_controls:
-        # breaking the weight-one condition destroys the commutation
-        fam = VertexScreeningCochains(ctx, QQ(-1, 2), QQ(1), 1)
-        vac = fam.space.vacuum()
-        wrong = QQ(1, 5)  # background charge off the screening value
-        defect = virasoro_apply(-2, wrong, fam.residue(vac)) - fam.residue(
-            virasoro_apply(-2, wrong, vac)
+    # breaking the weight-one condition destroys the commutation
+    fam = VertexScreeningCochains(ctx, QQ(-1, 2), QQ(1), 1)
+    vac = fam.space.vacuum()
+    wrong = QQ(1, 5)  # background charge off the screening value
+    defect = virasoro_apply(-2, wrong, fam.residue(vac)) - fam.residue(
+        virasoro_apply(-2, wrong, vac)
+    )
+    results.append(
+        control(
+            "residue-intertwiner-wrong-charge",
+            "moving the background charge off the screening value breaks "
+            "the commutation",
+            not defect.is_zero(),
         )
-        results.append(
-            control(
-                "residue-intertwiner-wrong-charge",
-                "moving the background charge off the screening value breaks "
-                "the commutation",
-                not defect.is_zero(),
-            )
-        )
+    )
     return results

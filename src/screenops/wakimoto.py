@@ -177,7 +177,7 @@ class WakimotoModule:
         ctx = params.ctx
         self.chi = params.chi if chi is None else ctx.scalar(chi)
         label = (QQ(-1, 2) * self.chi) / params.nu
-        self.space = FockSpace(OscSpec(ctx, pairing=2, has_pair=True), label)
+        self.space = FockSpace(OscSpec(ctx, has_pair=True), label)
 
     def vacuum(self) -> FockVector:
         return self.space.vacuum()
@@ -412,21 +412,15 @@ def _deep_probes(space: FockSpace) -> list:
 # -- current algebra checks ---------------------------------------------------------
 
 
-def verify_current_algebra(
-    mode_max: int = 4,
-    energy_max: int = 5,
-    charge_max: int = 3,
-    negative_controls: bool = True,
-    params: AffineParams | None = None,
-) -> list:
+def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None) -> list:
     """Bracket table of the three currents, by contraction and by modes.
 
     The contraction route compares each singular product against the
     level-k table symbolically; the mode route checks
-    [X<n>, Y<m>] = [X,Y]<n+m> + n (X,Y) k delta_{n+m,0} on probe vectors
-    spanning the requested energy and charge ranges, and every mode bracket
-    is cross-checked against the bracket extracted from the contraction
-    table.
+    [X<n>, Y<m>] = [X,Y]<n+m> + n (X,Y) k delta_{n+m,0} on light probes
+    and on fixed deep probes reaching energy 5 and charge 3, and every mode
+    bracket is cross-checked against the bracket extracted from the
+    contraction table.
     """
     params = params or AffineParams.generic()
     ctx = params.ctx
@@ -506,8 +500,7 @@ def verify_current_algebra(
     results.append(
         passed(
             "current-modes-deep",
-            "mode brackets close on probes reaching energy %d and charge %d"
-            % (energy_max, charge_max),
+            "mode brackets close on probes reaching energy 5 and charge 3",
             *first_failure(
                 (
                     (x, y, n, m, deep[(px + (n + 2) * 5 + (m + 2)) % len(deep)])
@@ -564,39 +557,37 @@ def verify_current_algebra(
         )
     )
 
-    if negative_controls:
-        vac = module.vacuum()
-        lhs = act.apply("E", 2, act.apply("F", -2, vac)) - act.apply(
-            "F", -2, act.apply("E", 2, vac)
+    vac = module.vacuum()
+    lhs = act.apply("E", 2, act.apply("F", -2, vac)) - act.apply(
+        "F", -2, act.apply("E", 2, vac)
+    )
+    wrong = act.apply("H", 0, vac) + (QQ(2) * (params.level + ctx.one())) * vac
+    results.append(
+        control(
+            "current-wrong-level",
+            "shifting the level by one must break the central term",
+            broke=not (lhs - wrong).is_zero(),
+            witness="defect %s" % _fmt(lhs - wrong),
         )
-        wrong = act.apply("H", 0, vac) + (QQ(2) * (params.level + ctx.one())) * vac
-        results.append(
-            control(
-                "current-wrong-level",
-                "shifting the level by one must break the central term",
-                broke=not (lhs - wrong).is_zero(),
-                witness="defect %s" % _fmt(lhs - wrong),
-            )
+    )
+    stripped = act.field("H") - params.nu * FieldExpr.field(ctx, "p", 0)
+    broken = wick_ope(stripped, stripped)
+    results.append(
+        control(
+            "current-drop-boson",
+            "removing the boson part of the Cartan current must break "
+            "its double pole",
+            broke=broken.pole(2) != FieldExpr.scalar(ctx, QQ(2) * params.level),
+            witness=broken.render(),
         )
-        stripped = act.field("H") - params.nu * FieldExpr.field(ctx, "p", 0)
-        broken = wick_ope(stripped, stripped)
-        results.append(
-            control(
-                "current-drop-boson",
-                "removing the boson part of the Cartan current must break "
-                "its double pole",
-                broke=broken.pole(2)
-                != FieldExpr.scalar(ctx, QQ(2) * params.level),
-                witness=broken.render(),
-            )
-        )
+    )
     return results
 
 
 # -- screening current: contraction coefficients ------------------------------------
 
 
-def screening_contraction_coefficients(negative_controls: bool = True) -> list:
+def screening_contraction_coefficients() -> list:
     """Singular part of the lowering current against a dressed charged factor.
 
     With a generic vertex exponent t, the product has a double pole
@@ -682,31 +673,25 @@ def screening_contraction_coefficients(negative_controls: bool = True) -> list:
         )
     )
 
-    if negative_controls:
-        wrong = QQ(-1) * (beta * FieldExpr.vertex(ctx, two / nu))
-        broken = wick_ope(f_expr, wrong)
-        residue = broken.pole(1) - broken.pole(2).derivative()
-        results.append(
-            control(
-                "screen-wrong-exponent",
-                "doubling the exponent must leave a charged residue that is "
-                "not a total derivative",
-                broke=not residue.is_zero(),
-                witness=residue.render(),
-            )
+    wrong = QQ(-1) * (beta * FieldExpr.vertex(ctx, two / nu))
+    broken = wick_ope(f_expr, wrong)
+    residue = broken.pole(1) - broken.pole(2).derivative()
+    results.append(
+        control(
+            "screen-wrong-exponent",
+            "doubling the exponent must leave a charged residue that is "
+            "not a total derivative",
+            broke=not residue.is_zero(),
+            witness=residue.render(),
         )
+    )
     return results
 
 
 # -- screening current: regularity and mode transport --------------------------------
 
 
-def verify_screening_regularity(
-    mode_max: int = 5,
-    coeff_max: int = 5,
-    negative_controls: bool = True,
-    params: AffineParams | None = None,
-) -> list:
+def verify_screening_regularity(mode_max: int = 5) -> list:
     """Current products against the screening current, both routes.
 
     Contraction route: the raising and Cartan currents are regular against
@@ -717,7 +702,7 @@ def verify_screening_regularity(
     and G(u) are the plain coefficient families, and the raising and Cartan
     modes commute with every S(s).
     """
-    params = params or AffineParams.generic()
+    params = AffineParams.generic()
     ctx = params.ctx
     screened = _ScreenedAction(params)
     data, module = screened.data, screened.module
@@ -840,22 +825,20 @@ def verify_screening_regularity(
         )
     )
 
-    if negative_controls:
-        vac = module.vacuum()
-        f0 = screen_coeff(-1, 0, vac)
-        lhs = act_tgt.apply("F", 0, f0) - apply_field_coeff(
-            data.screen, -1, act_src.apply("F", 0, vac)
+    f0 = screen_coeff(-1, 0, vac)
+    lhs = act_tgt.apply("F", 0, f0) - apply_field_coeff(
+        data.screen, -1, act_src.apply("F", 0, vac)
+    )
+    untwisted = ctx.scalar(0) * apply_field_coeff(g, 0, vac)
+    results.append(
+        control(
+            "screen-drop-twist",
+            "forgetting the twist exponent in the transport scalar must "
+            "leave a nonzero defect",
+            broke=not (lhs - untwisted).is_zero(),
+            witness=_fmt(lhs - untwisted),
         )
-        untwisted = ctx.scalar(0) * apply_field_coeff(g, 0, vac)
-        results.append(
-            control(
-                "screen-drop-twist",
-                "forgetting the twist exponent in the transport scalar must "
-                "leave a nonzero defect",
-                broke=not (lhs - untwisted).is_zero(),
-                witness=_fmt(lhs - untwisted),
-            )
-        )
+    )
     return results
 
 
@@ -915,11 +898,7 @@ def _companion_residue_defect(opes: dict, data: ScreeningData, x: str, y: str) -
     return opes[(x, y)].pole(1) - opes[(y, x)].pole(1) - expected
 
 
-def verify_screened_current_brackets(
-    mode_max: int = 2,
-    negative_controls: bool = True,
-    params: AffineParams | None = None,
-) -> list:
+def verify_screened_current_brackets(mode_max: int = 2) -> list:
     """Products of currents with companion fields and their antisymmetry.
 
     Every product of a current with a companion field has at most a simple
@@ -927,7 +906,7 @@ def verify_screened_current_brackets(
     bracket; and the mode transcription holds including the central term
     (whose companion image is zero).
     """
-    params = params or AffineParams.generic()
+    params = AffineParams.generic()
     ctx = params.ctx
     screened = _ScreenedAction(params)
     data = screened.data
@@ -1007,17 +986,16 @@ def verify_screened_current_brackets(
         )
     )
 
-    if negative_controls:
-        defect = screened.wrong_structure_defect()
-        results.append(
-            control(
-                "screened-wrong-structure",
-                "flipping the Cartan-lowering structure constant must leave "
-                "a visible defect",
-                broke=not defect.is_zero(),
-                witness=_fmt(defect),
-            )
+    defect = screened.wrong_structure_defect()
+    results.append(
+        control(
+            "screened-wrong-structure",
+            "flipping the Cartan-lowering structure constant must leave "
+            "a visible defect",
+            broke=not defect.is_zero(),
+            witness=_fmt(defect),
         )
+    )
     return results
 
 
@@ -1232,13 +1210,7 @@ class ScreeningCochains(TotalComplex):
     residual = TotalComplex.residual
 
 
-def screening_cocycle(
-    slots: int,
-    window_halfwidth: int = 2,
-    mode_max: int = 1,
-    negative_controls: bool = True,
-    params: AffineParams | None = None,
-) -> list:
+def screening_cocycle(slots: int, window_halfwidth: int = 2, mode_max: int = 1) -> list:
     """Rows of the total differential on the multi-slot screening cochain.
 
     All rows from depth zero (the top form is closed) through depth
@@ -1248,7 +1220,7 @@ def screening_cocycle(
     """
     if slots not in (1, 2, 3):
         raise ValueError("slots must be 1, 2, or 3")
-    params = params or AffineParams.generic()
+    params = AffineParams.generic()
     ctx = params.ctx
     data = screening_ops(params)
     fam = ScreeningCochains(
@@ -1321,7 +1293,7 @@ def screening_cocycle(
         )
     )
 
-    if negative_controls and slots >= 2:
+    if slots >= 2:
         broken = ScreeningCochains(
             data, slots, window_halfwidth=window_halfwidth,
             include_pairs=False, mode_bound=2 * mode_max,
@@ -1369,10 +1341,7 @@ def _word_render(word) -> str:
     return "[%s, %s]" % (_word_render(word[1]), _word_render(word[2]))
 
 
-def generic_extension_and_descent(
-    negative_controls: bool = True,
-    params: AffineParams | None = None,
-) -> list:
+def generic_extension_and_descent() -> list:
     """Descent of the inductively extended companion family to the quotient.
 
     For bracket trees [W1, W2] over the loop generators, the inductive rule
@@ -1384,7 +1353,7 @@ def generic_extension_and_descent(
     as supporting evidence for the conjectural generic-level statement
     (conjecture — evidence only).
     """
-    params = params or AffineParams.generic()
+    params = AffineParams.generic()
     results = []
 
     def gen(name, n=0):
@@ -1472,15 +1441,14 @@ def generic_extension_and_descent(
         )
     )
 
-    if negative_controls:
-        defect = symbolic.wrong_structure_defect()
-        results.append(
-            control(
-                "descent-wrong-reduction",
-                "mis-reducing the Cartan-lowering bracket must leave a "
-                "visible defect",
-                broke=not defect.is_zero(),
-                witness=_fmt(defect),
-            )
+    defect = symbolic.wrong_structure_defect()
+    results.append(
+        control(
+            "descent-wrong-reduction",
+            "mis-reducing the Cartan-lowering bracket must leave a "
+            "visible defect",
+            broke=not defect.is_zero(),
+            witness=_fmt(defect),
         )
+    )
     return results

@@ -44,7 +44,7 @@ def normal_order(spec, mon):
         for i in range(len(word) - 1):
             x, y = word[i], word[i + 1]
             if is_annihilator(x) and not is_annihilator(y):
-                c = spec.contraction(x, y)
+                c = spec.bracket(x, y)
                 swapped = word[:i] + (y, x) + word[i + 2 :]
                 reorder(swapped, coeff)
                 if not c.is_zero():
@@ -66,8 +66,8 @@ def normal_order(spec, mon):
 
 def _canonical_word(word):
     # Elements on the same side of the annihilation split commute, so sort
-    # each side; q sorts before creation modes.
-    left = sorted((m for m in word if not is_annihilator(m)), key=lambda m: (m[0] != "q", m))
+    # each side.
+    left = sorted(m for m in word if not is_annihilator(m))
     right = sorted(m for m in word if is_annihilator(m))
     return tuple(left) + tuple(right)
 

@@ -34,14 +34,14 @@ QQ = Fraction
 @pytest.fixture
 def boson():
     ctx = ParameterContext(("alpha", "alpha0", "b"))
-    spec = OscSpec(ctx, pairing=2, has_pair=False)
+    spec = OscSpec(ctx, has_pair=False)
     return ctx, FockSpace(spec, ctx.param("alpha"))
 
 
 @pytest.fixture
 def charged():
     ctx = ParameterContext(("lam", "nu"))
-    spec = OscSpec(ctx, pairing=2, has_pair=True)
+    spec = OscSpec(ctx, has_pair=True)
     return ctx, FockSpace(spec, ctx.param("lam"))
 
 
@@ -168,16 +168,11 @@ class TestWickOpe:
         with pytest.raises(UnsupportedPairingError):
             wick_ope(v, p_field(ctx))
 
-    def test_multi_insertion_form(self, boson):
+    def test_pairing_matches_wick_seed(self, boson):
+        # the fixed boson pairing of the Fock layer is the {p p} double pole
         ctx, F = boson
-        b = ctx.param("b")
         p = p_field(ctx)
-        v = vertex_field(ctx, b)
-        result = wick_ope(p, [p, v])
-        assert sc(result.pole(2, point=0)) == 2
-        assert result.pole(1, point=1) == (-2 * b) * v
-        with pytest.raises(UnsupportedPairingError):
-            wick_ope(p, [v, v])
+        assert wick_ope(p, p).pole(2) == FieldExpr.scalar(ctx, OscSpec(ctx).pairing)
 
 
 class TestModeAction:

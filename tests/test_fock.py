@@ -61,14 +61,14 @@ def gf_block_dims(energy_cap: int, charge_cap: int, has_pair: bool):
 @pytest.fixture
 def boson():
     ctx = ParameterContext(("alpha",))
-    spec = OscSpec(ctx, pairing=2, has_pair=False)
+    spec = OscSpec(ctx, has_pair=False)
     return ctx, spec, FockSpace(spec, ctx.param("alpha"))
 
 
 @pytest.fixture
 def charged():
     ctx = ParameterContext(("lam",))
-    spec = OscSpec(ctx, pairing=2, has_pair=True)
+    spec = OscSpec(ctx, has_pair=True)
     return ctx, spec, FockSpace(spec, ctx.param("lam"))
 
 
@@ -161,13 +161,6 @@ class TestNormalOrdering:
         assert ordered == (("b", 1), ("b", 2))
         assert ledger == {}
         assert expansion == {(("b", 1), ("b", 2)): ctx.one()}
-
-    def test_zero_mode_sorts_past_q(self, boson):
-        ctx, spec, F = boson
-        ordered, expansion, ledger = normal_order(spec, (("b", 0), ("q", 0)))
-        assert ordered == (("q", 0), ("b", 0))
-        # the extracted pairing is the central bracket [b_0, q] = -pairing
-        assert ledger == {(("b", 0), ("q", 0)): ctx.scalar(-2)}
 
     def test_expansion_reproduces_operator_product(self, charged):
         ctx, spec, F = charged

@@ -59,6 +59,17 @@ def _exported_names(tree):
     return set()
 
 
+def test_all_names_resolve():
+    # a stale __all__ entry fails only on ``import *``
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "screenops" if path.stem == "__init__" else "screenops." + path.stem
+        module = importlib.import_module(name)
+        stale += [name + "." + entry for entry in getattr(module, "__all__", ())
+                  if not hasattr(module, entry)]
+    assert not stale, stale
+
+
 @pytest.mark.parametrize(
     "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
 )

@@ -98,7 +98,7 @@ class TestToyModel:
                 assert scr.commutation_defect(br(E, F), n, vec).is_zero()
 
     def test_uniqueness_scan(self):
-        scan = toy_uniqueness_scan(return_constraints=True)
+        scan = toy_uniqueness_scan()
         assert scan["screening_branch"]["valid"]
         assert scan["degenerate_branch"]["valid"]
         constraints = scan["constraints"]
@@ -114,7 +114,7 @@ class TestToyModel:
 
     def test_uniqueness_branches_are_exhaustive(self):
         # a generic third choice violates at least one constraint
-        scan = toy_uniqueness_scan(return_constraints=True)
+        scan = toy_uniqueness_scan()
         constraints = scan["constraints"]
         ctx = next(iter(constraints.values())).context
         bad = {

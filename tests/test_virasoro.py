@@ -25,10 +25,7 @@ from screenops.fields import (
 from screenops.forms import WittElement
 from screenops.verma_screenings import residue_functional
 from screenops.virasoro import (
-    FeiginFuchsModule,
-    VertexOperatorSeries,
     VertexScreeningCochains,
-    VirasoroParams,
     _commutation_coeffs,
     _exp_series_coeffs,
     _pair_power_monomials,
@@ -142,32 +139,6 @@ class TestStressModes:
         ctx = ParameterContext(())
         assert central_charge(ctx, 0) == ctx.one()
         assert central_charge(ctx, QQ(1, 2)) == ctx.scalar(-5)
-
-
-class TestParamsAndModules:
-    def test_screening_background_charge(self):
-        ctx = ParameterContext(("b",))
-        b = ctx.param("b")
-        params = VirasoroParams(ctx, (b * b - 1) / (2 * b), b)
-        # weight of the screening exponent is one
-        assert params.weight(params.beta) == ctx.one()
-
-    def test_module_wrapper(self):
-        ctx = ParameterContext(("alpha",))
-        params = VirasoroParams(ctx, QQ(1, 2))
-        mod = FeiginFuchsModule(params, ctx.param("alpha"))
-        vac = mod.vacuum()
-        assert mod.mode(1).apply(vac).is_zero()
-        assert mod.mode(0).apply(vac) == mod.weight() * vac
-        assert central_charge(ctx, QQ(1, 2)) == params.central_charge
-
-    def test_vertex_series_wrapper(self):
-        ctx = ParameterContext(("alpha", "m"))
-        space = FockSpace(OscSpec(ctx), ctx.param("alpha"))
-        V = VertexOperatorSeries(space, ctx.param("m"))
-        vac = space.vacuum()
-        assert V.mode(0).apply(vac) == V.target.vacuum()
-        assert V.twist == QQ(2) * (ctx.param("m") * ctx.param("alpha"))
 
 
 class TestScalarSeries:

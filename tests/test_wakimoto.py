@@ -12,7 +12,7 @@ import pytest
 
 from screenops.scalars import ParameterContext
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
-from screenops.fock import osc_apply
+from screenops.fock import monomial_charge, monomial_energy, osc_apply
 from screenops.wakimoto import (
     AffineParams,
     CurrentAction,
@@ -20,6 +20,7 @@ from screenops.wakimoto import (
     ScreeningCochains,
     ScreeningData,
     WakimotoModule,
+    _deep_probes,
     current_bracket,
     current_pairing,
     generic_extension_and_descent,
@@ -352,9 +353,24 @@ def _all_green(results):
     assert any(r.expected_fail for r in results)
 
 
+@pytest.fixture(scope="module")
+def current_algebra():
+    return verify_current_algebra(mode_max=4)
+
+
 class TestBatteries:
-    def test_current_algebra_full_size(self):
-        _all_green(verify_current_algebra(mode_max=4, energy_max=5, charge_max=3))
+    def test_current_algebra_full_size(self, current_algebra):
+        _all_green(current_algebra)
+
+    def test_deep_anchor_states_probe_reach(self, current_algebra):
+        space = WakimotoModule(AffineParams.generic()).space
+        mons = [mon for vec in _deep_probes(space) for mon in vec.terms]
+        energy = max(monomial_energy(mon) for mon in mons)
+        charge = max(abs(monomial_charge(mon)) for mon in mons)
+        (deep,) = [r for r in current_algebra if r.check_id == "current-modes-deep"]
+        assert deep.anchor == (
+            "mode brackets close on probes reaching energy %d and charge %d" % (energy, charge)
+        )
 
     def test_screening_contractions(self):
         _all_green(screening_contraction_coefficients())
