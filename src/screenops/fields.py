@@ -557,6 +557,8 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     if vec.is_zero():
         return out
     energy = vec.energy_bound()
+    # tuple of annihilation modes applied so far -> the lowered vector
+    lowered = {(): vec}
     for (tmu, factors), coeff in expr.terms.items():
         delta = _term_weight(factors)
         tgt_max = energy + e + delta
@@ -564,7 +566,7 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
             continue
         for modes, veps, c in _factor_assignments(factors, e, energy, tgt_max,
                                                   tmu is not None):
-            result = _apply_assignment(modes, veps, tmu, vec, target)
+            result = _apply_assignment(modes, veps, tmu, lowered, target)
             if result is not None and not result.is_zero():
                 out = out + (coeff * c) * result
     return out
@@ -613,12 +615,22 @@ def _factor_assignments(factors, e, energy, tgt_max, has_vertex):
     yield from rec(0, e, [], 1)
 
 
-def _apply_assignment(modes, veps, tmu, vec, target):
-    """Apply one complete mode assignment in normal order."""
-    current = vec
+def _apply_assignment(modes, veps, tmu, lowered, target):
+    """Apply one complete mode assignment in normal order.
+
+    ``lowered`` maps each tuple of annihilation modes already applied to the
+    source vector (seeded with ``(): vec``) to the result, so assignments of
+    one ``apply_field_coeff`` call that share a prefix apply it once.
+    """
+    prefix = ()
+    current = lowered[prefix]
     for mode in modes:
         if is_annihilator(mode):
-            current = osc_apply(mode, current)
+            prefix += (mode,)
+            done = lowered.get(prefix)
+            if done is None:
+                done = lowered[prefix] = osc_apply(mode, current)
+            current = done
             if current.is_zero():
                 return None
     if veps is not None:

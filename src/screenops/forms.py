@@ -27,7 +27,6 @@ variables, with [e_n, e_m] = (n - m) e_{n+m}.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -117,24 +116,21 @@ class FormSpace:
 
         Substitutes z_i = z_j and tests the image for zero.  The divisor is
         monic and linear in z_i, so the image is the remainder of the
-        division and vanishes iff the division is exact.  Terms are grouped
-        by image exponent first: a group of one term cannot cancel, and each
-        other group is summed over the lcm of its denominators in integers.
+        division and vanishes iff the division is exact.  Only the integer
+        part is read, since the nonzero content does not change the answer.
+        Terms are grouped by image exponent first: a group of one term
+        cannot cancel, and each other group is summed in integers.
         """
         vi, vj = self.zvar(key[0]), self.zvar(key[1])
         groups: dict = {}
-        for exp, c in poly.terms.items():
+        for exp, c in poly.coeffs.items():
             k = exp[vi]
             if k:
                 exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + k,) + exp[vj + 1 :]
             groups.setdefault(exp, []).append(c)
         if any(len(cs) == 1 for cs in groups.values()):
             return False
-        for cs in groups.values():
-            lcm = math.lcm(*(c.denominator for c in cs))
-            if sum(c.numerator * (lcm // c.denominator) for c in cs):
-                return False
-        return True
+        return not any(sum(cs) for cs in groups.values())
 
     def lift(self, scalar) -> ParamScalar:
         """Embed a base-context scalar (or rational) into the enlarged context."""
@@ -145,19 +141,8 @@ class FormSpace:
         return self.ctx.scalar(scalar)
 
 
-def _shift_poly_var(poly: ParamPolynomial, var: int, delta: int) -> ParamPolynomial:
-    """Multiply by (variable)^delta; all resulting exponents must stay >= 0."""
-    out = {}
-    for exp, val in poly.terms.items():
-        e = exp[var] + delta
-        if e < 0:
-            raise ValueError("monomial shift went negative")
-        out[exp[:var] + (e,) + exp[var + 1 :]] = val
-    return ParamPolynomial(poly.context, out)
-
-
 def _min_var_degree(poly: ParamPolynomial, var: int) -> int:
-    return min(exp[var] for exp in poly.terms)
+    return min(exp[var] for exp in poly.coeffs)
 
 
 class FactoredCoeff:
@@ -178,20 +163,20 @@ class FactoredCoeff:
         self.num = num
         self.zexp = tuple(zexp) if zexp is not None else (0,) * space.nvars
         self.pairs = {k: e for k, e in (pairs or {}).items() if e}
-        self.base_den = base_den if base_den is not None else space.ctx._poly_one
+        self.base_den = base_den if base_den is not None else space.ctx.poly_const(1)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, space: FormSpace) -> "FactoredCoeff":
-        return cls(space, space.ctx._poly_zero)
+        return cls(space, space.ctx.poly_const(0))
 
     @classmethod
     def from_scalar(cls, space: FormSpace, value) -> "FactoredCoeff":
         if isinstance(value, FactoredCoeff):
             return value
         if isinstance(value, ParamPolynomial):
-            value = ParamScalar(value, value.context._poly_one, _reduced=True)
+            value = value.context.scalar(value)
         if not isinstance(value, ParamScalar):
             return cls(space, space.ctx.poly_const(value))
         value = space.lift(value)
@@ -201,7 +186,7 @@ class FactoredCoeff:
         for q in range(space.nvars):
             d = _min_var_degree(den, space.zvar(q))
             if d:
-                den = _shift_poly_var(den, space.zvar(q), -d)
+                den = den.shift_var(space.zvar(q), -d)
                 zexp[q] = d
         pairs: dict = {}
         while not _is_base_only(space, den):
@@ -238,7 +223,7 @@ class FactoredCoeff:
             if zexp[q]:
                 d = min(_min_var_degree(num, space.zvar(q)), zexp[q])
                 if d:
-                    num = _shift_poly_var(num, space.zvar(q), -d)
+                    num = num.shift_var(space.zvar(q), -d)
                     zexp[q] -= d
         for key in list(pairs):
             pp = space.pair_poly(*key)
@@ -251,11 +236,11 @@ class FactoredCoeff:
             c = base_den.constant_value()
             if c != 1:
                 num = num * (1 / c)
-            base_den = space.ctx._poly_one
+            base_den = space.ctx.poly_const(1)
         else:
             try:
                 num = num.exact_div(base_den)
-                base_den = space.ctx._poly_one
+                base_den = space.ctx.poly_const(1)
             except ValueError:
                 pass
         return FactoredCoeff(space, num, zexp, pairs, base_den)
@@ -318,7 +303,7 @@ class FactoredCoeff:
         if k == 0 or self.is_zero():
             return self
         if k > 0:
-            num = _shift_poly_var(self.num, self.space.zvar(q), k)
+            num = self.num.shift_var(self.space.zvar(q), k)
             return FactoredCoeff(self.space, num, self.zexp, self.pairs, self.base_den)._normalized()
         zexp = list(self.zexp)
         zexp[q] += -k
@@ -361,7 +346,7 @@ class FactoredCoeff:
 
 def _is_base_only(space: FormSpace, poly: ParamPolynomial) -> bool:
     off = space._zoff
-    return all(not any(exp[off:]) for exp in poly.terms)
+    return all(not any(exp[off:]) for exp in poly.coeffs)
 
 
 def _scale_to_common(fc: FactoredCoeff, zc, pc, base_mult) -> ParamPolynomial:
@@ -370,7 +355,7 @@ def _scale_to_common(fc: FactoredCoeff, zc, pc, base_mult) -> ParamPolynomial:
     for q in range(space.nvars):
         d = zc[q] - fc.zexp[q]
         if d:
-            num = _shift_poly_var(num, space.zvar(q), d)
+            num = num.shift_var(space.zvar(q), d)
     for key, e in pc.items():
         d = e - fc.pairs.get(key, 0)
         for _ in range(d):

@@ -2,18 +2,24 @@
 
 Every quantity the engine manipulates (structure constants, highest-weight
 labels, central charges, OPE coefficients) lives in the field Q(params) for a
-fixed tuple of named parameters.  Polynomials are dicts from exponent vectors
-to `Fraction`; rational functions keep a gcd-reduced numerator/denominator
-pair with a monic denominator (graded-lex leading coefficient 1), so equality
-is literal dict equality and "residual == 0" is meaningful without any
-numeric tolerance.
+fixed tuple of named parameters.  A polynomial is stored as one rational
+content times a primitive integer part: a dict from exponent vectors to
+Python ints with gcd 1 whose coefficient at the lexicographically greatest
+exponent is positive.  That form is unique, and by Gauss's lemma a product
+of primitive parts is primitive, so products run on ints alone and scaling by
+a rational touches only the content.  Rational functions keep a gcd-reduced
+numerator/denominator pair with a monic denominator (graded-lex leading
+coefficient 1), so equality is literal equality of those parts and
+"residual == 0" is meaningful without any numeric tolerance.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 QQ = Fraction
@@ -29,6 +35,9 @@ __all__ = [
     "random_specialize",
 ]
 
+_ZERO = QQ(0)
+_ONE = QQ(1)
+
 
 class PoleError(ZeroDivisionError):
     """A substitution or specialization hit a vanishing denominator."""
@@ -37,7 +46,7 @@ class PoleError(ZeroDivisionError):
 class ParameterContext:
     """An ordered registry of parameter names defining Q(names)."""
 
-    __slots__ = ("names", "_index", "_zero_exp", "_poly_zero", "_poly_one", "_one", "_zero")
+    __slots__ = ("names", "_index", "_zero_exp", "_unit", "_poly_zero", "_poly_one", "_one", "_zero")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -46,8 +55,10 @@ class ParameterContext:
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
         self._zero_exp = (0,) * len(names)
-        self._poly_zero = ParamPolynomial(self, {})
-        self._poly_one = ParamPolynomial(self, {self._zero_exp: QQ(1)})
+        # integer part of every constant polynomial; shared, never mutated
+        self._unit = {self._zero_exp: 1}
+        self._poly_zero = _make(self, {}, _ZERO)
+        self._poly_one = _make(self, self._unit, _ONE)
         self._zero = ParamScalar(self._poly_zero, self._poly_one, _reduced=True)
         self._one = ParamScalar(self._poly_one, self._poly_one, _reduced=True)
 
@@ -63,23 +74,23 @@ class ParameterContext:
     # -- constructors ----------------------------------------------------
 
     def poly_const(self, c: RationalLike) -> "ParamPolynomial":
-        c = QQ(c)
         if c == 0:
             return self._poly_zero
-        return ParamPolynomial(self, {self._zero_exp: c})
+        if c == 1:
+            return self._poly_one
+        return _make(self, self._unit, c if type(c) is Fraction else QQ(c))
 
     def poly_param(self, name: str) -> "ParamPolynomial":
         exp = [0] * len(self.names)
         exp[self._index[name]] = 1
-        return ParamPolynomial(self, {tuple(exp): QQ(1)})
+        return _make(self, {tuple(exp): 1}, _ONE)
 
     def const(self, c: RationalLike) -> "ParamScalar":
         if c == 0:
             return self._zero
         if c == 1:
             return self._one
-        num = ParamPolynomial(self, {})
-        num.terms[self._zero_exp] = c if type(c) is Fraction else QQ(c)
+        num = _make(self, self._unit, c if type(c) is Fraction else QQ(c))
         return ParamScalar(num, self._poly_one, _reduced=True)
 
     def param(self, name: str) -> "ParamScalar":
@@ -114,101 +125,177 @@ def _heap_entry(exp):
     return (-sum(exp), tuple(-x for x in exp), exp)
 
 
+def _make(context, coeffs: dict, content: Fraction) -> "ParamPolynomial":
+    """A polynomial from parts already in canonical form; no checks."""
+    p = object.__new__(ParamPolynomial)
+    p.context = context
+    p.coeffs = coeffs
+    p.content = content
+    p._terms = None
+    p._hash = None
+    return p
+
+
+def _normalized(context, coeffs: dict, scale: Fraction) -> "ParamPolynomial":
+    """scale * coeffs for an integer dict without zero values, made canonical."""
+    if not coeffs:
+        return context._poly_zero
+    g = math.gcd(*coeffs.values())
+    if coeffs[max(coeffs)] < 0:
+        g = -g
+    if g != 1:
+        coeffs = {e: c // g for e, c in coeffs.items()}
+        scale = scale * g
+    return _make(context, coeffs, scale)
+
+
 class ParamPolynomial:
-    """Multivariate polynomial over Q: {exponent tuple -> Fraction}."""
+    """Multivariate polynomial over Q, stored as ``content * coeffs``.
 
-    __slots__ = ("context", "terms", "_hash")
+    ``coeffs`` maps exponent tuples to Python ints with gcd 1, and its
+    coefficient at ``max(coeffs)`` (the lexicographically greatest exponent)
+    is positive; ``content`` is a nonzero ``Fraction``, or 0 for the zero
+    polynomial, whose ``coeffs`` is empty.  The form is unique, so equality
+    compares the two parts.  ``terms`` is the rational view
+    ``{exponent: Fraction}``, built on first use.  Polynomials share their
+    dicts, so neither ``coeffs`` nor ``terms`` may be changed in place.
+    """
 
-    def __init__(self, context: ParameterContext, terms: Mapping[tuple, Fraction]):
+    __slots__ = ("context", "coeffs", "content", "_terms", "_hash")
+
+    def __init__(self, context: ParameterContext, terms: Mapping[tuple, RationalLike]):
+        terms = {e: QQ(c) for e, c in terms.items() if c}
+        den = math.lcm(*(c.denominator for c in terms.values())) if terms else 1
+        ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        p = _normalized(context, ints, QQ(1, den))
         self.context = context
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.coeffs = p.coeffs
+        self.content = p.content
+        self._terms = None
         self._hash = None
+
+    @property
+    def terms(self) -> dict:
+        """The rational coefficients ``{exponent: Fraction}``; read only."""
+        if self._terms is None:
+            c = self.content
+            self._terms = {e: c * k for e, k in self.coeffs.items()}
+        return self._terms
 
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.context._zero_exp in self.terms)
+        return not self.coeffs or (len(self.coeffs) == 1 and self.context._zero_exp in self.coeffs)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
-            return QQ(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial: %s" % self)
-        return self.terms[self.context._zero_exp]
+        # a nonzero constant's integer part is {0: 1}
+        return self.content
 
     def degree_in(self, var: int) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return -1
-        return max(e[var] for e in self.terms)
+        return max(e[var] for e in self.coeffs)
 
     def leading(self) -> tuple:
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms.items(), key=_grlex_key)[0]
-        return exp, self.terms[exp]
+        exp, k = max(self.coeffs.items(), key=_grlex_key)
+        return exp, self.content * k
 
     def __eq__(self, other):
         return (
             isinstance(other, ParamPolynomial)
             and self.context.names == other.context.names
-            and self.terms == other.terms
+            and self.content == other.content
+            and (self.coeffs is other.coeffs or self.coeffs == other.coeffs)
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.context.names, frozenset(self.terms.items())))
+            self._hash = hash((self.context.names, self.content, frozenset(self.coeffs.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self):
-        return ParamPolynomial(self.context, {e: -c for e, c in self.terms.items()})
+        if not self.coeffs:
+            return self
+        return _make(self.context, self.coeffs, -self.content)
+
+    def _plus(self, other, other_content):
+        """self + other_content * (integer part of other), both nonzero."""
+        ca, cb = self.content, other_content
+        if ca == cb:
+            common, kb = ca, 1
+            out = dict(self.coeffs)
+        else:
+            na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+            g = math.gcd(na, nb)
+            lcm = da * (db // math.gcd(da, db))
+            ka, kb = (na // g) * (lcm // da), (nb // g) * (lcm // db)
+            common = QQ(g, lcm)
+            out = {e: ka * c for e, c in self.coeffs.items()}
+        get = out.get
+        for e, c in other.coeffs.items():
+            s = get(e, 0) + kb * c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _normalized(self.context, out, common)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, QQ(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return ParamPolynomial(self.context, out)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        return self._plus(other, other.content)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, QQ(0)) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return ParamPolynomial(self.context, out)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        return self._plus(other, -other.content)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = QQ(other)
-            if q == 0:
+            if not other or not self.coeffs:
                 return self.context._poly_zero
-            return ParamPolynomial(self.context, {e: c * q for e, c in self.terms.items()})
-        if not self.terms or not other.terms:
+            return _make(self.context, self.coeffs, self.content * other)
+        if not self.coeffs or not other.coeffs:
             return self.context._poly_zero
+        ca, cb = self.content, other.content
+        content = cb if ca == 1 else ca if cb == 1 else ca * cb
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a primitive monomial has coefficient 1: shift the exponents
+            (e2,) = b
+            if e2 == self.context._zero_exp:
+                return _make(self.context, a, content)
+            return _make(self.context, {tuple(map(add, e1, e2)): c1 for e1, c1 in a.items()}, content)
+        # a product of primitive parts is primitive (Gauss) and its
+        # lex-greatest coefficient is the product of positive ones
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, QQ(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ParamPolynomial(self.context, out)
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _make(self.context, out, content)
 
     __rmul__ = __mul__
 
@@ -224,18 +311,34 @@ class ParamPolynomial:
             n >>= 1
         return result
 
+    def shift_var(self, var: int, delta: int) -> "ParamPolynomial":
+        """Multiply by (variable ``var``)^delta; every exponent must stay >= 0.
+
+        A common shift keeps the lex order of the exponents, so the integer
+        part stays canonical and the content is unchanged.
+        """
+        out = {}
+        for exp, c in self.coeffs.items():
+            e = exp[var] + delta
+            if e < 0:
+                raise ValueError("monomial shift went negative")
+            out[exp[:var] + (e,) + exp[var + 1 :]] = c
+        return _make(self.context, out, self.content)
+
     # -- division and gcd ---------------------------------------------------
 
     def exact_div(self, divisor: "ParamPolynomial") -> "ParamPolynomial":
         """The quotient self / divisor, when the division is exact.
 
-        Single-divisor division in graded-lex order (total degree first,
-        then lexicographic on the exponent tuple): each step cancels the
-        leading term of the remainder.  Raises ``ValueError("polynomial not
-        divisible")`` as soon as that leading term is not a multiple of the
-        divisor's leading term, which happens iff the division is not exact;
-        a zero divisor raises ``ZeroDivisionError``.  A constant divisor
-        scales.
+        A constant divisor changes only the content.  Otherwise the integer
+        parts are divided in graded-lex order (total degree first, then
+        lexicographic on the exponent tuple): each step cancels the leading
+        term of the remainder.  By Gauss's lemma an exact quotient of two
+        primitive parts is primitive with integer coefficients, so a step
+        whose leading exponent is not a multiple of the divisor's, or whose
+        coefficient leaves a nonzero ``divmod`` remainder, shows that the
+        division is not exact and raises ``ValueError("polynomial not
+        divisible")``.  A zero divisor raises ``ZeroDivisionError``.
 
         The remainder's exponents sit in a max-heap with lazy deletion
         (Monagan and Pearce, "Sparse polynomial division using a heap",
@@ -248,13 +351,13 @@ class ParamPolynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
+        content = self.content / divisor.content
         if divisor.is_constant():
-            inv = 1 / divisor.constant_value()
-            return self * inv
-        rem = dict(self.terms)
+            return _make(self.context, self.coeffs, content)
+        rem = dict(self.coeffs)
         out: dict = {}
-        dexp, dcoef = divisor.leading()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != dexp]
+        dexp, dcoef = max(divisor.coeffs.items(), key=_grlex_key)
+        tail = [(e, c) for e, c in divisor.coeffs.items() if e != dexp]
         heap = [_heap_entry(e) for e in rem]
         heapq.heapify(heap)
         while heap:
@@ -262,13 +365,15 @@ class ParamPolynomial:
             coef = rem.pop(exp, None)
             if coef is None:
                 continue
-            qexp = tuple(a - b for a, b in zip(exp, dexp))
+            qexp = tuple(map(sub, exp, dexp))
             if any(x < 0 for x in qexp):
                 raise ValueError("polynomial not divisible")
-            qcoef = coef / dcoef
+            qcoef, r = divmod(coef, dcoef)
+            if r:
+                raise ValueError("polynomial not divisible")
             out[qexp] = qcoef
             for e2, c2 in tail:
-                e = tuple(a + b for a, b in zip(qexp, e2))
+                e = tuple(map(add, qexp, e2))
                 old = rem.get(e)
                 if old is None:
                     rem[e] = -qcoef * c2
@@ -279,7 +384,7 @@ class ParamPolynomial:
                         rem[e] = s
                     else:
                         del rem[e]
-        return ParamPolynomial(self.context, out)
+        return _make(self.context, out, content)
 
     def _main_var(self, other: "ParamPolynomial") -> int:
         for v in range(len(self.context.names) - 1, -1, -1):
@@ -290,17 +395,17 @@ class ParamPolynomial:
     def _univariate_in(self, var: int) -> dict:
         """View as univariate in `var`: {deg -> ParamPolynomial without var}."""
         out: dict = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             d = e[var]
             e0 = e[:var] + (0,) + e[var + 1 :]
             out.setdefault(d, {})[e0] = c
-        return {d: ParamPolynomial(self.context, t) for d, t in out.items()}
+        return {d: _normalized(self.context, t, self.content) for d, t in out.items()}
 
     def monic(self) -> "ParamPolynomial":
         if self.is_zero():
             return self
-        _, c = self.leading()
-        return self * (1 / c)
+        _, k = max(self.coeffs.items(), key=_grlex_key)
+        return _make(self.context, self.coeffs, QQ(1, k))
 
     def gcd(self, other: "ParamPolynomial") -> "ParamPolynomial":
         """Monic gcd via primitive PRS, recursing over variables."""
@@ -337,11 +442,11 @@ class ParamPolynomial:
     def derivative(self, name: str) -> "ParamPolynomial":
         var = self.context._index[name]
         out: dict = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             if e[var]:
                 e2 = e[:var] + (e[var] - 1,) + e[var + 1 :]
-                out[e2] = out.get(e2, QQ(0)) + c * e[var]
-        return ParamPolynomial(self.context, out)
+                out[e2] = c * e[var]
+        return _normalized(self.context, out, self.content)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -350,14 +455,14 @@ class ParamPolynomial:
         vals = [QQ(0)] * len(self.context.names)
         for name, v in values.items():
             vals[idx[name]] = QQ(v)
-        total = QQ(0)
-        for e, c in self.terms.items():
+        total = 0
+        for e, c in self.coeffs.items():
             term = c
             for i, p in enumerate(e):
                 if p:
                     term *= vals[i] ** p
             total += term
-        return total
+        return self.content * total
 
     def substitute(self, mapping: Mapping[str, "ParamScalar"], target: ParameterContext) -> "ParamScalar":
         """Map each parameter to a scalar over `target` (identity if absent)."""
@@ -375,18 +480,18 @@ class ParamPolynomial:
             return cache[i]
 
         total = target.zero()
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             term = target.const(c)
             for i, p in enumerate(e):
                 if p:
                     term = term * (image(i) ** p)
             total = total + term
-        return total
+        return total * self.content
 
     # -- printing ---------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         names = self.context.names
         parts = []
@@ -439,16 +544,12 @@ def _pseudo_rem(a: ParamPolynomial, b: ParamPolynomial, var: int) -> ParamPolyno
     ub = b._univariate_in(var)
     lb = ub[db]
     rem = a
-    ctx = a.context
     while not rem.is_zero() and rem.degree_in(var) >= db:
         dr = rem.degree_in(var)
         ur = rem._univariate_in(var)
         lr = ur[dr]
         # rem <- lb*rem - lr * x^(dr-db) * b
-        shift_exp = [0] * len(ctx.names)
-        shift_exp[var] = dr - db
-        shift = ParamPolynomial(ctx, {tuple(shift_exp): QQ(1)})
-        rem = lb * rem - lr * shift * b
+        rem = lb * rem - (lr * b).shift_var(var, dr - db)
     return rem
 
 
@@ -459,9 +560,9 @@ class ParamScalar:
     == is structural equality.  All arithmetic stays exact.
 
     Multiplying by an int or Fraction q never builds a constant scalar: zero
-    gives zero, a rational scalar gives ``const``, and otherwise the result is
-    (q*num)/den without a gcd, which is still canonical because a nonzero q
-    changes neither gcd(num, den) nor the monic den.
+    gives zero, a rational scalar gives ``const``, and otherwise the result
+    scales the content of num only, which is still canonical because a
+    nonzero q changes neither gcd(num, den) nor the monic den.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -629,10 +730,10 @@ class ParamScalar:
         if self.den == self.context._poly_one:
             return str(self.num)
         num = str(self.num)
-        if len(self.num.terms) > 1 or "/" in num or "*" in num:
+        if len(self.num.coeffs) > 1 or "/" in num or "*" in num:
             num = "(%s)" % num
         den = str(self.den)
-        if len(self.den.terms) > 1 or "/" in den or "*" in den:
+        if len(self.den.coeffs) > 1 or "/" in den or "*" in den:
             den = "(%s)" % den
         return "%s/%s" % (num, den)
 
@@ -643,20 +744,18 @@ def _reduce(num: ParamPolynomial, den: ParamPolynomial):
     if num.is_zero():
         return num, num.context._poly_one
     if den.is_constant():
-        c = den.constant_value()
-        return num * (1 / c), num.context._poly_one
-    if num.is_constant():
-        _, lc = den.leading()
-        return num * (1 / lc), den * (1 / lc)
-    g = num.gcd(den)
-    if not g.is_constant():
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    if den.is_constant():
-        c = den.constant_value()
-        return num * (1 / c), num.context._poly_one
-    _, lc = den.leading()
-    return num * (1 / lc), den * (1 / lc)
+        if den.content == 1:
+            return num, den.context._poly_one
+        return num * (1 / den.content), num.context._poly_one
+    if not num.is_constant():
+        g = num.gcd(den)
+        if not g.is_constant():
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        if den.is_constant():
+            return num * (1 / den.content), num.context._poly_one
+    monic = den.monic()
+    return num * (monic.content / den.content), monic
 
 
 def random_specialize(

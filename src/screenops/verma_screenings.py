@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .scalars import QQ, ParameterContext, ParamScalar
+from .scalars import ParameterContext, ParamScalar
 from .kacmoody import CartanData, VermaModule, VermaVector, br
 from .forms import Connection, FnValue, LaurentForm, TotalComplex, _in_window, _scalar_is_zero
 
@@ -235,12 +235,10 @@ def _collect_constraints(scalar: ParamScalar, names: Sequence[str]) -> dict:
     out: dict = {}
     for exp, val in scalar.num.terms.items():
         key = tuple(exp[i] for i in idx)
-        rest = list(exp)
-        for i in idx:
-            rest[i] = 0
-        mono = ParamScalar(
-            type(scalar.num)(ctx, {tuple(rest): QQ(1)}), ctx._poly_one, _reduced=True
-        )
+        mono = ctx.one()
+        for name, p in zip(ctx.names, exp):
+            if p and name not in names:
+                mono = mono * ctx.param(name) ** p
         out[key] = out.get(key, ctx.zero()) + val * mono
     den = scalar.den.constant_value()
     return {k: v * (1 / den) for k, v in out.items() if not v.is_zero()}

@@ -8,7 +8,9 @@ Each function recomputes something the package computes another way:
   commutation recursion, checked against ``VermaModule.e``;
 * ``positive_roots`` and ``pbw_dim`` -- weight-space dimensions from root
   multisets, checked against the Serre-quotient echelon basis;
-* ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``.
+* ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``;
+* ``poly_add``, ``poly_mul``, ... -- polynomial arithmetic on plain
+  ``{exponent: Fraction}`` dicts, checked against ``ParamPolynomial``.
 """
 
 from fractions import Fraction
@@ -177,3 +179,51 @@ def laurent_terms(coeff):
         z = tuple(exp[nbase + q] - coeff.zexp[q] for q in range(coeff.space.nvars))
         out[z] = out.get(z, Fraction(0)) + val / c0
     return {k: v for k, v in out.items() if v}
+
+
+# -- polynomials as {exponent: Fraction} ---------------------------------------------
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def poly_add(f, g, sign=1):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _nonzero(out)
+
+
+def poly_sub(f, g):
+    return poly_add(f, g, -1)
+
+
+def poly_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def poly_scale(f, q):
+    return _nonzero({e: c * q for e, c in f.items()})
+
+
+def poly_derivative(f, var):
+    out = {}
+    for e, c in f.items():
+        if e[var]:
+            e2 = e[:var] + (e[var] - 1,) + e[var + 1 :]
+            out[e2] = out.get(e2, Fraction(0)) + c * e[var]
+    return _nonzero(out)
+
+
+def poly_univariate_in(f, var):
+    """{degree in var: coefficient dict with var's exponent set to 0}."""
+    out = {}
+    for e, c in f.items():
+        out.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1 :]] = c
+    return out

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from screenops import fields
 from screenops.scalars import ParameterContext
-from screenops.fock import FockSpace, OscSpec, osc_apply
+from screenops.fock import FockSpace, OscSpec, is_annihilator, osc_apply
 from screenops.fields import (
     FieldExpr,
     UnsupportedPairingError,
@@ -339,3 +340,37 @@ class TestRender:
         assert result.render() == "2/(z-w)^2"
         reg = wick_ope(FieldExpr.field(ctx, "p", 0), FieldExpr.scalar(ctx, 1))
         assert reg.render() == "regular"
+
+
+class TestAnnihilatorPrefixes:
+    def test_each_prefix_applied_once(self, charged, monkeypatch):
+        ctx, F = charged
+        g, b = gamma_field(ctx), beta_field(ctx)
+        expr = (g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b
+        vec = osc_apply(("a", -2), osc_apply(("a", -1), osc_apply(("as", -1), F.vacuum())))
+        real_apply, real_assign = fields.osc_apply, fields._apply_assignment
+
+        def run():
+            applied = []
+
+            def spy(mode, v):
+                if is_annihilator(mode):
+                    applied.append((mode, frozenset(v.terms.items())))
+                return real_apply(mode, v)
+
+            monkeypatch.setattr(fields, "osc_apply", spy)
+            return apply_field_coeff(expr, 0, vec), applied
+
+        shared, applied = run()
+        assert applied and len(applied) == len(set(applied))
+        # each assignment from the bare source vector, with no shared prefixes
+        monkeypatch.setattr(
+            fields,
+            "_apply_assignment",
+            lambda modes, veps, tmu, lowered, target: real_assign(
+                modes, veps, tmu, {(): lowered[()]}, target
+            ),
+        )
+        unshared, repeated = run()
+        assert len(repeated) > len(set(repeated))
+        assert not shared.is_zero() and shared == unshared

@@ -1,12 +1,22 @@
 """Exact scalar field: canonical forms, field axioms, substitution."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    poly_add,
+    poly_derivative,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    poly_univariate_in,
+)
 from screenops.scalars import (
     ParameterContext,
+    ParamPolynomial,
     ParamScalar,
     PoleError,
     _reduce,
@@ -257,3 +267,76 @@ class TestPolynomialKernelOracle:
         assert sympy.gcd(num_s, den_s).is_number
         want = sympy.cancel(_poly_to_sympy(num_in, sympy) / _poly_to_sympy(den_in, sympy))
         assert sympy.cancel(num_s / den_s - want) == 0
+
+
+_EXPS = st.tuples(*(st.integers(0, 2) for _ in CTX.names))
+_COEFFS = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(max_denominator=12).filter(lambda q: abs(q) < 20),
+)
+# polynomials from rational term maps, and from scalar arithmetic
+_RAW_POLYS = st.one_of(
+    st.dictionaries(_EXPS, _COEFFS, max_size=5).map(lambda t: ParamPolynomial(CTX, t)),
+    _POLYS,
+)
+
+
+def _assert_canonical(p):
+    """Integer part with gcd 1 and a positive lex-greatest coefficient."""
+    assert all(type(c) is int for c in p.coeffs.values())
+    assert type(p.content) is Fraction
+    if p.is_zero():
+        assert p.coeffs == {} and p.content == 0
+    else:
+        assert p.content != 0 and 0 not in p.coeffs.values()
+        assert math.gcd(*p.coeffs.values()) == 1
+        assert p.coeffs[max(p.coeffs)] > 0
+    again = ParamPolynomial(CTX, p.terms)
+    assert again == p and hash(again) == hash(p)
+
+
+class TestIntegerKernelAgainstReference:
+    """Every operation's rational view against plain {exponent: Fraction} arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_RAW_POLYS, _RAW_POLYS)
+    def test_ring_operations(self, f, g):
+        for got, want in (
+            (f + g, poly_add(f.terms, g.terms)),
+            (f - g, poly_sub(f.terms, g.terms)),
+            (f * g, poly_mul(f.terms, g.terms)),
+            (f + f, poly_add(f.terms, f.terms)),
+            (f - f, {}),
+        ):
+            _assert_canonical(got)
+            assert got.terms == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RAW_POLYS, _COEFFS)
+    def test_scaling_and_negation(self, f, q):
+        for got, want in ((f * q, poly_scale(f.terms, q)), (q * f, poly_scale(f.terms, q)),
+                          (-f, poly_scale(f.terms, -1))):
+            _assert_canonical(got)
+            assert got.terms == want
+        if q:
+            got = f.exact_div(CTX.poly_const(q))
+            _assert_canonical(got)
+            assert got.terms == poly_scale(f.terms, 1 / Fraction(q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RAW_POLYS, st.integers(0, len(CTX.names) - 1))
+    def test_derivative_and_univariate_view(self, f, var):
+        got = f.derivative(CTX.names[var])
+        _assert_canonical(got)
+        assert got.terms == poly_derivative(f.terms, var)
+        view = f._univariate_in(var)
+        for part in view.values():
+            _assert_canonical(part)
+        assert {d: part.terms for d, part in view.items()} == poly_univariate_in(f.terms, var)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RAW_POLYS, _RAW_POLYS.filter(lambda p: not p.is_zero()))
+    def test_exact_quotient_is_canonical(self, f, g):
+        q = (f * g).exact_div(g)
+        _assert_canonical(q)
+        assert q.terms == f.terms
