@@ -35,7 +35,6 @@ __all__ = [
     "random_specialize",
 ]
 
-_ZERO = QQ(0)
 _ONE = QQ(1)
 
 
@@ -57,7 +56,7 @@ class ParameterContext:
         self._zero_exp = (0,) * len(names)
         # integer part of every constant polynomial; shared, never mutated
         self._unit = {self._zero_exp: 1}
-        self._poly_zero = _make(self, {}, _ZERO)
+        self._poly_zero = _make(self, {}, QQ(0))
         self._poly_one = _make(self, self._unit, _ONE)
         self._zero = ParamScalar(self._poly_zero, self._poly_one, _reduced=True)
         self._one = ParamScalar(self._poly_one, self._poly_one, _reduced=True)
@@ -165,7 +164,7 @@ class ParamPolynomial:
 
     def __init__(self, context: ParameterContext, terms: Mapping[tuple, RationalLike]):
         terms = {e: QQ(c) for e, c in terms.items() if c}
-        den = math.lcm(*(c.denominator for c in terms.values())) if terms else 1
+        den = math.lcm(*(c.denominator for c in terms.values()))
         ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
         p = _normalized(context, ints, QQ(1, den))
         self.context = context
