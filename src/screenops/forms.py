@@ -607,7 +607,7 @@ class LaurentForm:
                     e = list(exps)
                     e[q] += k
                     key = (subset[:pos] + subset[pos + 1 :], tuple(e))
-                    add = ((-1) ** pos) * (coeff * value)
+                    add = (coeff if pos % 2 == 0 else -coeff) * value
                     out[key] = out[key] + add if key in out else add
                 if not out:
                     continue
@@ -798,8 +798,8 @@ class TotalComplex:
         return out
 
 
-def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement], twist: bool = True) -> LaurentForm:
-    """i_{x_1} ... i_{x_a} omega, optionally with the parity twist (-1)^(a(a+1)/2).
+def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement]) -> LaurentForm:
+    """i_{x_1} ... i_{x_a} omega with the parity twist (-1)^(a(a+1)/2).
 
     The twist aligns the contraction-assembled components with the global
     total-differential convention d' + (-1)^m d''.
@@ -808,7 +808,7 @@ def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement], twist
     for field in reversed(fields):
         out = out.contract(field)
     a = len(fields)
-    if twist and ((a * (a + 1)) // 2) % 2:
+    if ((a * (a + 1)) // 2) % 2:
         out = -1 * out
     return out
 

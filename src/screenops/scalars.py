@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _ONE = QQ(1)
+_SPECIALIZE_BOUND = 10**6
+_MAX_REDRAWS = 64
 
 
 class PoleError(ZeroDivisionError):
@@ -761,23 +763,24 @@ def random_specialize(
     scalars: Iterable[ParamScalar],
     context: ParameterContext,
     seed: int = 0,
-    bound: int = 10**6,
-    max_redraws: int = 64,
 ) -> tuple[dict, list]:
     """Draw integer parameter values avoiding every denominator's zero set.
 
     Returns (assignment, evaluated Fractions) for the given scalars.  The
     Schwartz-Zippel bound makes a false zero at random integer points in
-    [-bound, bound] overwhelmingly unlikely; pole hits redraw up to
-    `max_redraws` times before raising PoleError.
+    [-_SPECIALIZE_BOUND, _SPECIALIZE_BOUND] overwhelmingly unlikely; pole
+    hits redraw up to _MAX_REDRAWS times before raising PoleError.
     """
     scalars = list(scalars)
     rng = random.Random(seed)
-    for _ in range(max_redraws):
-        assignment = {name: rng.randint(-bound, bound) for name in context.names}
+    for _ in range(_MAX_REDRAWS):
+        assignment = {
+            name: rng.randint(-_SPECIALIZE_BOUND, _SPECIALIZE_BOUND)
+            for name in context.names
+        }
         try:
             values = [s.evaluate(assignment) for s in scalars]
         except PoleError:
             continue
         return assignment, values
-    raise PoleError("could not avoid poles after %d redraws" % max_redraws)
+    raise PoleError("could not avoid poles after %d redraws" % _MAX_REDRAWS)

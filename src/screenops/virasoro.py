@@ -837,7 +837,7 @@ class VertexScreeningCochains(TotalComplex):
 
     def component(self, xs: Sequence) -> FnValue:
         xs = list(xs)
-        return FnValue(lambda u: contraction_cochain(self.top_form(u), xs, twist=True))
+        return FnValue(lambda u: contraction_cochain(self.top_form(u), xs))
 
     # the stress modes act alike on both ends of the cochain
     act_target = act_source = stress

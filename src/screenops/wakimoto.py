@@ -39,6 +39,7 @@ from .fock import (
     ModeOperator,
     OscSpec,
     commutator_blocks,
+    monomial_energy,
     osc_apply,
 )
 from .forms import (
@@ -46,9 +47,11 @@ from .forms import (
     FnValue,
     LaurentForm,
     TotalComplex,
+    WittElement,
+    contraction_cochain,
 )
 from .scalars import ParameterContext, ParamScalar
-from .virasoro import normal_multi_vertex
+from .virasoro import multi_vertex_form
 
 __all__ = [
     "AffineParams",
@@ -188,9 +191,9 @@ class WakimotoModule:
     def mode(self, name: str, n: int) -> ModeOperator:
         return mode_of_field(self.current(name), n, self.space)
 
-    def screened(self, slots: int = 1) -> "WakimotoModule":
-        """Module reached by ``slots`` screening applications."""
-        return WakimotoModule(self.params, self.chi - self.params.ctx.scalar(2 * slots))
+    def screened(self) -> "WakimotoModule":
+        """Module reached by one screening application."""
+        return WakimotoModule(self.params, self.chi - self.params.ctx.scalar(2))
 
     def __repr__(self):
         return "WakimotoModule(chi=%s, nu=%s)" % (self.chi, self.params.nu)
@@ -737,7 +740,7 @@ def verify_screening_regularity(mode_max: int = 5) -> list:
 
     # typing: one screening coefficient shifts the boson label by 1/nu,
     # i.e. it lands in the module whose weight label dropped by 2
-    shifted = WakimotoModule(params, module.chi - ctx.scalar(2))
+    shifted = module.screened()
     results.append(
         passed(
             "screen-typing",
@@ -1005,11 +1008,19 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
 class ScreeningCochains(TotalComplex):
     """Total cocycle rows for multi-slot screening products.
 
-    The top component is the joint normal-ordered product of ``slots``
-    screening currents, held as a Laurent form whose values are exact Fock
-    vectors; depth-a components substitute companion fields into a of the
-    slots (consuming those slots' differentials) with alternating position
-    signs and the parity twist (-1)^(a(a+1)/2).  Rows of the total
+    Assembled like ``virasoro.VertexScreeningCochains``: the top form of the
+    local system is the joint normal-ordered product of ``slots`` screening
+    vertices V[label_shift](z_q) dz_q (``multi_vertex_form``), and the
+    depth-a component contracts a Witt elements into it
+    (``contraction_cochain``, with its position signs and parity twist).
+    Each loop element maps to sum c e_{n-1} over its F<n> terms, since
+    contracting dz_q with e_{n-1} = -z^n d/dz substitutes the companion of
+    F<n> (a multiple of the same vertex) into slot q; the raising and Cartan
+    generators have no companion.  The slots that keep dz then take the
+    charged prefactor -beta(z_q) of the screening current, and the
+    substituted ones the scalar of the companion image.  A loop shift n may
+    read the vertex at most ``mode_bound`` exponents past what the charged
+    prefactor reads; a lower n raises "window exceeded".  Rows of the total
     differential combine the Koszul differential of the current action with
     the pair-cleared twisted de Rham differential (one twist exponent per
     slot, one pair weight per slot pair).
@@ -1023,6 +1034,8 @@ class ScreeningCochains(TotalComplex):
         include_pairs: bool = True,
         mode_bound: int = 2,
     ):
+        if slots < 1:
+            raise ValueError("a screening cochain needs at least one slot, got %d" % slots)
         self.data = data
         self.ctx = data.ctx
         self.slots = self.depth = slots
@@ -1044,159 +1057,91 @@ class ScreeningCochains(TotalComplex):
         half = window_halfwidth
         self.window = tuple((-half, half) for _ in range(slots))
         self._image_scale = self._vertex_multiple(data.image("F"))
-        self._nmv_cache: dict = {}
-        self._form_cache: dict = {}
+        self._tops: dict = {}
 
     def _vertex_multiple(self, expr: FieldExpr) -> ParamScalar:
         """The scalar c with expr = c * V[label_shift]; rejects anything else."""
         terms = [(key, c) for key, c in expr.terms.items() if not c.is_zero()]
-        if len(terms) != 1:
-            raise ValueError(
-                "cocycle assembly needs companion images proportional to "
-                "the screening vertex"
-            )
-        (mu, factors), coeff = terms[0]
-        if factors or mu is None or not (mu - self.data.label_shift).is_zero():
-            raise ValueError(
-                "cocycle assembly needs companion images proportional to "
-                "the screening vertex"
-            )
-        return coeff
-
-    # -- slot-pattern materialization ------------------------------------------
-
-    def _vec_key(self, u: FockVector):
-        return (u.space.alpha, tuple(sorted(u.terms.items(), key=lambda kv: kv[0])))
-
-    def _nmv(self, u: FockVector):
-        key = self._vec_key(u)
-        got = self._nmv_cache.get(key)
-        if got is None:
-            bound = u.energy_bound()
-            hi = max(h for _, h in self.window)
-            vwin = tuple(
-                (-bound, hi + bound + 1 + self.mode_bound) for _ in range(self.slots)
-            )
-            form = normal_multi_vertex(
-                (self.data.label_shift,) * self.slots, u, vwin
-            )
-            got = (form, vwin, bound)
-            self._nmv_cache[key] = got
-        return got
-
-    def _pattern_form_terms(self, pattern, u: FockVector):
-        """Terms dict for one slot pattern applied to u.
-
-        pattern[q] is None for a screening slot (charged prefactor, keeps
-        its differential) or an integer loop shift for a substituted slot
-        (companion vertex, differential consumed).
-        """
-        nmv, vwin, bound = self._nmv(u)
-        zero = FockVector(self.target, {})
-        screen_slots = [q for q, c in enumerate(pattern) if c is None]
-        subset = tuple(screen_slots)
-        base = self.ctx.one()
-        if len(screen_slots) % 2:
-            base = QQ(-1) * base
-        for q, c in enumerate(pattern):
-            if c is not None:
-                base = base * self._image_scale
-
-        terms = {}
-        ranges = [range(lo, hi + 1) for lo, hi in self.window]
-        for exps in itertools.product(*ranges):
-            vexp = [0] * self.slots
-            dead = False
-            for q, c in enumerate(pattern):
-                if c is None:
-                    continue
-                v = exps[q] - c
-                if v < -bound:
-                    dead = True
-                    break
-                if v > vwin[q][1]:
-                    raise ValueError(
-                        "window exceeded: loop shift %d pushes slot %d past "
-                        "the materialized exponent window" % (c, q)
-                    )
-                vexp[q] = v
-            if dead:
-                continue
-
-            value = zero
-
-            def accumulate(i, coeff):
-                nonlocal value
-                if i == len(screen_slots):
-                    entry = nmv.terms.get(((), tuple(vexp)))
-                    if entry is None:
-                        return
-                    moved = entry
-                    for q in screen_slots:
-                        moved = osc_apply(("a", vexp[q] - exps[q] - 1), moved)
-                        if moved.is_zero():
-                            return
-                    value = value + coeff * FockVector(self.target, moved.terms)
-                    return
-                q = screen_slots[i]
-                for m in range(-bound - exps[q] - 1, bound + 1):
-                    vexp[q] = exps[q] + m + 1
-                    accumulate(i + 1, coeff)
-                vexp[q] = 0
-
-            accumulate(0, base)
-            if not value.is_zero():
-                terms[(subset, exps)] = value
-        return terms
-
-    def _materialize(self, entries, u: FockVector) -> LaurentForm:
-        # materialization is linear in u, so cache per unit monomial: moved
-        # probes reuse the expensive slot products of their constituents
-        total: dict = {}
-        for mon, cmon in u.terms.items():
-            for coeff, pattern in entries:
-                key = (pattern, mon)
-                cached = self._form_cache.get(key)
-                if cached is None:
-                    unit = FockVector(self.source, {mon: self.ctx.one()})
-                    cached = self._pattern_form_terms(pattern, unit)
-                    self._form_cache[key] = cached
-                scale = coeff * cmon
-                for term_key, value in cached.items():
-                    add = scale * value
-                    total[term_key] = (
-                        total[term_key] + add if term_key in total else add
-                    )
-        return LaurentForm(self.slots, total, self.window)
+        if len(terms) == 1:
+            (mu, factors), coeff = terms[0]
+            if not factors and mu is not None and (mu - self.data.label_shift).is_zero():
+                return coeff
+        raise ValueError(
+            "cocycle assembly needs companion images proportional to the screening vertex"
+        )
 
     # -- components -------------------------------------------------------------
 
-    def _contract_entries(self, entries, x: LoopElement):
-        out = []
-        for coeff, pattern in entries:
-            active = [q for q, c in enumerate(pattern) if c is None]
-            for pos, q in enumerate(active):
-                sign = QQ(-1) if pos % 2 else QQ(1)
-                for key, c in x.terms.items():
-                    if key == "c" or key[0] != "F":
-                        continue  # only the lowering generator has an image
-                    new = list(pattern)
-                    new[q] = key[1]
-                    # substitution itself carries a minus sign
-                    out.append(((QQ(-1) * sign * c) * coeff, tuple(new)))
-        return out
+    def _unit_component(self, fields: list, mon) -> dict:
+        """Terms of the depth-len(fields) component on one unit monomial.
+
+        The unit's vertex top form is cached and built as far as the rows
+        read it: the charged prefactor reads exponents up to hi + bound + 1,
+        and a contraction with e_{n-1} up to hi - n, at most mode_bound
+        further.
+        """
+        bound = monomial_energy(mon)
+        lo, hi = self.window[0]
+        shift = min((n + 1 for f in fields for n in f.coeffs), default=0)
+        if shift < -(bound + 1 + self.mode_bound):
+            raise ValueError(
+                "window exceeded: loop shift %d pushes a slot past the "
+                "materialized exponent window" % shift
+            )
+        reach = max(hi + bound + 1, hi - shift)
+        omega = self._tops.get(mon)
+        if omega is None or omega.window[0][1] < reach:
+            unit = FockVector(self.source, {mon: self.ctx.one()})
+            window = ((-bound, reach),) * self.slots
+            omega = multi_vertex_form((self.data.label_shift,) * self.slots, unit, window)
+            self._tops[mon] = omega
+        # beta(z_q) = sum_m a_m z_q^(-m-1) on every slot that keeps dz (its
+        # sign is in component); a_m with m past the energy bound kills the unit
+        terms: dict = {}
+        for (subset, exps), value in contraction_cochain(omega, fields).terms.items():
+            if any(not lo <= e <= hi for q, e in enumerate(exps) if q not in subset):
+                continue
+            partial = [(exps, value)]
+            for q in subset:
+                partial = [
+                    (e[:q] + (e[q] - m - 1,) + e[q + 1:], moved)
+                    for e, w in partial
+                    for m in range(e[q] - 1 - hi, min(e[q] - 1 - lo, bound) + 1)
+                    for moved in (osc_apply(("a", m), w),)
+                    if not moved.is_zero()
+                ]
+            for e, w in partial:
+                key = (subset, e)
+                terms[key] = terms[key] + w if key in terms else w
+        return terms
+
+    def _witt(self, x: LoopElement) -> WittElement:
+        """sum c e_{n-1} over the F<n> terms of x, with Fraction c when rational."""
+        return WittElement({
+            key[1] - 1: c.as_fraction() if c.is_rational() else c
+            for key, c in x.terms.items()
+            if key != "c" and key[0] == "F"
+        })
 
     def component(self, xs: Sequence) -> FnValue:
-        entries = [(self.ctx.one(), (None,) * self.slots)]
-        for x in reversed(list(xs)):
-            entries = self._contract_entries(entries, x)
-        a = len(list(xs))
-        if ((a * (a + 1)) // 2) % 2:
-            entries = [((QQ(-1)) * c, pat) for c, pat in entries]
-        return FnValue(lambda u: self._materialize(entries, u))
+        fields = [self._witt(x) for x in xs]
+        a = len(fields)
+        sign = QQ(-1) ** (self.slots - a)
+        scale = sign * self._image_scale ** a
+
+        def fn(u: FockVector) -> LaurentForm:
+            total: dict = {}
+            for mon, cmon in u.terms.items():
+                c = scale * cmon
+                for key, value in self._unit_component(fields, mon).items():
+                    add = FockVector(self.target, (c * value).terms)
+                    total[key] = total[key] + add if key in total else add
+            return LaurentForm(self.slots, total, self.window)
+
+        return FnValue(fn)
 
     def top(self, u: FockVector) -> LaurentForm:
-        return self._materialize([(self.ctx.one(), (None,) * self.slots)], u)
+        return self.component([])(u)
 
     def act_target(self, x: LoopElement, v: FockVector) -> FockVector:
         return self.act_tgt.apply_element(x, v)

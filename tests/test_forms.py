@@ -445,8 +445,8 @@ class TestCochainAssembly:
         ctx = ParameterContext(())
         omega = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)}, ((-5, 5),))
         tau = WittElement.basis(1)  # contraction inserts -z^2
-        plain = contraction_cochain(omega, [tau], twist=False)
-        twisted = contraction_cochain(omega, [tau], twist=True)
+        plain = omega.contract(tau)
+        twisted = contraction_cochain(omega, [tau])
         assert plain.nonzero_terms()[0][2].as_fraction() == Fraction(-1)
         assert twisted.nonzero_terms()[0][2].as_fraction() == Fraction(1)
         # depth 3: twist is +1, so plain and twisted agree on a nonzero value
@@ -456,8 +456,10 @@ class TestCochainAssembly:
             ((-5, 5),) * 3,
         )
         fields = [WittElement.basis(n) for n in (0, 1, 2)]
-        a = contraction_cochain(omega3, fields, twist=False)
-        b = contraction_cochain(omega3, fields, twist=True)
+        a = omega3
+        for field in reversed(fields):
+            a = a.contract(field)
+        b = contraction_cochain(omega3, fields)
         assert not a.is_zero()
         assert (a - b).is_zero()
 

@@ -313,6 +313,45 @@ class TestCochainWindows:
         assert not fam.top(vac).is_zero()
         assert fam.residual([LoopElement.basis(ctx, "F", 1)], vac).is_zero()
 
+    def test_slots_below_one_rejected(self):
+        data = screening_ops(AffineParams.generic())
+        with pytest.raises(ValueError, match="at least one slot"):
+            ScreeningCochains(data, 0)
+
+
+class TestCochainValues:
+    def test_one_slot_components_match_field_coefficients(self):
+        """Top and depth-one values against the plain coefficient families.
+
+        The top form at z^e is the screening coefficient S(e), and the
+        F<n> component at z^e the companion coefficient G(e - n).
+        """
+        params = AffineParams.generic()
+        ctx = params.ctx
+        data = screening_ops(params)
+        fam = ScreeningCochains(data, 1, window_halfwidth=2)
+        vac = fam.source.vacuum()
+        probes = [
+            vac,
+            osc_apply(("as", -1), vac),
+            osc_apply(("b", -1), osc_apply(("a", -1), vac)),
+        ]
+        zero = fam.target.zero()
+        nonzero = 0
+        for u in probes:
+            top = fam.top(u).terms
+            for e in range(-2, 3):
+                want = apply_field_coeff(data.screen, e, u)
+                assert top.get(((0,), (e,)), zero) == want
+                nonzero += not want.is_zero()
+            for n in (-1, 0, 1):
+                comp = fam.component([LoopElement.basis(ctx, "F", n)])(u).terms
+                for e in range(-2, 3):
+                    want = apply_field_coeff(data.image("F"), e - n, u)
+                    assert comp.get(((), (e,)), zero) == want
+                    nonzero += not want.is_zero()
+        assert nonzero > 20
+
 
 def _word(name, n=0):
     return ("gen", name, n)
