@@ -7,17 +7,19 @@ content times a primitive integer part: a dict from exponent vectors to
 Python ints with gcd 1 whose coefficient at the lexicographically greatest
 exponent is positive.  That form is unique, and by Gauss's lemma a product
 of primitive parts is primitive, so products run on ints alone and scaling by
-a rational touches only the content.  Rational functions keep a gcd-reduced
+a rational touches only the content.  Rational functions keep a coprime
 numerator/denominator pair with a monic denominator (graded-lex leading
 coefficient 1), so equality is literal equality of those parts and
-"residual == 0" is meaningful without any numeric tolerance.
+"residual == 0" is meaningful without any numeric tolerance.  Reduction
+first cancels the common parameter monomial by shifting exponents, and
+runs the multivariate gcd only when the denominator left is not a monomial;
+the batteries' denominators are monomials, so they never reach the gcd.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Union
@@ -32,12 +34,9 @@ __all__ = [
     "ParamPolynomial",
     "ParamScalar",
     "PoleError",
-    "random_specialize",
 ]
 
 _ONE = QQ(1)
-_SPECIALIZE_BOUND = 10**6
-_MAX_REDRAWS = 64
 
 
 class PoleError(ZeroDivisionError):
@@ -558,7 +557,10 @@ class ParamScalar:
     """Element of Q(params): reduced fraction of ParamPolynomials.
 
     Canonical form: gcd(num, den) == 1 and den monic in graded-lex order, so
-    == is structural equality.  All arithmetic stays exact.
+    == is structural equality.  All arithmetic stays exact.  ``_reduce``
+    reaches that form by cancelling the common parameter monomial first and
+    taking a polynomial gcd only when the den left is not a monomial; the
+    form does not depend on that order.
 
     Multiplying by an int or Fraction q never builds a constant scalar: zero
     gives zero, a rational scalar gives ``const``, and otherwise the result
@@ -742,45 +744,32 @@ class ParamScalar:
 
 
 def _reduce(num: ParamPolynomial, den: ParamPolynomial):
+    """The canonical pair for num/den: coprime, with den monic.
+
+    A constant den only rescales num.  Otherwise the common parameter
+    monomial (the componentwise minimum of every exponent of num and den)
+    is cancelled first, as an exponent shift with no division.  Each
+    parameter is prime in Q[params], so gcd(x^a f, x^b g) = x^min(a, b)
+    gcd(f, g), and ``gcd`` runs only when the den left has more than one
+    term and num is not constant.  The pair is the one a gcd of the inputs
+    gives, so every value, hash and printed form is the same either way.
+    """
     if num.is_zero():
         return num, num.context._poly_one
     if den.is_constant():
         if den.content == 1:
             return num, den.context._poly_one
         return num * (1 / den.content), num.context._poly_one
-    if not num.is_constant():
+    for var, k in enumerate(map(min, *num.coeffs, *den.coeffs)):
+        if k:
+            num, den = num.shift_var(var, -k), den.shift_var(var, -k)
+    if len(den.coeffs) > 1 and not num.is_constant():
         g = num.gcd(den)
         if not g.is_constant():
             num = num.exact_div(g)
             den = den.exact_div(g)
-        if den.is_constant():
-            return num * (1 / den.content), num.context._poly_one
+    if den.is_constant():
+        return num * (1 / den.content), num.context._poly_one
     monic = den.monic()
     return num * (monic.content / den.content), monic
 
-
-def random_specialize(
-    scalars: Iterable[ParamScalar],
-    context: ParameterContext,
-    seed: int = 0,
-) -> tuple[dict, list]:
-    """Draw integer parameter values avoiding every denominator's zero set.
-
-    Returns (assignment, evaluated Fractions) for the given scalars.  The
-    Schwartz-Zippel bound makes a false zero at random integer points in
-    [-_SPECIALIZE_BOUND, _SPECIALIZE_BOUND] overwhelmingly unlikely; pole
-    hits redraw up to _MAX_REDRAWS times before raising PoleError.
-    """
-    scalars = list(scalars)
-    rng = random.Random(seed)
-    for _ in range(_MAX_REDRAWS):
-        assignment = {
-            name: rng.randint(-_SPECIALIZE_BOUND, _SPECIALIZE_BOUND)
-            for name in context.names
-        }
-        try:
-            values = [s.evaluate(assignment) for s in scalars]
-        except PoleError:
-            continue
-        return assignment, values
-    raise PoleError("could not avoid poles after %d redraws" % _MAX_REDRAWS)

@@ -10,13 +10,17 @@ Each function recomputes something the package computes another way:
   multisets, checked against the Serre-quotient echelon basis;
 * ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``;
 * ``poly_add``, ``poly_mul``, ... -- polynomial arithmetic on plain
-  ``{exponent: Fraction}`` dicts, checked against ``ParamPolynomial``.
+  ``{exponent: Fraction}`` dicts, checked against ``ParamPolynomial``;
+* ``random_specialize`` -- scalars evaluated at random integer points,
+  checked against their unreduced numerators and denominators.
 """
 
+import random
 from fractions import Fraction
 
 from screenops.fock import is_annihilator, osc_apply
 from screenops.kacmoody import VermaVector, _word_depth
+from screenops.scalars import PoleError
 
 
 # -- oscillator words -----------------------------------------------------------------
@@ -227,3 +231,32 @@ def poly_univariate_in(f, var):
     for e, c in f.items():
         out.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1 :]] = c
     return out
+
+
+# -- specialization -------------------------------------------------------------------
+
+_SPECIALIZE_BOUND = 10**6
+_MAX_REDRAWS = 64
+
+
+def random_specialize(scalars, context, seed=0):
+    """Draw integer parameter values avoiding every denominator's zero set.
+
+    Returns (assignment, evaluated Fractions) for the given scalars.  The
+    Schwartz-Zippel bound makes a false zero at random integer points in
+    [-_SPECIALIZE_BOUND, _SPECIALIZE_BOUND] overwhelmingly unlikely; pole
+    hits redraw up to _MAX_REDRAWS times before raising PoleError.
+    """
+    scalars = list(scalars)
+    rng = random.Random(seed)
+    for _ in range(_MAX_REDRAWS):
+        assignment = {
+            name: rng.randint(-_SPECIALIZE_BOUND, _SPECIALIZE_BOUND)
+            for name in context.names
+        }
+        try:
+            values = [s.evaluate(assignment) for s in scalars]
+        except PoleError:
+            continue
+        return assignment, values
+    raise PoleError("could not avoid poles after %d redraws" % _MAX_REDRAWS)

@@ -13,6 +13,7 @@ from oracles import (
     poly_scale,
     poly_sub,
     poly_univariate_in,
+    random_specialize,
 )
 from screenops.scalars import (
     ParameterContext,
@@ -20,7 +21,6 @@ from screenops.scalars import (
     ParamScalar,
     PoleError,
     _reduce,
-    random_specialize,
 )
 
 CTX = ParameterContext(["a", "b", "c"])
@@ -222,6 +222,15 @@ def _is_monic(p) -> bool:
     return p.leading()[1] == 1
 
 
+_SHIFTS = st.tuples(*(st.integers(0, 3) for _ in CTX.names))
+_NONZERO_COEFFS = st.integers(-6, 6).filter(bool)
+_MONOMIALS = st.tuples(_SHIFTS, _NONZERO_COEFFS).map(lambda t: ParamPolynomial(CTX, {t[0]: t[1]}))
+# at least two terms, so the gcd stage runs on what the monomial step leaves
+_MULTI_TERM = st.dictionaries(_SHIFTS, _NONZERO_COEFFS, min_size=2, max_size=4).map(
+    lambda t: ParamPolynomial(CTX, t)
+)
+
+
 class TestPolynomialKernelOracle:
     """exact_div, gcd and _reduce checked against sympy's polynomial routines."""
 
@@ -267,6 +276,29 @@ class TestPolynomialKernelOracle:
         assert sympy.gcd(num_s, den_s).is_number
         want = sympy.cancel(_poly_to_sympy(num_in, sympy) / _poly_to_sympy(den_in, sympy))
         assert sympy.cancel(num_s / den_s - want) == 0
+
+    @pytest.mark.parametrize("monomial_g", [True, False], ids=["monomial-g", "multi-term-g"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_monomial_step_matches_sympy_cancel(self, monomial_g, data):
+        sympy = pytest.importorskip("sympy")
+        f = data.draw(_POLYS)
+        g = data.draw(_MONOMIALS if monomial_g else _MULTI_TERM)
+        common = data.draw(_NONZERO_POLYS)
+        a, b = data.draw(_SHIFTS), data.draw(_SHIFTS)
+        x_a, x_b = ParamPolynomial(CTX, {a: 1}), ParamPolynomial(CTX, {b: 1})
+        num_in, den_in = x_a * f * common, x_b * g * common
+        num, den = _reduce(num_in, den_in)
+        # both parts are polynomials, den is monic, and they are coprime
+        assert all(k >= 0 for p in (num, den) for e in p.coeffs for k in e)
+        assert _is_monic(den)
+        num_s, den_s = _poly_to_sympy(num, sympy), _poly_to_sympy(den, sympy)
+        assert sympy.gcd(num_s, den_s).is_number
+        want = sympy.cancel(_poly_to_sympy(num_in, sympy) / _poly_to_sympy(den_in, sympy))
+        assert sympy.cancel(num_s / den_s - want) == 0
+        # a monomial g leaves a monic monomial den
+        if monomial_g:
+            assert len(den.coeffs) == 1 and den.content == 1
 
 
 _EXPS = st.tuples(*(st.integers(0, 2) for _ in CTX.names))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from screenops.scalars import ParameterContext
+from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
 from screenops.fock import monomial_charge, monomial_energy, osc_apply
 from screenops.wakimoto import (
@@ -419,6 +419,27 @@ class TestBatteries:
 
     def test_screened_current_brackets(self):
         _all_green(verify_screened_current_brackets())
+
+    def test_screened_current_brackets_never_take_a_gcd(self, monkeypatch):
+        # every denominator here is a power of nu, which the monomial step
+        # of scalar reduction cancels without a polynomial gcd
+        calls = []
+        gcd = ParamPolynomial.gcd
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(ParamPolynomial, "gcd", counting_gcd)
+        results = verify_screened_current_brackets()
+        assert calls == []
+        assert [(r.check_id, r.status) for r in results] == [
+            ("screened-residues", "PASS"),
+            ("screened-pole-shape", "PASS"),
+            ("screened-bracket-ope", "PASS"),
+            ("screened-bracket-modes", "PASS"),
+            ("screened-wrong-structure", "EXPECTED-FAIL"),
+        ]
 
     def test_screening_cocycle_one_slot(self):
         results = screening_cocycle(1)
