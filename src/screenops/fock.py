@@ -381,58 +381,6 @@ class ModeOperator:
             raise ValueError("vector lives over %r, operator expects %r" % (vec.space, self.source))
         return self.fn(vec)
 
-    # -- algebra -------------------------------------------------------------
-
-    def _require_same_shape(self, other: "ModeOperator"):
-        if (
-            self.source != other.source
-            or self.target != other.target
-            or self.energy_shift != other.energy_shift
-            or self.charge_shift != other.charge_shift
-        ):
-            raise ValueError("mode operators have different shapes")
-
-    def __add__(self, other: "ModeOperator") -> "ModeOperator":
-        self._require_same_shape(other)
-        return ModeOperator(
-            lambda v: self.fn(v) + other.fn(v),
-            self.source,
-            self.target,
-            self.energy_shift,
-            self.charge_shift,
-        )
-
-    def __sub__(self, other: "ModeOperator") -> "ModeOperator":
-        self._require_same_shape(other)
-        return ModeOperator(
-            lambda v: self.fn(v) - other.fn(v),
-            self.source,
-            self.target,
-            self.energy_shift,
-            self.charge_shift,
-        )
-
-    def __rmul__(self, scalar) -> "ModeOperator":
-        return ModeOperator(
-            lambda v: scalar * self.fn(v),
-            self.source,
-            self.target,
-            self.energy_shift,
-            self.charge_shift,
-        )
-
-    def then(self, other: "ModeOperator") -> "ModeOperator":
-        """Composition ``other after self``; degree shifts add."""
-        if self.target != other.source:
-            raise ValueError("composition spaces do not match")
-        return ModeOperator(
-            lambda v: other.fn(self.fn(v)),
-            self.source,
-            other.target,
-            self.energy_shift + other.energy_shift,
-            self.charge_shift + other.charge_shift,
-        )
-
     # -- exact block matrices ----------------------------------------------------
 
     def matrix(self, energy: int, charge: int = 0):
@@ -483,4 +431,10 @@ def commutator_blocks(a: ModeOperator, b: ModeOperator, energy: int, charge: int
     """
     if a.source != b.source or a.target != b.target or a.source != a.target:
         raise ValueError("commutator needs endomorphisms of one space")
-    return (b.then(a) - a.then(b)).matrix(energy, charge)
+    return ModeOperator(
+        lambda v: a.fn(b.fn(v)) - b.fn(a.fn(v)),
+        a.source,
+        a.target,
+        a.energy_shift + b.energy_shift,
+        a.charge_shift + b.charge_shift,
+    ).matrix(energy, charge)

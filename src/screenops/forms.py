@@ -41,10 +41,8 @@ __all__ = [
     "WittElement",
     "cleared_d",
     "clear_pairs",
-    "FnValue",
     "koszul_value",
     "TotalComplex",
-    "one_var_twisted_cohomology",
     "contraction_cochain",
 ]
 
@@ -694,41 +692,18 @@ def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
     return _apply_delta(form, conn.active_pairs())
 
 
-class FnValue:
-    """Function-valued cochain value with pointwise linear structure.
-
-    Wraps `argument -> value` so operator-valued cochains can flow through
-    `koszul_value` without materializing matrices; evaluate on test vectors
-    at the end.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, arg):
-        return self.fn(arg)
-
-    def __add__(self, other: "FnValue") -> "FnValue":
-        return FnValue(lambda arg: self.fn(arg) + other.fn(arg))
-
-    def __rmul__(self, scalar) -> "FnValue":
-        return FnValue(lambda arg: scalar * self.fn(arg))
-
-
 def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callable):
     """Koszul differential of the cochain phi evaluated on xs.
 
-    phi maps a list of Lie elements to a value; action(x, value) is the
-    module action; bracket(x, y) the Lie bracket.  Signs follow the standard
-    convention with the bracket argument placed first.
+    phi maps a list of Lie elements to a value; action(x, rest) is the module
+    action of x on the value phi(rest); bracket(x, y) the Lie bracket.  Signs
+    follow the standard convention with the bracket argument placed first.
     """
     total = None
     n = len(xs)
     for p in range(n):
         rest = list(xs[:p]) + list(xs[p + 1 :])
-        t = action(xs[p], phi(rest))
+        t = action(xs[p], rest)
         if p % 2:
             t = -1 * t
         total = t if total is None else total + t
@@ -745,8 +720,8 @@ def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callabl
 class TotalComplex:
     """Rows of the total differential d' + (-1)^m d'' on a cochain family.
 
-    A family supplies ``component(xs)`` (the depth-len(xs) component as an
-    ``FnValue`` on source vectors), the module actions ``act_target(x, v)``
+    A family supplies ``component(xs, u)`` (the depth-len(xs) component
+    evaluated on the source vector u), the module actions ``act_target(x, v)``
     on values and ``act_source(x, u)`` on arguments, ``bracket(x, y)``, a
     ``connection`` and the number ``depth`` of slots.  The row at m elements
     is d' (the Koszul differential of the depth m-1 component) plus (-1)^m
@@ -771,24 +746,23 @@ class TotalComplex:
         """Target action after the residue minus the residue after the source action."""
         return self.act_target(x, self.residue(u)) - self.residue(self.act_source(x, u))
 
-    def _action(self, x, value: FnValue) -> FnValue:
-        def fn(u):
-            moved = value(u).map_values(lambda v: self.act_target(x, v))
-            return moved - value(self.act_source(x, u))
-
-        return FnValue(fn)
-
     def residual(self, xs: Sequence, u) -> LaurentForm:
         """The total-differential row at the elements xs on the vector u."""
         xs = list(xs)
         m = len(xs)
         if m == 0:
-            out = cleared_d(self.component([])(u), self.connection)
+            out = cleared_d(self.component([], u), self.connection)
         else:
-            dprime = koszul_value(self.component, xs, action=self._action, bracket=self.bracket)
-            out = clear_pairs(dprime(u), self.connection)
+            def action(x, ys):
+                moved = self.component(ys, u).map_values(lambda v: self.act_target(x, v))
+                return moved - self.component(ys, self.act_source(x, u))
+
+            dprime = koszul_value(
+                lambda ys: self.component(ys, u), xs, action=action, bracket=self.bracket
+            )
+            out = clear_pairs(dprime, self.connection)
             if m <= self.depth:
-                second = cleared_d(self.component(xs)(u), self.connection)
+                second = cleared_d(self.component(xs, u), self.connection)
                 out = out - second if m % 2 else out + second
         if out.window_is_empty():
             raise ValueError(
@@ -812,19 +786,3 @@ def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement]) -> La
         out = -1 * out
     return out
 
-
-def one_var_twisted_cohomology(kappa, window: tuple) -> dict:
-    """Cohomology of d f = f' dz + kappa f dz/z on span(z^k : lo <= k <= hi).
-
-    In the basis z^k -> (k + kappa) z^k dz/z the differential is diagonal, so
-    H^0 and H^1 are read off from the vanishing multipliers.
-    """
-    lo, hi = window
-    kernel = []
-    for k in range(lo, hi + 1):
-        mult = kappa + k
-        if _scalar_is_zero(mult):
-            kernel.append(k)
-    h0 = ["z^%d" % k for k in kernel]
-    h1 = ["z^%d dz/z" % k for k in kernel]
-    return {"h0_dim": len(h0), "h1_dim": len(h1), "h0_basis": h0, "h1_basis": h1}

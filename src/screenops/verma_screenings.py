@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .scalars import ParameterContext, ParamScalar
 from .kacmoody import CartanData, VermaModule, VermaVector, br
-from .forms import Connection, FnValue, LaurentForm, TotalComplex, _in_window, _scalar_is_zero
+from .forms import Connection, LaurentForm, TotalComplex, _in_window, _scalar_is_zero
 
 __all__ = [
     "ToyModule",
@@ -340,12 +340,11 @@ class ReflectionCochains(TotalComplex):
 
     # -- cochain evaluation ---------------------------------------------------
 
-    def evaluate(self, xs: Sequence, u: VermaVector, mode_max: int | None = None) -> LaurentForm:
+    def component(self, xs: Sequence, u: VermaVector) -> LaurentForm:
         """The depth-len(xs) component applied to the test vector u."""
-        N = self.mode_max if mode_max is None else mode_max
         a = self.a
         m = len(xs)
-        window = tuple((-N, None) for _ in range(a))
+        window = tuple((-self.mode_max, None) for _ in range(a))
         terms: dict = {}
         for ps in itertools.combinations(range(1, a + 1), m):
             base_sign = (-1) ** _sgn_positions(ps)
@@ -353,10 +352,10 @@ class ReflectionCochains(TotalComplex):
             for sigma in itertools.permutations(range(m)):
                 sign = base_sign * _perm_sign(sigma)
                 slot_tree = {ps[j]: xs[sigma[j]] for j in range(m)}
-                self._thread(terms, dz_subset, slot_tree, u, sign, N)
+                self._thread(terms, dz_subset, slot_tree, u, sign)
         return LaurentForm(a, terms, window)
 
-    def _thread(self, terms, dz_subset, slot_tree, u, sign, N):
+    def _thread(self, terms, dz_subset, slot_tree, u, sign):
         a = self.a
         exps = [0] * a
 
@@ -370,7 +369,7 @@ class ReflectionCochains(TotalComplex):
                 return
             fam = self.slots[p - 1]
             tree = slot_tree.get(p)
-            for n in range(N + 1):
+            for n in range(self.mode_max + 1):
                 if tree is None:
                     exps[p - 1] = -n - 1
                     rec(p - 1, fam.apply(n, vec))
@@ -380,9 +379,6 @@ class ReflectionCochains(TotalComplex):
             exps[p - 1] = 0
 
         rec(a, u)
-
-    def component(self, xs: Sequence) -> FnValue:
-        return FnValue(lambda u: self.evaluate(list(xs), u))
 
     # -- total-complex data -----------------------------------------------------
 

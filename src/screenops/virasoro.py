@@ -38,7 +38,6 @@ from .fock import (
 )
 from .forms import (
     Connection,
-    FnValue,
     LaurentForm,
     TotalComplex,
     WittElement,
@@ -798,9 +797,13 @@ class VertexScreeningCochains(TotalComplex):
         window_halfwidth: int = 4,
         include_pairs: bool = True,
     ):
+        if slots < 1:
+            raise ValueError("a screening cochain needs at least one slot, got %d" % slots)
         self.ctx = ctx
         self.alpha = ctx.scalar(alpha)
         self.beta = ctx.scalar(beta)
+        if self.beta.is_zero():
+            raise ValueError("screening exponent beta must be nonzero")
         self.slots = self.depth = slots
         self.alpha0 = (self.beta * self.beta - ctx.one()) / (QQ(2) * self.beta)
         self.space = FockSpace(OscSpec(ctx), self.alpha)
@@ -835,9 +838,8 @@ class VertexScreeningCochains(TotalComplex):
             self._tops[key] = got
         return got
 
-    def component(self, xs: Sequence) -> FnValue:
-        xs = list(xs)
-        return FnValue(lambda u: contraction_cochain(self.top_form(u), xs))
+    def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
+        return contraction_cochain(self.top_form(u), xs)
 
     # the stress modes act alike on both ends of the cochain
     act_target = act_source = stress

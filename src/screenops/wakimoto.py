@@ -36,7 +36,6 @@ from .fields import (
 from .fock import (
     FockSpace,
     FockVector,
-    ModeOperator,
     OscSpec,
     commutator_blocks,
     monomial_energy,
@@ -44,7 +43,6 @@ from .fock import (
 )
 from .forms import (
     Connection,
-    FnValue,
     LaurentForm,
     TotalComplex,
     WittElement,
@@ -55,7 +53,6 @@ from .virasoro import multi_vertex_form
 
 __all__ = [
     "AffineParams",
-    "WakimotoModule",
     "LoopElement",
     "CurrentAction",
     "ScreeningData",
@@ -63,6 +60,7 @@ __all__ = [
     "wakimoto_current",
     "current_bracket",
     "current_pairing",
+    "wakimoto_space",
     "screening_ops",
     "verify_current_algebra",
     "screening_contraction_coefficients",
@@ -165,38 +163,16 @@ def current_pairing(params: AffineParams, x: str, y: str) -> ParamScalar:
     return c * params.level
 
 
-class WakimotoModule:
+def wakimoto_space(params: AffineParams, chi=None) -> FockSpace:
     """Charged-pair-plus-boson Fock module carrying the current action.
 
     The boson vacuum label is -chi/(2 nu), so the zero mode of the Cartan
-    current acts on the vacuum by chi.  One screening slot lowers chi by 2
-    (it translates the boson label by 1/nu).
+    current acts on the vacuum by chi (``params.chi`` by default).  One
+    screening slot lowers chi by 2 (it translates the boson label by 1/nu).
     """
-
-    __slots__ = ("params", "chi", "space")
-
-    def __init__(self, params: AffineParams, chi=None):
-        self.params = params
-        ctx = params.ctx
-        self.chi = params.chi if chi is None else ctx.scalar(chi)
-        label = (QQ(-1, 2) * self.chi) / params.nu
-        self.space = FockSpace(OscSpec(ctx, has_pair=True), label)
-
-    def vacuum(self) -> FockVector:
-        return self.space.vacuum()
-
-    def current(self, name: str) -> FieldExpr:
-        return wakimoto_current(name, self.params)
-
-    def mode(self, name: str, n: int) -> ModeOperator:
-        return mode_of_field(self.current(name), n, self.space)
-
-    def screened(self) -> "WakimotoModule":
-        """Module reached by one screening application."""
-        return WakimotoModule(self.params, self.chi - self.params.ctx.scalar(2))
-
-    def __repr__(self):
-        return "WakimotoModule(chi=%s, nu=%s)" % (self.chi, self.params.nu)
+    chi = params.chi if chi is None else params.ctx.scalar(chi)
+    label = (QQ(-1, 2) * chi) / params.nu
+    return FockSpace(OscSpec(params.ctx, has_pair=True), label)
 
 
 class LoopElement:
@@ -427,8 +403,8 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
     """
     params = params or AffineParams.generic()
     ctx = params.ctx
-    module = WakimotoModule(params)
-    act = CurrentAction(params, module.space)
+    space = wakimoto_space(params)
+    act = CurrentAction(params, space)
     results = []
 
     # contraction route: all ordered pairs
@@ -471,7 +447,7 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
         return "[%s<%d>, %s<%d>] on %s" % (x, n, y, m, _fmt(vec))
 
     pairs = [("E", "H"), ("E", "F"), ("H", "F"), ("E", "E"), ("H", "H"), ("F", "F")]
-    core = _core_probes(module.space)
+    core = _core_probes(space)
 
     # every (n, m) in the grid is exercised and cross-checked; the probe
     # rotates deterministically through the core list so each bracket hits
@@ -499,7 +475,7 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
         )
     )
 
-    deep = _deep_probes(module.space)
+    deep = _deep_probes(space)
     results.append(
         passed(
             "current-modes-deep",
@@ -533,11 +509,14 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
     def block_holds(x, y, n, m, energy, charge):
         elem = LoopElement.basis(ctx, x, n).bracket(LoopElement.basis(ctx, y, m))
         src, tgt, rows = commutator_blocks(
-            module.mode(x, n), module.mode(y, m), energy, charge
+            mode_of_field(wakimoto_current(x, params), n, space),
+            mode_of_field(wakimoto_current(y, params), m, space),
+            energy,
+            charge,
         )
         return all(
-            FockVector(module.space, {tgt[i]: rows[i][j] for i in range(len(tgt))})
-            == act.apply_element(elem, FockVector(module.space, {mon: ctx.one()}))
+            FockVector(space, {tgt[i]: rows[i][j] for i in range(len(tgt))})
+            == act.apply_element(elem, FockVector(space, {mon: ctx.one()}))
             for j, mon in enumerate(src)
         )
 
@@ -560,7 +539,7 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
         )
     )
 
-    vac = module.vacuum()
+    vac = space.vacuum()
     lhs = act.apply("E", 2, act.apply("F", -2, vac)) - act.apply(
         "F", -2, act.apply("E", 2, vac)
     )
@@ -707,10 +686,9 @@ def verify_screening_regularity(mode_max: int = 5) -> list:
     """
     params = AffineParams.generic()
     ctx = params.ctx
-    screened = _ScreenedAction(params)
-    data, module = screened.data, screened.module
-    act_src, act_tgt = screened.act_src, screened.act_tgt
-    target_space = act_tgt.space
+    fam = ScreeningCochains(screening_ops(params), 1)
+    data, source = fam.data, fam.source
+    act_src, act_tgt = fam.act_src, fam.act_tgt
     results = []
 
     f_expr = act_src.field("F")
@@ -740,24 +718,23 @@ def verify_screening_regularity(mode_max: int = 5) -> list:
 
     # typing: one screening coefficient shifts the boson label by 1/nu,
     # i.e. it lands in the module whose weight label dropped by 2
-    shifted = module.screened()
+    shifted = wakimoto_space(params, params.chi - ctx.scalar(2))
     results.append(
         passed(
             "screen-typing",
             "a screening coefficient lands in the module whose weight "
             "label dropped by two",
-            target_space == shifted.space
-            and apply_field_coeff(data.screen, 0, module.vacuum()).space
-            == shifted.space,
+            fam.target == shifted
+            and apply_field_coeff(data.screen, 0, source.vacuum()).space == shifted,
             "",
         )
     )
 
     tau = data.twist
-    vac = module.vacuum()
+    vac = source.vacuum()
     small = [
-        _unit(module.space, [("as", -1)]),
-        _unit(module.space, [("b", -1), ("a", -1)]),
+        _unit(source, [("as", -1)]),
+        _unit(source, [("b", -1), ("a", -1)]),
     ]
 
     coeff_cache: dict = {}
@@ -848,41 +825,33 @@ def verify_screening_regularity(mode_max: int = 5) -> list:
 # -- screened current brackets --------------------------------------------------------
 
 
-class _ScreenedAction:
-    """Current action on a module and on its one-slot screened target,
-    together with the companion family of the rank-one screening data."""
+def _companion_commutator(
+    fam: ScreeningCochains, word, image_of: LoopElement, s: int, vec: FockVector
+) -> FockVector:
+    """[word, companion(image_of)](s) vec for a bracket tree ``word``."""
+    moved = _word_apply(fam.act_tgt, word, fam.data.loop_image_coeff(image_of, s, vec))
+    back = fam.data.loop_image_coeff(image_of, s, _word_apply(fam.act_src, word, vec))
+    return moved - back
 
-    def __init__(self, params: AffineParams):
-        self.data = screening_ops(params)
-        self.module = WakimotoModule(params)
-        self.act_src = CurrentAction(params, self.module.space)
-        self.act_tgt = CurrentAction(
-            params, self.module.space.shifted(self.data.label_shift)
-        )
 
-    def commutator(self, word, image_of: LoopElement, s: int, vec: FockVector) -> FockVector:
-        """[word, companion(image_of)](s) vec for a bracket tree ``word``."""
-        moved = _word_apply(self.act_tgt, word, self.data.loop_image_coeff(image_of, s, vec))
-        back = self.data.loop_image_coeff(image_of, s, _word_apply(self.act_src, word, vec))
-        return moved - back
+def _descent_defect(fam: ScreeningCochains, word, s: int, vec: FockVector) -> FockVector:
+    """Inductive companion rule on the tree [W1, W2] minus the companion
+    family of its reduction: [W1, S(red W2)] - [W2, S(red W1)] - S(red [W1, W2])."""
+    _, w1, w2 = word
+    ctx = fam.ctx
+    lhs = _companion_commutator(fam, w1, _word_reduce(ctx, w2), s, vec) - _companion_commutator(
+        fam, w2, _word_reduce(ctx, w1), s, vec
+    )
+    return lhs - fam.data.loop_image_coeff(_word_reduce(ctx, word), s, vec)
 
-    def descent_defect(self, word, s: int, vec: FockVector) -> FockVector:
-        """Inductive companion rule on the tree [W1, W2] minus the companion
-        family of its reduction: [W1, S(red W2)] - [W2, S(red W1)] - S(red [W1, W2])."""
-        _, w1, w2 = word
-        ctx = self.data.ctx
-        lhs = self.commutator(w1, _word_reduce(ctx, w2), s, vec) - self.commutator(
-            w2, _word_reduce(ctx, w1), s, vec
-        )
-        return lhs - self.data.loop_image_coeff(_word_reduce(ctx, word), s, vec)
 
-    def wrong_structure_defect(self) -> FockVector:
-        """[H<0>, companion(F<0>)](0) on the vacuum against the companion of
-        [H, F] with the structure constant flipped from -2 to +2."""
-        f0 = LoopElement.basis(self.data.ctx, "F", 0)
-        vac = self.module.vacuum()
-        lhs = self.commutator(("gen", "H", 0), f0, 0, vac)
-        return lhs - QQ(2) * self.data.loop_image_coeff(f0, 0, vac)
+def _wrong_structure_defect(fam: ScreeningCochains) -> FockVector:
+    """[H<0>, companion(F<0>)](0) on the vacuum against the companion of
+    [H, F] with the structure constant flipped from -2 to +2."""
+    f0 = LoopElement.basis(fam.ctx, "F", 0)
+    vac = fam.source.vacuum()
+    lhs = _companion_commutator(fam, ("gen", "H", 0), f0, 0, vac)
+    return lhs - QQ(2) * fam.data.loop_image_coeff(f0, 0, vac)
 
 
 def _companion_opes(params: AffineParams, data: ScreeningData) -> dict:
@@ -911,8 +880,8 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
     """
     params = AffineParams.generic()
     ctx = params.ctx
-    screened = _ScreenedAction(params)
-    data = screened.data
+    fam = ScreeningCochains(screening_ops(params), 1)
+    data = fam.data
     results = []
 
     g = data.image("F")
@@ -965,7 +934,7 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
             for n in range(-mode_max, mode_max + 1)
             for m in range(-mode_max, mode_max + 1)]
     grid += [("E", 3, "F", -3), ("H", 3, "H", -3), ("F", 4, "E", -4)]
-    probes = [screened.module.vacuum(), _unit(screened.module.space, [("as", -1)])]
+    probes = [fam.source.vacuum(), _unit(fam.source, [("as", -1)])]
     results.append(
         passed(
             "screened-bracket-modes",
@@ -978,8 +947,8 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
                     for s in (-2, 0, 1)
                     for vec in probes
                 ),
-                lambda x, n, y, m, s, vec: screened.descent_defect(
-                    ("br", ("gen", x, n), ("gen", y, m)), s, vec
+                lambda x, n, y, m, s, vec: _descent_defect(
+                    fam, ("br", ("gen", x, n), ("gen", y, m)), s, vec
                 ).is_zero(),
                 lambda x, n, y, m, s, vec: (
                     "[%s<%d>, S(%s)] - [%s<%d>, S(%s)] at s=%d on %s"
@@ -989,7 +958,7 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
         )
     )
 
-    defect = screened.wrong_structure_defect()
+    defect = _wrong_structure_defect(fam)
     results.append(
         control(
             "screened-wrong-structure",
@@ -1008,9 +977,15 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
 class ScreeningCochains(TotalComplex):
     """Total cocycle rows for multi-slot screening products.
 
-    Assembled like ``virasoro.VertexScreeningCochains``: the top form of the
+    The source is ``wakimoto_space(data.params)`` and the target its
+    translate by ``slots`` label shifts, each with its ``CurrentAction``
+    (``act_src``, ``act_tgt``); the one-slot family is the module and its
+    screened partner for the single-screening batteries too.
+
+    ``component(xs, u)`` is assembled like
+    ``virasoro.VertexScreeningCochains``: the top form of the
     local system is the joint normal-ordered product of ``slots`` screening
-    vertices V[label_shift](z_q) dz_q (``multi_vertex_form``), and the
+    vertices V[label_shift](z_q) dz_q (``multi_vertex_form``) on u, and the
     depth-a component contracts a Witt elements into it
     (``contraction_cochain``, with its position signs and parity twist).
     Each loop element maps to sum c e_{n-1} over its F<n> terms, since
@@ -1041,8 +1016,7 @@ class ScreeningCochains(TotalComplex):
         self.slots = self.depth = slots
         self.mode_bound = mode_bound
         params = self.params = data.params
-        self.module = WakimotoModule(params)
-        self.source = self.module.space
+        self.source = wakimoto_space(params)
         total_shift = data.label_shift * self.ctx.scalar(slots)
         self.target = self.source.shifted(total_shift)
         self.act_src = CurrentAction(params, self.source)
@@ -1123,25 +1097,17 @@ class ScreeningCochains(TotalComplex):
             if key != "c" and key[0] == "F"
         })
 
-    def component(self, xs: Sequence) -> FnValue:
+    def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
         fields = [self._witt(x) for x in xs]
         a = len(fields)
-        sign = QQ(-1) ** (self.slots - a)
-        scale = sign * self._image_scale ** a
-
-        def fn(u: FockVector) -> LaurentForm:
-            total: dict = {}
-            for mon, cmon in u.terms.items():
-                c = scale * cmon
-                for key, value in self._unit_component(fields, mon).items():
-                    add = FockVector(self.target, (c * value).terms)
-                    total[key] = total[key] + add if key in total else add
-            return LaurentForm(self.slots, total, self.window)
-
-        return FnValue(fn)
-
-    def top(self, u: FockVector) -> LaurentForm:
-        return self.component([])(u)
+        scale = QQ(-1) ** (self.slots - a) * self._image_scale ** a
+        total: dict = {}
+        for mon, cmon in u.terms.items():
+            c = scale * cmon
+            for key, value in self._unit_component(fields, mon).items():
+                add = FockVector(self.target, (c * value).terms)
+                total[key] = total[key] + add if key in total else add
+        return LaurentForm(self.slots, total, self.window)
 
     def act_target(self, x: LoopElement, v: FockVector) -> FockVector:
         return self.act_tgt.apply_element(x, v)
@@ -1176,8 +1142,8 @@ def screening_cocycle(slots: int, window_halfwidth: int = 2, mode_max: int = 1) 
     vac = fam.source.vacuum()
     probes = [vac, _unit(fam.source, [("as", -1)])]
 
-    top = fam.top(vac)
-    comp = fam.component([LoopElement.basis(ctx, "F", 0)])(vac)
+    top = fam.component([], vac)
+    comp = fam.component([LoopElement.basis(ctx, "F", 0)], vac)
     results.append(
         passed(
             "cocycle-%d-nonvacuous" % slots,
@@ -1322,21 +1288,20 @@ def generic_extension_and_descent() -> list:
         br(gen("H", -1), br(gen("H", 1), gen("F"))),
     ]
 
-    def descent_cases(screened, words, probes_count=2, s_values=(-1, 0, 1)):
-        module = screened.module
-        probes = [module.vacuum(), _unit(module.space, [("as", -1)])][:probes_count]
+    def descent_cases(fam, words, probes_count=2, s_values=(-1, 0, 1)):
+        probes = [fam.source.vacuum(), _unit(fam.source, [("as", -1)])][:probes_count]
         for word in words:
             for s in s_values:
                 for vec in probes:
-                    yield screened, word, s, vec
+                    yield fam, word, s, vec
 
-    def descent_holds(screened, word, s, vec):
-        return screened.descent_defect(word, s, vec).is_zero()
+    def descent_holds(fam, word, s, vec):
+        return _descent_defect(fam, word, s, vec).is_zero()
 
-    def descent_witness(screened, word, s, vec):
+    def descent_witness(fam, word, s, vec):
         return "word %s at s=%d on %s" % (_word_render(word), s, _fmt(vec))
 
-    symbolic = _ScreenedAction(params)
+    symbolic = ScreeningCochains(screening_ops(params), 1)
     results.append(
         passed(
             "descent-tree-pairs",
@@ -1359,7 +1324,9 @@ def generic_extension_and_descent() -> list:
                     (chi,) + case
                     for chi in chis
                     for case in descent_cases(
-                        _ScreenedAction(AffineParams(ParameterContext(("nu",)), chi=chi)),
+                        ScreeningCochains(
+                            screening_ops(AffineParams(ParameterContext(("nu",)), chi=chi)), 1
+                        ),
                         word_pairs[:4],
                         probes_count=1,
                         s_values=(0, 1),
@@ -1386,7 +1353,7 @@ def generic_extension_and_descent() -> list:
         )
     )
 
-    defect = symbolic.wrong_structure_defect()
+    defect = _wrong_structure_defect(symbolic)
     results.append(
         control(
             "descent-wrong-reduction",

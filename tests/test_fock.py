@@ -223,19 +223,6 @@ class TestModeOperators:
         # memoized: same tuple object back
         assert op.matrix(1, 1) is op.matrix(1, 1)
 
-    def test_operator_arithmetic(self, boson):
-        ctx, spec, F = boson
-        bminus = oscillator_mode(("b", -1), F)
-        v = F.vacuum()
-        doubled = bminus + bminus
-        assert doubled.apply(v) == 2 * bminus.apply(v)
-        scaled = ctx.scalar(Fraction(1, 2)) * bminus
-        assert (doubled - bminus).apply(v) == bminus.apply(v)
-        assert 2 * scaled.apply(v) == bminus.apply(v)
-        composed = bminus.then(oscillator_mode(("b", 1), F))
-        assert composed.energy_shift == 0
-        assert composed.apply(v) == 2 * v
-
 
 class TestShiftOperator:
     def test_shift_commutes_with_creation_and_annihilation(self, boson):

@@ -23,7 +23,6 @@ from screenops.forms import (
     cleared_d,
     contraction_cochain,
     koszul_value,
-    one_var_twisted_cohomology,
 )
 
 from oracles import laurent_terms
@@ -271,7 +270,7 @@ class TestMultiContraction:
         lhs = koszul_value(
             cochain,
             fields,
-            action=lambda x, value: value.lie(x, conn),
+            action=lambda x, rest: cochain(rest).lie(x, conn),
             bracket=lambda x, y: x.bracket(y),
         )
         rhs = cochain(fields).d(conn)
@@ -290,7 +289,7 @@ class TestMultiContraction:
             return koszul_value(
                 one_cochain,
                 xs,
-                action=lambda x, v: v.lie(x, conn),
+                action=lambda x, rest: one_cochain(rest).lie(x, conn),
                 bracket=lambda x, y: x.bracket(y),
             )
 
@@ -298,7 +297,7 @@ class TestMultiContraction:
         out = koszul_value(
             two_cochain,
             fields,
-            action=lambda x, v: v.lie(x, conn),
+            action=lambda x, rest: two_cochain(rest).lie(x, conn),
             bracket=lambda x, y: x.bracket(y),
         )
         assert out.is_zero()
@@ -465,22 +464,6 @@ class TestCochainAssembly:
 
 
 class TestOneVariableCohomology:
-    def test_generic_exponent_is_acyclic(self):
-        ctx = ParameterContext(("k",))
-        out = one_var_twisted_cohomology(ctx.param("k"), (-4, 4))
-        assert out["h0_dim"] == 0 and out["h1_dim"] == 0
-
-    def test_integer_exponent_in_window(self):
-        ctx = ParameterContext(())
-        out = one_var_twisted_cohomology(ctx.scalar(-3), (0, 5))
-        assert out["h0_dim"] == 1 and out["h0_basis"] == ["z^3"]
-        assert out["h1_dim"] == 1 and out["h1_basis"] == ["z^3 dz/z"]
-
-    def test_integer_exponent_outside_window(self):
-        ctx = ParameterContext(())
-        out = one_var_twisted_cohomology(ctx.scalar(-7), (0, 5))
-        assert out["h0_dim"] == 0 and out["h1_dim"] == 0
-
     def test_kernel_witness_is_closed_in_laurent_layer(self):
         ctx = ParameterContext(())
         conn = Connection([Fraction(-3)])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from screenops.forms import Connection, LaurentForm, cleared_d, one_var_twisted_cohomology
+from screenops.forms import Connection, LaurentForm, cleared_d
 from screenops.kacmoody import CartanData, VermaModule, br, gen
 from screenops.scalars import ParameterContext
 from screenops.verma_screenings import (
@@ -254,8 +254,8 @@ class TestReflectionCochains:
         ctx = toy_ctx()
         rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         u = rc.source.vacuum()
-        plain = rc.evaluate([], u)
-        replaced = rc.evaluate([gen("e", 0)], u)
+        plain = rc.component([], u)
+        replaced = rc.component([gen("e", 0)], u)
         assert plain.nonzero_terms()
         assert replaced.nonzero_terms()
         # unreplaced slots carry dz and strictly negative exponents
@@ -266,10 +266,12 @@ class TestReflectionCochains:
 
     def test_window_stability_under_mode_cap(self):
         ctx = toy_ctx()
-        rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx)
-        u = rc.source.vacuum()
-        small = rc.evaluate([gen("e", 0)], u, mode_max=2)
-        large = rc.evaluate([gen("e", 0)], u, mode_max=4)
+        small_rc, large_rc = (
+            ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=cap)
+            for cap in (2, 4)
+        )
+        small = small_rc.component([gen("e", 0)], small_rc.source.vacuum())
+        large = large_rc.component([gen("e", 0)], large_rc.source.vacuum())
         for subset, exps, value in small.nonzero_terms():
             match = [v for s, e, v in large.nonzero_terms() if (s, e) == (subset, exps)]
             assert match and (match[0] - value).is_zero()
@@ -309,7 +311,7 @@ class TestReflectionCochains:
         u = rc.source.vacuum()
         # on the vacuum the slot for the first reflection only reacts to the
         # matching raising generator, so e_1 lights up both dz sectors
-        lf = rc.evaluate([gen("e", 1)], u)
+        lf = rc.component([gen("e", 1)], u)
         assert lf.nonzero_terms()
         subsets = {subset for subset, _, _ in lf.nonzero_terms()}
         assert subsets == {(0,), (1,)}
@@ -367,23 +369,16 @@ class TestResidueIntertwiner:
             (CartanData.sl3(), (Fraction(2), Fraction(1)), [0, 1], 2),
         ]
         for cd, hw, word, cap in cases:
-            rc = ReflectionCochains(cd, hw, word, ctx)
-            kappas = rc.residue_exponents()
+            kappas = ReflectionCochains(cd, hw, word, ctx).residue_exponents()
+            rc = ReflectionCochains(cd, hw, word, ctx, mode_max=max(kappas) + 1)
             nonzero = 0
             for u in _basis_up_to(rc.source, cap):
-                form = rc.evaluate([], u, mode_max=max(kappas) + 1)
+                form = rc.component([], u)
                 got = residue_functional(form, kappas)
                 want = rc.residue(u)
                 assert want.is_zero() if got is None else got == want
                 nonzero += not want.is_zero()
             assert nonzero
-
-    def test_distinguished_mode_is_cohomological(self):
-        # the surviving mode sits exactly where the one-variable twisted
-        # cohomology is nonzero: kappa + k = 0 at k = -3 for kappa = 3
-        coh = one_var_twisted_cohomology(3, (-5, -1))
-        assert coh["h0_dim"] == 1 and coh["h0_basis"] == ["z^-3"]
-        assert one_var_twisted_cohomology(Fraction(7, 2), (-5, -1))["h0_dim"] == 0
 
 
 class TestResidueFunctional:

@@ -306,6 +306,16 @@ class TestScreeningCochains:
         with pytest.raises(ValueError, match="window exceeded"):
             broken.residual([WittElement.basis(1)], broken.space.vacuum())
 
+    def test_slots_below_one_rejected(self):
+        ctx = ParameterContext(())
+        with pytest.raises(ValueError, match="at least one slot, got 0"):
+            VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 0)
+
+    def test_zero_screening_exponent_rejected(self):
+        ctx = ParameterContext(())
+        with pytest.raises(ValueError, match="screening exponent beta must be nonzero"):
+            VertexScreeningCochains(ctx, QQ(-2, 5), 0, 1)
+
 
 class TestResidueIntertwiner:
     def test_pair_power_expansion(self):

@@ -19,7 +19,6 @@ from screenops.wakimoto import (
     LoopElement,
     ScreeningCochains,
     ScreeningData,
-    WakimotoModule,
     _deep_probes,
     current_bracket,
     current_pairing,
@@ -31,6 +30,7 @@ from screenops.wakimoto import (
     verify_screened_current_brackets,
     verify_screening_regularity,
     wakimoto_current,
+    wakimoto_space,
 )
 
 QQ = Fraction
@@ -39,9 +39,9 @@ QQ = Fraction
 @pytest.fixture
 def setup():
     params = AffineParams.generic()
-    module = WakimotoModule(params)
-    act = CurrentAction(params, module.space)
-    return params, module, act
+    space = wakimoto_space(params)
+    act = CurrentAction(params, space)
+    return params, space, act
 
 
 class TestParams:
@@ -63,13 +63,13 @@ class TestParams:
 
 class TestHighestWeight:
     def test_cartan_eigenvalue(self, setup):
-        params, module, act = setup
-        vac = module.vacuum()
+        params, space, act = setup
+        vac = space.vacuum()
         assert act.apply("H", 0, vac) == params.chi * vac
 
     def test_annihilation_pattern(self, setup):
-        params, module, act = setup
-        vac = module.vacuum()
+        params, space, act = setup
+        vac = space.vacuum()
         for n in range(0, 4):
             assert act.apply("E", n, vac).is_zero()
         for n in range(1, 4):
@@ -80,30 +80,31 @@ class TestHighestWeight:
         # F<0> v: only the boson cross-term survives on the vacuum, whose
         # zero mode is the label eigenvalue; the image is -chi times the
         # charge raiser
-        params, module, act = setup
-        vac = module.vacuum()
+        params, space, act = setup
+        vac = space.vacuum()
         want = (QQ(-1) * params.chi) * osc_apply(("as", 0), vac)
         assert act.apply("F", 0, vac) == want
 
     def test_raise_after_lower_recovers_weight(self, setup):
-        params, module, act = setup
-        vac = module.vacuum()
+        params, space, act = setup
+        vac = space.vacuum()
         f0 = act.apply("F", 0, vac)
         assert act.apply("E", 0, f0) == params.chi * vac
         assert act.apply("E", 1, f0).is_zero()
 
     def test_screened_module_weight(self, setup):
-        params, module, act = setup
-        screened = module.screened()
-        assert (module.chi - screened.chi) == params.ctx.scalar(2)
-        sact = CurrentAction(params, screened.space)
+        params, space, act = setup
+        chi = params.chi - params.ctx.scalar(2)
+        screened = wakimoto_space(params, chi)
+        assert screened == space.shifted(params.ctx.one() / params.nu)
+        sact = CurrentAction(params, screened)
         svac = screened.vacuum()
-        assert sact.apply("H", 0, svac) == screened.chi * svac
+        assert sact.apply("H", 0, svac) == chi * svac
 
 
 class TestCurrentProducts:
     def test_cartan_double_pole(self, setup):
-        params, module, act = setup
+        params, space, act = setup
         ope = wick_ope(act.field("H"), act.field("H"))
         want = FieldExpr.scalar(params.ctx, QQ(2) * params.level)
         assert ope.max_order() == 2
@@ -111,24 +112,24 @@ class TestCurrentProducts:
         assert ope.pole(1).is_zero()
 
     def test_raising_lowering_product(self, setup):
-        params, module, act = setup
+        params, space, act = setup
         ope = wick_ope(act.field("E"), act.field("F"))
         assert ope.pole(2) == FieldExpr.scalar(params.ctx, params.level)
         assert ope.pole(1) == act.field("H")
 
     def test_cartan_moves_raising(self, setup):
-        params, module, act = setup
+        params, space, act = setup
         ope = wick_ope(act.field("H"), act.field("E"))
         assert ope.pole(2).is_zero()
         assert ope.pole(1) == QQ(2) * act.field("E")
 
     def test_nilpotent_directions_regular(self, setup):
-        params, module, act = setup
+        params, space, act = setup
         assert wick_ope(act.field("E"), act.field("E")).is_regular()
         assert wick_ope(act.field("F"), act.field("F")).is_regular()
 
     def test_pairing_and_bracket_tables(self, setup):
-        params, module, act = setup
+        params, space, act = setup
         ctx = params.ctx
         assert current_pairing(params, "H", "H") == QQ(2) * params.level
         assert current_pairing(params, "E", "F") == params.level
@@ -169,9 +170,9 @@ class TestLoopElements:
         assert x.bracket(z).is_zero()
 
     def test_central_term_in_module(self, setup):
-        params, module, act = setup
+        params, space, act = setup
         ctx = params.ctx
-        vac = module.vacuum()
+        vac = space.vacuum()
         lhs = act.apply("E", 1, act.apply("F", -1, vac)) - act.apply(
             "F", -1, act.apply("E", 1, vac)
         )
@@ -183,11 +184,11 @@ class TestScreeningTransport:
     def test_screen_coefficient_hand_value(self, setup):
         # S(0) v = -(charged creator) on the label-shifted vacuum: the
         # exponent-0 vertex coefficient is the bare label shift
-        params, module, act = setup
+        params, space, act = setup
         data = screening_ops(params)
-        vac = module.vacuum()
+        vac = space.vacuum()
         got = apply_field_coeff(data.screen, 0, vac)
-        shifted_vac = module.space.shifted(data.label_shift).vacuum()
+        shifted_vac = space.shifted(data.label_shift).vacuum()
         assert got == QQ(-1) * osc_apply(("a", -1), shifted_vac)
 
     def test_transport_hand_value(self, setup):
@@ -195,11 +196,11 @@ class TestScreeningTransport:
         # -chi times the charge raiser, and the single surviving charged
         # contraction gives [F<0>, S(-1)] v = chi * (shifted vacuum);
         # the transport scalar (s+1-chi/nu^2) times G(0) v agrees
-        params, module, act = setup
+        params, space, act = setup
         ctx = params.ctx
         data = screening_ops(params)
-        vac = module.vacuum()
-        tgt = module.space.shifted(data.label_shift)
+        vac = space.vacuum()
+        tgt = space.shifted(data.label_shift)
         act_tgt = CurrentAction(params, tgt)
 
         assert apply_field_coeff(data.screen, -1, vac).is_zero()
@@ -216,7 +217,7 @@ class TestScreeningTransport:
         # the lowering current against its own companion leaves twice the
         # charge-dressed companion (hand expansion: only the boson
         # cross-term contracts, with coefficient -nu * (-2/nu) = 2)
-        params, module, act = setup
+        params, space, act = setup
         ctx = params.ctx
         data = screening_ops(params)
         g = data.image("F")
@@ -230,10 +231,10 @@ class TestScreeningTransport:
         # a degree-n loop generator multiplies the companion family by the
         # n-th power of the variable: coefficient s of the shifted family
         # is coefficient s - n of the bare one
-        params, module, act = setup
+        params, space, act = setup
         ctx = params.ctx
         data = screening_ops(params)
-        vac = module.vacuum()
+        vac = space.vacuum()
         shifted = data.loop_image_coeff(LoopElement.basis(ctx, "F", 2), 3, vac)
         bare = apply_field_coeff(data.image("F"), 1, vac)
         assert shifted == bare
@@ -310,7 +311,7 @@ class TestCochainWindows:
         data = screening_ops(params)
         fam = ScreeningCochains(data, 1, window_halfwidth=3)
         vac = fam.source.vacuum()
-        assert not fam.top(vac).is_zero()
+        assert not fam.component([], vac).is_zero()
         assert fam.residual([LoopElement.basis(ctx, "F", 1)], vac).is_zero()
 
     def test_slots_below_one_rejected(self):
@@ -339,13 +340,13 @@ class TestCochainValues:
         zero = fam.target.zero()
         nonzero = 0
         for u in probes:
-            top = fam.top(u).terms
+            top = fam.component([], u).terms
             for e in range(-2, 3):
                 want = apply_field_coeff(data.screen, e, u)
                 assert top.get(((0,), (e,)), zero) == want
                 nonzero += not want.is_zero()
             for n in (-1, 0, 1):
-                comp = fam.component([LoopElement.basis(ctx, "F", n)])(u).terms
+                comp = fam.component([LoopElement.basis(ctx, "F", n)], u).terms
                 for e in range(-2, 3):
                     want = apply_field_coeff(data.image("F"), e - n, u)
                     assert comp.get(((), (e,)), zero) == want
@@ -375,9 +376,9 @@ class TestDescentHelpers:
     def test_word_application_matches_reduction(self, setup):
         from screenops.wakimoto import _word_apply, _word_reduce
 
-        params, module, act = setup
+        params, space, act = setup
         ctx = params.ctx
-        vac = module.vacuum()
+        vac = space.vacuum()
         word = _br(_word("H", 1), _word("F", -1))
         got = _word_apply(act, word, vac)
         want = act.apply_element(_word_reduce(ctx, word), vac)
@@ -402,7 +403,7 @@ class TestBatteries:
         _all_green(current_algebra)
 
     def test_deep_anchor_states_probe_reach(self, current_algebra):
-        space = WakimotoModule(AffineParams.generic()).space
+        space = wakimoto_space(AffineParams.generic())
         mons = [mon for vec in _deep_probes(space) for mon in vec.terms]
         energy = max(monomial_energy(mon) for mon in mons)
         charge = max(abs(monomial_charge(mon)) for mon in mons)
