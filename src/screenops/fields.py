@@ -280,18 +280,6 @@ def p_field(ctx: ParameterContext) -> FieldExpr:
     return FieldExpr.field(ctx, "p")
 
 
-def beta_field(ctx: ParameterContext) -> FieldExpr:
-    return FieldExpr.field(ctx, "beta")
-
-
-def gamma_field(ctx: ParameterContext) -> FieldExpr:
-    return FieldExpr.field(ctx, "gamma")
-
-
-def vertex_field(ctx: ParameterContext, mu) -> FieldExpr:
-    return FieldExpr.vertex(ctx, mu)
-
-
 def stress_tensor(ctx: ParameterContext, alpha0) -> FieldExpr:
     """Quarter of the squared boson derivative, minus alpha0 times its slope."""
     p = p_field(ctx)

@@ -178,9 +178,6 @@ class FockSpace:
             self._block_cache[key] = cached
         return cached
 
-    def block_dim(self, energy: int, charge: int = 0) -> int:
-        return len(self.block_basis(energy, charge))
-
     def _enumerate_block(self, energy: int, charge: int):
         if energy < 0:
             return
@@ -271,16 +268,6 @@ class FockVector:
     def energy_bound(self) -> int:
         """Largest monomial energy present (0 for the zero vector)."""
         return max((monomial_energy(m) for m in self.terms), default=0)
-
-    def blocks(self) -> dict[tuple[int, int], "FockVector"]:
-        out: dict[tuple[int, int], dict] = {}
-        for mon, c in self.terms.items():
-            key = (monomial_energy(mon), monomial_charge(mon))
-            out.setdefault(key, {})[mon] = c
-        return {k: FockVector(self.space, t) for k, t in out.items()}
-
-    def coefficient(self, mon: Sequence[Mode]) -> ParamScalar:
-        return self.terms.get(_sorted_monomial(mon), self.space.ctx.zero())
 
     def __repr__(self):
         if not self.terms:
@@ -411,17 +398,6 @@ class ModeOperator:
         cached = (src, tgt, rows)
         self._blocks[key] = cached
         return cached
-
-
-def oscillator_mode(mode: Mode, space: FockSpace) -> ModeOperator:
-    """The single oscillator ``mode`` as a ModeOperator on ``space``."""
-    return ModeOperator(
-        lambda v: osc_apply(mode, v),
-        space,
-        space,
-        mode_energy(mode),
-        mode_charge(mode),
-    )
 
 
 def commutator_blocks(a: ModeOperator, b: ModeOperator, energy: int, charge: int = 0):

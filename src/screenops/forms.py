@@ -46,10 +46,6 @@ __all__ = [
     "contraction_cochain",
 ]
 
-_NEG_INF = None
-_POS_INF = None
-
-
 class Connection:
     """Log-derivative connection sum(k_q dz_q/z_q) + sum(k_qj (dz_q-dz_j)/(z_q-z_j))."""
 
@@ -497,45 +493,36 @@ class WittElement:
 
 
 def _win_intersect(w1, w2):
-    out = []
-    for (a1, b1), (a2, b2) in zip(w1, w2):
-        lo = a1 if a2 is _NEG_INF else (a2 if a1 is _NEG_INF else max(a1, a2))
-        hi = b1 if b2 is _POS_INF else (b2 if b1 is _POS_INF else min(b1, b2))
-        out.append((lo, hi))
-    return tuple(out)
+    return tuple((max(a1, a2), min(b1, b2)) for (a1, b1), (a2, b2) in zip(w1, w2))
 
 
 def _win_shift(window, q, delta):
     out = list(window)
     lo, hi = out[q]
-    out[q] = (lo if lo is _NEG_INF else lo + delta, hi if hi is _POS_INF else hi + delta)
+    out[q] = (lo + delta, hi + delta)
     return tuple(out)
 
 
 def _in_window(exps, window) -> bool:
-    for e, (lo, hi) in zip(exps, window):
-        if lo is not _NEG_INF and e < lo:
-            return False
-        if hi is not _POS_INF and e > hi:
-            return False
-    return True
+    return all(lo <= e <= hi for e, (lo, hi) in zip(exps, window))
 
 
 class LaurentForm:
-    """dict[(dz-subset, exponent tuple) -> value] with validity windows."""
+    """dict[(dz-subset, exponent tuple) -> value] with validity windows.
+
+    The window holds one finite (lo, hi) exponent range per variable.
+    """
 
     __slots__ = ("nvars", "terms", "window")
 
-    def __init__(self, nvars: int, terms: dict | None = None, window=None):
+    def __init__(self, nvars: int, terms: dict, window):
         self.nvars = nvars
         self.terms = {}
-        for (subset, exps), value in (terms or {}).items():
+        for (subset, exps), value in terms.items():
             if value is None or _value_is_zero(value):
                 continue
             self.terms[(tuple(subset), tuple(exps))] = value
-        self.window = (
-            tuple(window) if window is not None else tuple((_NEG_INF, _POS_INF) for _ in range(nvars))
-        )
+        self.window = tuple(window)
 
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         out = dict(self.terms)
@@ -624,10 +611,7 @@ class LaurentForm:
         return not self.nonzero_terms()
 
     def window_is_empty(self) -> bool:
-        for lo, hi in self.window:
-            if lo is not _NEG_INF and hi is not _POS_INF and lo > hi:
-                return True
-        return False
+        return any(lo > hi for lo, hi in self.window)
 
 
 def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
@@ -731,12 +715,12 @@ class TotalComplex:
     product Delta (``clear_pairs``, the identity without pairs) before the
     two are added.  Every row is expected to vanish inside its window.
 
-    A family also supplies ``residue(u)``: the iterated residue of its top
-    component on u at the connection's integral exponents, a map from
-    source vectors to target vectors that raises ``ValueError`` when the
-    exponents are not integral.  At integral exponents the residue of the
-    exact part vanishes, so the residue is an intertwiner:
-    ``intertwining_defect`` is expected to vanish.
+    A family that supplies ``residue(u)`` gets ``intertwining_defect``.  The
+    residue is the iterated residue of the top component on u at the
+    connection's integral exponents, a map from source vectors to target
+    vectors that raises ``ValueError`` when the exponents are not integral.
+    At integral exponents the residue of the exact part vanishes, so the
+    residue is an intertwiner: ``intertwining_defect`` is expected to vanish.
     """
 
     def bracket(self, x, y):

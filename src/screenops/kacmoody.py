@@ -387,9 +387,6 @@ class VermaModule:
         one = self.ctx.one()
         return [VermaVector(self, {tuple(depth): {w: one}}) for w in ws.basis_words]
 
-    def dim(self, depth: Depth) -> int:
-        return weight_space(self.cd, depth).dim
-
     def h_eigenvalue(self, i: int, depth: Depth) -> ParamScalar:
         """H_i on the depth slice: <H_i, lam - rho> minus the root shifts."""
         shift = sum(self.cd.a(i, j) * depth[j] for j in range(self.cd.rank))
@@ -478,15 +475,17 @@ class VermaModule:
 
     def from_words(self, combo: dict) -> VermaVector:
         """Vector from a {word: scalar} map (normal-formed per degree)."""
-        reduced = _reduce_full(self.cd, {w: self.ctx.scalar(c) for w, c in combo.items()})
+        return self._from_reduced(
+            _reduce_full(self.cd, {w: self.ctx.scalar(c) for w, c in combo.items()})
+        )
+
+    def _from_reduced(self, reduced: dict) -> VermaVector:
         out: dict = {}
         for w, c in reduced.items():
             out.setdefault(_word_depth(w, self.cd.rank), {})[w] = c
         return VermaVector(self, out)
 
     def apply_derivation(self, i: int, vec: VermaVector) -> VermaVector:
-        out = self.zero()
-        for depth, part in vec.comps.items():
-            reduced = partial_derivation(self.cd, i, dict(part))
-            out = out + self.from_words(reduced)
-        return out
+        # a word fixes its depth, so the parts merge into one map
+        words = {w: c for part in vec.comps.values() for w, c in part.items()}
+        return self._from_reduced(partial_derivation(self.cd, i, words))

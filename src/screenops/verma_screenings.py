@@ -2,10 +2,6 @@
 
 Layers:
 
-* a rank-one toy model with explicit closed formulas (oracle for the general
-  machinery), including the uniqueness scan that pins down the screening
-  eigenvalue and companion coefficients;
-
 * the general construction ``x v -> x F_i^n v`` between a module and its
   reflected-weight partner, with companion maps per Lie-algebra element and
   the mode-wise commutation law ``[X, V_n] = (kappa - n) V_n(X)``;
@@ -23,15 +19,11 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .scalars import ParameterContext, ParamScalar
+from .scalars import ParameterContext
 from .kacmoody import CartanData, VermaModule, VermaVector, br
-from .forms import Connection, LaurentForm, TotalComplex, _in_window, _scalar_is_zero
+from .forms import Connection, LaurentForm, TotalComplex, _in_window
 
 __all__ = [
-    "ToyModule",
-    "ToyVector",
-    "ToyScreening",
-    "toy_uniqueness_scan",
     "ScreeningFamily",
     "ReflectionCochains",
     "residue_functional",
@@ -39,217 +31,17 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# rank-one toy layer: explicit formulas on the basis F^a v
-
-
-class ToyVector:
-    """Finitely supported map exponent -> scalar over a fixed module."""
-
-    __slots__ = ("module", "comps")
-
-    def __init__(self, module: "ToyModule", comps: dict):
-        self.module = module
-        self.comps = {a: c for a, c in comps.items() if not _scalar_is_zero(c)}
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ToyVector)
-            and self.module is other.module
-            and (self - other).is_zero()
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "ToyVector") -> "ToyVector":
-        out = dict(self.comps)
-        for a, c in other.comps.items():
-            out[a] = out.get(a, 0) + c
-        return ToyVector(self.module, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return ToyVector(self.module, {a: scalar * c for a, c in self.comps.items()})
-
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join("(%s)*F^%d v" % (c, a) for a, c in sorted(self.comps.items()))
-
-    __repr__ = __str__
-
-
-class ToyModule:
-    """Rank-one highest-weight module: H v = mu v, E F^a v = a(mu - a + 1) F^(a-1) v."""
-
-    def __init__(self, ctx: ParameterContext, mu):
-        self.ctx = ctx
-        self.mu = ctx.scalar(mu)
-
-    def zero(self) -> ToyVector:
-        return ToyVector(self, {})
-
-    def vacuum(self) -> ToyVector:
-        return ToyVector(self, {0: self.ctx.one()})
-
-    def basis(self, a_max: int) -> list:
-        return [ToyVector(self, {a: self.ctx.one()}) for a in range(a_max + 1)]
-
-    def e(self, vec: ToyVector) -> ToyVector:
-        out = {}
-        for a, c in vec.comps.items():
-            if a >= 1:
-                out[a - 1] = c * (a * (self.mu - (a - 1)))
-        return ToyVector(self, out)
-
-    def h(self, vec: ToyVector) -> ToyVector:
-        return ToyVector(self, {a: c * (self.mu - 2 * a) for a, c in vec.comps.items()})
-
-    def f(self, vec: ToyVector) -> ToyVector:
-        return ToyVector(self, {a + 1: c for a, c in vec.comps.items()})
-
-    def act(self, tree, vec: ToyVector) -> ToyVector:
-        kind = tree[0]
-        if kind == "br":
-            _, x, y = tree
-            return self.act(x, self.act(y, vec)) - self.act(y, self.act(x, vec))
-        if kind == "e":
-            return self.e(vec)
-        if kind == "h":
-            return self.h(vec)
-        return self.f(vec)
-
-
-class ModeFamily:
-    """Mode operators V_n: source -> target with companion families V_n(X).
-
-    Subclasses supply the ``target`` and ``source`` modules (each with
-    ``act(tree, vec)``), the modes ``apply(n, vec)``, the companion of a
-    single generator ``_generator_companion(tree, n, vec)`` and the
-    eigenvalue ``kappa`` of the commutation law [X, V_n] = (kappa - n) V_n(X).
-    Companions of bracket trees follow from the generators' by induction.
-    """
-
-    def companion(self, tree, n: int, vec):
-        if tree[0] == "br":
-            _, x, y = tree
-            return self._bracket_with(x, y, n, vec) - self._bracket_with(y, x, n, vec)
-        return self._generator_companion(tree, n, vec)
-
-    def _bracket_with(self, x, y, n: int, vec):
-        inner = self.companion(y, n, vec)
-        return self.target.act(x, inner) - self.companion(y, n, self.source.act(x, vec))
-
-    def commutator(self, tree, n: int, vec):
-        return self.target.act(tree, self.apply(n, vec)) - self.apply(n, self.source.act(tree, vec))
-
-    def commutation_defect(self, tree, n: int, vec):
-        return self.commutator(tree, n, vec) - (self.kappa - n) * self.companion(tree, n, vec)
-
-
-class ToyScreening(ModeFamily):
-    """Mode operators F^a v -> F^(a+n) v from weight -lam-1 to weight lam-1."""
-
-    def __init__(self, ctx: ParameterContext, lam):
-        self.ctx = ctx
-        self.lam = self.kappa = ctx.scalar(lam)
-        self.target = ToyModule(ctx, self.lam - 1)
-        self.source = ToyModule(ctx, -self.lam - 1)
-
-    def apply(self, n: int, vec: ToyVector) -> ToyVector:
-        return ToyVector(self.target, {a + n: c for a, c in vec.comps.items()})
-
-    def _generator_companion(self, tree, n: int, vec: ToyVector) -> ToyVector:
-        kind = tree[0]
-        if kind == "f":
-            return self.target.zero()
-        if kind == "h":
-            return 2 * self.apply(n, vec)
-        # companion of the raising generator: (n + 2a) F^(a+n-1)
-        out = {}
-        for a, c in vec.comps.items():
-            if a + n >= 1:
-                out[a + n - 1] = c * (n + 2 * a)
-        return ToyVector(self.target, out)
-
-
-def toy_uniqueness_scan() -> dict:
-    """Solve [E, V_n] = (alpha - n) V_n(E) for the mode family F^a -> F^(a+n).
-
-    Works symbolically: the commutator coefficient on F^a v is compared with
-    (alpha - n)(n + beta0 + beta1*a), identically in the exponent a and the
-    mode n.  The coefficient constraints force beta1 = 2, beta0 = alpha - lam,
-    2*alpha = lam - lam_src and alpha(alpha - lam) = 0.  The alpha = 0 root
-    collapses to lam_src = lam (excluded when the two weights differ); the
-    surviving branch is alpha = lam, lam_src = -lam, beta(a) = 2a.  The
-    result reports both branches and keeps the constraints, keyed by their
-    (a, n) exponents, under ``"constraints"``.
-    """
-    ctx = ParameterContext(("lam", "lam_src", "alpha", "beta0", "beta1", "a", "n"))
-    lam, lam_src, alpha, beta0, beta1, a, n = (ctx.param(s) for s in ctx.names)
-
-    # commutator coefficient of [E, V_n] on F^a v, computed from the module
-    # formulas: E F^b (weight w - 1 vacuum) = b(w - b) F^(b-1)
-    lhs = (a + n) * (lam - (a + n)) - a * (lam_src - a)
-    rhs = (alpha - n) * (n + beta0 + beta1 * a)
-    defect = lhs - rhs
-
-    constraints = _collect_constraints(defect, ("a", "n"))
-
-    def check_branch(subs: dict) -> bool:
-        reduced = []
-        for poly in constraints.values():
-            value = poly.substitute(subs, target=ctx)
-            reduced.append(value.is_zero())
-        return all(reduced)
-
-    screening = {"alpha": lam, "lam_src": -1 * lam, "beta0": ctx.zero(), "beta1": ctx.scalar(2)}
-    degenerate = {"alpha": ctx.zero(), "lam_src": lam, "beta0": -1 * lam, "beta1": ctx.scalar(2)}
-    return {
-        "screening_branch": {
-            "alpha": "lam",
-            "lam_src": "-lam",
-            "beta": "2a",
-            "valid": check_branch(screening),
-        },
-        "degenerate_branch": {
-            "alpha": "0",
-            "lam_src": "lam",
-            "excluded": "source weight equals target weight",
-            "valid": check_branch(degenerate),
-        },
-        "constraints": constraints,
-    }
-
-
-def _collect_constraints(scalar: ParamScalar, names: Sequence[str]) -> dict:
-    """Coefficients of a polynomial scalar w.r.t. the given parameters."""
-    if not scalar.den.is_constant():
-        raise ValueError("constraint collection needs a polynomial scalar")
-    ctx = scalar.context
-    idx = [ctx.names.index(nm) for nm in names]
-    out: dict = {}
-    for exp, val in scalar.num.terms.items():
-        key = tuple(exp[i] for i in idx)
-        mono = ctx.one()
-        for name, p in zip(ctx.names, exp):
-            if p and name not in names:
-                mono = mono * ctx.param(name) ** p
-        out[key] = out.get(key, ctx.zero()) + val * mono
-    den = scalar.den.constant_value()
-    return {k: v * (1 / den) for k, v in out.items() if not v.is_zero()}
-
-
-# ---------------------------------------------------------------------------
 # general screening family between a module and its reflected partner
 
 
-class ScreeningFamily(ModeFamily):
-    """V_n: x v' -> x F_i^n v with companions, between fixed modules."""
+class ScreeningFamily:
+    """V_n: x v' -> x F_i^n v with companions, between fixed modules.
+
+    The modes obey the commutation law [X, V_n] = (kappa - n) V_n(X), where
+    kappa is the i-th label of the target weight.  ``_generator_companion``
+    gives V_n(X) for a single generator; companions of bracket trees follow
+    from the generators' by induction.
+    """
 
     def __init__(self, target: VermaModule, source: VermaModule, i: int):
         self.target = target
@@ -283,6 +75,22 @@ class ScreeningFamily(ModeFamily):
         if j == self.i and n >= 1:
             out = out + n * self.apply(n - 1, vec)
         return out
+
+    def companion(self, tree, n: int, vec):
+        if tree[0] == "br":
+            _, x, y = tree
+            return self._bracket_with(x, y, n, vec) - self._bracket_with(y, x, n, vec)
+        return self._generator_companion(tree, n, vec)
+
+    def _bracket_with(self, x, y, n: int, vec):
+        inner = self.companion(y, n, vec)
+        return self.target.act(x, inner) - self.companion(y, n, self.source.act(x, vec))
+
+    def commutator(self, tree, n: int, vec):
+        return self.target.act(tree, self.apply(n, vec)) - self.apply(n, self.source.act(tree, vec))
+
+    def commutation_defect(self, tree, n: int, vec):
+        return self.commutator(tree, n, vec) - (self.kappa - n) * self.companion(tree, n, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +152,8 @@ class ReflectionCochains(TotalComplex):
         """The depth-len(xs) component applied to the test vector u."""
         a = self.a
         m = len(xs)
-        window = tuple((-self.mode_max, None) for _ in range(a))
+        # a mode-0 companion reaches exponent 0, the largest in any component
+        window = ((-self.mode_max, 0),) * a
         terms: dict = {}
         for ps in itertools.combinations(range(1, a + 1), m):
             base_sign = (-1) ** _sgn_positions(ps)

@@ -19,13 +19,10 @@ from screenops.fields import (
     _factor_assignments,
     apply_field_coeff,
     apply_vertex,
-    beta_field,
-    gamma_field,
     mode_of_field,
     ope_bracket_action,
     p_field,
     stress_tensor,
-    vertex_field,
     wick_ope,
 )
 
@@ -55,17 +52,17 @@ def sc(expr: FieldExpr):
 class TestExpressionAlgebra:
     def test_normal_product_is_commutative_and_sorted(self, charged):
         ctx, F = charged
-        left = beta_field(ctx) * gamma_field(ctx)
-        right = gamma_field(ctx) * beta_field(ctx)
+        left = FieldExpr.field(ctx, "beta") * FieldExpr.field(ctx, "gamma")
+        right = FieldExpr.field(ctx, "gamma") * FieldExpr.field(ctx, "beta")
         assert left == right
         assert list(left.terms) == [(None, (("beta", 0), ("gamma", 0)))]
 
     def test_vertex_exponents_add(self, boson):
         ctx, F = boson
         b = ctx.param("b")
-        v = vertex_field(ctx, b)
+        v = FieldExpr.vertex(ctx, b)
         assert (v * v).vertex_exponent() == 2 * b
-        assert (v * vertex_field(ctx, -b)) == FieldExpr.scalar(ctx, 1)
+        assert (v * FieldExpr.vertex(ctx, -b)) == FieldExpr.scalar(ctx, 1)
 
     def test_derivative_leibniz(self, boson):
         ctx, F = boson
@@ -77,16 +74,16 @@ class TestExpressionAlgebra:
     def test_vertex_derivative_rule(self, boson):
         ctx, F = boson
         b = ctx.param("b")
-        v = vertex_field(ctx, b)
+        v = FieldExpr.vertex(ctx, b)
         assert v.derivative() == (-b) * (p_field(ctx) * v)
 
     def test_weight_and_charge(self, charged):
         ctx, F = charged
         assert p_field(ctx).conformal_weight() == 1
-        assert gamma_field(ctx).conformal_weight() == 0
+        assert FieldExpr.field(ctx, "gamma").conformal_weight() == 0
         assert FieldExpr.field(ctx, "gamma", 1).conformal_weight() == 1
-        assert beta_field(ctx).charge() == -1
-        assert (gamma_field(ctx) * beta_field(ctx)).charge() == 0
+        assert FieldExpr.field(ctx, "beta").charge() == -1
+        assert (FieldExpr.field(ctx, "gamma") * FieldExpr.field(ctx, "beta")).charge() == 0
         with pytest.raises(ValueError):
             (p_field(ctx) + (p_field(ctx) * p_field(ctx))).conformal_weight()
 
@@ -111,7 +108,7 @@ class TestWickOpe:
 
     def test_first_order_pair_signs(self, charged):
         ctx, F = charged
-        g, b = gamma_field(ctx), beta_field(ctx)
+        g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         assert sc(wick_ope(g, b).pole(1)) == 1
         assert sc(wick_ope(b, g).pole(1)) == -1
         assert wick_ope(b, b).is_regular()
@@ -131,14 +128,14 @@ class TestWickOpe:
         p = p_field(ctx)
         assert wick_ope(p, p) == wick_ope(p, p)
         ctx2 = ParameterContext(())
-        g, b = gamma_field(ctx2), beta_field(ctx2)
+        g, b = FieldExpr.field(ctx2, "gamma"), FieldExpr.field(ctx2, "beta")
         assert sc(wick_ope(g, b).pole(1)) == -sc(wick_ope(b, g).pole(1))
 
     def test_vertex_contraction(self, boson):
         ctx, F = boson
         b = ctx.param("b")
         p = p_field(ctx)
-        v = vertex_field(ctx, b)
+        v = FieldExpr.vertex(ctx, b)
         result = wick_ope(p, v)
         assert result.orders() == [1]
         assert result.pole(1) == (-2 * b) * v
@@ -147,7 +144,7 @@ class TestWickOpe:
         ctx, F = boson
         b = ctx.param("b")
         p = p_field(ctx)
-        v = vertex_field(ctx, b)
+        v = FieldExpr.vertex(ctx, b)
         result = wick_ope(p * p, v)
         assert result.pole(2) == (4 * b * b) * v
         assert result.pole(1) == (-4 * b) * (p * v)
@@ -165,7 +162,7 @@ class TestWickOpe:
 
     def test_left_vertex_rejected(self, boson):
         ctx, F = boson
-        v = vertex_field(ctx, ctx.param("b"))
+        v = FieldExpr.vertex(ctx, ctx.param("b"))
         with pytest.raises(UnsupportedPairingError):
             wick_ope(v, p_field(ctx))
 
@@ -191,7 +188,7 @@ class TestModeAction:
 
     def test_gamma_zero_mode_creates(self, charged):
         ctx, F = charged
-        g = gamma_field(ctx)
+        g = FieldExpr.field(ctx, "gamma")
         v = F.vacuum()
         assert mode_of_field(g, 0, F).apply(v) == osc_apply(("as", 0), v)
         assert mode_of_field(g, 0, F).charge_shift == 1
@@ -201,9 +198,9 @@ class TestModeAction:
         b = ctx.param("b")
         v = F.vacuum()
         target = F.shifted(b)
-        V0 = mode_of_field(vertex_field(ctx, b), 0, F)
+        V0 = mode_of_field(FieldExpr.vertex(ctx, b), 0, F)
         assert V0.apply(v) == target.vacuum()
-        Vm1 = mode_of_field(vertex_field(ctx, b), -1, F)
+        Vm1 = mode_of_field(FieldExpr.vertex(ctx, b), -1, F)
         assert Vm1.apply(v) == b * osc_apply(("b", -1), target.vacuum())
         assert V0.target == target
 
@@ -297,7 +294,7 @@ class TestOpeModeCrossCheck:
         b = ctx.param("b")
         p = p_field(ctx)
         T = stress_tensor(ctx, a0)
-        V = vertex_field(ctx, b)
+        V = FieldExpr.vertex(ctx, b)
         probes = [
             F.vacuum(),
             osc_apply(("b", -1), F.vacuum()),
@@ -315,7 +312,7 @@ class TestOpeModeCrossCheck:
 
     def test_charged_pairs(self, charged):
         ctx, F = charged
-        g, b = gamma_field(ctx), beta_field(ctx)
+        g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         gb = g * b
         probes = [
             F.vacuum(),
@@ -345,7 +342,7 @@ class TestRender:
 class TestAnnihilatorPrefixes:
     def test_each_prefix_applied_once(self, charged, monkeypatch):
         ctx, F = charged
-        g, b = gamma_field(ctx), beta_field(ctx)
+        g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         expr = (g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b
         vec = osc_apply(("a", -2), osc_apply(("a", -1), osc_apply(("as", -1), F.vacuum())))
         real_apply, real_assign = fields.osc_apply, fields._apply_assignment

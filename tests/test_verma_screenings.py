@@ -8,15 +8,9 @@ import pytest
 from screenops.forms import Connection, LaurentForm, cleared_d
 from screenops.kacmoody import CartanData, VermaModule, br, gen
 from screenops.scalars import ParameterContext
-from screenops.verma_screenings import (
-    ReflectionCochains,
-    ScreeningFamily,
-    ToyModule,
-    ToyScreening,
-    ToyVector,
-    residue_functional,
-    toy_uniqueness_scan,
-)
+from screenops.verma_screenings import ReflectionCochains, ScreeningFamily, residue_functional
+
+from oracles import ToyModule, ToyScreening, ToyVector, toy_uniqueness_scan
 
 E, H, F = ("e", 0), ("h", 0), ("f", 0)
 
@@ -263,6 +257,21 @@ class TestReflectionCochains:
             assert subset == (0,) and exps[0] <= -1
         for subset, exps, _ in replaced.nonzero_terms():
             assert subset == () and exps[0] <= 0
+
+    def test_component_terms_stay_below_window_top(self):
+        # a row cannot catch an upper bound set too low: the rows vanish and
+        # LaurentForm drops the zero values, so check the component terms
+        ctx = toy_ctx()
+        rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=4)
+        gens = [gen(k, 0) for k in ("e", "h", "f")]
+        terms = 0
+        for u in _basis_up_to(rc.source, 3):
+            for xs in [[]] + [[x] for x in gens]:
+                form = rc.component(xs, u)
+                for _subset, exps in form.terms:
+                    terms += 1
+                    assert all(e <= hi for e, (_, hi) in zip(exps, form.window)), (xs, exps)
+        assert terms
 
     def test_window_stability_under_mode_cap(self):
         ctx = toy_ctx()
