@@ -510,7 +510,8 @@ def _in_window(exps, window) -> bool:
 class LaurentForm:
     """dict[(dz-subset, exponent tuple) -> value] with validity windows.
 
-    The window holds one finite (lo, hi) exponent range per variable.
+    The window holds one (lo, hi) exponent range per variable; hi is
+    ``math.inf`` for a form known exactly at every exponent above lo.
     """
 
     __slots__ = ("nvars", "terms", "window")

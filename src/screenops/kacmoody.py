@@ -473,13 +473,8 @@ class VermaModule:
                     tgt[w] = tgt.get(w, 0) + c
         return VermaVector(self, out)
 
-    def from_words(self, combo: dict) -> VermaVector:
-        """Vector from a {word: scalar} map (normal-formed per degree)."""
-        return self._from_reduced(
-            _reduce_full(self.cd, {w: self.ctx.scalar(c) for w, c in combo.items()})
-        )
-
-    def _from_reduced(self, reduced: dict) -> VermaVector:
+    def from_reduced(self, reduced: dict) -> VermaVector:
+        """Vector from a {normal-form word: scalar} map."""
         out: dict = {}
         for w, c in reduced.items():
             out.setdefault(_word_depth(w, self.cd.rank), {})[w] = c
@@ -488,4 +483,4 @@ class VermaModule:
     def apply_derivation(self, i: int, vec: VermaVector) -> VermaVector:
         # a word fixes its depth, so the parts merge into one map
         words = {w: c for part in vec.comps.values() for w, c in part.items()}
-        return self._from_reduced(partial_derivation(self.cd, i, words))
+        return self.from_reduced(partial_derivation(self.cd, i, words))

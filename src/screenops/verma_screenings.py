@@ -17,6 +17,7 @@ Layers:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .scalars import ParameterContext
@@ -152,8 +153,9 @@ class ReflectionCochains(TotalComplex):
         """The depth-len(xs) component applied to the test vector u."""
         a = self.a
         m = len(xs)
-        # a mode-0 companion reaches exponent 0, the largest in any component
-        window = ((-self.mode_max, 0),) * a
+        # exact at every exponent above the mode cap: no top, so the rows
+        # derived from it keep testing the exponent-0 terms of d'
+        window = ((-self.mode_max, math.inf),) * a
         terms: dict = {}
         for ps in itertools.combinations(range(1, a + 1), m):
             base_sign = (-1) ** _sgn_positions(ps)
