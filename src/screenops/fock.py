@@ -57,20 +57,8 @@ def mode_energy(mode: Mode) -> int:
     return -mode[1]
 
 
-def mode_charge(mode: Mode) -> int:
-    if mode[0] == "a":
-        return -1
-    if mode[0] == "as":
-        return 1
-    return 0
-
-
 def monomial_energy(mon: Sequence[Mode]) -> int:
     return sum(mode_energy(m) for m in mon)
-
-
-def monomial_charge(mon: Sequence[Mode]) -> int:
-    return sum(mode_charge(m) for m in mon)
 
 
 def _sorted_monomial(modes: Iterable[Mode]) -> tuple[Mode, ...]:
@@ -306,33 +294,21 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
         raise ValueError("this oscillator alphabet has no charged pair")
     if fam == "b" and n == 0:
         return (spec.pairing * space.alpha) * vec
+    # adding or removing one mode is injective on monomials: no keys merge
     if not is_annihilator(mode):
-        out: dict = {}
-        zero = space.ctx.zero()
-        for mon, c in vec.terms.items():
-            key = _sorted_monomial(mon + (mode,))
-            s = out.get(key, zero) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return FockVector(space, out)
+        return FockVector(
+            space, {_sorted_monomial(mon + (mode,)): c for mon, c in vec.terms.items()}
+        )
     partner = {"b": "b", "a": "as", "as": "a"}[fam], -n
     value = spec.bracket(mode, partner)
     out = {}
-    zero = space.ctx.zero()
     for mon, c in vec.terms.items():
         count = mon.count(partner)
         if not count:
             continue
         reduced = list(mon)
         reduced.remove(partner)
-        key = tuple(reduced)
-        s = out.get(key, zero) + (count * value) * c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        out[tuple(reduced)] = (count * value) * c
     return FockVector(space, out)
 
 

@@ -2,10 +2,10 @@
 
 Two coefficient models share the same connection/contraction conventions:
 
-* `RationalForm`: coefficients are exact rational functions in the base
-  parameters together with the configuration variables z_1..z_p.  The
-  denominators that twisted calculus produces are always products of z
-  monomials, pairwise differences (z_i - z_j), and base-parameter factors, so
+* `RationalForm`: coefficients are exact rational functions of the
+  configuration variables z_1..z_p with numerators polynomial in the base
+  parameters.  The denominators that twisted calculus produces are always
+  products of z monomials and pairwise differences (z_i - z_j), so
   coefficients are kept in factored form (`FactoredCoeff`) and reduced
   against those known factors — no general multivariate gcd is ever needed.
   A pair difference is divided out only after substituting z_i = z_j shows
@@ -126,13 +126,11 @@ class FormSpace:
             return False
         return not any(sum(cs) for cs in groups.values())
 
-    def lift(self, scalar) -> ParamScalar:
-        """Embed a base-context scalar (or rational) into the enlarged context."""
-        if isinstance(scalar, ParamScalar):
-            if scalar.context is self.ctx:
-                return scalar
-            return scalar.substitute({}, target=self.ctx)
-        return self.ctx.scalar(scalar)
+    def lift(self, scalar: ParamScalar) -> ParamScalar:
+        """Embed a base-context scalar into the enlarged context."""
+        if scalar.context is self.ctx:
+            return scalar
+        return scalar.substitute({}, target=self.ctx)
 
 
 def _min_var_degree(poly: ParamPolynomial, var: int) -> int:
@@ -140,24 +138,24 @@ def _min_var_degree(poly: ParamPolynomial, var: int) -> int:
 
 
 class FactoredCoeff:
-    """num / (prod z_q^zexp[q] * prod (z_i - z_j)^pairs[i,j] * base_den).
+    """num / (prod z_q^zexp[q] * prod (z_i - z_j)^pairs[i,j]).
 
-    `num` is a polynomial over the enlarged context, `base_den` a nonzero
-    polynomial in the base parameters only.  Reduction cancels the (known)
-    denominator factors without a general gcd: z monomials by exponent
-    shifts; each pair difference by a substitution test
+    `num` is a polynomial over the enlarged context, so base parameters occur
+    only in numerators; `from_scalar` divides a rational constant left in the
+    denominator into `num` and rejects any other factor.  Reduction cancels
+    the known denominator factors without a general gcd: z monomials by
+    exponent shifts; each pair difference by a substitution test
     (`FormSpace.pair_divides`) followed by an exact division, repeated while
-    the test passes; `base_den` by one exact division attempt.
+    the test passes.
     """
 
-    __slots__ = ("space", "num", "zexp", "pairs", "base_den")
+    __slots__ = ("space", "num", "zexp", "pairs")
 
-    def __init__(self, space: FormSpace, num: ParamPolynomial, zexp=None, pairs=None, base_den=None):
+    def __init__(self, space: FormSpace, num: ParamPolynomial, zexp=None, pairs=None):
         self.space = space
         self.num = num
         self.zexp = tuple(zexp) if zexp is not None else (0,) * space.nvars
         self.pairs = {k: e for k, e in (pairs or {}).items() if e}
-        self.base_den = base_den if base_den is not None else space.ctx.poly_const(1)
 
     # -- constructors -------------------------------------------------------
 
@@ -167,10 +165,6 @@ class FactoredCoeff:
 
     @classmethod
     def from_scalar(cls, space: FormSpace, value) -> "FactoredCoeff":
-        if isinstance(value, FactoredCoeff):
-            return value
-        if isinstance(value, ParamPolynomial):
-            value = value.context.scalar(value)
         if not isinstance(value, ParamScalar):
             return cls(space, space.ctx.poly_const(value))
         value = space.lift(value)
@@ -183,7 +177,7 @@ class FactoredCoeff:
                 den = den.shift_var(space.zvar(q), -d)
                 zexp[q] = d
         pairs: dict = {}
-        while not _is_base_only(space, den):
+        while not den.is_constant():
             for key, pp in space._pair_polys.items():
                 if not space.pair_divides(key, den):
                     continue
@@ -192,24 +186,20 @@ class FactoredCoeff:
                 break
             else:
                 raise ValueError("denominator %s is not a product of supported factors" % den)
-        return cls(space, num, zexp, pairs, den)._normalized()
+        c = den.constant_value()
+        if c != 1:
+            num = num * (1 / c)
+        return cls(space, num, zexp, pairs)._normalized()
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, FactoredCoeff):
-            other = FactoredCoeff.from_scalar(self.space, other)
-        return (self - other).is_zero()
-
-    __hash__ = None  # mutable-style value object; not for dict keys
-
     # -- normalization ----------------------------------------------------------
 
     def _normalized(self) -> "FactoredCoeff":
-        num, zexp, pairs, base_den = self.num, list(self.zexp), dict(self.pairs), self.base_den
+        num, zexp, pairs = self.num, list(self.zexp), dict(self.pairs)
         space = self.space
         if num.is_zero():
             return FactoredCoeff.zero(space)
@@ -226,28 +216,14 @@ class FactoredCoeff:
                 pairs[key] -= 1
             if not pairs[key]:
                 del pairs[key]
-        if base_den.is_constant():
-            c = base_den.constant_value()
-            if c != 1:
-                num = num * (1 / c)
-            base_den = space.ctx.poly_const(1)
-        else:
-            try:
-                num = num.exact_div(base_den)
-                base_den = space.ctx.poly_const(1)
-            except ValueError:
-                pass
-        return FactoredCoeff(space, num, zexp, pairs, base_den)
+        return FactoredCoeff(space, num, zexp, pairs)
 
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self):
-        return FactoredCoeff(self.space, -self.num, self.zexp, self.pairs, self.base_den)
+        return FactoredCoeff(self.space, -self.num, self.zexp, self.pairs)
 
     def __add__(self, other: "FactoredCoeff") -> "FactoredCoeff":
-        if not isinstance(other, FactoredCoeff):
-            other = FactoredCoeff.from_scalar(self.space, other)
-        space = self.space
         if self.is_zero():
             return other
         if other.is_zero():
@@ -255,36 +231,17 @@ class FactoredCoeff:
         zc = tuple(max(a, b) for a, b in zip(self.zexp, other.zexp))
         keys = set(self.pairs) | set(other.pairs)
         pc = {k: max(self.pairs.get(k, 0), other.pairs.get(k, 0)) for k in keys}
-        if self.base_den == other.base_den:
-            bc = self.base_den
-            ma = mb = None
-        else:
-            bc = self.base_den * other.base_den
-            ma, mb = other.base_den, self.base_den
-        na = _scale_to_common(self, zc, pc, ma)
-        nb = _scale_to_common(other, zc, pc, mb)
-        return FactoredCoeff(space, na + nb, zc, pc, bc)._normalized()
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, FactoredCoeff):
-            other = FactoredCoeff.from_scalar(self.space, other)
-        return self + (-other)
+        na = _scale_to_common(self, zc, pc)
+        nb = _scale_to_common(other, zc, pc)
+        return FactoredCoeff(self.space, na + nb, zc, pc)._normalized()
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FactoredCoeff(self.space, self.num * QQ(other), self.zexp, self.pairs, self.base_den)
-        if not isinstance(other, FactoredCoeff):
-            other = FactoredCoeff.from_scalar(self.space, other)
+            return FactoredCoeff(self.space, self.num * QQ(other), self.zexp, self.pairs)
         zc = tuple(a + b for a, b in zip(self.zexp, other.zexp))
         keys = set(self.pairs) | set(other.pairs)
         pc = {k: self.pairs.get(k, 0) + other.pairs.get(k, 0) for k in keys}
-        return FactoredCoeff(
-            self.space, self.num * other.num, zc, pc, self.base_den * other.base_den
-        )._normalized()
-
-    __rmul__ = __mul__
+        return FactoredCoeff(self.space, self.num * other.num, zc, pc)._normalized()
 
     def mul_base(self, c) -> "FactoredCoeff":
         """Multiply by a base-parameter scalar (or rational)."""
@@ -298,10 +255,10 @@ class FactoredCoeff:
             return self
         if k > 0:
             num = self.num.shift_var(self.space.zvar(q), k)
-            return FactoredCoeff(self.space, num, self.zexp, self.pairs, self.base_den)._normalized()
+            return FactoredCoeff(self.space, num, self.zexp, self.pairs)._normalized()
         zexp = list(self.zexp)
         zexp[q] += -k
-        return FactoredCoeff(self.space, self.num, zexp, self.pairs, self.base_den)._normalized()
+        return FactoredCoeff(self.space, self.num, zexp, self.pairs)._normalized()
 
     def mul_pair_inverse(self, i: int, j: int) -> "FactoredCoeff":
         """Multiply by 1/(z_i - z_j)."""
@@ -310,40 +267,30 @@ class FactoredCoeff:
         pairs = dict(self.pairs)
         pairs[key] = pairs.get(key, 0) + 1
         num = self.num if sign == 1 else -self.num
-        return FactoredCoeff(self.space, num, self.zexp, pairs, self.base_den)._normalized()
+        return FactoredCoeff(self.space, num, self.zexp, pairs)._normalized()
 
     def derivative_z(self, q: int) -> "FactoredCoeff":
         space = self.space
         name = space.var_names[q]
-        out = FactoredCoeff(space, self.num.derivative(name), self.zexp, self.pairs, self.base_den)
+        out = FactoredCoeff(space, self.num.derivative(name), self.zexp, self.pairs)
         if self.zexp[q]:
             zexp = list(self.zexp)
             zexp[q] += 1
-            out = out + FactoredCoeff(space, self.num * QQ(-self.zexp[q]), zexp, self.pairs, self.base_den)
+            out = out + FactoredCoeff(space, self.num * QQ(-self.zexp[q]), zexp, self.pairs)
         for key, b in self.pairs.items():
             if q not in key:
                 continue
             sigma = 1 if q == key[0] else -1
             pairs = dict(self.pairs)
             pairs[key] = b + 1
-            out = out + FactoredCoeff(space, self.num * QQ(-b * sigma), self.zexp, pairs, self.base_den)
+            out = out + FactoredCoeff(space, self.num * QQ(-b * sigma), self.zexp, pairs)
         return out._normalized()
 
     def __repr__(self):
-        return "FactoredCoeff(num=%s, zexp=%r, pairs=%r, base_den=%s)" % (
-            self.num,
-            self.zexp,
-            self.pairs,
-            self.base_den,
-        )
+        return "FactoredCoeff(num=%s, zexp=%r, pairs=%r)" % (self.num, self.zexp, self.pairs)
 
 
-def _is_base_only(space: FormSpace, poly: ParamPolynomial) -> bool:
-    off = space._zoff
-    return all(not any(exp[off:]) for exp in poly.coeffs)
-
-
-def _scale_to_common(fc: FactoredCoeff, zc, pc, base_mult) -> ParamPolynomial:
+def _scale_to_common(fc: FactoredCoeff, zc, pc) -> ParamPolynomial:
     num = fc.num
     space = fc.space
     for q in range(space.nvars):
@@ -354,8 +301,6 @@ def _scale_to_common(fc: FactoredCoeff, zc, pc, base_mult) -> ParamPolynomial:
         d = e - fc.pairs.get(key, 0)
         for _ in range(d):
             num = num * space.pair_poly(*key)
-    if base_mult is not None:
-        num = num * base_mult
     return num
 
 

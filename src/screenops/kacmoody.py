@@ -399,11 +399,8 @@ class VermaModule:
         for depth, part in vec.comps.items():
             new_depth = tuple(d + (1 if j == i else 0) for j, d in enumerate(depth))
             ws = weight_space(self.cd, new_depth)
-            reduced = ws.reduce({(i,) + w: c for w, c in part.items()})
-            if reduced:
-                tgt = out.setdefault(new_depth, {})
-                for w, c in reduced.items():
-                    tgt[w] = tgt.get(w, 0) + c
+            # depth parts go to distinct new depths, so none merge
+            out[new_depth] = ws.reduce({(i,) + w: c for w, c in part.items()})
         return VermaVector(self, out)
 
     def h(self, i: int, vec: VermaVector) -> VermaVector:
@@ -439,11 +436,8 @@ class VermaModule:
                         if coeff:
                             acc[dw] = acc.get(dw, 0) + coeff
                     suffix_shift += cd.a(i, w[p])
-            reduced = ws.reduce(acc)
-            if reduced:
-                tgt = out.setdefault(new_depth, {})
-                for w, c in reduced.items():
-                    tgt[w] = tgt.get(w, 0) + c
+            # depth parts go to distinct new depths, so none merge
+            out[new_depth] = ws.reduce(acc)
         return VermaVector(self, out)
 
     def act(self, tree, vec: VermaVector) -> VermaVector:
@@ -466,11 +460,8 @@ class VermaModule:
         for depth, part in vec.comps.items():
             new_depth = tuple(d + e for d, e in zip(depth, extra))
             ws = weight_space(self.cd, new_depth)
-            reduced = ws.reduce({w + word: c for w, c in part.items()})
-            if reduced:
-                tgt = out.setdefault(new_depth, {})
-                for w, c in reduced.items():
-                    tgt[w] = tgt.get(w, 0) + c
+            # depth parts go to distinct new depths, so none merge
+            out[new_depth] = ws.reduce({w + word: c for w, c in part.items()})
         return VermaVector(self, out)
 
     def from_reduced(self, reduced: dict) -> VermaVector:

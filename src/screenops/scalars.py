@@ -703,14 +703,6 @@ class ParamScalar:
                 base = base * base
         return result
 
-    def derivative(self, name: str) -> "ParamScalar":
-        """Partial derivative by the quotient rule; exact."""
-        dn = self.num.derivative(name)
-        dd = self.den.derivative(name)
-        if dd.is_zero():
-            return ParamScalar(dn, self.den)
-        return ParamScalar(dn * self.den - self.num * dd, self.den * self.den)
-
     # -- substitution / evaluation -------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "ParamScalar"], target: ParameterContext | None = None) -> "ParamScalar":

@@ -54,12 +54,6 @@ class ScreeningFamily:
             raise ValueError("source weight is not the reflection of the target weight")
         self.kappa = target.hw[i]
 
-    @classmethod
-    def from_weight(cls, cd: CartanData, hw: Sequence, i: int, ctx: ParameterContext):
-        target = VermaModule(cd, hw, ctx)
-        source = VermaModule(cd, cd.reflect(target.hw, i), ctx)
-        return cls(target, source, i)
-
     def _retag(self, vec: VermaVector) -> VermaVector:
         return VermaVector(self.target, vec.comps)
 

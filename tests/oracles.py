@@ -4,6 +4,9 @@ Each function recomputes something the package computes another way:
 
 * ``apply_monomial``, ``normal_order`` and ``apply_ordered_word`` -- Wick
   reordering of an oscillator word, checked against direct application;
+* ``mode_charge`` and ``monomial_charge`` -- the charge grading (a* counts
+  +1, a counts -1), checked against the charge blocks that
+  ``FockSpace.block_basis`` enumerates;
 * ``e_recursive`` -- the raising action on a Verma module by the
   commutation recursion, checked against ``VermaModule.e``;
 * ``positive_roots`` and ``pbw_dim`` -- weight-space dimensions from root
@@ -30,6 +33,14 @@ from screenops.verma_screenings import ScreeningFamily
 
 
 # -- oscillator words -----------------------------------------------------------------
+
+
+def mode_charge(mode):
+    return {"a": -1, "as": 1}.get(mode[0], 0)
+
+
+def monomial_charge(mon):
+    return sum(mode_charge(m) for m in mon)
 
 
 def apply_monomial(modes, vec):
@@ -178,16 +189,13 @@ def laurent_terms(coeff):
     """z-exponent tuple -> Fraction of a FactoredCoeff with a pure Laurent value."""
     if coeff.pairs:
         raise ValueError("pair factors remain in the denominator")
-    if not coeff.base_den.is_constant():
-        raise ValueError("base-parameter denominator remains")
-    c0 = coeff.base_den.constant_value()
     nbase = coeff.space._zoff
     out = {}
     for exp, val in coeff.num.terms.items():
         if any(exp[:nbase]):
             raise ValueError("base parameters present in the numerator")
         z = tuple(exp[nbase + q] - coeff.zexp[q] for q in range(coeff.space.nvars))
-        out[z] = out.get(z, Fraction(0)) + val / c0
+        out[z] = out.get(z, Fraction(0)) + val
     return {k: v for k, v in out.items() if v}
 
 

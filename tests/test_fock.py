@@ -18,14 +18,12 @@ from screenops.fock import (
     ModeOperator,
     OscSpec,
     commutator_blocks,
-    mode_charge,
     mode_energy,
-    monomial_charge,
     monomial_energy,
     osc_apply,
 )
 
-from oracles import apply_monomial, apply_ordered_word, normal_order
+from oracles import apply_monomial, apply_ordered_word, mode_charge, monomial_charge, normal_order
 
 
 def gf_block_dims(energy_cap: int, charge_cap: int, has_pair: bool):
@@ -127,6 +125,24 @@ class TestOscillatorAction:
         left = osc_apply(("b", 1), osc_apply(("a", 2), v))
         right = osc_apply(("a", 2), osc_apply(("b", 1), v))
         assert left == right
+
+    def test_block_image_is_sum_of_monomial_images(self, charged):
+        # osc_apply builds its image without merging keys; a whole block with
+        # distinct coefficients catches any two monomials sent to one key
+        ctx, spec, F = charged
+        lam = ctx.param("lam")
+        block = F.block_basis(3, 0)
+        coeffs = {mon: lam + k for k, mon in enumerate(block)}
+        vec = FockVector(F, dict(coeffs))
+        modes = [("b", -2), ("b", 1), ("a", -1), ("a", 1), ("as", -1), ("as", 0), ("as", 1)]
+        for mode in modes:
+            want = F.zero()
+            for mon, c in coeffs.items():
+                want = want + osc_apply(mode, FockVector(F, {mon: c}))
+            got = osc_apply(mode, vec)
+            assert not want.is_zero(), mode
+            assert got == want, mode
+            assert all(not c.is_zero() for c in got.terms.values()), mode
 
 
 class TestBlockStructure:

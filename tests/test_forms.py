@@ -189,6 +189,12 @@ class TestPairDivisibility:
         assert fc.zexp == (0, 0, 1)
         assert fc.num == (-t).num
 
+    def test_from_scalar_rejects_base_parameter_denominator(self):
+        space = FormSpace(ParameterContext(("k1",)), 1)
+        value = space.z(0) / (space.ctx.param("k1") + 1)
+        with pytest.raises(ValueError, match=r"denominator k1\+1 is not a product"):
+            FactoredCoeff.from_scalar(space, value)
+
     def test_from_scalar_rejects_unsupported_denominator(self):
         z = DIAG_SPACE.z
         with pytest.raises(ValueError, match="not a product of supported factors"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from screenops.kacmoody import (
     CartanData,
     VermaModule,
+    VermaVector,
     br,
     gen,
     partial_derivation,
@@ -134,6 +135,31 @@ class TestVermaActions:
             for v in M.basis_vectors(depth):
                 for i in range(2):
                     assert (M.e(i, v) - e_recursive(M, i, v)).is_zero()
+
+    def test_actions_split_over_depth_parts(self):
+        # f, e and multiply_right store each depth part's image without
+        # merging; a vector spanning depths <= 2 catches two parts landing
+        # on one depth
+        cd = CartanData.sl3()
+        M = VermaModule(cd, (L1, L2), CTX)
+        basis = [b for d in [(0, 0), *_depths(2, 2)] for b in M.basis_vectors(d)]
+        v = M.zero()
+        for k, b in enumerate(basis):
+            v = v + (L1 + k) * b
+        parts = [VermaVector(M, {d: p}) for d, p in v.comps.items()]
+        assert len(parts) == 6
+
+        def split_sum(fn):
+            out = M.zero()
+            for p in parts:
+                out = out + fn(p)
+            return out
+
+        for i in range(2):
+            assert M.f(i, v) == split_sum(lambda p: M.f(i, p))
+            assert M.e(i, v) == split_sum(lambda p: M.e(i, p))
+        for word in [(0,), (1, 0), (0, 1, 1)]:
+            assert M.multiply_right(v, word) == split_sum(lambda p: M.multiply_right(p, word))
 
     def test_highest_weight_vector(self, b2_module):
         M = b2_module

@@ -26,6 +26,12 @@ def from_words(module, combo):
     )
 
 
+def screening_family(cd, hw, i, ctx):
+    """The screening into the Verma module of weight hw from its i-th reflection."""
+    target = VermaModule(cd, hw, ctx)
+    return ScreeningFamily(target, VermaModule(cd, cd.reflect(target.hw, i), ctx), i)
+
+
 def op_bracket(scr, x, y, n, vec):
     """[x, V_n(y)] as an operator: act-after minus act-before."""
     inner = scr.companion(y, n, vec)
@@ -133,7 +139,7 @@ class TestGeneralScreening:
         ctx = toy_ctx()
         lam = ctx.param("lam")
         toy = ToyScreening(ctx, lam)
-        fam = ScreeningFamily.from_weight(CartanData.sl2(), (lam,), 0, ctx)
+        fam = screening_family(CartanData.sl2(), (lam,), 0, ctx)
 
         def lift(toyvec, module):
             return from_words(module, {(0,) * a: c for a, c in toyvec.comps.items()})
@@ -160,7 +166,7 @@ class TestGeneralScreening:
         ctx = ParameterContext(names)
         hw = tuple(ctx.param(s) for s in names)
         for i in range(cd.rank):
-            fam = ScreeningFamily.from_weight(cd, hw, i, ctx)
+            fam = screening_family(cd, hw, i, ctx)
             for u in _basis_up_to(fam.source, depth_cap):
                 for kind in ("e", "h", "f"):
                     for j in range(cd.rank):
@@ -172,7 +178,7 @@ class TestGeneralScreening:
         cd = CartanData.sl3()
         ctx = ParameterContext(("lam0", "lam1"))
         hw = (ctx.param("lam0"), ctx.param("lam1"))
-        fam = ScreeningFamily.from_weight(cd, hw, 0, ctx)
+        fam = screening_family(cd, hw, 0, ctx)
         trees = [
             br(gen("e", 0), gen("e", 1)),
             br(gen("f", 0), gen("f", 1)),
@@ -189,7 +195,7 @@ class TestGeneralScreening:
         cd = CartanData.sl3()
         ctx = ParameterContext(("lam0", "lam1"))
         hw = (ctx.param("lam0"), ctx.param("lam1"))
-        fam = ScreeningFamily.from_weight(cd, hw, 0, ctx)
+        fam = screening_family(cd, hw, 0, ctx)
         u = fam.source.vacuum()
         for n in range(3):
             assert fam.companion(br(gen("e", 0), gen("f", 0)), n, u) == fam.companion(
@@ -205,7 +211,7 @@ class TestGeneralScreening:
         assert cd.a(0, 1) != cd.a(1, 0)
         ctx = ParameterContext(("lam0", "lam1"))
         hw = (ctx.param("lam0"), ctx.param("lam1"))
-        fam = ScreeningFamily.from_weight(cd, hw, 0, ctx)
+        fam = screening_family(cd, hw, 0, ctx)
         tree = gen("h", 1)
         u = fam.source.vacuum()
         assert fam.commutation_defect(tree, 1, u).is_zero()

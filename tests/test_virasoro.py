@@ -43,7 +43,6 @@ from screenops.virasoro import (
     screening_cochain_checks,
     verify_virasoro,
     virasoro_apply,
-    virasoro_mode,
 )
 
 QQ = Fraction
@@ -130,7 +129,7 @@ class TestStressModes:
 
     def test_mode_operator_grading(self, rational):
         ctx, space = rational
-        L2 = virasoro_mode(2, QQ(1, 3), space)
+        L2 = ModeOperator(lambda v: virasoro_apply(2, QQ(1, 3), v), space, space, -2)
         src, tgt, rows = L2.matrix(2, 0)
         assert L2.energy_shift == -2
         assert len(src) == 2 and len(tgt) == 1

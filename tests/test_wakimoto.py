@@ -12,7 +12,7 @@ import pytest
 
 from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
-from screenops.fock import monomial_charge, monomial_energy, osc_apply
+from screenops.fock import monomial_energy, osc_apply
 from screenops.wakimoto import (
     AffineParams,
     CurrentAction,
@@ -32,6 +32,8 @@ from screenops.wakimoto import (
     wakimoto_current,
     wakimoto_space,
 )
+
+from oracles import monomial_charge
 
 QQ = Fraction
 
