@@ -29,7 +29,8 @@ Two independent evaluation routes are provided and cross-checked in tests:
 * ``apply_field_coeff`` -- the exact action of the coefficient of ``z^e`` in
   a field expression on a Fock vector.  Annihilation is bounded by the
   source vector and creation by the (determined) target block, so every mode
-  sum is finite and no truncation error is introduced.
+  sum is finite and no truncation error is introduced.  Each mode sum is a
+  search that stops below an annihilation prefix that kills the vector.
 
 The exponential vertex is expanded in one place: ``vertex_annihilation_coeff``
 and ``vertex_creation_coeff`` are its two halves (label shift left out), and
@@ -536,7 +537,9 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
 
     The target space is the source shifted by the (homogeneous) vertex
     exponent.  Works termwise; all mode sums are finite because annihilation
-    is bounded by the source and creation by the resulting block.
+    is bounded by the source and creation by the resulting block.  Per term,
+    ``_factor_assignments`` applies annihilation modes as it chooses them and
+    skips every assignment whose annihilation prefix kills the vector.
     """
     space = vec.space
     mu = expr.vertex_exponent()
@@ -548,38 +551,47 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     # tuple of annihilation modes applied so far -> the lowered vector
     lowered = {(): vec}
     for (tmu, factors), coeff in expr.terms.items():
-        delta = _term_weight(factors)
-        tgt_max = energy + e + delta
+        tgt_max = energy + e + _term_weight(factors)
         if tgt_max < 0:
             continue
-        for modes, veps, c in _factor_assignments(factors, e, energy, tgt_max,
-                                                  tmu is not None):
-            result = _apply_assignment(modes, veps, tmu, lowered, target)
-            if result is not None and not result.is_zero():
+        for modes, veps, c, low in _factor_assignments(factors, e, energy, tgt_max,
+                                                       tmu is not None, lowered):
+            result = (FockVector(target, low.terms) if veps is None
+                      else apply_vertex(tmu, veps, low))
+            if result.is_zero():
+                continue
+            for mode in modes:
+                if not is_annihilator(mode):
+                    result = osc_apply(mode, result)
+            if not result.is_zero():
                 out = out + (coeff * c) * result
     return out
 
 
-def _factor_assignments(factors, e, energy, tgt_max, has_vertex):
-    """Enumerate exponent assignments (factor modes + vertex remainder).
+def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
+    """Exponent assignments (factor modes + vertex remainder) that survive
+    their annihilation modes.
 
-    Yields ``(modes, vertex_eps, coefficient)``: the oscillator mode of each
-    factor, the vertex's z exponent (None for a term without a vertex) and
-    the integer product of the factors' derivative coefficients.  Without a
-    vertex the exponents must sum to ``e``, so the last factor's exponent is
-    solved from the others, not enumerated.
+    Yields ``(modes, vertex_eps, coefficient, low)``: the oscillator mode of
+    each factor, the vertex's z exponent (None for a term without a vertex),
+    the integer product of the factors' derivative coefficients and the
+    source vector after the annihilation modes.  ``lowered`` maps each tuple
+    of annihilation modes applied so far (in factor order) to its result, so
+    a shared prefix is applied once and a zero result ends the branch.
+    Without a vertex the exponents must sum to ``e``, so the last factor's
+    exponent is solved from the others, not enumerated.
     """
     last = len(factors) - 1 if not has_vertex else -1
 
-    def rec(i, remaining, modes, c):
+    def rec(i, remaining, modes, prefix, c):
         if i == len(factors):
             if has_vertex:
                 # net vertex shift: annihilation bounded by the source,
                 # creation bounded by the largest reachable target block
                 if -energy <= remaining <= tgt_max + energy:
-                    yield modes, remaining, c
+                    yield modes, remaining, c, lowered[prefix]
             elif remaining == 0:
-                yield modes, None, c
+                yield modes, None, c, lowered[prefix]
             return
         sym, k = factors[i]
         off = 1 + k if sym in ("p", "beta") else k
@@ -598,39 +610,17 @@ def _factor_assignments(factors, e, energy, tgt_max, has_vertex):
                 mode, sign = ("a", -eps - 1 - k), 1
             else:
                 mode, sign = ("as", -eps - k), 1
-            yield from rec(i + 1, remaining - eps, modes + [mode], sign * d * c)
+            longer = prefix
+            if is_annihilator(mode):
+                longer = prefix + (mode,)
+                low = lowered.get(longer)
+                if low is None:
+                    low = lowered[longer] = osc_apply(mode, lowered[prefix])
+                if low.is_zero():
+                    continue
+            yield from rec(i + 1, remaining - eps, modes + (mode,), longer, sign * d * c)
 
-    yield from rec(0, e, [], 1)
-
-
-def _apply_assignment(modes, veps, tmu, lowered, target):
-    """Apply one complete mode assignment in normal order.
-
-    ``lowered`` maps each tuple of annihilation modes already applied to the
-    source vector (seeded with ``(): vec``) to the result, so assignments of
-    one ``apply_field_coeff`` call that share a prefix apply it once.
-    """
-    prefix = ()
-    current = lowered[prefix]
-    for mode in modes:
-        if is_annihilator(mode):
-            prefix += (mode,)
-            done = lowered.get(prefix)
-            if done is None:
-                done = lowered[prefix] = osc_apply(mode, current)
-            current = done
-            if current.is_zero():
-                return None
-    if veps is not None:
-        current = apply_vertex(tmu, veps, current)
-    else:
-        current = FockVector(target, current.terms)
-    if current.is_zero():
-        return None
-    for mode in modes:
-        if not is_annihilator(mode):
-            current = osc_apply(mode, current)
-    return current
+    yield from rec(0, e, (), (), 1)
 
 
 def mode_of_field(expr: FieldExpr, n: int, space: FockSpace) -> ModeOperator:

@@ -17,7 +17,7 @@ Three layers:
 * mode operators: linear maps with a fixed (energy, charge, label) degree
   shift, applied exactly -- annihilation bounded by the source vector and
   creation bounded by the target block make every mode sum finite -- with
-  lazily memoized exact block matrices.
+  memoized images of source monomials and exact block matrices read from them.
 
 All coefficients live in the exact scalar field of
 :mod:`screenops.scalars`, so every identity test below is a literal
@@ -318,11 +318,13 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
 class ModeOperator:
     """Linear map between Fock spaces with a fixed bigraded degree shift.
 
-    Wraps a function on vectors; exact block matrices (source block ->
-    shifted target block) are computed lazily and memoized.
+    Wraps a function on vectors and memoizes the image of each source
+    monomial, so ``fn`` must be linear: ``apply`` sums c * image over the
+    terms of a vector, and the exact block matrices (source block ->
+    shifted target block, memoized too) read the same images.
     """
 
-    __slots__ = ("fn", "source", "target", "energy_shift", "charge_shift", "_blocks")
+    __slots__ = ("fn", "source", "target", "energy_shift", "charge_shift", "_images", "_blocks")
 
     def __init__(
         self,
@@ -337,12 +339,25 @@ class ModeOperator:
         self.target = target
         self.energy_shift = energy_shift
         self.charge_shift = charge_shift
+        self._images: dict = {}
         self._blocks: dict = {}
 
+    def _image(self, mon: tuple[Mode, ...]) -> FockVector:
+        """Memoized image of one source monomial."""
+        got = self._images.get(mon)
+        if got is None:
+            unit = FockVector(self.source, {mon: self.source.ctx.one()})
+            got = self._images[mon] = self.fn(unit)
+        return got
+
     def apply(self, vec: FockVector) -> FockVector:
-        if vec.space != self.source:
+        if vec.space is not self.source and vec.space != self.source:
             raise ValueError("vector lives over %r, operator expects %r" % (vec.space, self.source))
-        return self.fn(vec)
+        out = None
+        for mon, c in vec.terms.items():
+            term = c * self._image(mon)
+            out = term if out is None else out + term
+        return out if out is not None else self.target.zero()
 
     # -- exact block matrices ----------------------------------------------------
 
@@ -363,28 +378,27 @@ class ModeOperator:
         zero = self.source.ctx.zero()
         rows = [[zero] * len(src) for _ in tgt]
         for j, mon in enumerate(src):
-            image = self.fn(FockVector(self.source, {mon: self.source.ctx.one()}))
-            for m, c in image.terms.items():
+            for m, c in self._image(mon).terms.items():
                 i = index.get(m)
                 if i is None:
                     raise ValueError(
                         "image of %r leaves the shifted block: %r" % (mon, m)
                     )
                 rows[i][j] = c
-        cached = (src, tgt, rows)
-        self._blocks[key] = cached
+        cached = self._blocks[key] = (src, tgt, rows)
         return cached
 
 
 def commutator_blocks(a: ModeOperator, b: ModeOperator, energy: int, charge: int = 0):
     """Exact matrix of [a, b] on the (energy, charge) block of the common source.
 
-    Returns ``(source_basis, target_basis, rows)`` as ``ModeOperator.matrix``.
+    Composes the memoized ``a.apply`` and ``b.apply``.  Returns
+    ``(source_basis, target_basis, rows)`` as ``ModeOperator.matrix``.
     """
     if a.source != b.source or a.target != b.target or a.source != a.target:
         raise ValueError("commutator needs endomorphisms of one space")
     return ModeOperator(
-        lambda v: a.fn(b.fn(v)) - b.fn(a.fn(v)),
+        lambda v: a.apply(b.apply(v)) - b.apply(a.apply(v)),
         a.source,
         a.target,
         a.energy_shift + b.energy_shift,

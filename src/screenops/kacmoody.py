@@ -229,10 +229,6 @@ class WeightSpace:
                         other.pop(i, None)
         rows[p] = row
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis_words)
-
     def reduce(self, combo: dict) -> dict:
         """Normal form of {word: scalar} as coordinates on basis words."""
         acc: dict = {}

@@ -36,6 +36,7 @@ from .fields import (
 from .fock import (
     FockSpace,
     FockVector,
+    ModeOperator,
     OscSpec,
     commutator_blocks,
     monomial_energy,
@@ -256,33 +257,36 @@ class LoopElement:
 
 
 class CurrentAction:
-    """Cached exact mode action of the three currents on one Fock module."""
+    """Exact mode action of the three currents on one Fock module.
 
-    __slots__ = ("params", "space", "level", "_exprs", "_cache")
+    Keeps one ``mode_of_field`` operator per mode X<n>; the operator
+    memoizes the image of each source monomial, so every route through this
+    action (``apply``, ``apply_element``, block matrices) shares one memo.
+    """
+
+    __slots__ = ("params", "space", "level", "_exprs", "_modes")
 
     def __init__(self, params: AffineParams, space: FockSpace):
         self.params = params
         self.space = space
         self.level = params.level
         self._exprs = {name: wakimoto_current(name, params) for name in _GENERATORS}
-        self._cache: dict = {}
+        self._modes: dict = {}
 
     def field(self, name: str) -> FieldExpr:
         return self._exprs[name.upper()]
 
+    def mode(self, name: str, n: int) -> ModeOperator:
+        """X<n> for the current named X (weight-one mode convention)."""
+        key = (name.upper(), n)
+        op = self._modes.get(key)
+        if op is None:
+            op = self._modes[key] = mode_of_field(self._exprs[key[0]], n, self.space)
+        return op
+
     def apply(self, name: str, n: int, vec: FockVector) -> FockVector:
         """X<n> vec for the current named X (weight-one mode convention)."""
-        name = name.upper()
-        out = None
-        for mon, c in vec.terms.items():
-            key = (name, n, mon)
-            image = self._cache.get(key)
-            if image is None:
-                unit = FockVector(self.space, {mon: self.space.ctx.one()})
-                image = apply_field_coeff(self._exprs[name], -n - 1, unit)
-                self._cache[key] = image
-            out = c * image if out is None else out + c * image
-        return out if out is not None else self.space.zero()
+        return self.mode(name, n).apply(vec)
 
     def apply_element(self, x: LoopElement, vec: FockVector) -> FockVector:
         out = self.space.zero()
@@ -508,12 +512,7 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
     # exhaustive small blocks through matrices
     def block_holds(x, y, n, m, energy, charge):
         elem = LoopElement.basis(ctx, x, n).bracket(LoopElement.basis(ctx, y, m))
-        src, tgt, rows = commutator_blocks(
-            mode_of_field(wakimoto_current(x, params), n, space),
-            mode_of_field(wakimoto_current(y, params), m, space),
-            energy,
-            charge,
-        )
+        src, tgt, rows = commutator_blocks(act.mode(x, n), act.mode(y, m), energy, charge)
         return all(
             FockVector(space, {tgt[i]: rows[i][j] for i in range(len(tgt))})
             == act.apply_element(elem, FockVector(space, {mon: ctx.one()}))

@@ -12,7 +12,7 @@ import pytest
 
 from screenops import fields
 from screenops.scalars import ParameterContext
-from screenops.fock import FockSpace, OscSpec, is_annihilator, osc_apply
+from screenops.fock import FockSpace, FockVector, OscSpec, is_annihilator, osc_apply
 from screenops.fields import (
     FieldExpr,
     UnsupportedPairingError,
@@ -265,26 +265,109 @@ def _reference_assignments(factors, e, energy, tgt_max, has_vertex):
             yield modes, (rest if has_vertex else None), coeff
 
 
+def _probe_vector(space, energy):
+    """A few monomials of every oscillator family; energy bound ``energy``."""
+    mons = [(), (("as", 0),)]
+    if energy:
+        mons += [(("b", -energy),), (("a", -1), ("as", 1 - energy))]
+    return FockVector(space, {mon: space.ctx.one() for mon in mons})
+
+
+def _lower(modes, vec):
+    """Apply the annihilation modes of ``modes`` in order."""
+    for mode in modes:
+        if is_annihilator(mode):
+            vec = osc_apply(mode, vec)
+    return vec
+
+
 class TestFactorAssignments:
     @pytest.mark.parametrize("has_vertex", [False, True])
     @pytest.mark.parametrize("length", [0, 1, 2, 3])
-    def test_matches_brute_force(self, has_vertex, length):
+    def test_matches_brute_force(self, charged, has_vertex, length):
+        """The search yields exactly the brute-force assignments whose
+        annihilation modes leave a nonzero vector, in the same order, each
+        with that lowered vector."""
+        ctx, F = charged
         shapes = list(itertools.product(_FACTORS, repeat=length))
         if length == 3:
             shapes = shapes[::23]
-        compared = 0
+        compared = pruned = 0
         for factors in shapes:
             delta = sum(_FIELD_MODES[sym][1] + k for sym, k in factors)
-            for e, energy in [(-3, 0), (0, 0), (0, 2), (2, 1), (-1, 3)]:
+            for e, energy in [(-3, 0), (0, 0), (0, 2), (2, 1), (-1, 3), (-3, 2)]:
                 tgt_max = energy + e + delta
                 if tgt_max < 0:
                     continue
-                got = list(_factor_assignments(factors, e, energy, tgt_max, has_vertex))
-                want = list(_reference_assignments(factors, e, energy, tgt_max, has_vertex))
-                assert got == want, (factors, e, energy)
-                assert all(type(c) is int for _, _, c in got)
+                vec = _probe_vector(F, energy)
+                assert vec.energy_bound() == energy
+                got = list(_factor_assignments(factors, e, energy, tgt_max, has_vertex,
+                                               {(): vec}))
+                want = []
+                for modes, veps, c in _reference_assignments(factors, e, energy, tgt_max,
+                                                             has_vertex):
+                    low = _lower(modes, vec)
+                    if low.is_zero():
+                        pruned += 1
+                    else:
+                        want.append((modes, veps, c, low))
+                assert [(list(m), v, c) for m, v, c, _ in got] == [w[:3] for w in want], (
+                    factors, e, energy)
+                assert all(g[3] == w[3] for g, w in zip(got, want))
+                assert all(type(c) is int for _, _, c, _ in got)
                 compared += len(got)
         assert compared > 0
+        if length:
+            assert pruned > 0
+
+    def test_pruning_drops_only_zero_terms(self, charged):
+        """apply_field_coeff equals the unpruned sum over every brute-force
+        assignment, each applied in normal order from the source vector."""
+        ctx, F = charged
+        lam, nu = ctx.param("lam"), ctx.param("nu")
+        g, b, p = (FieldExpr.field(ctx, s) for s in ("gamma", "beta", "p"))
+        exprs = [
+            (g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b,
+            p * p * g + nu * (FieldExpr.field(ctx, "p", 1) * b) + FieldExpr.scalar(ctx, 3),
+            FieldExpr.vertex(ctx, nu) * (b + p * g + FieldExpr.field(ctx, "gamma", 1)),
+        ]
+        vac = F.vacuum()
+        probes = [
+            vac,
+            osc_apply(("a", -1), osc_apply(("as", 0), osc_apply(("as", 0), vac)))
+            + 3 * osc_apply(("b", -1), osc_apply(("as", -1), vac)),
+            osc_apply(("a", -2), osc_apply(("a", -1), osc_apply(("as", -1), vac)))
+            + lam * osc_apply(("b", -2), vac),
+        ]
+        nonzero = 0
+        for expr in exprs:
+            mu = expr.vertex_exponent()
+            for vec in probes:
+                energy = vec.energy_bound()
+                target = F.shifted(mu)
+                for e in range(-2, 2):
+                    want = target.zero()
+                    for (tmu, factors), coeff in expr.terms.items():
+                        tgt_max = energy + e + sum(_FIELD_MODES[sym][1] + k
+                                                   for sym, k in factors)
+                        if tgt_max < 0:
+                            continue
+                        for modes, veps, c in _reference_assignments(
+                            factors, e, energy, tgt_max, tmu is not None
+                        ):
+                            low = _lower(modes, vec)
+                            if veps is None:
+                                term = FockVector(target, low.terms)
+                            else:
+                                term = apply_vertex(tmu, veps, low)
+                            for mode in modes:
+                                if not is_annihilator(mode):
+                                    term = osc_apply(mode, term)
+                            want = want + (coeff * c) * term
+                    got = apply_field_coeff(expr, e, vec)
+                    assert got == want, (expr, e, vec)
+                    nonzero += not got.is_zero()
+        assert nonzero > 10
 
 
 class TestOpeModeCrossCheck:
@@ -345,7 +428,7 @@ class TestAnnihilatorPrefixes:
         g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         expr = (g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b
         vec = osc_apply(("a", -2), osc_apply(("a", -1), osc_apply(("as", -1), F.vacuum())))
-        real_apply, real_assign = fields.osc_apply, fields._apply_assignment
+        real_apply, real_search = fields.osc_apply, fields._factor_assignments
 
         def run():
             applied = []
@@ -360,12 +443,13 @@ class TestAnnihilatorPrefixes:
 
         shared, applied = run()
         assert applied and len(applied) == len(set(applied))
-        # each assignment from the bare source vector, with no shared prefixes
+        # each term's search from the bare source vector, with no prefixes
+        # shared between the terms
         monkeypatch.setattr(
             fields,
-            "_apply_assignment",
-            lambda modes, veps, tmu, lowered, target: real_assign(
-                modes, veps, tmu, {(): lowered[()]}, target
+            "_factor_assignments",
+            lambda factors, e, energy, tgt_max, has_vertex, lowered: real_search(
+                factors, e, energy, tgt_max, has_vertex, {(): lowered[()]}
             ),
         )
         unshared, repeated = run()

@@ -238,6 +238,39 @@ class TestModeOperators:
         # memoized: same tuple object back
         assert op.matrix(1, 1) is op.matrix(1, 1)
 
+    def test_apply_sums_memoized_monomial_images(self, charged):
+        ctx, spec, F = charged
+        lam = ctx.param("lam")
+        calls = []
+
+        def fn(v):
+            calls.append(v)
+            return osc_apply(("b", -1), osc_apply(("b", 1), v)) + lam * osc_apply(
+                ("as", -1), osc_apply(("a", 1), v)
+            )
+
+        op = ModeOperator(fn, F, F, 0)
+        vac = F.vacuum()
+        vec = (
+            (lam + 1) * osc_apply(("b", -1), osc_apply(("as", -1), vac))
+            + 3 * osc_apply(("a", -1), osc_apply(("as", -1), osc_apply(("b", -1), vac)))
+            + lam * osc_apply(("as", -1), osc_apply(("as", -1), osc_apply(("a", -1), vac)))
+        )
+        want = fn(vec)
+        calls.clear()
+        assert not want.is_zero()
+        assert op.apply(vec) == want
+        assert len(calls) == 3  # one unit vector per monomial
+        assert op.apply(vec) == want
+        assert len(calls) == 3  # the second application reads the memo
+        assert op.apply(F.zero()) == F.zero()
+
+    def test_apply_rejects_vector_over_another_space(self, charged):
+        ctx, spec, F = charged
+        op = oscillator_mode(("b", -1), F)
+        with pytest.raises(ValueError):
+            op.apply(F.shifted(1).vacuum())
+
 
 class TestShiftOperator:
     def test_shift_commutes_with_creation_and_annihilation(self, boson):

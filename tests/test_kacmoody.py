@@ -64,7 +64,7 @@ class TestWeightSpaces:
     @pytest.mark.parametrize("cd", [CartanData.sl2(), CartanData.sl3(), CartanData.b2(), CartanData.g2()])
     def test_dimensions_match_root_multiset_count(self, cd):
         for depth in _depths(cd.rank, 6):
-            assert weight_space(cd, depth).dim == pbw_dim(cd, depth)
+            assert len(weight_space(cd, depth).basis_words) == pbw_dim(cd, depth)
 
     def test_serre_element_reduces_to_zero(self):
         cd = CartanData.b2()

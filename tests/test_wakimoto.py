@@ -12,7 +12,7 @@ import pytest
 
 from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
-from screenops.fock import monomial_energy, osc_apply
+from screenops.fock import FockVector, commutator_blocks, monomial_energy, osc_apply
 from screenops.wakimoto import (
     AffineParams,
     CurrentAction,
@@ -180,6 +180,36 @@ class TestLoopElements:
         )
         want = act.apply("H", 0, vac) + params.level * vac
         assert lhs == want
+
+
+class TestModeMemo:
+    def test_memoized_blocks_match_fresh_field_coefficients(self, setup):
+        """commutator_blocks of the memoized act.mode operators equals the
+        matrix composed from fresh apply_field_coeff calls."""
+        params, space, act = setup
+        ctx = params.ctx
+        checked = 0
+        for x, y in (("E", "F"), ("H", "F"), ("H", "E")):
+            X, Y = wakimoto_current(x, params), wakimoto_current(y, params)
+            for n, m in ((1, -1), (0, 0), (2, -2), (-1, 1)):
+                for energy in range(3):
+                    for charge in (-1, 0, 1):
+                        src, tgt, rows = commutator_blocks(act.mode(x, n), act.mode(y, m),
+                                                           energy, charge)
+                        for j, mon in enumerate(src):
+                            unit = FockVector(space, {mon: ctx.one()})
+                            fresh = apply_field_coeff(
+                                X, -n - 1, apply_field_coeff(Y, -m - 1, unit)
+                            ) - apply_field_coeff(Y, -m - 1, apply_field_coeff(X, -n - 1, unit))
+                            assert set(fresh.terms) <= set(tgt)
+                            for i, tmon in enumerate(tgt):
+                                assert rows[i][j] == fresh.terms.get(tmon, ctx.zero())
+                            checked += 1
+        assert checked > 100
+        # one operator per mode, shared by apply and the block matrices
+        assert act.mode("e", 1) is act.mode("E", 1)
+        vec = space.vacuum()
+        assert act.apply("F", -1, vec) == act.mode("F", -1).apply(vec)
 
 
 class TestScreeningTransport:
