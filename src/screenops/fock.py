@@ -237,6 +237,11 @@ class FockVector:
         c = scalar if isinstance(scalar, (int, Fraction)) else self.space.ctx.scalar(scalar)
         if not c:
             return self.space.zero()
+        # vectors are never changed in place, so scaling by 1 may share self
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         return FockVector(self.space, {m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):

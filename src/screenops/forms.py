@@ -27,6 +27,7 @@ variables, with [e_n, e_m] = (n - m) e_{n+m}.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -43,6 +44,7 @@ __all__ = [
     "clear_pairs",
     "koszul_value",
     "TotalComplex",
+    "residue_functional",
     "contraction_cochain",
 ]
 
@@ -647,6 +649,52 @@ def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callabl
     return total
 
 
+def _as_int(scalar: ParamScalar, what: str) -> int:
+    if not scalar.is_rational():
+        raise ValueError("non-integral exponent: %s is not a rational constant" % what)
+    f = scalar.as_fraction()
+    if f.denominator != 1:
+        raise ValueError("non-integral exponent: %s = %s" % (what, f))
+    return int(f)
+
+
+def _pair_power_monomials(nvars: int, pairs: dict) -> dict:
+    """prod_{i<j} (z_i - z_j)^pairs[i, j] as integer monomials {degrees: coeff}."""
+    terms = {(0,) * nvars: 1}
+    for (i, j), power in pairs.items():
+        new: dict = {}
+        for degs, c in terms.items():
+            for k in range(power + 1):
+                nd = list(degs)
+                nd[i] += power - k
+                nd[j] += k
+                key = tuple(nd)
+                new[key] = new.get(key, 0) + c * math.comb(power, k) * (-1) ** k
+        terms = {k: v for k, v in new.items() if v}
+    return terms
+
+
+def residue_functional(form: LaurentForm, kappas: Sequence[int], pairs: dict):
+    """Iterated residue of prod z_q^kappas[q] prod_{i<j} (z_i - z_j)^pairs[i, j] * form.
+
+    Reads the top-degree coefficient at z^-1 in every slot: the sum over the
+    monomials c z^d of the pair product of c times the coefficient of form at
+    (-1 - kappas[q] - d[q])_q.  Returns None when no such coefficient is
+    present and raises if an exponent read lies outside the validity window.
+    """
+    full = tuple(range(form.nvars))
+    out = None
+    for degs, c in _pair_power_monomials(form.nvars, pairs).items():
+        exps = tuple(-1 - k - d for k, d in zip(kappas, degs))
+        if not _in_window(exps, form.window):
+            raise ValueError("residue exponents fall outside the validity window")
+        value = form.terms.get((full, exps))
+        if value is not None:
+            add = c * value
+            out = add if out is None else out + add
+    return out
+
+
 class TotalComplex:
     """Rows of the total differential d' + (-1)^m d'' on a cochain family.
 
@@ -661,16 +709,32 @@ class TotalComplex:
     product Delta (``clear_pairs``, the identity without pairs) before the
     two are added.  Every row is expected to vanish inside its window.
 
-    A family that supplies ``residue(u)`` gets ``intertwining_defect``.  The
-    residue is the iterated residue of the top component on u at the
-    connection's integral exponents, a map from source vectors to target
-    vectors that raises ``ValueError`` when the exponents are not integral.
-    At integral exponents the residue of the exact part vanishes, so the
-    residue is an intertwiner: ``intertwining_defect`` is expected to vanish.
+    ``residue(u)`` is the iterated residue of the top component on u at the
+    connection's exponents (``residue_exponents``): ``residue_functional``
+    reads it off ``component([], u)``, and the family's ``target`` supplies
+    the zero.  It raises ``ValueError`` when an exponent is not an integer or
+    a pair exponent is negative.  At such exponents the twisted form is
+    single-valued and the residue of the exact part vanishes, so the residue
+    is an intertwiner: ``intertwining_defect`` is expected to vanish.
     """
 
     def bracket(self, x, y):
         return x.bracket(y)
+
+    def residue_exponents(self) -> tuple:
+        """(kappas, pairs): the connection's exponents read as integers."""
+        conn = self.connection
+        kappas = tuple(_as_int(k, "puncture exponent") for k in conn.kappa)
+        pairs = {key: _as_int(c, "pair exponent") for key, c in conn.pairs.items()}
+        if any(power < 0 for power in pairs.values()):
+            raise ValueError("non-integral exponent: pair exponent must be >= 0")
+        return kappas, pairs
+
+    def residue(self, u):
+        """Iterated residue of the top component on u, a target vector."""
+        kappas, pairs = self.residue_exponents()
+        got = residue_functional(self.component([], u), kappas, pairs)
+        return self.target.zero() if got is None else got
 
     def intertwining_defect(self, x, u):
         """Target action after the residue minus the residue after the source action."""

@@ -9,9 +9,10 @@ Layers:
 * multi-variable cochains attached to a reduced reflection word, the total
   complex residuals pairing the Koszul differential with the twisted de Rham
   differential, and the residue of the top component at nonnegative integral
-  exponents (``ReflectionCochains.residue``), a module map whose intertwining
-  defect vanishes; ``residue_functional`` reads the same residue off a
-  Laurent form.
+  exponents, a module map whose intertwining defect vanishes.
+  ``ReflectionCochains.residue`` applies the slot modes directly; the
+  shared reader ``forms.residue_functional`` reads the same coefficient off
+  the top component.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from typing import Sequence
 
 from .scalars import ParameterContext
 from .kacmoody import CartanData, VermaModule, VermaVector, br
-from .forms import Connection, LaurentForm, TotalComplex, _in_window
+from .forms import Connection, LaurentForm, TotalComplex
 
 __all__ = [
     "ScreeningFamily",
     "ReflectionCochains",
-    "residue_functional",
 ]
 
 
@@ -200,41 +200,18 @@ class ReflectionCochains(TotalComplex):
 
     # -- residue at integral exponents ------------------------------------------
 
-    def residue_exponents(self) -> list:
-        """The connection's exponents kappa_p, which must be nonnegative integers."""
-        out = []
-        for k in self.connection.kappa:
-            if not (k.is_integer() and k.as_fraction() >= 0):
-                raise ValueError("residue intertwiner needs nonnegative integer pairings")
-            out.append(int(k.as_fraction()))
-        return out
-
     def residue(self, u: VermaVector) -> VermaVector:
-        """Iterated residue of the top component on u.
+        """Iterated residue of the top component on u, by the mode route.
 
-        Slot p applies its mode kappa_p, last slot first.
+        Slot p applies its mode kappa_p, last slot first.  This is the
+        coefficient that ``TotalComplex.residue`` reads off the top component,
+        without building that component, every slot of which threads all
+        modes up to ``mode_max``.  A negative kappa_p is rejected, since
+        ``ScreeningFamily.apply`` would take it for the identity.
         """
-        for fam, k in reversed(list(zip(self.slots, self.residue_exponents()))):
+        kappas, _ = self.residue_exponents()
+        if any(k < 0 for k in kappas):
+            raise ValueError("residue intertwiner needs nonnegative integer pairings")
+        for fam, k in reversed(list(zip(self.slots, kappas))):
             u = fam.apply(k, u)
         return u
-
-
-# ---------------------------------------------------------------------------
-# residue functional
-
-
-def residue_functional(form: LaurentForm, kappas: Sequence[int]):
-    """Iterated residue of (prod z_p^kappa_p) * form against the full dz set.
-
-    Picks the coefficient at exponents (-kappa_p - 1) on the top-degree
-    component; raises if that point is outside the validity window.
-    """
-    a = form.nvars
-    target = tuple(-k - 1 for k in kappas)
-    full = tuple(range(a))
-    if not _in_window(target, form.window):
-        raise ValueError("residue exponents fall outside the validity window")
-    for (subset, exps), value in form.terms.items():
-        if subset == full and exps == target:
-            return value
-    return None

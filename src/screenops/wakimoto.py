@@ -997,7 +997,9 @@ class ScreeningCochains(TotalComplex):
     prefactor reads; a lower n raises "window exceeded".  Rows of the total
     differential combine the Koszul differential of the current action with
     the pair-cleared twisted de Rham differential (one twist exponent per
-    slot, one pair weight per slot pair).
+    slot, one pair weight per slot pair).  At integral exponents
+    ``TotalComplex.residue`` reads an intertwiner of the current action off
+    the top component.
     """
 
     def __init__(

@@ -22,13 +22,11 @@ from screenops.fields import (
     vertex_annihilation_coeff,
     vertex_creation_coeff,
 )
-from screenops.forms import WittElement
-from screenops.verma_screenings import residue_functional
+from screenops.forms import WittElement, _pair_power_monomials, residue_functional
 from screenops.virasoro import (
     VertexScreeningCochains,
     _commutation_coeffs,
     _exp_series_coeffs,
-    _pair_power_monomials,
     _telescoped_quotient,
     central_charge,
     check_L_vertex,
@@ -318,28 +316,42 @@ class TestScreeningCochains:
 
 class TestResidueIntertwiner:
     def test_pair_power_expansion(self):
-        got = _pair_power_monomials(2, 2)
+        got = _pair_power_monomials(2, {(0, 1): 2})
         assert got == {(2, 0): QQ(1), (1, 1): QQ(-2), (0, 2): QQ(1)}
         # binomial theorem check for a higher power
-        got8 = _pair_power_monomials(2, 8)
+        got8 = _pair_power_monomials(2, {(0, 1): 8})
         assert got8[(4, 4)] == QQ(70)
         assert sum(got8.values()) == QQ(0)
+        # one power per pair: (z_0 - z_1)(z_1 - z_2)^2, expanded by hand
+        got3 = _pair_power_monomials(3, {(0, 1): 1, (1, 2): 2})
+        assert got3 == {
+            (1, 2, 0): 1, (1, 1, 1): -2, (1, 0, 2): 1,
+            (0, 3, 0): -1, (0, 2, 1): 2, (0, 1, 2): -1,
+        }
 
     def test_single_slot_sends_vacuum_to_shifted_vacuum(self):
         ctx = ParameterContext(())
         fam = VertexScreeningCochains(ctx, QQ(-1, 2), QQ(1), 1)
-        assert fam.residue_exponents() == (-1, 2)
-        assert _pair_power_monomials(1, 2) == {(0,): QQ(1)}
+        assert fam.residue_exponents() == ((-1,), {})
+        assert _pair_power_monomials(1, {}) == {(0,): QQ(1)}
         assert fam.residue(fam.space.vacuum()) == fam.target.vacuum()
 
     def test_two_slot_vacuum_values(self):
         ctx = ParameterContext(())
         fam = VertexScreeningCochains(ctx, QQ(-1), QQ(1), 2)
-        assert fam.residue_exponents() == (-2, 2)
+        assert fam.residue_exponents() == ((-2, -2), {(0, 1): 2})
         assert fam.residue(fam.space.vacuum()) == QQ(-2) * fam.target.vacuum()
         deformed = VertexScreeningCochains(ctx, QQ(-5, 4), QQ(2), 2)
-        assert deformed.residue_exponents() == (-5, 8)
+        assert deformed.residue_exponents() == ((-5, -5), {(0, 1): 8})
         assert deformed.residue(deformed.space.vacuum()) == QQ(70) * deformed.target.vacuum()
+
+    def test_residue_needs_the_read_window(self):
+        # the deformed residue reads z^(4-d) for d in 0..8, so a window of
+        # half-width 3 cannot hold it
+        ctx = ParameterContext(())
+        fam = VertexScreeningCochains(ctx, QQ(-5, 4), QQ(2), 2, window_halfwidth=3)
+        with pytest.raises(ValueError, match="outside the validity window"):
+            fam.residue(fam.space.vacuum())
 
     def test_energy_preserving_grading(self):
         # ModeOperator.matrix raises if an image leaves the energy-e block
@@ -378,7 +390,8 @@ class TestResidueIntertwiner:
         ]
         for alpha, beta, slots, e_max in cases:
             fam = VertexScreeningCochains(ctx, alpha, beta, slots)
-            kappa, power = fam.residue_exponents()
+            kappas, pairs = fam.residue_exponents()
+            kappa, power = kappas[0], pairs.get((0, 1), 0)
             e0 = -1 - kappa
             window = ((e0 - power * (slots - 1), e0),) * slots
             nonzero = 0
@@ -389,11 +402,53 @@ class TestResidueIntertwiner:
                     for i, j in itertools.combinations(range(slots), 2):
                         for _ in range(power):
                             form = form.mul_zdiff(i, j)
-                    got = residue_functional(form, [kappa] * slots)
+                    got = residue_functional(form, kappas, {})
                     want = fam.residue(u)
                     assert want.is_zero() if got is None else got == want
                     nonzero += not want.is_zero()
             assert nonzero
+
+    def test_one_slot_symbolic_in_b(self):
+        # alpha = kappa/(2b) puts the puncture exponent at kappa for every b;
+        # one slot has no pair, so 2b^2 need not be an integer
+        ctx = ParameterContext(("b",))
+        b = ctx.param("b")
+        for kappa in range(-2, 2):
+            fam = VertexScreeningCochains(
+                ctx, ctx.scalar(QQ(kappa, 2)) / b, b, 1, window_halfwidth=2
+            )
+            assert fam.residue_exponents() == ((kappa,), {})
+            basis = [
+                FockVector(fam.space, {mon: ctx.one()})
+                for e in range(4)
+                for mon in fam.space.block_basis(e)
+            ]
+            assert len(basis) == 7
+            for n in range(-3, 4):
+                for v in basis:
+                    defect = fam.intertwining_defect(WittElement.basis(n), v)
+                    assert defect.is_zero(), (kappa, n, v)
+            assert any(not fam.residue(v).is_zero() for v in basis), kappa
+
+    def test_off_resonance_read_is_not_an_intertwiner(self):
+        # negative control: the z^(-1-kappa) coefficient read one exponent off
+        ctx = ParameterContext(("b",))
+        b = ctx.param("b")
+        fam = VertexScreeningCochains(ctx, ctx.scalar(QQ(-1, 2)) / b, b, 1, window_halfwidth=2)
+
+        def off(u):
+            got = residue_functional(fam.component([], u), (0,), {})
+            return fam.target.zero() if got is None else got
+
+        broken = 0
+        for n in range(-3, 4):
+            for e in range(4):
+                for mon in fam.space.block_basis(e):
+                    v = FockVector(fam.space, {mon: ctx.one()})
+                    x = WittElement.basis(n)
+                    defect = fam.stress(x, off(v)) - off(fam.stress(x, v))
+                    broken += not defect.is_zero()
+        assert broken
 
 
 def _all_green(results):

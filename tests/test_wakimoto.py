@@ -13,6 +13,7 @@ import pytest
 from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
 from screenops.fock import FockVector, commutator_blocks, monomial_energy, osc_apply
+from screenops.forms import residue_functional
 from screenops.wakimoto import (
     AffineParams,
     CurrentAction,
@@ -384,6 +385,66 @@ class TestCochainValues:
                     assert comp.get(((), (e,)), zero) == want
                     nonzero += not want.is_zero()
         assert nonzero > 20
+
+
+@pytest.fixture(scope="module")
+def rational_cochains():
+    """One- and two-slot families at (nu, chi) = (1, 1), sharing their caches across tests.
+
+    The twist -chi/nu^2 is -1 at each puncture and the pair weight 2/nu^2 is 2.
+    """
+    data = screening_ops(AffineParams(ParameterContext(()), nu=QQ(1), chi=QQ(1)))
+    return {slots: ScreeningCochains(data, slots, window_halfwidth=2) for slots in (1, 2)}
+
+
+def _charge_block_units(space, energy_max):
+    """Unit vectors of the (energy, charge) blocks, energy <= energy_max, charge -1..1."""
+    one = space.ctx.one()
+    return [
+        FockVector(space, {mon: one})
+        for e in range(energy_max + 1)
+        for q in (-1, 0, 1)
+        for mon in space.block_basis(e, q)
+    ]
+
+
+def _current_modes(ctx, n_max):
+    return [
+        LoopElement.basis(ctx, name, n) for name in "EHF" for n in range(-n_max, n_max + 1)
+    ]
+
+
+class TestResidueIntertwiner:
+    @pytest.mark.parametrize(
+        "slots, energy_max, n_max, units, nonzero", [(1, 2, 2, 25, 25), (2, 1, 1, 8, 3)]
+    )
+    def test_residue_commutes_with_currents(
+        self, rational_cochains, slots, energy_max, n_max, units, nonzero
+    ):
+        fam = rational_cochains[slots]
+        pairs = {(0, 1): 2} if slots == 2 else {}
+        assert fam.residue_exponents() == ((-1,) * slots, pairs)
+        basis = _charge_block_units(fam.source, energy_max)
+        assert len(basis) == units
+        for x in _current_modes(fam.ctx, n_max):
+            for u in basis:
+                assert fam.intertwining_defect(x, u).is_zero(), (x, u)
+        assert sum(not fam.residue(u).is_zero() for u in basis) == nonzero
+
+    def test_off_resonance_read_breaks_commutation(self, rational_cochains):
+        # negative control: read the top component at kappa + 1, one exponent off
+        fam = rational_cochains[1]
+
+        def off(u):
+            got = residue_functional(fam.component([], u), (0,), {})
+            return fam.target.zero() if got is None else got
+
+        broken = 0
+        for x in _current_modes(fam.ctx, 2):
+            for u in _charge_block_units(fam.source, 2):
+                defect = fam.act_target(x, off(u)) - off(fam.act_source(x, u))
+                broken += not defect.is_zero()
+        assert broken == 87
 
 
 def _word(name, n=0):
