@@ -215,7 +215,7 @@ class FockVector:
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ValueError("cannot add vectors over different Fock spaces")
         out = dict(self.terms)
         zero = self.space.ctx.zero()

@@ -457,8 +457,8 @@ def _in_window(exps, window) -> bool:
 class LaurentForm:
     """dict[(dz-subset, exponent tuple) -> value] with validity windows.
 
-    The window holds one (lo, hi) exponent range per variable; hi is
-    ``math.inf`` for a form known exactly at every exponent above lo.
+    The window holds one (lo, hi) exponent range per variable, hi = ``math.inf`` when
+    exact above lo; zero tests skip terms outside it and ``map_values`` drops them.
     """
 
     __slots__ = ("nvars", "terms", "window")
@@ -488,7 +488,9 @@ class LaurentForm:
         return LaurentForm(self.nvars, {k: scalar * v for k, v in self.terms.items()}, self.window)
 
     def map_values(self, fn: Callable) -> "LaurentForm":
-        return LaurentForm(self.nvars, {k: fn(v) for k, v in self.terms.items()}, self.window)
+        """fn applied to every value inside the window; the values outside it are dropped."""
+        terms = {k: fn(v) for k, v in self.terms.items() if _in_window(k[1], self.window)}
+        return LaurentForm(self.nvars, terms, self.window)
 
     def shift(self, q: int, delta: int) -> "LaurentForm":
         """Multiply by z_q^delta."""

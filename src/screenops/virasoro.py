@@ -32,6 +32,7 @@ from .fields import (
 from .fock import (
     FockSpace,
     FockVector,
+    ModeOperator,
     OscSpec,
     osc_apply,
 )
@@ -777,6 +778,10 @@ class VertexScreeningCochains(TotalComplex):
     ``target``, the Fock space with label alpha + slots*beta.  The residue
     reads the top form inside the window, so the window must reach
     z^(-1-kappa) and the pair-product shifts below it.
+
+    Two memos serve every row: one ``ModeOperator`` per (stress mode n, Fock
+    space), covering ``space`` and ``target``, and the top form of each unit
+    source monomial, which ``top_form(u)`` sums over the terms of u.
     """
 
     def __init__(
@@ -809,6 +814,7 @@ class VertexScreeningCochains(TotalComplex):
         )
         self.connection = Connection([kappa] * slots, pairs)
         self.window = tuple((-window_halfwidth, window_halfwidth) for _ in range(slots))
+        self._modes: dict = {}
         self._tops: dict = {}
 
     # -- building blocks -------------------------------------------------------
@@ -817,16 +823,33 @@ class VertexScreeningCochains(TotalComplex):
         """The Virasoro image of u under the element x (linearly extended)."""
         out = u.space.zero()
         for n, c in x.coeffs.items():
-            out = out + c * virasoro_apply(n, self.alpha0, u)
+            out = out + c * self.stress_mode(n, u.space).apply(u)
         return out
 
+    def stress_mode(self, n: int, space: FockSpace) -> ModeOperator:
+        """L_n on ``space``: one memoised operator per (n, space)."""
+        op = self._modes.get((n, space))
+        if op is None:
+            alpha0 = self.alpha0  # not self: a cycle would keep the memos past the family's use
+            op = ModeOperator(lambda v: virasoro_apply(n, alpha0, v), space, space, -n)
+            self._modes[n, space] = op
+        return op
+
     def top_form(self, u: FockVector) -> LaurentForm:
-        key = (u.space, tuple(sorted(u.terms.items())))
-        got = self._tops.get(key)
-        if got is None:
-            got = multi_vertex_form((self.beta,) * self.slots, u, self.window)
-            self._tops[key] = got
-        return got
+        """The top form on u, valued in ``target``: sum c * (unit's form) over its terms c*mon."""
+        if u.space is not self.space and u.space != self.space:
+            raise ValueError("vector lives over %r, the family expects %r" % (u.space, self.space))
+        terms: dict = {}
+        for mon, c in u.terms.items():
+            unit = self._tops.get(mon)
+            if unit is None:
+                one = FockVector(self.space, {mon: self.ctx.one()})
+                form = multi_vertex_form((self.beta,) * self.slots, one, self.window)
+                unit = self._tops[mon] = form.map_values(lambda v: FockVector(self.target, v.terms))
+            for key, value in unit.terms.items():
+                add = c * value
+                terms[key] = terms[key] + add if key in terms else add
+        return LaurentForm(self.slots, terms, self.window)
 
     def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
         return contraction_cochain(self.top_form(u), xs)

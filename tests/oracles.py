@@ -12,6 +12,9 @@ Each function recomputes something the package computes another way:
 * ``positive_roots`` and ``pbw_dim`` -- weight-space dimensions from root
   multisets, checked against the Serre-quotient echelon basis;
 * ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``;
+* ``every_value_residual`` -- a total-complex row with the target action
+  applied to every value of a component, inside its window or not, checked
+  against ``TotalComplex.residual``, which acts on in-window values only;
 * ``poly_add``, ``poly_mul``, ... -- polynomial arithmetic on plain
   ``{exponent: Fraction}`` dicts, checked against ``ParamPolynomial``;
 * ``random_specialize`` -- scalars evaluated at random integer points,
@@ -26,7 +29,7 @@ import random
 from fractions import Fraction
 
 from screenops.fock import is_annihilator, osc_apply
-from screenops.forms import _scalar_is_zero
+from screenops.forms import LaurentForm, _scalar_is_zero, clear_pairs, cleared_d, koszul_value
 from screenops.kacmoody import VermaVector, _word_depth
 from screenops.scalars import ParameterContext, PoleError
 from screenops.verma_screenings import ScreeningFamily
@@ -197,6 +200,25 @@ def laurent_terms(coeff):
         z = tuple(exp[nbase + q] - coeff.zexp[q] for q in range(coeff.space.nvars))
         out[z] = out.get(z, Fraction(0)) + val
     return {k: v for k, v in out.items() if v}
+
+
+# -- total-complex rows -------------------------------------------------------------
+
+
+def every_value_residual(fam, xs, u):
+    """The row of ``fam`` at xs (at least one element) on u, acting on every value."""
+
+    def action(x, ys):
+        comp = fam.component(ys, u)
+        moved = {key: fam.act_target(x, v) for key, v in comp.terms.items()}
+        return LaurentForm(comp.nvars, moved, comp.window) - fam.component(ys, fam.act_source(x, u))
+
+    dprime = koszul_value(lambda ys: fam.component(ys, u), xs, action, fam.bracket)
+    out = clear_pairs(dprime, fam.connection)
+    if len(xs) <= fam.depth:
+        second = cleared_d(fam.component(xs, u), fam.connection)
+        out = out - second if len(xs) % 2 else out + second
+    return out
 
 
 # -- polynomials as {exponent: Fraction} ---------------------------------------------

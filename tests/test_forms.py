@@ -437,6 +437,24 @@ class TestLaurentLayer:
             assert out.terms == form.terms
             assert out.window == form.window
 
+    def test_map_values_acts_only_inside_the_window(self):
+        ctx = ParameterContext(())
+        inside = {((), (0, 0)): ctx.scalar(1), ((0,), (2, -2)): ctx.scalar(2)}
+        outside = {((), (3, 0)): ctx.scalar(3), ((0, 1), (-1, -3)): ctx.scalar(4)}
+        form = LaurentForm(2, {**inside, **outside}, ((-2, 2), (-2, 2)))
+        seen = []
+
+        def fn(v):
+            seen.append(v)
+            return Fraction(5) * v
+
+        out = form.map_values(fn)
+        assert sorted(seen, key=repr) == sorted(inside.values(), key=repr)
+        assert out.window == form.window
+        assert set(out.terms) == set(inside)
+        for key, v in inside.items():
+            assert out.terms[key] == Fraction(5) * v
+
     def test_out_of_window_terms_ignored_by_zero_test(self):
         ctx = ParameterContext(())
         f = LaurentForm(1, {((), (5,)): ctx.scalar(1)}, ((-2, 2),))

@@ -10,7 +10,7 @@ from screenops.kacmoody import CartanData, VermaModule, _reduce_full, br, gen
 from screenops.scalars import ParameterContext
 from screenops.verma_screenings import ReflectionCochains, ScreeningFamily
 
-from oracles import ToyModule, ToyScreening, ToyVector, toy_uniqueness_scan
+from oracles import ToyModule, ToyScreening, ToyVector, every_value_residual, toy_uniqueness_scan
 
 E, H, F = ("e", 0), ("h", 0), ("f", 0)
 
@@ -256,6 +256,25 @@ class TestReflectionCochains:
                 assert rc.residual([x], u).is_zero(), ("depth1", x)
             for x, y in itertools.combinations(gens, 2):
                 assert rc.residual([x, y], u).is_zero(), ("depth2", x, y)
+
+    def test_rows_match_the_every_value_route(self):
+        # the components carry terms at exponent -mode_max-1, below their
+        # window, which the rows do not act on; doubling the target
+        # action makes the rows nonzero, so the comparison is not of zeros
+        ctx = toy_ctx()
+        rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
+        u = rc.source.act(gen("f", 0), rc.source.vacuum())
+        assert any(exps[0] < -rc.mode_max for _, exps in rc.component([], u).terms)
+        broken = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
+        broken.act_target = lambda x, v: 2 * broken.target.act(x, v)
+        rows = [[gen("e", 0)], [gen("f", 0)], [gen("e", 0), gen("f", 0)]]
+        for fam in (rc, broken):
+            for xs in rows:
+                got = fam.residual(xs, u)
+                want = every_value_residual(fam, xs, u)
+                assert got.window == want.window
+                assert (got - want).is_zero(), xs
+        assert not broken.residual(rows[0], u).is_zero()
 
     def test_rank_one_depth1_components_nontrivial(self):
         ctx = toy_ctx()

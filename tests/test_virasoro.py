@@ -22,7 +22,7 @@ from screenops.fields import (
     vertex_annihilation_coeff,
     vertex_creation_coeff,
 )
-from screenops.forms import WittElement, _pair_power_monomials, residue_functional
+from screenops.forms import WittElement, _in_window, _pair_power_monomials, residue_functional
 from screenops.virasoro import (
     VertexScreeningCochains,
     _commutation_coeffs,
@@ -42,6 +42,8 @@ from screenops.virasoro import (
     verify_virasoro,
     virasoro_apply,
 )
+
+from oracles import every_value_residual
 
 QQ = Fraction
 
@@ -312,6 +314,74 @@ class TestScreeningCochains:
         ctx = ParameterContext(())
         with pytest.raises(ValueError, match="screening exponent beta must be nonzero"):
             VertexScreeningCochains(ctx, QQ(-2, 5), 0, 1)
+
+
+class TestMemoisedRoutes:
+    """The family's memoised stress modes and unit top forms against the
+    per-vector routes they replace."""
+
+    @pytest.fixture
+    def fam(self):
+        ctx = ParameterContext(("alpha", "b"))
+        return VertexScreeningCochains(ctx, ctx.param("alpha"), ctx.param("b"), 2, window_halfwidth=2)
+
+    def test_stress_mode_matches_virasoro_apply(self, fam):
+        cases = 0
+        for space in (fam.space, fam.target):
+            for n in range(-3, 4):
+                op = fam.stress_mode(n, space)
+                assert fam.stress_mode(n, space) is op
+                for e in range(4):
+                    for mon in space.block_basis(e):
+                        u = FockVector(space, {mon: fam.ctx.one()})
+                        assert op.apply(u) == virasoro_apply(n, fam.alpha0, u), (n, mon)
+                        cases += 1
+        assert cases == 2 * 7 * 7
+
+    def test_stress_of_a_combination(self, fam):
+        b = fam.ctx.param("b")
+        u = virasoro_apply(-2, fam.alpha0, osc_apply(("b", -1), fam.space.vacuum()))
+        x = WittElement({-2: QQ(2), 1: b})
+        want = QQ(2) * virasoro_apply(-2, fam.alpha0, u) + b * virasoro_apply(1, fam.alpha0, u)
+        assert fam.stress(x, u) == want
+
+    def test_top_form_sums_unit_forms(self, fam):
+        u = virasoro_apply(-2, fam.alpha0, osc_apply(("b", -1), fam.space.vacuum()))
+        assert len(u.terms) > 1
+        got = fam.top_form(u)
+        want = multi_vertex_form((fam.beta,) * fam.slots, u, fam.window)
+        assert got.window == want.window
+        assert set(got.terms) == set(want.terms)
+        for key, value in want.terms.items():
+            assert got.terms[key] == value
+            assert got.terms[key].space is fam.target
+
+    def test_top_form_rejects_a_foreign_vector(self, fam):
+        with pytest.raises(ValueError, match="the family expects"):
+            fam.top_form(fam.target.vacuum())
+
+
+class TestInWindowAction:
+    def test_two_slot_rows_match_the_every_value_route(self):
+        # the depth-1 components carry terms outside their window, which the
+        # rows do not act on; the dropped-pairs family has nonzero rows,
+        # so agreement there is not agreement of two zeros
+        ctx = ParameterContext(())
+        xs = [WittElement.basis(-1), WittElement.basis(1)]
+        nonzero = 0
+        for include_pairs in (True, False):
+            fam = VertexScreeningCochains(
+                ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=3, include_pairs=include_pairs
+            )
+            u = osc_apply(("b", -1), fam.space.vacuum())
+            comp = fam.component(xs[1:], u)
+            assert any(not _in_window(exps, comp.window) for _, exps in comp.terms)
+            got = fam.residual(xs, u)
+            want = every_value_residual(fam, xs, u)
+            assert got.window == want.window
+            assert (got - want).is_zero()
+            nonzero += not got.is_zero()
+        assert nonzero == 1
 
 
 class TestResidueIntertwiner:
