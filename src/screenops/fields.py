@@ -620,7 +620,10 @@ def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
                     continue
             yield from rec(i + 1, remaining - eps, modes + (mode,), longer, sign * d * c)
 
-    yield from rec(0, e, (), (), 1)
+    try:
+        yield from rec(0, e, (), (), 1)
+    finally:
+        del rec  # rec's cell refers to rec: break the cycle
 
 
 def mode_of_field(expr: FieldExpr, n: int, space: FockSpace) -> ModeOperator:

@@ -49,10 +49,15 @@ __all__ = [
 ]
 
 class Connection:
-    """Log-derivative connection sum(k_q dz_q/z_q) + sum(k_qj (dz_q-dz_j)/(z_q-z_j))."""
+    """Log-derivative connection sum(k_q dz_q/z_q) + sum(k_qj (dz_q-dz_j)/(z_q-z_j)).
+
+    ``_gammas`` memoises Gamma_q per (space, q) for `gamma`; `cleared_d`
+    reads the exponents themselves and never that memo.
+    """
 
     def __init__(self, kappa: Sequence, pairs: dict | None = None):
         self.kappa = tuple(kappa)
+        self._gammas = {}
         self.pairs = {}
         for (i, j), c in (pairs or {}).items():
             if i == j:
@@ -66,6 +71,17 @@ class Connection:
 
     def active_pairs(self) -> list:
         return [key for key, c in self.pairs.items() if not _scalar_is_zero(c)]
+
+    def gamma(self, space: "FormSpace", q: int) -> "FactoredCoeff":
+        """Gamma_q = kappa_q/z_q + sum_j kappa_qj/(z_q - z_j) over space, built once."""
+        if (space, q) not in self._gammas:
+            one = FactoredCoeff(space, space.ctx.poly_const(1))
+            gamma = one.shift_z(q, -1).mul_base(self.kappa[q])
+            for j in range(space.nvars):
+                if j != q:
+                    gamma = gamma + one.mul_pair_inverse(q, j).mul_base(self.pair(q, j) or 0)
+            self._gammas[(space, q)] = gamma
+        return self._gammas[(space, q)]
 
 
 def _scalar_is_zero(c) -> bool:
@@ -97,6 +113,7 @@ class FormSpace:
                 zi = self.ctx.poly_param(self.var_names[i])
                 zj = self.ctx.poly_param(self.var_names[j])
                 self._pair_polys[(i, j)] = zi - zj
+        self._base_polys = {}
 
     def zvar(self, q: int) -> int:
         return self._zoff + q
@@ -128,6 +145,19 @@ class FormSpace:
             return False
         return not any(sum(cs) for cs in groups.values())
 
+    def base_poly(self, c) -> ParamPolynomial:
+        """A rational, or a base-context scalar with a constant denominator, as a
+        polynomial of ``ctx``; memoised per scalar.  Raises ValueError otherwise."""
+        poly = self._base_polys.get(c)
+        if poly is None:
+            value = c if isinstance(c, ParamScalar) else self.base.const(c)
+            if value.context != self.base or not value.den.is_constant():
+                raise ValueError("%s is not a polynomial in the base parameters" % c)
+            pad = (0,) * self.nvars
+            poly = ParamPolynomial(self.ctx, {e + pad: v for e, v in value.num.terms.items()})
+            self._base_polys[c] = poly
+        return poly
+
     def lift(self, scalar: ParamScalar) -> ParamScalar:
         """Embed a base-context scalar into the enlarged context."""
         if scalar.context is self.ctx:
@@ -149,6 +179,12 @@ class FactoredCoeff:
     exponent shifts; each pair difference by a substitution test
     (`FormSpace.pair_divides`) followed by an exact division, repeated while
     the test passes.
+
+    Every coefficient is kept reduced, and the z_q and z_i - z_j are distinct
+    primes, each prime to a nonzero base polynomial, so an operation re-tests
+    only the factors it can change: `mul_base` none, `shift_z(q, k)` the
+    power of z_q, `mul_pair_inverse` its pair when new to the denominator.
+    `__add__`, `__mul__` and `derivative_z` re-test every one (`_normalized`).
     """
 
     __slots__ = ("space", "num", "zexp", "pairs")
@@ -156,6 +192,8 @@ class FactoredCoeff:
     def __init__(self, space: FormSpace, num: ParamPolynomial, zexp=None, pairs=None):
         self.space = space
         self.num = num
+        if not num.coeffs:  # zero has one form: no denominator
+            zexp = pairs = None
         self.zexp = tuple(zexp) if zexp is not None else (0,) * space.nvars
         self.pairs = {k: e for k, e in (pairs or {}).items() if e}
 
@@ -246,30 +284,28 @@ class FactoredCoeff:
         return FactoredCoeff(self.space, self.num * other.num, zc, pc)._normalized()
 
     def mul_base(self, c) -> "FactoredCoeff":
-        """Multiply by a base-parameter scalar (or rational)."""
-        if isinstance(c, (int, Fraction)):
-            return self * c
-        return self * FactoredCoeff.from_scalar(self.space, c)
+        """Multiply by a rational or a base-parameter polynomial (`FormSpace.base_poly`)."""
+        return FactoredCoeff(self.space, self.num * self.space.base_poly(c), self.zexp, self.pairs)
 
     def shift_z(self, q: int, k: int) -> "FactoredCoeff":
         """Multiply by z_q^k."""
         if k == 0 or self.is_zero():
             return self
-        if k > 0:
-            num = self.num.shift_var(self.space.zvar(q), k)
-            return FactoredCoeff(self.space, num, self.zexp, self.pairs)._normalized()
-        zexp = list(self.zexp)
-        zexp[q] += -k
-        return FactoredCoeff(self.space, self.num, zexp, self.pairs)._normalized()
+        var = self.space.zvar(q)
+        low = _min_var_degree(self.num, var)
+        power = low + k - self.zexp[q]  # the net power of z_q
+        zexp = self.zexp[:q] + (max(-power, 0),) + self.zexp[q + 1 :]
+        num = self.num.shift_var(var, max(power, 0) - low)
+        return FactoredCoeff(self.space, num, zexp, self.pairs)
 
     def mul_pair_inverse(self, i: int, j: int) -> "FactoredCoeff":
         """Multiply by 1/(z_i - z_j)."""
+        space = self.space
         key = (i, j) if i < j else (j, i)
-        sign = 1 if i < j else -1
-        pairs = dict(self.pairs)
-        pairs[key] = pairs.get(key, 0) + 1
-        num = self.num if sign == 1 else -self.num
-        return FactoredCoeff(self.space, num, self.zexp, pairs)._normalized()
+        num = self.num if i < j else -self.num
+        if key not in self.pairs and space.pair_divides(key, num):
+            return FactoredCoeff(space, num.exact_div(space.pair_poly(i, j)), self.zexp, self.pairs)
+        return FactoredCoeff(space, num, self.zexp, {**self.pairs, key: self.pairs.get(key, 0) + 1})
 
     def derivative_z(self, q: int) -> "FactoredCoeff":
         space = self.space
@@ -341,9 +377,9 @@ class RationalForm:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, FactoredCoeff):
+        if not isinstance(scalar, (FactoredCoeff, int, Fraction)):
             scalar = FactoredCoeff.from_scalar(self.space, scalar)
-        return RationalForm(self.space, {s: scalar * c for s, c in self.terms.items()})
+        return RationalForm(self.space, {s: c * scalar for s, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, RationalForm) and (self - other).is_zero()
@@ -359,7 +395,7 @@ class RationalForm:
                     continue
                 g = coeff.derivative_z(q)
                 if conn is not None:
-                    g = g + _connection_times(conn, coeff, q)
+                    g = g + coeff * conn.gamma(space, q)
                 if g.is_zero():
                     continue
                 new = tuple(sorted(subset + (q,)))
@@ -384,22 +420,6 @@ class RationalForm:
 
     def lie(self, field: "WittElement", conn: Connection | None = None) -> "RationalForm":
         return self.contract(field).d(conn) + self.d(conn).contract(field)
-
-
-def _connection_times(conn: Connection, coeff: FactoredCoeff, q: int) -> FactoredCoeff:
-    """Gamma_q * coeff with Gamma_q = kappa_q/z_q + sum_j kappa_qj/(z_q - z_j)."""
-    total = FactoredCoeff.zero(coeff.space)
-    kq = conn.kappa[q]
-    if not _scalar_is_zero(kq):
-        total = total + coeff.mul_base(kq).shift_z(q, -1)
-    for j in range(coeff.space.nvars):
-        if j == q:
-            continue
-        c = conn.pair(q, j)
-        if c is None or _scalar_is_zero(c):
-            continue
-        total = total + coeff.mul_base(c).mul_pair_inverse(q, j)
-    return total
 
 
 class WittElement:

@@ -183,7 +183,10 @@ class ReflectionCochains(TotalComplex):
                     rec(p - 1, fam.companion(tree, n, vec))
             exps[p - 1] = 0
 
-        rec(a, u)
+        try:
+            rec(a, u)
+        finally:
+            del rec  # rec's cell refers to rec: break the cycle
 
     # -- total-complex data -----------------------------------------------------
 

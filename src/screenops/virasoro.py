@@ -195,7 +195,10 @@ def normal_multi_vertex(mus: Sequence, vec: FockVector, window: Sequence) -> Lau
             if not low.is_zero():
                 annihilate(i + 1, low, downs + (d,))
 
-    annihilate(0, vec, ())
+    try:
+        annihilate(0, vec, ())
+    finally:
+        del create, annihilate  # each one's cell refers to itself: break the cycles
     return LaurentForm(p, terms, window)
 
 

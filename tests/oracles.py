@@ -12,6 +12,9 @@ Each function recomputes something the package computes another way:
 * ``positive_roots`` and ``pbw_dim`` -- weight-space dimensions from root
   multisets, checked against the Serre-quotient echelon basis;
 * ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``;
+* ``connection_times`` -- Gamma_q * coeff as a sum of one term per
+  connection exponent, checked against coeff times the memoised
+  ``Connection.gamma``;
 * ``every_value_residual`` -- a total-complex row with the target action
   applied to every value of a component, inside its window or not, checked
   against ``TotalComplex.residual``, which acts on in-window values only;
@@ -29,7 +32,14 @@ import random
 from fractions import Fraction
 
 from screenops.fock import is_annihilator, osc_apply
-from screenops.forms import LaurentForm, _scalar_is_zero, clear_pairs, cleared_d, koszul_value
+from screenops.forms import (
+    FactoredCoeff,
+    LaurentForm,
+    _scalar_is_zero,
+    clear_pairs,
+    cleared_d,
+    koszul_value,
+)
 from screenops.kacmoody import VermaVector, _word_depth
 from screenops.scalars import ParameterContext, PoleError
 from screenops.verma_screenings import ScreeningFamily
@@ -200,6 +210,22 @@ def laurent_terms(coeff):
         z = tuple(exp[nbase + q] - coeff.zexp[q] for q in range(coeff.space.nvars))
         out[z] = out.get(z, Fraction(0)) + val
     return {k: v for k, v in out.items() if v}
+
+
+def connection_times(conn, coeff, q):
+    """Gamma_q * coeff with Gamma_q = kappa_q/z_q + sum_j kappa_qj/(z_q - z_j), term by term."""
+    total = FactoredCoeff.zero(coeff.space)
+    kq = conn.kappa[q]
+    if not _scalar_is_zero(kq):
+        total = total + coeff.mul_base(kq).shift_z(q, -1)
+    for j in range(coeff.space.nvars):
+        if j == q:
+            continue
+        c = conn.pair(q, j)
+        if c is None or _scalar_is_zero(c):
+            continue
+        total = total + coeff.mul_base(c).mul_pair_inverse(q, j)
+    return total
 
 
 # -- total-complex rows -------------------------------------------------------------

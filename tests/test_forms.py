@@ -6,6 +6,7 @@ are compared term by term against Delta times the closed-form answer.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from screenops.forms import (
     koszul_value,
 )
 
-from oracles import laurent_terms
+from oracles import connection_times, laurent_terms
 
 
 def make_space(nvars, extra=()):
@@ -199,6 +200,87 @@ class TestPairDivisibility:
         z = DIAG_SPACE.z
         with pytest.raises(ValueError, match="not a product of supported factors"):
             FactoredCoeff.from_scalar(DIAG_SPACE, DIAG_SPACE.ctx.one() / (z(0) + z(1)))
+
+
+_DIAG_T = DIAG_SPACE.base.param("t")
+_BASE_SCALARS = st.sampled_from(
+    [Fraction(0), Fraction(-3, 2), _DIAG_T, _DIAG_T * _DIAG_T - 3, 2 * _DIAG_T + 1]
+)
+_DIAG_ZEXPS = st.tuples(*(st.integers(0, 2) for _ in range(DIAG_SPACE.nvars)))
+_DIAG_PAIRS = st.dictionaries(st.sampled_from(sorted(DIAG_SPACE._pair_polys)), st.integers(0, 2))
+
+
+def _reduced(poly, num_zexp, num_pairs, zexp, pairs):
+    """poly times the given z and pair factors over the given denominator, reduced."""
+    for q, m in enumerate(num_zexp):
+        poly = poly.shift_var(DIAG_SPACE.zvar(q), m)
+    for key, m in num_pairs.items():
+        poly = poly * DIAG_SPACE.pair_poly(*key) ** m
+    return FactoredCoeff(DIAG_SPACE, poly, zexp, pairs)._normalized()
+
+
+# numerators share factors with the denominator, so reductions do happen
+_REDUCED = st.builds(_reduced, _DIAG_POLYS, _DIAG_ZEXPS, _DIAG_PAIRS, _DIAG_ZEXPS, _DIAG_PAIRS)
+_ORDERED_PAIRS = st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j])
+
+
+def assert_same_coeff(got, want):
+    assert (got.num, got.zexp, got.pairs) == (want.num, want.zexp, want.pairs)
+
+
+class TestReductionRoutes:
+    """Each operation that re-tests only the factors it can change, against the
+    same product rebuilt unreduced and reduced in full by ``_normalized``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, _BASE_SCALARS)
+    def test_mul_base(self, fc, c):
+        num = fc.num * FactoredCoeff.from_scalar(DIAG_SPACE, c).num
+        want = FactoredCoeff(DIAG_SPACE, num, fc.zexp, fc.pairs)._normalized()
+        assert_same_coeff(fc.mul_base(c), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, st.integers(0, 2), st.integers(-3, 3))
+    def test_shift_z(self, fc, q, k):
+        num, zexp = fc.num, list(fc.zexp)
+        if k >= 0:
+            num = num.shift_var(DIAG_SPACE.zvar(q), k)
+        else:
+            zexp[q] -= k
+        want = FactoredCoeff(DIAG_SPACE, num, zexp, fc.pairs)._normalized()
+        assert_same_coeff(fc.shift_z(q, k), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, _ORDERED_PAIRS)
+    def test_mul_pair_inverse(self, fc, ij):
+        i, j = ij
+        key = (min(ij), max(ij))
+        pairs = dict(fc.pairs)
+        pairs[key] = pairs.get(key, 0) + 1
+        num = fc.num if i < j else -fc.num
+        want = FactoredCoeff(DIAG_SPACE, num, fc.zexp, pairs)._normalized()
+        assert_same_coeff(fc.mul_pair_inverse(i, j), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, st.integers(0, 2), st.lists(_BASE_SCALARS, min_size=6, max_size=6))
+    def test_connection_product(self, fc, q, cs):
+        conn = Connection(cs[:3], {(0, 1): cs[3], (0, 2): cs[4], (1, 2): cs[5]})
+        gamma = conn.gamma(DIAG_SPACE, q)
+        assert conn.gamma(DIAG_SPACE, q) is gamma
+        assert_same_coeff(fc * gamma, connection_times(conn, fc, q))
+
+    @pytest.mark.parametrize("make", [
+        lambda space: space.z(0),
+        lambda space: 1 / (space.base.param("k1") + 1),
+    ], ids=["z-dependent", "parameter-denominator"])
+    def test_mul_base_rejects_what_is_not_a_base_polynomial(self, make):
+        # z factors and parameter denominators are the inputs for which
+        # multiplying without a reduction would leave an unreduced coefficient
+        space = make_space(1)
+        c = make(space)
+        one = FactoredCoeff(space, space.ctx.poly_const(1))
+        with pytest.raises(ValueError, match=re.escape(str(c))):
+            one.mul_base(c)
 
 
 def graded_commutator_with_d(form, fields, conn):
