@@ -173,18 +173,26 @@ class FactoredCoeff:
     """num / (prod z_q^zexp[q] * prod (z_i - z_j)^pairs[i,j]).
 
     `num` is a polynomial over the enlarged context, so base parameters occur
-    only in numerators; `from_scalar` divides a rational constant left in the
-    denominator into `num` and rejects any other factor.  Reduction cancels
-    the known denominator factors without a general gcd: z monomials by
-    exponent shifts; each pair difference by a substitution test
-    (`FormSpace.pair_divides`) followed by an exact division, repeated while
-    the test passes.
+    only in numerators.  The z_q and the z_i - z_j are distinct primes, each
+    prime to a nonzero base polynomial, and every coefficient is kept in one
+    normal form: each power of z_q is the signed exponent zexp[q] (negative
+    for a power in the numerator), each pair exponent is positive, and `num`
+    is prime to every z_q and to every pair of its denominator.  Zero has no
+    denominator.  `from_scalar` accepts a scalar whose denominator is a
+    constant times a z monomial; pair differences enter the denominator only
+    through `mul_pair_inverse`.
 
-    Every coefficient is kept reduced, and the z_q and z_i - z_j are distinct
-    primes, each prime to a nonzero base polynomial, so an operation re-tests
-    only the factors it can change: `mul_base` none, `shift_z(q, k)` the
-    power of z_q, `mul_pair_inverse` its pair when new to the denominator.
-    `__add__`, `__mul__` and `derivative_z` re-test every one (`_normalized`).
+    `_cancel` is the one cancellation rule, and needs no general gcd: it
+    moves every power of the named z_q from `num` into `zexp`, and divides
+    out each named pair difference while a substitution test
+    (`FormSpace.pair_divides`) shows that it divides and the denominator
+    still holds it.  `_normalized` names every factor.  On reduced operands
+    an operation names only the factors it can cancel: `mul_base` and
+    `shift_z` none; `mul_pair_inverse` its pair when new to the denominator;
+    a product no z_q and only the pairs in exactly one operand's denominator;
+    a sum only the factors whose powers are equal in both summands, since at
+    unequal powers one scaled numerator carries the factor and the other is
+    prime to it; `derivative_z` every factor of its num' term alone.
     """
 
     __slots__ = ("space", "num", "zexp", "pairs")
@@ -205,31 +213,15 @@ class FactoredCoeff:
 
     @classmethod
     def from_scalar(cls, space: FormSpace, value) -> "FactoredCoeff":
+        """A rational, or a scalar whose denominator is a constant times a z monomial."""
         if not isinstance(value, ParamScalar):
             return cls(space, space.ctx.poly_const(value))
         value = space.lift(value)
-        num = value.num
         den = value.den
-        zexp = [0] * space.nvars
-        for q in range(space.nvars):
-            d = _min_var_degree(den, space.zvar(q))
-            if d:
-                den = den.shift_var(space.zvar(q), -d)
-                zexp[q] = d
-        pairs: dict = {}
-        while not den.is_constant():
-            for key, pp in space._pair_polys.items():
-                if not space.pair_divides(key, den):
-                    continue
-                den = den.exact_div(pp)
-                pairs[key] = pairs.get(key, 0) + 1
-                break
-            else:
-                raise ValueError("denominator %s is not a product of supported factors" % den)
-        c = den.constant_value()
-        if c != 1:
-            num = num * (1 / c)
-        return cls(space, num, zexp, pairs)._normalized()
+        exp = next(iter(den.coeffs))
+        if len(den.coeffs) != 1 or any(exp[: space._zoff]):
+            raise ValueError("denominator %s is not a product of supported factors" % den)
+        return cls(space, value.num * (1 / den.terms[exp]), exp[space._zoff :])._normalized()
 
     # -- predicates -----------------------------------------------------------
 
@@ -238,25 +230,27 @@ class FactoredCoeff:
 
     # -- normalization ----------------------------------------------------------
 
-    def _normalized(self) -> "FactoredCoeff":
-        num, zexp, pairs = self.num, list(self.zexp), dict(self.pairs)
-        space = self.space
+    def _cancel(self, zs: Iterable[int], keys: Iterable[tuple]) -> "FactoredCoeff":
+        """Self with every power of z_q in num, for q in zs, moved into zexp,
+        and each pair in keys divided out of num as often as both allow."""
+        num, space = self.num, self.space
         if num.is_zero():
-            return FactoredCoeff.zero(space)
-        for q in range(space.nvars):
-            if zexp[q]:
-                d = min(_min_var_degree(num, space.zvar(q)), zexp[q])
-                if d:
-                    num = num.shift_var(space.zvar(q), -d)
-                    zexp[q] -= d
-        for key in list(pairs):
+            return self
+        zexp, pairs = list(self.zexp), dict(self.pairs)
+        for q in zs:
+            d = _min_var_degree(num, space.zvar(q))
+            if d:
+                num = num.shift_var(space.zvar(q), -d)
+                zexp[q] -= d
+        for key in keys:
             pp = space.pair_poly(*key)
-            while pairs[key] and space.pair_divides(key, num):
+            while pairs.get(key) and space.pair_divides(key, num):
                 num = num.exact_div(pp)
                 pairs[key] -= 1
-            if not pairs[key]:
-                del pairs[key]
         return FactoredCoeff(space, num, zexp, pairs)
+
+    def _normalized(self) -> "FactoredCoeff":
+        return self._cancel(range(self.space.nvars), list(self.pairs))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -268,20 +262,37 @@ class FactoredCoeff:
             return other
         if other.is_zero():
             return self
-        zc = tuple(max(a, b) for a, b in zip(self.zexp, other.zexp))
-        keys = set(self.pairs) | set(other.pairs)
-        pc = {k: max(self.pairs.get(k, 0), other.pairs.get(k, 0)) for k in keys}
-        na = _scale_to_common(self, zc, pc)
-        nb = _scale_to_common(other, zc, pc)
-        return FactoredCoeff(self.space, na + nb, zc, pc)._normalized()
+        space = self.space
+        na, nb = self.num, other.num
+        zexp, zs = [], []
+        for q, (a, b) in enumerate(zip(self.zexp, other.zexp)):
+            if a == b:
+                zs.append(q)
+            elif a < b:
+                na = na.shift_var(space.zvar(q), b - a)
+            else:
+                nb = nb.shift_var(space.zvar(q), a - b)
+            zexp.append(max(a, b))
+        pairs, keys = {}, []
+        for key in self.pairs.keys() | other.pairs.keys():
+            a, b = self.pairs.get(key, 0), other.pairs.get(key, 0)
+            if a == b:
+                keys.append(key)
+            elif a < b:
+                na = na * space.pair_poly(*key) ** (b - a)
+            else:
+                nb = nb * space.pair_poly(*key) ** (a - b)
+            pairs[key] = max(a, b)
+        return FactoredCoeff(space, na + nb, zexp, pairs)._cancel(zs, keys)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FactoredCoeff(self.space, self.num * QQ(other), self.zexp, self.pairs)
-        zc = tuple(a + b for a, b in zip(self.zexp, other.zexp))
-        keys = set(self.pairs) | set(other.pairs)
-        pc = {k: self.pairs.get(k, 0) + other.pairs.get(k, 0) for k in keys}
-        return FactoredCoeff(self.space, self.num * other.num, zc, pc)._normalized()
+        zexp = tuple(a + b for a, b in zip(self.zexp, other.zexp))
+        keys = self.pairs.keys() | other.pairs.keys()
+        pairs = {k: self.pairs.get(k, 0) + other.pairs.get(k, 0) for k in keys}
+        out = FactoredCoeff(self.space, self.num * other.num, zexp, pairs)
+        return out._cancel((), self.pairs.keys() ^ other.pairs.keys())
 
     def mul_base(self, c) -> "FactoredCoeff":
         """Multiply by a rational or a base-parameter polynomial (`FormSpace.base_poly`)."""
@@ -291,55 +302,30 @@ class FactoredCoeff:
         """Multiply by z_q^k."""
         if k == 0 or self.is_zero():
             return self
-        var = self.space.zvar(q)
-        low = _min_var_degree(self.num, var)
-        power = low + k - self.zexp[q]  # the net power of z_q
-        zexp = self.zexp[:q] + (max(-power, 0),) + self.zexp[q + 1 :]
-        num = self.num.shift_var(var, max(power, 0) - low)
-        return FactoredCoeff(self.space, num, zexp, self.pairs)
+        zexp = self.zexp[:q] + (self.zexp[q] - k,) + self.zexp[q + 1 :]
+        return FactoredCoeff(self.space, self.num, zexp, self.pairs)
 
     def mul_pair_inverse(self, i: int, j: int) -> "FactoredCoeff":
         """Multiply by 1/(z_i - z_j)."""
-        space = self.space
         key = (i, j) if i < j else (j, i)
         num = self.num if i < j else -self.num
-        if key not in self.pairs and space.pair_divides(key, num):
-            return FactoredCoeff(space, num.exact_div(space.pair_poly(i, j)), self.zexp, self.pairs)
-        return FactoredCoeff(space, num, self.zexp, {**self.pairs, key: self.pairs.get(key, 0) + 1})
+        pairs = {**self.pairs, key: self.pairs.get(key, 0) + 1}
+        out = FactoredCoeff(self.space, num, self.zexp, pairs)
+        return out if key in self.pairs else out._cancel((), (key,))
 
     def derivative_z(self, q: int) -> "FactoredCoeff":
         space = self.space
-        name = space.var_names[q]
-        out = FactoredCoeff(space, self.num.derivative(name), self.zexp, self.pairs)
+        out = FactoredCoeff(space, self.num.derivative(space.var_names[q]), self.zexp, self.pairs)
+        out = out._normalized()
         if self.zexp[q]:
-            zexp = list(self.zexp)
-            zexp[q] += 1
-            out = out + FactoredCoeff(space, self.num * QQ(-self.zexp[q]), zexp, self.pairs)
+            out = out + (self * -self.zexp[q]).shift_z(q, -1)
         for key, b in self.pairs.items():
-            if q not in key:
-                continue
-            sigma = 1 if q == key[0] else -1
-            pairs = dict(self.pairs)
-            pairs[key] = b + 1
-            out = out + FactoredCoeff(space, self.num * QQ(-b * sigma), self.zexp, pairs)
-        return out._normalized()
+            if q in key:
+                out = out + (self * (-b if q == key[0] else b)).mul_pair_inverse(*key)
+        return out
 
     def __repr__(self):
         return "FactoredCoeff(num=%s, zexp=%r, pairs=%r)" % (self.num, self.zexp, self.pairs)
-
-
-def _scale_to_common(fc: FactoredCoeff, zc, pc) -> ParamPolynomial:
-    num = fc.num
-    space = fc.space
-    for q in range(space.nvars):
-        d = zc[q] - fc.zexp[q]
-        if d:
-            num = num.shift_var(space.zvar(q), d)
-    for key, e in pc.items():
-        d = e - fc.pairs.get(key, 0)
-        for _ in range(d):
-            num = num * space.pair_poly(*key)
-    return num
 
 
 def _insert_sign(subset: tuple, q: int) -> int:

@@ -596,9 +596,6 @@ class ParamScalar:
             return self.num.constant_value()
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.as_fraction().denominator == 1
-
     def __bool__(self):
         return not self.num.is_zero()
 

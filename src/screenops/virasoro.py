@@ -937,7 +937,7 @@ def screening_cochain_checks() -> list:
             )
         )
 
-    # three slots at random rational parameters
+    # three slots at the fixed rational point alpha = -2/5, beta = 3/2
     ctx3 = ParameterContext(())
     fam3 = VertexScreeningCochains(
         ctx3, QQ(-2, 5), QQ(3, 2), 3, window_halfwidth=3

@@ -990,16 +990,17 @@ class ScreeningCochains(TotalComplex):
     Each loop element maps to sum c e_{n-1} over its F<n> terms, since
     contracting dz_q with e_{n-1} = -z^n d/dz substitutes the companion of
     F<n> (a multiple of the same vertex) into slot q; the raising and Cartan
-    generators have no companion.  The slots that keep dz then take the
-    charged prefactor -beta(z_q) of the screening current, and the
-    substituted ones the scalar of the companion image.  A loop shift n may
-    read the vertex at most ``mode_bound`` exponents past what the charged
-    prefactor reads; a lower n raises "window exceeded".  Rows of the total
-    differential combine the Koszul differential of the current action with
-    the pair-cleared twisted de Rham differential (one twist exponent per
-    slot, one pair weight per slot pair).  At integral exponents
-    ``TotalComplex.residue`` reads an intertwiner of the current action off
-    the top component.
+    generators have no companion, so data with a nonzero E or H image is
+    rejected, as is an F image that is not a multiple of the vertex.  The
+    slots that keep dz then take the charged prefactor -beta(z_q) of the
+    screening current, and the substituted ones the scalar of the companion
+    image.  A loop shift n may read the vertex at most ``mode_bound``
+    exponents past what the charged prefactor reads; a lower n raises
+    "window exceeded".  Rows of the total differential combine the Koszul
+    differential of the current action with the pair-cleared twisted de Rham
+    differential (one twist exponent per slot, one pair weight per slot
+    pair).  At integral exponents ``TotalComplex.residue`` reads an
+    intertwiner of the current action off the top component.
     """
 
     def __init__(
@@ -1032,6 +1033,8 @@ class ScreeningCochains(TotalComplex):
         half = window_halfwidth
         self.window = tuple((-half, half) for _ in range(slots))
         self._image_scale = self._vertex_multiple(data.image("F"))
+        if any(not expr.is_zero() for name, expr in data.images.items() if name != "F"):
+            raise ValueError("cocycle assembly needs zero E and H companion images")
         self._tops: dict = {}
 
     def _vertex_multiple(self, expr: FieldExpr) -> ParamScalar:
@@ -1099,6 +1102,8 @@ class ScreeningCochains(TotalComplex):
         })
 
     def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
+        if u.space is not self.source and u.space != self.source:
+            raise ValueError("vector lives over %r, the family expects %r" % (u.space, self.source))
         fields = [self._witt(x) for x in xs]
         a = len(fields)
         scale = QQ(-1) ** (self.slots - a) * self._image_scale ** a
@@ -1260,7 +1265,7 @@ def generic_extension_and_descent() -> list:
     evaluates [W1, S(red W2)] - [W2, S(red W1)] with nested machine-applied
     commutator actions and reduced companion families; descent holds when
     this equals the companion family of the reduced bracket.  Verified
-    symbolically in (nu, chi), then at five random chi values plus one
+    symbolically in (nu, chi), then at five fixed rational chi values plus one
     integral chi.  The antisymmetrized residue identity is re-reported here
     as supporting evidence for the conjectural generic-level statement
     (conjecture — evidence only).

@@ -181,25 +181,18 @@ class TestPairDivisibility:
         if k and perturbation is None:
             assert divisible
 
-    def test_from_scalar_counts_pair_factors(self):
-        z = DIAG_SPACE.z
-        t = DIAG_SPACE.ctx.param("t")
-        value = t / ((z(0) - z(1)) ** 2 * (z(2) - z(1)) * z(2))
-        fc = FactoredCoeff.from_scalar(DIAG_SPACE, value)
-        assert fc.pairs == {(0, 1): 2, (1, 2): 1}
-        assert fc.zexp == (0, 0, 1)
-        assert fc.num == (-t).num
-
     def test_from_scalar_rejects_base_parameter_denominator(self):
         space = FormSpace(ParameterContext(("k1",)), 1)
         value = space.z(0) / (space.ctx.param("k1") + 1)
         with pytest.raises(ValueError, match=r"denominator k1\+1 is not a product"):
             FactoredCoeff.from_scalar(space, value)
 
-    def test_from_scalar_rejects_unsupported_denominator(self):
+    @pytest.mark.parametrize("sign", [1, -1], ids=["sum", "pair-difference"])
+    def test_from_scalar_rejects_unsupported_denominator(self, sign):
+        # pair differences enter a denominator only through mul_pair_inverse
         z = DIAG_SPACE.z
         with pytest.raises(ValueError, match="not a product of supported factors"):
-            FactoredCoeff.from_scalar(DIAG_SPACE, DIAG_SPACE.ctx.one() / (z(0) + z(1)))
+            FactoredCoeff.from_scalar(DIAG_SPACE, DIAG_SPACE.ctx.one() / (z(0) + sign * z(1)))
 
 
 _DIAG_T = DIAG_SPACE.base.param("t")
@@ -228,9 +221,68 @@ def assert_same_coeff(got, want):
     assert (got.num, got.zexp, got.pairs) == (want.num, want.zexp, want.pairs)
 
 
+def _unreduced_sum(fa, fb):
+    """fa + fb over the least common multiple of the two denominators, unreduced."""
+    zexp = tuple(map(max, fa.zexp, fb.zexp))
+    keys = fa.pairs.keys() | fb.pairs.keys()
+    pairs = {k: max(fa.pairs.get(k, 0), fb.pairs.get(k, 0)) for k in keys}
+    num = DIAG_SPACE.ctx.poly_const(0)
+    for fc in (fa, fb):
+        part = fc.num
+        for q, e in enumerate(zexp):
+            part = part.shift_var(DIAG_SPACE.zvar(q), e - fc.zexp[q])
+        for key, e in pairs.items():
+            part = part * DIAG_SPACE.pair_poly(*key) ** (e - fc.pairs.get(key, 0))
+        num = num + part
+    return FactoredCoeff(DIAG_SPACE, num, zexp, pairs)
+
+
+def _unreduced_derivative(fc, q):
+    """d/dz_q of fc over its denominator times z_q and every pair through q, unreduced."""
+    through = [key for key in fc.pairs if q in key]
+
+    def pair_product(skip=None):
+        out = DIAG_SPACE.ctx.poly_const(1)
+        for key in through:
+            if key != skip:
+                out = out * DIAG_SPACE.pair_poly(*key)
+        return out
+
+    zq = DIAG_SPACE.ctx.poly_param(DIAG_SPACE.var_names[q])
+    num = (fc.num.derivative(DIAG_SPACE.var_names[q]) * zq - fc.num * fc.zexp[q]) * pair_product()
+    for key in through:
+        sigma = 1 if q == key[0] else -1
+        num = num - fc.num * zq * pair_product(key) * (sigma * fc.pairs[key])
+    zexp = fc.zexp[:q] + (fc.zexp[q] + 1,) + fc.zexp[q + 1 :]
+    pairs = {key: e + (key in through) for key, e in fc.pairs.items()}
+    return FactoredCoeff(DIAG_SPACE, num, zexp, pairs)
+
+
 class TestReductionRoutes:
     """Each operation that re-tests only the factors it can change, against the
-    same product rebuilt unreduced and reduced in full by ``_normalized``."""
+    same result rebuilt unreduced and reduced in full by ``_normalized``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, _REDUCED, st.booleans())
+    def test_add(self, fa, g, cancel):
+        # with cancel the second summand is g - fa, so most factors of the
+        # common denominator appear at equal powers and cancel from the sum
+        fb = _unreduced_sum(-fa, g)._normalized() if cancel else g
+        assert_same_coeff(fa + fb, _unreduced_sum(fa, fb)._normalized())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, _REDUCED)
+    def test_mul(self, fa, fb):
+        zexp = tuple(a + b for a, b in zip(fa.zexp, fb.zexp))
+        keys = fa.pairs.keys() | fb.pairs.keys()
+        pairs = {k: fa.pairs.get(k, 0) + fb.pairs.get(k, 0) for k in keys}
+        want = FactoredCoeff(DIAG_SPACE, fa.num * fb.num, zexp, pairs)._normalized()
+        assert_same_coeff(fa * fb, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_REDUCED, st.integers(0, 2))
+    def test_derivative_z(self, fc, q):
+        assert_same_coeff(fc.derivative_z(q), _unreduced_derivative(fc, q)._normalized())
 
     @settings(max_examples=100, deadline=None)
     @given(_REDUCED, _BASE_SCALARS)

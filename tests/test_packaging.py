@@ -78,3 +78,22 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - used - _exported_names(tree)
     assert not unused, "%s imports %s without using them" % (path.name, sorted(unused))
+
+
+def test_every_definition_is_referenced():
+    # a function or class whose name occurs only on its own def line is dead code
+    texts = [path.read_text().splitlines() for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    unreferenced = []
+    for name in sorted(name for name in defined if not name.startswith("__")):
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        own_def = re.compile(r"^\s*(def|class)\s+%s\b" % re.escape(name))
+        if not any(word.search(line) and not own_def.match(line)
+                   for lines in texts for line in lines):
+            unreferenced.append(name)
+    assert not unreferenced, unreferenced

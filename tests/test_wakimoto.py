@@ -320,6 +320,22 @@ class TestScreeningData:
         with pytest.raises(ValueError, match="proportional to"):
             ScreeningCochains(bad, 1)
 
+    @pytest.mark.parametrize("name", ["E", "H"])
+    def test_cocycle_rejects_nonzero_companion_images(self, name):
+        # the assembly maps only F<n> terms to Witt elements, so a nonzero E or
+        # H image would be dropped from the components though loop_image_coeff reads it
+        data = screening_ops(AffineParams.generic())
+        images = dict(data.images)
+        images[name] = images["F"]
+        bad = ScreeningData(
+            data.params, data.screen, images, data.twist, data.pair_weight, data.label_shift
+        )
+        assert not bad.loop_image_coeff(
+            LoopElement.basis(data.ctx, name, 0), 0, wakimoto_space(data.params).vacuum()
+        ).is_zero()
+        with pytest.raises(ValueError, match="zero E and H companion images"):
+            ScreeningCochains(bad, 1)
+
 
 class TestCochainWindows:
     def test_loop_shift_past_window_raises(self):
@@ -385,6 +401,15 @@ class TestCochainValues:
                     assert comp.get(((), (e,)), zero) == want
                     nonzero += not want.is_zero()
         assert nonzero > 20
+
+    def test_component_rejects_a_foreign_vector(self):
+        fam = ScreeningCochains(screening_ops(AffineParams.generic()), 1, window_halfwidth=1)
+        foreign = fam.target.vacuum()
+        with pytest.raises(ValueError, match="the family expects") as err:
+            fam.component([], foreign)
+        assert repr(fam.source) in str(err.value) and repr(fam.target) in str(err.value)
+        with pytest.raises(ValueError, match="the family expects"):
+            fam.residual([], foreign)
 
 
 @pytest.fixture(scope="module")
