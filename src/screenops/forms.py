@@ -8,8 +8,8 @@ Two coefficient models share the same connection/contraction conventions:
   products of z monomials and pairwise differences (z_i - z_j), so
   coefficients are kept in factored form (`FactoredCoeff`) and reduced
   against those known factors — no general multivariate gcd is ever needed.
-  A pair difference is divided out only after substituting z_i = z_j shows
-  that it divides; the exact division follows.  Everything
+  A pair difference is divided out by synthetic division on the terms
+  grouped by their image under z_i = z_j.  Everything
   (d, contractions, Lie derivatives) is computed in closed form; used for the
   abstract dg-module identities.
 
@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import QQ, ParameterContext, ParamPolynomial, ParamScalar
+from .scalars import QQ, ParameterContext, ParamPolynomial, ParamScalar, _make
 
 __all__ = [
     "Connection",
@@ -124,26 +124,39 @@ class FormSpace:
     def pair_poly(self, i: int, j: int) -> ParamPolynomial:
         return self._pair_polys[(i, j) if i < j else (j, i)]
 
-    def pair_divides(self, key: tuple, poly: ParamPolynomial) -> bool:
-        """Whether (z_i - z_j) divides poly, for key = (i, j) with i < j.
+    def pair_quotient(self, key: tuple, poly: ParamPolynomial) -> ParamPolynomial | None:
+        """poly / (z_i - z_j) for key = (i, j) with i < j, or None if it does not divide.
 
-        Substitutes z_i = z_j and tests the image for zero.  The divisor is
-        monic and linear in z_i, so the image is the remainder of the
-        division and vanishes iff the division is exact.  Only the integer
-        part is read, since the nonzero content does not change the answer.
-        Terms are grouped by image exponent first: a group of one term
-        cannot cancel, and each other group is summed in integers.
+        z_i = z_j maps c_s z_i^s z_j^(t-s) m to c_s z_j^t m, so the integer
+        terms fall into groups by image exponent.  The divisor is monic and
+        linear in z_i, so it divides iff every group sums to zero, which a
+        group of one term cannot.  Each group then divides on its own: the
+        quotient coefficient at z_i^m z_j^(t-1-m) is -sum_{s<=m} c_s.  By
+        Gauss's lemma that quotient is primitive, and its lex-leading
+        coefficient is positive because z_i leads the divisor, so it is
+        already canonical with the content of poly.
         """
         vi, vj = self.zvar(key[0]), self.zvar(key[1])
         groups: dict = {}
         for exp, c in poly.coeffs.items():
-            k = exp[vi]
-            if k:
-                exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + k,) + exp[vj + 1 :]
-            groups.setdefault(exp, []).append(c)
-        if any(len(cs) == 1 for cs in groups.values()):
-            return False
-        return not any(sum(cs) for cs in groups.values())
+            s = exp[vi]
+            if s:
+                exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + s,) + exp[vj + 1 :]
+            groups.setdefault(exp, []).append((s, c))
+        for group in groups.values():
+            if len(group) == 1 or sum(c for _, c in group):
+                return None
+        out = {}
+        for image, group in groups.items():
+            group.sort()
+            head, mid, t, tail = image[:vi], image[vi + 1 : vj], image[vj] - 1, image[vj + 1 :]
+            acc = 0
+            for (s, c), (s_next, _) in zip(group, group[1:]):
+                acc -= c
+                if acc:
+                    for m in range(s, s_next):
+                        out[head + (m,) + mid + (t - m,) + tail] = acc
+        return _make(poly.context, out, poly.content)
 
     def base_poly(self, c) -> ParamPolynomial:
         """A rational, or a base-context scalar with a constant denominator, as a
@@ -184,15 +197,15 @@ class FactoredCoeff:
 
     `_cancel` is the one cancellation rule, and needs no general gcd: it
     moves every power of the named z_q from `num` into `zexp`, and divides
-    out each named pair difference while a substitution test
-    (`FormSpace.pair_divides`) shows that it divides and the denominator
-    still holds it.  `_normalized` names every factor.  On reduced operands
-    an operation names only the factors it can cancel: `mul_base` and
-    `shift_z` none; `mul_pair_inverse` its pair when new to the denominator;
-    a product no z_q and only the pairs in exactly one operand's denominator;
-    a sum only the factors whose powers are equal in both summands, since at
-    unequal powers one scaled numerator carries the factor and the other is
-    prime to it; `derivative_z` every factor of its num' term alone.
+    out each named pair difference while the denominator still holds it
+    and `FormSpace.pair_quotient` finds that it divides.  `_normalized`
+    names every factor.  On reduced operands an operation names only the
+    factors it can cancel: `mul_base` and `shift_z` none; `mul_pair_inverse`
+    its pair when new to the denominator; a product no z_q and only the
+    pairs in exactly one operand's denominator; a sum only the factors whose
+    powers are equal in both summands, since at unequal powers one scaled
+    numerator carries the factor and the other is prime to it;
+    `derivative_z` every factor of its num' term alone.
     """
 
     __slots__ = ("space", "num", "zexp", "pairs")
@@ -231,8 +244,8 @@ class FactoredCoeff:
     # -- normalization ----------------------------------------------------------
 
     def _cancel(self, zs: Iterable[int], keys: Iterable[tuple]) -> "FactoredCoeff":
-        """Self with every power of z_q in num, for q in zs, moved into zexp,
-        and each pair in keys divided out of num as often as both allow."""
+        """Self with every power of z_q in num (q in zs) moved into zexp, and each
+        pair in keys divided out by `FormSpace.pair_quotient` while both allow."""
         num, space = self.num, self.space
         if num.is_zero():
             return self
@@ -243,9 +256,8 @@ class FactoredCoeff:
                 num = num.shift_var(space.zvar(q), -d)
                 zexp[q] -= d
         for key in keys:
-            pp = space.pair_poly(*key)
-            while pairs.get(key) and space.pair_divides(key, num):
-                num = num.exact_div(pp)
+            while pairs.get(key) and (quotient := space.pair_quotient(key, num)) is not None:
+                num = quotient
                 pairs[key] -= 1
         return FactoredCoeff(space, num, zexp, pairs)
 

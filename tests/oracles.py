@@ -15,6 +15,11 @@ Each function recomputes something the package computes another way:
 * ``connection_times`` -- Gamma_q * coeff as a sum of one term per
   connection exponent, checked against coeff times the memoised
   ``Connection.gamma``;
+* ``pair_divides`` -- whether z_i - z_j divides a polynomial, by
+  substituting z_i = z_j, checked against ``exact_div``;
+* ``normalized_by_exact_div`` -- a coefficient reduced by ``pair_divides``
+  and ``exact_div``, checked against ``FactoredCoeff._normalized``, which
+  divides by ``FormSpace.pair_quotient``;
 * ``every_value_residual`` -- a total-complex row with the target action
   applied to every value of a component, inside its window or not, checked
   against ``TotalComplex.residual``, which acts on in-window values only;
@@ -226,6 +231,47 @@ def connection_times(conn, coeff, q):
             continue
         total = total + coeff.mul_base(c).mul_pair_inverse(q, j)
     return total
+
+
+def pair_divides(space, key, poly):
+    """Whether (z_i - z_j) divides poly, for key = (i, j) with i < j.
+
+    Substitutes z_i = z_j and tests the image for zero.  The divisor is
+    monic and linear in z_i, so the image is the remainder of the division
+    and vanishes iff the division is exact.  Only the integer part is read,
+    since the nonzero content does not change the answer.  Terms are
+    grouped by image exponent first: a group of one term cannot cancel, and
+    each other group is summed in integers.
+    """
+    vi, vj = space.zvar(key[0]), space.zvar(key[1])
+    groups = {}
+    for exp, c in poly.coeffs.items():
+        k = exp[vi]
+        if k:
+            exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + k,) + exp[vj + 1 :]
+        groups.setdefault(exp, []).append(c)
+    if any(len(cs) == 1 for cs in groups.values()):
+        return False
+    return not any(sum(cs) for cs in groups.values())
+
+
+def normalized_by_exact_div(coeff):
+    """coeff reduced in full: every z_q power of num moved into zexp, and each
+    pair divided out by ``exact_div`` while ``pair_divides`` passes."""
+    space, num = coeff.space, coeff.num
+    if num.is_zero():
+        return FactoredCoeff.zero(space)
+    zexp, pairs = list(coeff.zexp), dict(coeff.pairs)
+    for q in range(space.nvars):
+        var = space.zvar(q)
+        d = min(exp[var] for exp in num.coeffs)
+        num = num.shift_var(var, -d)
+        zexp[q] -= d
+    for key in pairs:
+        while pairs[key] and pair_divides(space, key, num):
+            num = num.exact_div(space.pair_poly(*key))
+            pairs[key] -= 1
+    return FactoredCoeff(space, num, zexp, pairs)
 
 
 # -- total-complex rows -------------------------------------------------------------

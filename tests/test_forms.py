@@ -26,7 +26,7 @@ from screenops.forms import (
     koszul_value,
 )
 
-from oracles import connection_times, laurent_terms
+from oracles import connection_times, laurent_terms, normalized_by_exact_div, pair_divides
 
 
 def make_space(nvars, extra=()):
@@ -146,30 +146,42 @@ _DIAG_POLYS = st.dictionaries(
 ).map(lambda terms: ParamPolynomial(DIAG_SPACE.ctx, terms))
 
 
+_DIVISION_CASES = (
+    st.sampled_from(sorted(DIAG_SPACE._pair_polys)),
+    st.integers(0, 3),
+    _DIAG_POLYS,
+    st.one_of(
+        st.none(),
+        _DIAG_POLYS,
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), _DIAG_POLYS),
+    ),
+)
+
+
+def _dividend(key, k, r, perturbation):
+    """(z_i - z_j)^k r plus the perturbation, if any."""
+    poly = DIAG_SPACE.pair_poly(*key) ** k * r
+    if isinstance(perturbation, tuple):
+        # (a z_i + b z_j) m maps to (a + b) z_j m: no image term has one preimage
+        a, b, m = perturbation
+        zi, zj = (DIAG_SPACE.ctx.poly_param(DIAG_SPACE.var_names[q]) for q in key)
+        perturbation = (zi * a + zj * b) * m
+    return poly if perturbation is None else poly + perturbation
+
+
+T, Z1, Z2, Z3 = (DIAG_SPACE.ctx.poly_param(n) for n in DIAG_SPACE.ctx.names)
+ONE = DIAG_SPACE.ctx.poly_const(1)
+
+
 class TestPairDivisibility:
-    """The substitution test z_i = z_j against exact division by z_i - z_j."""
+    """Division by z_i - z_j: the substitution oracle and the synthetic
+    division of `FormSpace.pair_quotient`, both against `exact_div`."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.sampled_from(sorted(DIAG_SPACE._pair_polys)),
-        st.integers(0, 3),
-        _DIAG_POLYS,
-        st.one_of(
-            st.none(),
-            _DIAG_POLYS,
-            st.tuples(st.integers(-2, 2), st.integers(-2, 2), _DIAG_POLYS),
-        ),
-    )
+    @given(*_DIVISION_CASES)
     def test_substitution_agrees_with_exact_div(self, key, k, r, perturbation):
         pp = DIAG_SPACE.pair_poly(*key)
-        poly = pp**k * r
-        if isinstance(perturbation, tuple):
-            # (a z_i + b z_j) m maps to (a + b) z_j m: no image term has one preimage
-            a, b, m = perturbation
-            zi, zj = (DIAG_SPACE.ctx.poly_param(DIAG_SPACE.var_names[q]) for q in key)
-            perturbation = (zi * a + zj * b) * m
-        if perturbation is not None:
-            poly = poly + perturbation
+        poly = _dividend(key, k, r, perturbation)
         try:
             quotient = poly.exact_div(pp)
         except ValueError:
@@ -177,9 +189,51 @@ class TestPairDivisibility:
         else:
             divisible = True
             assert quotient * pp == poly
-        assert DIAG_SPACE.pair_divides(key, poly) == divisible
+        assert pair_divides(DIAG_SPACE, key, poly) == divisible
         if k and perturbation is None:
             assert divisible
+
+    @settings(max_examples=150, deadline=None)
+    @given(*_DIVISION_CASES)
+    def test_pair_quotient_agrees_with_exact_div(self, key, k, r, perturbation):
+        pp = DIAG_SPACE.pair_poly(*key)
+        poly = _dividend(key, k, r, perturbation)
+        got = DIAG_SPACE.pair_quotient(key, poly)
+        try:
+            want = poly.exact_div(pp)
+        except ValueError:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.coeffs, got.content) == (want.coeffs, want.content)
+            assert got * pp == poly
+
+    @pytest.mark.parametrize("key, dividend, quotient", [
+        # the quotient has more terms than the dividend
+        ((0, 1), Z1**3 - Z2**3, Z1**2 + Z1 * Z2 + Z2**2),
+        # z2 sits between the two variables of the pair; the content 2 is kept
+        ((0, 2), (Z1 - Z3) * (T * Z2**2 - Z1 * Z2 * 3 + ONE) * 2,
+         T * Z2**2 * 2 - Z1 * Z2 * 6 + ONE * 2),
+        ((1, 2), Z1 * (Z2 - Z3) ** 2 * (Z2 + Z3), Z1 * (Z2 * Z2 - Z3 * Z3)),
+        ((0, 1), Z1 * Z2 - Z2**2 + Z3, None),
+        ((0, 1), Z1 + Z2, None),
+    ], ids=["denser-quotient", "middle-variable", "squared-pair", "one-term-group", "nonzero-sum"])
+    def test_pair_quotient_by_hand(self, key, dividend, quotient):
+        assert DIAG_SPACE.pair_quotient(key, dividend) == quotient
+
+    def test_zero_numerator(self):
+        zero = DIAG_SPACE.ctx.poly_const(0)
+        assert DIAG_SPACE.pair_quotient((0, 2), zero) == zero == zero.exact_div(Z1 - Z3)
+        fc = FactoredCoeff(DIAG_SPACE, zero, (1, 0, 2), {(0, 2): 3})._normalized()
+        assert_same_coeff(fc, FactoredCoeff.zero(DIAG_SPACE))
+
+    @pytest.mark.parametrize("held, left", [(2, 0), (3, 0), (4, 1)])
+    def test_cancel_divides_a_cube_out_while_the_denominator_holds_it(self, held, left):
+        # (z1 - z3)^3 r over (z1 - z3)^held: min(3, held) divisions, each by pair_quotient
+        r = Z2 + T * Z1 + ONE
+        fc = FactoredCoeff(DIAG_SPACE, (Z1 - Z3) ** 3 * r, None, {(0, 2): held})._normalized()
+        want = FactoredCoeff(DIAG_SPACE, (Z1 - Z3) ** (3 - min(3, held)) * r, None, {(0, 2): left})
+        assert_same_coeff(fc, want)
 
     def test_from_scalar_rejects_base_parameter_denominator(self):
         space = FormSpace(ParameterContext(("k1",)), 1)
@@ -203,17 +257,18 @@ _DIAG_ZEXPS = st.tuples(*(st.integers(0, 2) for _ in range(DIAG_SPACE.nvars)))
 _DIAG_PAIRS = st.dictionaries(st.sampled_from(sorted(DIAG_SPACE._pair_polys)), st.integers(0, 2))
 
 
-def _reduced(poly, num_zexp, num_pairs, zexp, pairs):
-    """poly times the given z and pair factors over the given denominator, reduced."""
+def _unreduced(poly, num_zexp, num_pairs, zexp, pairs):
+    """poly times the given z and pair factors over the given denominator."""
     for q, m in enumerate(num_zexp):
         poly = poly.shift_var(DIAG_SPACE.zvar(q), m)
     for key, m in num_pairs.items():
         poly = poly * DIAG_SPACE.pair_poly(*key) ** m
-    return FactoredCoeff(DIAG_SPACE, poly, zexp, pairs)._normalized()
+    return FactoredCoeff(DIAG_SPACE, poly, zexp, pairs)
 
 
 # numerators share factors with the denominator, so reductions do happen
-_REDUCED = st.builds(_reduced, _DIAG_POLYS, _DIAG_ZEXPS, _DIAG_PAIRS, _DIAG_ZEXPS, _DIAG_PAIRS)
+_UNREDUCED = st.builds(_unreduced, _DIAG_POLYS, _DIAG_ZEXPS, _DIAG_PAIRS, _DIAG_ZEXPS, _DIAG_PAIRS)
+_REDUCED = _UNREDUCED.map(FactoredCoeff._normalized)
 _ORDERED_PAIRS = st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j])
 
 
@@ -260,7 +315,13 @@ def _unreduced_derivative(fc, q):
 
 class TestReductionRoutes:
     """Each operation that re-tests only the factors it can change, against the
-    same result rebuilt unreduced and reduced in full by ``_normalized``."""
+    same result rebuilt unreduced and reduced in full by ``_normalized``, and
+    ``_normalized`` against the substitution test and ``exact_div``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_UNREDUCED)
+    def test_normalized_against_exact_div(self, fc):
+        assert_same_coeff(fc._normalized(), normalized_by_exact_div(fc))
 
     @settings(max_examples=100, deadline=None)
     @given(_REDUCED, _REDUCED, st.booleans())
