@@ -52,6 +52,7 @@ from .fock import (
     FockVector,
     ModeOperator,
     _partitions,
+    _sorted_monomial,
     is_annihilator,
     osc_apply,
 )
@@ -539,15 +540,21 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     exponent.  Works termwise; all mode sums are finite because annihilation
     is bounded by the source and creation by the resulting block.  Per term,
     ``_factor_assignments`` applies annihilation modes as it chooses them and
-    skips every assignment whose annihilation prefix kills the vector.
+    skips every assignment whose annihilation prefix kills the vector.  Each
+    leaf merges its creation modes into its monomial keys and adds into one
+    accumulator.  ``beta``/``gamma`` without the charged pair raise ValueError.
     """
     space = vec.space
+    charged = [f for _, factors in expr.terms for f in factors if f[0] != "p"]
+    if charged and not space.spec.has_pair:
+        raise ValueError("field factor %r needs the charged pair" % (charged[0],))
     mu = expr.vertex_exponent()
     target = space.shifted(mu) if not mu.is_zero() else space
-    out = target.zero()
     if vec.is_zero():
-        return out
+        return target.zero()
     energy = vec.energy_bound()
+    zero = space.ctx.zero()
+    acc: dict = {}
     # tuple of annihilation modes applied so far -> the lowered vector
     lowered = {(): vec}
     for (tmu, factors), coeff in expr.terms.items():
@@ -556,16 +563,13 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
             continue
         for modes, veps, c, low in _factor_assignments(factors, e, energy, tgt_max,
                                                        tmu is not None, lowered):
-            result = (FockVector(target, low.terms) if veps is None
-                      else apply_vertex(tmu, veps, low))
-            if result.is_zero():
-                continue
-            for mode in modes:
-                if not is_annihilator(mode):
-                    result = osc_apply(mode, result)
-            if not result.is_zero():
-                out = out + (coeff * c) * result
-    return out
+            result = low if veps is None else apply_vertex(tmu, veps, low)
+            creation = tuple(mode for mode in modes if not is_annihilator(mode))
+            scale = coeff * c
+            for mon, v in result.terms.items():
+                key = _sorted_monomial(mon + creation)
+                acc[key] = acc.get(key, zero) + v * scale
+    return FockVector(target, {mon: v for mon, v in acc.items() if not v.is_zero()})
 
 
 def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
@@ -578,28 +582,25 @@ def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
     source vector after the annihilation modes.  ``lowered`` maps each tuple
     of annihilation modes applied so far (in factor order) to its result, so
     a shared prefix is applied once and a zero result ends the branch.
-    Without a vertex the exponents must sum to ``e``, so the last factor's
-    exponent is solved from the others, not enumerated.
+    A factor's exponent lies in its box (its mode annihilates at most the
+    source energy and creates at most the largest target block) and must
+    leave a remainder that the boxes after it, plus the vertex range or the
+    0 that a vertex-free term sums to, can take up; so a branch ends before
+    its leaf only at a vanishing derivative coefficient or a killing prefix.
     """
-    last = len(factors) - 1 if not has_vertex else -1
+    boxes = [(-energy - _WEIGHT[s] - k, tgt_max + energy - _WEIGHT[s] - k) for s, k in factors]
+    # suffix[i]: the range of the exponents of factors i.. plus the vertex's
+    suffix = [(-energy, tgt_max + energy) if has_vertex else (0, 0)]
+    for lo, hi in reversed(boxes):
+        suffix.insert(0, (suffix[0][0] + lo, suffix[0][1] + hi))
 
     def rec(i, remaining, modes, prefix, c):
         if i == len(factors):
-            if has_vertex:
-                # net vertex shift: annihilation bounded by the source,
-                # creation bounded by the largest reachable target block
-                if -energy <= remaining <= tgt_max + energy:
-                    yield modes, remaining, c, lowered[prefix]
-            elif remaining == 0:
-                yield modes, None, c, lowered[prefix]
+            yield modes, remaining if has_vertex else None, c, lowered[prefix]
             return
         sym, k = factors[i]
-        off = 1 + k if sym in ("p", "beta") else k
-        lo = -energy - off
-        hi = tgt_max + energy - off
-        if i == last:
-            lo = max(lo, remaining)
-            hi = min(hi, remaining)
+        lo = max(boxes[i][0], remaining - suffix[i + 1][1])
+        hi = min(boxes[i][1], remaining - suffix[i + 1][0])
         for eps in range(lo, hi + 1):
             d = _rising(eps + 1, k)  # product (eps+1)...(eps+k)
             if d == 0:
@@ -621,7 +622,8 @@ def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
             yield from rec(i + 1, remaining - eps, modes + (mode,), longer, sign * d * c)
 
     try:
-        yield from rec(0, e, (), (), 1)
+        if suffix[0][0] <= e <= suffix[0][1]:
+            yield from rec(0, e, (), (), 1)
     finally:
         del rec  # rec's cell refers to rec: break the cycle
 

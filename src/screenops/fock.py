@@ -290,7 +290,8 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
 
     Creation modes multiply each monomial; annihilation modes commute through
     to the vacuum, which reduces to pairing each occurrence of the conjugate
-    creation mode with the bracket value; b_0 acts by pairing*alpha.
+    creation mode with the bracket value (read once a monomial holds that
+    partner); b_0 acts by pairing*alpha.
     """
     fam, n = _check_mode(mode)
     space = vec.space
@@ -305,12 +306,14 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
             space, {_sorted_monomial(mon + (mode,)): c for mon, c in vec.terms.items()}
         )
     partner = {"b": "b", "a": "as", "as": "a"}[fam], -n
-    value = spec.bracket(mode, partner)
+    value = None
     out = {}
     for mon, c in vec.terms.items():
         count = mon.count(partner)
         if not count:
             continue
+        if value is None:
+            value = spec.bracket(mode, partner)
         reduced = list(mon)
         reduced.remove(partner)
         out[tuple(reduced)] = (count * value) * c

@@ -202,7 +202,8 @@ class FactoredCoeff:
     names every factor.  On reduced operands an operation names only the
     factors it can cancel: `mul_base` and `shift_z` none; `mul_pair_inverse`
     its pair when new to the denominator; a product no z_q and only the
-    pairs in exactly one operand's denominator; a sum only the factors whose
+    pairs in exactly one operand's denominator, each in the other operand's
+    numerator before multiplying; a sum only the factors whose
     powers are equal in both summands, since at unequal powers one scaled
     numerator carries the factor and the other is prime to it;
     `derivative_z` every factor of its num' term alone.
@@ -303,8 +304,13 @@ class FactoredCoeff:
         zexp = tuple(a + b for a, b in zip(self.zexp, other.zexp))
         keys = self.pairs.keys() | other.pairs.keys()
         pairs = {k: self.pairs.get(k, 0) + other.pairs.get(k, 0) for k in keys}
-        out = FactoredCoeff(self.space, self.num * other.num, zexp, pairs)
-        return out._cancel((), self.pairs.keys() ^ other.pairs.keys())
+        # a pair in one operand's denominator is prime to that operand's
+        # numerator, so it is divided out of the other one, before the product
+        a = FactoredCoeff(self.space, self.num, zexp, pairs)
+        a = a._cancel((), other.pairs.keys() - self.pairs.keys())
+        b = FactoredCoeff(self.space, other.num, zexp, a.pairs)
+        b = b._cancel((), self.pairs.keys() - other.pairs.keys())
+        return FactoredCoeff(self.space, a.num * b.num, zexp, b.pairs)
 
     def mul_base(self, c) -> "FactoredCoeff":
         """Multiply by a rational or a base-parameter polynomial (`FormSpace.base_poly`)."""

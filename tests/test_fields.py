@@ -6,6 +6,7 @@ agreement through the residue formula is the load-bearing cross-check.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from screenops.fields import (
     stress_tensor,
     wick_ope,
 )
+from screenops.wakimoto import AffineParams, screening_ops, wakimoto_current, wakimoto_space
 
 QQ = Fraction
 
@@ -193,6 +195,17 @@ class TestModeAction:
         assert mode_of_field(g, 0, F).apply(v) == osc_apply(("as", 0), v)
         assert mode_of_field(g, 0, F).charge_shift == 1
 
+    @pytest.mark.parametrize("sym", ["gamma", "beta"])
+    @pytest.mark.parametrize("e", [-1, 0, 1])
+    def test_charged_factor_needs_the_pair(self, boson, sym, e):
+        # the same error whether the mode would create, annihilate or fall
+        # outside every block (gamma at e = -1), and on the zero vector too
+        ctx, F = boson
+        message = re.escape("%r needs the charged pair" % ((sym, 0),))
+        for vec in (F.vacuum(), F.zero()):
+            with pytest.raises(ValueError, match=message):
+                apply_field_coeff(FieldExpr.field(ctx, sym), e, vec)
+
     def test_vertex_modes(self, boson):
         ctx, F = boson
         b = ctx.param("b")
@@ -341,33 +354,54 @@ class TestFactorAssignments:
         ]
         nonzero = 0
         for expr in exprs:
-            mu = expr.vertex_exponent()
             for vec in probes:
-                energy = vec.energy_bound()
-                target = F.shifted(mu)
                 for e in range(-2, 2):
-                    want = target.zero()
-                    for (tmu, factors), coeff in expr.terms.items():
-                        tgt_max = energy + e + sum(_FIELD_MODES[sym][1] + k
-                                                   for sym, k in factors)
-                        if tgt_max < 0:
-                            continue
-                        for modes, veps, c in _reference_assignments(
-                            factors, e, energy, tgt_max, tmu is not None
-                        ):
-                            low = _lower(modes, vec)
-                            if veps is None:
-                                term = FockVector(target, low.terms)
-                            else:
-                                term = apply_vertex(tmu, veps, low)
-                            for mode in modes:
-                                if not is_annihilator(mode):
-                                    term = osc_apply(mode, term)
-                            want = want + (coeff * c) * term
                     got = apply_field_coeff(expr, e, vec)
-                    assert got == want, (expr, e, vec)
+                    assert got == _unpruned_action(expr, e, vec), (expr, e, vec)
                     nonzero += not got.is_zero()
         assert nonzero > 10
+
+    @pytest.mark.parametrize("name", ["E", "H", "F", "screen"])
+    def test_pruning_drops_only_zero_terms_on_wakimoto_fields(self, name):
+        """The same oracle on the three Wakimoto currents and the screening
+        current at symbolic (nu, chi), on every monomial of the blocks with
+        energy <= 2 and charge -1..1."""
+        params = AffineParams.generic()
+        expr = (screening_ops(params).screen if name == "screen"
+                else wakimoto_current(name, params))
+        space = wakimoto_space(params)
+        mons = [mon for energy in range(3) for charge in (-1, 0, 1)
+                for mon in space.block_basis(energy, charge)]
+        nonzero = 0
+        for mon in mons:
+            vec = FockVector(space, {mon: params.ctx.one()})
+            for e in range(-2, 2):
+                got = apply_field_coeff(expr, e, vec)
+                assert got == _unpruned_action(expr, e, vec), (name, mon, e)
+                nonzero += not got.is_zero()
+        assert len(mons) > 20 and nonzero > len(mons)
+
+
+def _unpruned_action(expr, e, vec):
+    """The z^e coefficient of expr on vec as the sum over every brute-force
+    assignment, each applied in normal order from the source vector."""
+    energy = vec.energy_bound()
+    target = vec.space.shifted(expr.vertex_exponent())
+    want = target.zero()
+    for (tmu, factors), coeff in expr.terms.items():
+        tgt_max = energy + e + sum(_FIELD_MODES[sym][1] + k for sym, k in factors)
+        if tgt_max < 0:
+            continue
+        for modes, veps, c in _reference_assignments(factors, e, energy, tgt_max,
+                                                     tmu is not None):
+            low = _lower(modes, vec)
+            term = (FockVector(target, low.terms) if veps is None
+                    else apply_vertex(tmu, veps, low))
+            for mode in modes:
+                if not is_annihilator(mode):
+                    term = osc_apply(mode, term)
+            want = want + (coeff * c) * term
+    return want
 
 
 class TestOpeModeCrossCheck:
@@ -455,3 +489,25 @@ class TestAnnihilatorPrefixes:
         unshared, repeated = run()
         assert len(repeated) > len(set(repeated))
         assert not shared.is_zero() and shared == unshared
+
+    def test_creation_modes_merge_without_osc_apply(self, charged, monkeypatch):
+        """Creation modes enter the monomial keys directly: on vertex-free
+        terms apply_field_coeff calls osc_apply with annihilation modes only."""
+        ctx, F = charged
+        g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
+        params = AffineParams(ctx)
+        exprs = [(g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b]
+        exprs += [wakimoto_current(name, params) for name in ("E", "H", "F")]
+        vec = osc_apply(("a", -1), osc_apply(("as", -1), osc_apply(("b", -1), F.vacuum())))
+        want = [[_unpruned_action(expr, e, vec) for e in range(-2, 2)] for expr in exprs]
+        applied = []
+        real_apply = fields.osc_apply
+        monkeypatch.setattr(fields, "osc_apply",
+                            lambda mode, v: applied.append(mode) or real_apply(mode, v))
+        got = [[apply_field_coeff(expr, e, vec) for e in range(-2, 2)] for expr in exprs]
+        assert applied and all(is_annihilator(mode) for mode in applied)
+        assert got == want
+        # the leaves do carry creation modes
+        leaves = _factor_assignments((("beta", 0), ("gamma", 0), ("gamma", 0)), -1, 3, 3,
+                                     False, {(): vec})
+        assert any(not is_annihilator(mode) for modes, _, _, _ in leaves for mode in modes)
