@@ -486,18 +486,23 @@ def vertex_annihilation_coeff(mu, k: int, vec: FockVector) -> FockVector:
 
 
 def vertex_creation_coeff(mu, k: int, vec: FockVector) -> FockVector:
-    """Coefficient of z^+k in the creation half of the exponential field."""
+    """Coefficient of z^+k in the creation half of the exponential field.
+
+    Creation modes commute, so each partition's modes merge into the
+    monomial keys of vec and every term adds into one accumulator.
+    """
     space = vec.space
     mu = space.ctx.scalar(mu)
-    out = space.zero()
     if k < 0 or vec.is_zero():
-        return out
+        return space.zero()
+    acc: dict = {}
     for part in _partitions(k):
-        raised = vec
-        for m in part:
-            raised = osc_apply(("b", -m), raised)
-        out = out + _exp_multiset_coeff(mu, part, annihilate=False) * raised
-    return out
+        creation = tuple(("b", -m) for m in part)
+        scale = _exp_multiset_coeff(mu, part, annihilate=False)
+        for mon, c in vec.terms.items():
+            key = _sorted_monomial(mon + creation)
+            acc[key] = acc[key] + c * scale if key in acc else c * scale
+    return FockVector(space, {mon: v for mon, v in acc.items() if not v.is_zero()})
 
 
 def _exp_multiset_coeff(mu, part: tuple[int, ...], annihilate: bool) -> ParamScalar:

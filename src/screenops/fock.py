@@ -47,9 +47,10 @@ def is_annihilator(mode: Mode) -> bool:
     """Right-movers under normal ordering: b_n (n>0), a_n (n>=0), a*_n (n>0).
 
     The boson zero mode b_0 also sorts to the right: it acts as a scalar on
-    every Fock vector.
+    every Fock vector.  A plain predicate: ``osc_apply`` and
+    ``OscSpec.bracket`` validate the family.
     """
-    fam, n = _check_mode(mode)
+    fam, n = mode
     return n > 0 if fam == "as" else n >= 0
 
 
@@ -215,20 +216,23 @@ class FockVector:
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, False)
+
+    def __sub__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, True)
+
+    def _combine(self, other: "FockVector", negate: bool) -> "FockVector":
+        """self +- other, each term of other added in place; no vector is negated."""
         if self.space is not other.space and self.space != other.space:
             raise ValueError("cannot add vectors over different Fock spaces")
         out = dict(self.terms)
-        zero = self.space.ctx.zero()
         for mon, c in other.terms.items():
-            s = out.get(mon, zero) + c
+            s = (out[mon] - c if negate else out[mon] + c) if mon in out else -c if negate else c
             if s.is_zero():
                 out.pop(mon, None)
             else:
                 out[mon] = s
         return FockVector(self.space, out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
 
     def __neg__(self) -> "FockVector":
         return FockVector(self.space, {m: -c for m, c in self.terms.items()})
@@ -359,13 +363,17 @@ class ModeOperator:
         return got
 
     def apply(self, vec: FockVector) -> FockVector:
+        """Sum of c * image(mon) over the terms c mon of vec, added into one
+        dict (c = 1 adds the image's values as they are); zeros drop at the end."""
         if vec.space is not self.source and vec.space != self.source:
             raise ValueError("vector lives over %r, operator expects %r" % (vec.space, self.source))
-        out = None
+        acc: dict = {}
         for mon, c in vec.terms.items():
-            term = c * self._image(mon)
-            out = term if out is None else out + term
-        return out if out is not None else self.target.zero()
+            one = c == 1
+            for m, v in self._image(mon).terms.items():
+                add = v if one else v * c
+                acc[m] = acc[m] + add if m in acc else add
+        return FockVector(self.target, {m: v for m, v in acc.items() if not v.is_zero()})
 
     # -- exact block matrices ----------------------------------------------------
 

@@ -499,14 +499,15 @@ class LaurentForm:
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         out = dict(self.terms)
         for key, value in other.terms.items():
-            if key in out:
-                out[key] = out[key] + value
-            else:
-                out[key] = value
+            out[key] = out[key] + value if key in out else value
         return LaurentForm(self.nvars, out, _win_intersect(self.window, other.window))
 
     def __sub__(self, other: "LaurentForm") -> "LaurentForm":
-        return self + (-1) * other
+        """Each term of other subtracted in place; only values new to self are negated."""
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            out[key] = out[key] - value if key in out else -1 * value
+        return LaurentForm(self.nvars, out, _win_intersect(self.window, other.window))
 
     def __rmul__(self, scalar) -> "LaurentForm":
         return LaurentForm(self.nvars, {k: scalar * v for k, v in self.terms.items()}, self.window)
@@ -538,41 +539,31 @@ class LaurentForm:
         return LaurentForm(self.nvars, out, _win_shift(self.window, q, -1))
 
     def mul_zdiff(self, i: int, j: int) -> "LaurentForm":
-        """Multiply by (z_i - z_j).
-
-        A product coefficient draws on both single-variable shifts of the
-        factor, so it is only exact where both shifted windows overlap.
-        """
+        """Multiply by (z_i - z_j); the window is `_delta_window`'s."""
+        units = [tuple(int(v == w) for v in range(self.nvars)) for w in (i, j)]
         out: dict = {}
         for (subset, exps), value in self.terms.items():
-            for var, sign in ((i, 1), (j, -1)):
-                e = list(exps)
-                e[var] += 1
-                key = (subset, tuple(e))
-                add = sign * value
-                out[key] = out[key] + add if key in out else add
-        window = _win_intersect(_win_shift(self.window, i, 1), _win_shift(self.window, j, 1))
-        return LaurentForm(self.nvars, out, window)
+            _add_shifted(out, subset, exps, value, [(units[0], None), (units[1], -1)])
+        return LaurentForm(self.nvars, out, _delta_window(self.window, [(i, j)]))
 
     def contract(self, field: WittElement) -> "LaurentForm":
-        total = LaurentForm(self.nvars, {}, self.window)
+        """i_field: each monomial c z^k of the field takes a value off its dz_q
+        to z_q^k times +-c (the sign of q's position); all add into one dict.
+        The window meets the input's shift by k in z_q for each (k, q) some term feeds."""
+        out: dict = {}
+        window = self.window
         for coeff, k in field.monomials():
             for q in range(self.nvars):
-                out: dict = {}
-                for (subset, exps), value in self.terms.items():
-                    if q not in subset:
-                        continue
-                    pos = subset.index(q)
-                    e = list(exps)
-                    e[q] += k
-                    key = (subset[:pos] + subset[pos + 1 :], tuple(e))
-                    add = (coeff if pos % 2 == 0 else -coeff) * value
-                    out[key] = out[key] + add if key in out else add
-                if not out:
-                    continue
-                piece = LaurentForm(self.nvars, out, _win_shift(self.window, q, k))
-                total = total + piece
-        return total
+                fed = False
+                for (subset, e), value in self.terms.items():
+                    if q in subset:
+                        fed, pos = True, subset.index(q)
+                        key = (subset[:pos] + subset[pos + 1 :], e[:q] + (e[q] + k,) + e[q + 1 :])
+                        add = (coeff if pos % 2 == 0 else -coeff) * value
+                        out[key] = out[key] + add if key in out else add
+                if fed:
+                    window = _win_intersect(window, _win_shift(self.window, q, k))
+        return LaurentForm(self.nvars, out, window)
 
     def nonzero_terms(self) -> list:
         out = []
@@ -588,66 +579,78 @@ class LaurentForm:
         return any(lo > hi for lo, hi in self.window)
 
 
+def _delta_window(window, pairs):
+    """The window after multiplying by prod (z_i - z_j) over pairs: a product is exact where
+    both single-variable shifts of the factor are, so each factor raises both bottoms by one."""
+    return tuple((lo + sum(v in p for p in pairs), hi) for v, (lo, hi) in enumerate(window))
+
+
+def _add_shifted(out: dict, subset: tuple, exps: tuple, value, shifts) -> None:
+    """out[subset, exps + offset] += c * value for each (offset, c) of shifts; c None is 1."""
+    for offset, c in shifts:
+        key = (subset, tuple(e + d for e, d in zip(exps, offset)))
+        add = value if c is None else c * value
+        out[key] = out[key] + add if key in out else add
+
+
 def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
     """Delta * (twisted de Rham differential), Delta = prod of active pair diffs.
 
     The twisted differential is d + sum_q Gamma_q dz_q with Gamma_q =
     kappa_q/z_q + sum_j kappa_qj/(z_q - z_j).  Multiplying through by Delta
     keeps every term Laurent-polynomial: the pair term for (i, j) picks up
-    Delta with that one factor omitted.
+    Delta with that one factor omitted.  One pass over the form: for each q,
+    exponent e_q and wedge sign the pieces (kappa_q + e_q) z_q^-1 Delta and
+    kappa_qj Delta/(z_q - z_j) merge into one scalar per exponent shift, so a
+    value is scaled once per output exponent.  The window is the input's, met
+    with that of each piece that some term feeds with a nonzero factor.
     """
     nvars = form.nvars
     active = conn.active_pairs()
-    total = LaurentForm(nvars, {}, form.window)
-    for q in range(nvars):
-        # Delta * (d/dz_q + kappa_q/z_q) f wedge dz_q
-        base = form.deriv(q)
-        kq = conn.kappa[q]
-        if not _scalar_is_zero(kq):
-            base = base + kq * form.shift(q, -1)
-        piece = _wedge_dzq(base, q)
-        if piece is not None:
-            total = total + _apply_delta(piece, active)
-        # pair terms: kappa_qj * Delta/(z_q - z_j) * f wedge dz_q
-        for (i, j) in active:
-            if q not in (i, j):
-                continue
-            other = j if q == i else i
-            sign = 1 if q == i else -1  # Delta carries (z_i - z_j) with i < j
-            c = conn.pair(q, other)
-            part = _wedge_dzq((sign * c) * form, q)
-            if part is None:
-                continue
-            rest = [p for p in active if p != (i, j)]
-            total = total + _apply_delta(part, rest)
-    return total
-
-
-def _wedge_dzq(form: LaurentForm, q: int) -> LaurentForm | None:
     out: dict = {}
-    for (subset, exps), value in form.terms.items():
-        if q in subset:
-            continue
-        new = tuple(sorted(subset + (q,)))
-        sign = _insert_sign(subset, q)
-        key = (new, exps)
-        add = sign * value
-        out[key] = out[key] + add if key in out else add
-    if not out:
-        return None
-    return LaurentForm(form.nvars, out, form.window)
-
-
-def _apply_delta(form: LaurentForm, pairs: Iterable[tuple]) -> LaurentForm:
-    out = form
-    for (i, j) in pairs:
-        out = out.mul_zdiff(i, j)
-    return out
+    window = form.window
+    for q in range(nvars):
+        # (factor, pairs left in Delta, z_q shift); factor None is kappa_q + e_q, and
+        # kappa_qj changes sign for q = j since Delta carries z_i - z_j with i < j
+        pieces = [(None, active, -1)] + [
+            (conn.pair(*p) * (1 if q == p[0] else -1), [r for r in active if r != p], 0)
+            for p in active if q in p]
+        monomials = [_pair_power_monomials(nvars, dict.fromkeys(rest, 1)) for _, rest, _ in pieces]
+        fed, tables = set(), {}  # tables: (e_q, wedge sign) -> [(exponent shift, scalar)]
+        for (subset, exps), value in form.terms.items():
+            if q in subset:
+                continue
+            key = exps[q], _insert_sign(subset, q)
+            if key not in tables:
+                merged: dict = {}
+                for n, (c, _, down) in enumerate(pieces):
+                    c = key[1] * (conn.kappa[q] + exps[q] if c is None else c)
+                    if not _scalar_is_zero(c):
+                        fed.add(n)
+                        for degs, m in monomials[n].items():
+                            d = degs[:q] + (degs[q] + down,) + degs[q + 1 :]
+                            merged[d] = merged[d] + m * c if d in merged else m * c
+                tables[key] = [(d, None if c == 1 else c)
+                               for d, c in merged.items() if not _scalar_is_zero(c)]
+            _add_shifted(out, tuple(sorted(subset + (q,))), exps, value, tables[key])
+        for n in fed:
+            _, rest, down = pieces[n]
+            window = _win_intersect(window, _delta_window(_win_shift(form.window, q, down), rest))
+    return LaurentForm(nvars, out, window)
 
 
 def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
-    """Delta * form, for comparing against cleared_d outputs."""
-    return _apply_delta(form, conn.active_pairs())
+    """Delta * form, for comparing against cleared_d outputs: each value is
+    scaled once per monomial of Delta, all into one dict."""
+    active = conn.active_pairs()
+    if not active:
+        return form
+    delta = _pair_power_monomials(form.nvars, dict.fromkeys(active, 1))
+    shifts = [(d, None if c == 1 else c) for d, c in delta.items()]
+    out: dict = {}
+    for (subset, exps), value in form.terms.items():
+        _add_shifted(out, subset, exps, value, shifts)
+    return LaurentForm(form.nvars, out, _delta_window(form.window, active))
 
 
 def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callable):
@@ -655,23 +658,18 @@ def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callabl
 
     phi maps a list of Lie elements to a value; action(x, rest) is the module
     action of x on the value phi(rest); bracket(x, y) the Lie bracket.  Signs
-    follow the standard convention with the bracket argument placed first.
+    follow the standard convention with the bracket argument placed first; a
+    term of sign -1 is subtracted from the running sum, never negated first.
     """
     total = None
     n = len(xs)
     for p in range(n):
-        rest = list(xs[:p]) + list(xs[p + 1 :])
-        t = action(xs[p], rest)
-        if p % 2:
-            t = -1 * t
-        total = t if total is None else total + t
+        t = action(xs[p], list(xs[:p]) + list(xs[p + 1 :]))
+        total = t if p == 0 else total - t if p % 2 else total + t
     for p in range(n):
         for q in range(p + 1, n):
-            rest = [bracket(xs[p], xs[q])] + [xs[r] for r in range(n) if r not in (p, q)]
-            t = phi(rest)
-            if (p + q) % 2:
-                t = -1 * t
-            total = t if total is None else total + t
+            t = phi([bracket(xs[p], xs[q])] + [xs[r] for r in range(n) if r not in (p, q)])
+            total = total - t if (p + q) % 2 else total + t
     return total
 
 

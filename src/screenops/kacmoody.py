@@ -333,15 +333,19 @@ class VermaVector:
         )
 
     def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, negate: bool):
+        """self +- other, each entry of other added in place."""
         out = {d: dict(p) for d, p in self.comps.items()}
         for d, part in other.comps.items():
             tgt = out.setdefault(d, {})
             for w, c in part.items():
-                tgt[w] = tgt.get(w, 0) + c
+                tgt[w] = (tgt[w] - c if negate else tgt[w] + c) if w in tgt else -c if negate else c
         return VermaVector(self.module, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
 
     def __rmul__(self, scalar):
         return VermaVector(

@@ -1323,8 +1323,8 @@ def generic_extension_and_descent() -> list:
     results.append(
         passed(
             "descent-specializations",
-            "descent persists at five random weight labels plus one "
-            "integral label",
+            "descent persists at five fixed non-integral weight labels "
+            "plus one integral label",
             *first_failure(
                 (
                     (chi,) + case

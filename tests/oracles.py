@@ -23,6 +23,15 @@ Each function recomputes something the package computes another way:
 * ``every_value_residual`` -- a total-complex row with the target action
   applied to every value of a component, inside its window or not, checked
   against ``TotalComplex.residual``, which acts on in-window values only;
+* ``cleared_d_stepwise`` and ``clear_pairs_stepwise`` -- Delta times the
+  twisted differential, and Delta times a form, built one intermediate form
+  per derivative, shift, dz_q wedge and pair factor, checked against the
+  one-pass ``cleared_d`` and ``clear_pairs``;
+* ``mul_zdiff_stepwise`` -- one pair factor applied term by term, checked
+  against ``LaurentForm.mul_zdiff``;
+* ``vertex_creation_stepwise`` -- the creation half of the exponential
+  field as one ``osc_apply`` per creation mode, checked against
+  ``vertex_creation_coeff``, which merges the modes into the monomial keys;
 * ``poly_add``, ``poly_mul``, ... -- polynomial arithmetic on plain
   ``{exponent: Fraction}`` dicts, checked against ``ParamPolynomial``;
 * ``random_specialize`` -- scalars evaluated at random integer points,
@@ -36,11 +45,15 @@ Each function recomputes something the package computes another way:
 import random
 from fractions import Fraction
 
-from screenops.fock import is_annihilator, osc_apply
+from screenops.fields import _exp_multiset_coeff
+from screenops.fock import _partitions, is_annihilator, osc_apply
 from screenops.forms import (
     FactoredCoeff,
     LaurentForm,
+    _insert_sign,
     _scalar_is_zero,
+    _win_intersect,
+    _win_shift,
     clear_pairs,
     cleared_d,
     koszul_value,
@@ -290,6 +303,90 @@ def every_value_residual(fam, xs, u):
     if len(xs) <= fam.depth:
         second = cleared_d(fam.component(xs, u), fam.connection)
         out = out - second if len(xs) % 2 else out + second
+    return out
+
+
+def mul_zdiff_stepwise(form, i, j):
+    """form times (z_i - z_j): exact only where both shifted windows overlap."""
+    out = {}
+    for (subset, exps), value in form.terms.items():
+        for var, sign in ((i, 1), (j, -1)):
+            e = list(exps)
+            e[var] += 1
+            key = (subset, tuple(e))
+            add = sign * value
+            out[key] = out[key] + add if key in out else add
+    window = _win_intersect(_win_shift(form.window, i, 1), _win_shift(form.window, j, 1))
+    return LaurentForm(form.nvars, out, window)
+
+
+def _wedge_dzq(form, q):
+    out = {}
+    for (subset, exps), value in form.terms.items():
+        if q in subset:
+            continue
+        key = (tuple(sorted(subset + (q,))), exps)
+        add = _insert_sign(subset, q) * value
+        out[key] = out[key] + add if key in out else add
+    if not out:
+        return None
+    return LaurentForm(form.nvars, out, form.window)
+
+
+def _apply_delta(form, pairs):
+    for (i, j) in pairs:
+        form = mul_zdiff_stepwise(form, i, j)
+    return form
+
+
+def clear_pairs_stepwise(form, conn):
+    """Delta * form, one pair factor at a time."""
+    return _apply_delta(form, conn.active_pairs())
+
+
+def cleared_d_stepwise(form, conn):
+    """Delta * (twisted d), one intermediate form per derivative, shift, wedge and pair factor.
+
+    A piece with no term adds nothing, not even its window.
+    """
+    nvars = form.nvars
+    active = conn.active_pairs()
+    total = LaurentForm(nvars, {}, form.window)
+    for q in range(nvars):
+        # Delta * (d/dz_q + kappa_q/z_q) f wedge dz_q
+        base = form.deriv(q)
+        kq = conn.kappa[q]
+        if not _scalar_is_zero(kq):
+            base = base + kq * form.shift(q, -1)
+        piece = _wedge_dzq(base, q)
+        if piece is not None:
+            total = total + _apply_delta(piece, active)
+        # pair terms: kappa_qj * Delta/(z_q - z_j) * f wedge dz_q
+        for (i, j) in active:
+            if q not in (i, j):
+                continue
+            sign = 1 if q == i else -1  # Delta carries (z_i - z_j) with i < j
+            part = _wedge_dzq((sign * conn.pair(i, j)) * form, q)
+            if part is not None:
+                total = total + _apply_delta(part, [p for p in active if p != (i, j)])
+    return total
+
+
+# -- Fock vectors --------------------------------------------------------------------
+
+
+def vertex_creation_stepwise(mu, k, vec):
+    """Creation half of the exponential field at z^+k: one osc_apply per creation mode."""
+    space = vec.space
+    mu = space.ctx.scalar(mu)
+    out = space.zero()
+    if k < 0 or vec.is_zero():
+        return out
+    for part in _partitions(k):
+        raised = vec
+        for m in part:
+            raised = osc_apply(("b", -m), raised)
+        out = out + _exp_multiset_coeff(mu, part, annihilate=False) * raised
     return out
 
 

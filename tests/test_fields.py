@@ -24,9 +24,12 @@ from screenops.fields import (
     ope_bracket_action,
     p_field,
     stress_tensor,
+    vertex_creation_coeff,
     wick_ope,
 )
 from screenops.wakimoto import AffineParams, screening_ops, wakimoto_current, wakimoto_space
+
+from oracles import vertex_creation_stepwise
 
 QQ = Fraction
 
@@ -511,3 +514,36 @@ class TestAnnihilatorPrefixes:
         leaves = _factor_assignments((("beta", 0), ("gamma", 0), ("gamma", 0)), -1, 3, 3,
                                      False, {(): vec})
         assert any(not is_annihilator(mode) for modes, _, _, _ in leaves for mode in modes)
+
+
+class TestVertexCreation:
+    def test_merged_modes_match_one_osc_apply_per_mode(self, boson):
+        """Every monomial of the energy <= 3 blocks, orders 0..3, coefficients
+        1, -1, rational and symbolic, against the osc_apply route."""
+        ctx, F = boson
+        alpha, mu = ctx.param("alpha"), ctx.param("b")
+        coeffs = [ctx.one(), -ctx.one(), ctx.scalar(QQ(5, 3)), alpha / (alpha + 1)]
+        mons = [mon for energy in range(4) for mon in F.block_basis(energy)]
+        for mon in mons:
+            for c in coeffs:
+                vec = FockVector(F, {mon: c})
+                for k in range(-1, 4):
+                    got = vertex_creation_coeff(mu, k, vec)
+                    assert got.terms == vertex_creation_stepwise(mu, k, vec).terms, (mon, c, k)
+        mixed = FockVector(F, {mon: coeffs[i % len(coeffs)] for i, mon in enumerate(mons)})
+        got = vertex_creation_coeff(mu, 2, mixed)
+        assert got.terms and got.terms == vertex_creation_stepwise(mu, 2, mixed).terms
+
+    def test_cancelling_terms_leave_no_zero_entry(self, boson):
+        ctx, F = boson
+        mu = ctx.param("b")
+        vac = F.vacuum()
+        # mu b_-1^2 v and -b_-2 v both reach b_-1^2 b_-2 v at order 2, with mu^2/2 and -mu^2/2
+        parts = [mu * osc_apply(("b", -1), osc_apply(("b", -1), vac)), osc_apply(("b", -2), vac)]
+        key = (("b", -2), ("b", -1), ("b", -1))
+        assert all(key in vertex_creation_coeff(mu, 2, part).terms for part in parts)
+        vec = parts[0] - parts[1]
+        got = vertex_creation_coeff(mu, 2, vec)
+        assert key not in got.terms
+        assert all(not c.is_zero() for c in got.terms.values())
+        assert got.terms == vertex_creation_stepwise(mu, 2, vec).terms

@@ -80,6 +80,13 @@ def charged():
 
 
 class TestOscillatorAction:
+    def test_unknown_family_is_rejected_at_the_entry_points(self, charged):
+        ctx, spec, F = charged
+        with pytest.raises(ValueError, match="unknown oscillator family"):
+            osc_apply(("x", 1), F.vacuum())
+        with pytest.raises(ValueError, match="unknown oscillator family"):
+            spec.bracket(("x", 1), ("b", -1))
+
     def test_boson_bracket_through_vacuum(self, boson):
         ctx, spec, F = boson
         v = F.vacuum()
@@ -264,6 +271,51 @@ class TestModeOperators:
         assert op.apply(vec) == want
         assert len(calls) == 3  # the second application reads the memo
         assert op.apply(F.zero()) == F.zero()
+
+    def test_apply_matches_the_osc_apply_chain_on_every_monomial(self, charged):
+        """apply adds c * image into one dict; the per-term route applies the
+        osc_apply chain to the vector itself.  Every monomial of the energy <= 3
+        blocks, coefficients 1, -1, rational and symbolic."""
+        ctx, spec, F = charged
+        lam = ctx.param("lam")
+
+        def fn(v):
+            return osc_apply(("b", -1), osc_apply(("b", 1), v)) + lam * osc_apply(
+                ("as", -1), osc_apply(("a", 1), v)
+            )
+
+        op = ModeOperator(fn, F, F, 0)
+        coeffs = [ctx.one(), -ctx.one(), ctx.scalar(Fraction(-3, 7)), (lam + 2) / (lam - 1)]
+        mons = [mon for energy in range(4) for charge in (-1, 0, 1)
+                for mon in F.block_basis(energy, charge)]
+        for mon in mons:
+            for c in coeffs:
+                vec = FockVector(F, {mon: c})
+                assert op.apply(vec).terms == fn(vec).terms, (mon, c)
+        mixed = FockVector(F, {mon: coeffs[i % len(coeffs)] for i, mon in enumerate(mons)})
+        got = op.apply(mixed)
+        assert got.terms and got.terms == fn(mixed).terms
+        assert all(not c.is_zero() for c in got.terms.values())
+
+    def test_apply_drops_a_combination_that_cancels(self, boson):
+        ctx, spec, F = boson
+        vac = F.vacuum()
+        op = ModeOperator(lambda v: osc_apply(("b", 1), v) + osc_apply(("b", 2), v), F, F, -1)
+        # b_1 (2 b_-1) v = 4 v = b_2 b_-2 v
+        vec = 2 * osc_apply(("b", -1), vac) - osc_apply(("b", -2), vac)
+        assert op.apply(vec).terms == {}
+
+    def test_add_and_sub_work_in_place_and_drop_zeros(self, charged):
+        ctx, spec, F = charged
+        lam = ctx.param("lam")
+        vac = F.vacuum()
+        u = osc_apply(("b", -1), vac) + lam * osc_apply(("as", -1), vac)
+        w = osc_apply(("b", -1), vac) - 3 * osc_apply(("a", -1), vac)
+        assert (u - w).terms == {(("as", -1),): lam, (("a", -1),): ctx.scalar(3)}
+        assert (u + w).terms == {
+            (("b", -1),): ctx.scalar(2), (("as", -1),): lam, (("a", -1),): ctx.scalar(-3)}
+        assert (u - u).terms == {}
+        assert u.terms == {(("b", -1),): ctx.one(), (("as", -1),): lam}  # operands unchanged
 
     def test_apply_rejects_vector_over_another_space(self, charged):
         ctx, spec, F = charged

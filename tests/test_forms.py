@@ -5,6 +5,7 @@ both implement the same twisted differential, so cleared-denominator results
 are compared term by term against Delta times the closed-form answer.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -26,7 +27,15 @@ from screenops.forms import (
     koszul_value,
 )
 
-from oracles import connection_times, laurent_terms, normalized_by_exact_div, pair_divides
+from oracles import (
+    clear_pairs_stepwise,
+    cleared_d_stepwise,
+    connection_times,
+    laurent_terms,
+    mul_zdiff_stepwise,
+    normalized_by_exact_div,
+    pair_divides,
+)
 
 
 def make_space(nvars, extra=()):
@@ -656,6 +665,69 @@ class TestLaurentLayer:
         assert f.is_zero()
         g = LaurentForm(1, {((), (1,)): ctx.scalar(1)}, ((-2, 2),))
         assert not g.is_zero()
+
+
+class TestOnePassClearing:
+    """cleared_d and clear_pairs build each row in one dict; the stepwise
+    oracles build one intermediate form per step.  Both must give the same
+    window and the same terms."""
+
+    @staticmethod
+    def random_form(ctx, nvars, rng):
+        t = ctx.param("t")
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            subset = tuple(sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
+            exps = tuple(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(nvars))
+            terms[(subset, exps)] = rng.choice((ctx.one(), -ctx.one(), ctx.scalar(Fraction(2, 3)))) + (
+                rng.randint(-2, 2) * t)
+        window = tuple((rng.randint(-5, -2), rng.choice((3, 4, math.inf))) for _ in range(nvars))
+        return LaurentForm(nvars, terms, window)
+
+    @staticmethod
+    def connections(ctx, nvars):
+        """All pairs, pairs dropped (absent or zero), kappa symbolic, rational and zero."""
+        t = ctx.param("t")
+        pairs = [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
+        kappas = [[t + q for q in range(nvars)], [Fraction(-1 - q) for q in range(nvars)],
+                  [ctx.zero()] * nvars, [0] + [2 * t] * (nvars - 1)]
+        pair_sets = [{p: t - 1 for p in pairs}, {p: Fraction(2) for p in pairs[1:]},
+                     {p: (ctx.zero() if n == 0 else t * n) for n, p in enumerate(pairs)}, {}]
+        return [Connection(k, ps) for k in kappas for ps in pair_sets]
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_cleared_d_and_clear_pairs_match_the_stepwise_route(self, nvars):
+        ctx = ParameterContext(("t",))
+        rng = random.Random(500 + nvars)
+        for conn in self.connections(ctx, nvars):
+            for _ in range(4):
+                form = self.random_form(ctx, nvars, rng)
+                for got, want in ((cleared_d(form, conn), cleared_d_stepwise(form, conn)),
+                                  (clear_pairs(form, conn), clear_pairs_stepwise(form, conn))):
+                    assert got.window == want.window
+                    assert got.terms == want.terms
+
+    def test_window_narrows_only_for_pieces_that_exist(self):
+        # kappa_q = 0 at e_q = 0: no derivative piece, so the top of z_1 stays
+        ctx = ParameterContext(("t",))
+        form = LaurentForm(2, {((1,), (0, 1)): ctx.param("t")}, ((-2, 2), (-3, 4)))
+        for kappa, window in (([0, 1], ((-2, 2), (-3, 4))), ([1, 1], ((-2, 1), (-3, 4)))):
+            got, want = cleared_d(form, Connection(kappa)), cleared_d_stepwise(form, Connection(kappa))
+            assert got.window == want.window == window
+            assert got.terms == want.terms
+        paired = Connection([0, 1], {(0, 1): ctx.param("t")})
+        got, want = cleared_d(form, paired), cleared_d_stepwise(form, paired)
+        assert got.window == want.window == ((-2, 2), (-3, 4))
+        assert got.terms == want.terms
+
+    def test_mul_zdiff_matches_the_stepwise_route(self):
+        ctx = ParameterContext(("t",))
+        rng = random.Random(541)
+        for nvars in (2, 3):
+            form = self.random_form(ctx, nvars, rng)
+            for i, j in ((0, 1), (1, 0), (0, nvars - 1)):
+                got, want = form.mul_zdiff(i, j), mul_zdiff_stepwise(form, i, j)
+                assert (got.window, got.terms) == (want.window, want.terms)
 
 
 class TestCochainAssembly:
