@@ -56,7 +56,7 @@ from .fock import (
     is_annihilator,
     osc_apply,
 )
-from .scalars import ParamScalar, ParameterContext
+from .scalars import Combination, ParamScalar, ParameterContext
 
 QQ = Fraction
 
@@ -80,15 +80,17 @@ def _check_factor(factor: Factor) -> Factor:
     return factor
 
 
-class FieldExpr:
+class FieldExpr(Combination):
     """Sum of normal-ordered field monomials with exact coefficients.
 
     Terms are keyed by (vertex exponent | None, sorted factor tuple); the
     vertex exponent is an exact scalar.  Expressions form a commutative
-    algebra under the pointwise normal product.
+    algebra under the pointwise normal product; sums are `Combination`'s,
+    over the parameter context ``ctx``.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+    _space = "ctx"
 
     def __init__(self, ctx: ParameterContext, terms: dict | None = None):
         self.ctx = ctx
@@ -131,17 +133,8 @@ class FieldExpr:
         else:
             self.terms[key] = s
 
-    def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        out = FieldExpr(self.ctx, dict(self.terms))
-        for key, c in other.terms.items():
-            out._bump(key, c)
-        return out
-
-    def __sub__(self, other: "FieldExpr") -> "FieldExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "FieldExpr":
-        return FieldExpr(self.ctx, {k: -c for k, c in self.terms.items()})
+    def _like(self, terms: dict) -> "FieldExpr":
+        return FieldExpr(self.ctx, terms)
 
     def __rmul__(self, scalar) -> "FieldExpr":
         c = self.ctx.scalar(scalar)
@@ -159,18 +152,6 @@ class FieldExpr:
                 mu = _merge_vertex(self.ctx, mu1, mu2)
                 out._bump((mu, tuple(sorted(f1 + f2))), c1 * c2)
         return out
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldExpr)
-            and self.ctx == other.ctx
-            and (self - other).is_zero()
-        )
-
-    __hash__ = None
 
     # -- calculus -----------------------------------------------------------------
 

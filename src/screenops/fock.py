@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import ParamScalar, ParameterContext
+from .scalars import Combination, ParamScalar, ParameterContext
 
 Mode = tuple[str, int]
 
@@ -204,38 +204,24 @@ def _partitions(total: int, largest: int | None = None):
             yield (first,) + rest
 
 
-class FockVector:
-    """Finite combination of creation monomials with exact coefficients."""
+class FockVector(Combination):
+    """Finite combination of creation monomials with exact coefficients.
 
-    __slots__ = ("space", "terms")
+    ``terms`` maps a sorted mode tuple to a nonzero scalar; the linear
+    structure is `Combination`'s, over ``space``.
+    """
+
+    __slots__ = ("space",)
 
     def __init__(self, space: FockSpace, terms: dict):
         self.space = space
         self.terms = terms
 
-    # -- linear structure -----------------------------------------------------
+    def _like(self, terms: dict) -> "FockVector":
+        return FockVector(self.space, terms)
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, False)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, True)
-
-    def _combine(self, other: "FockVector", negate: bool) -> "FockVector":
-        """self +- other, each term of other added in place; no vector is negated."""
-        if self.space is not other.space and self.space != other.space:
-            raise ValueError("cannot add vectors over different Fock spaces")
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = (out[mon] - c if negate else out[mon] + c) if mon in out else -c if negate else c
-            if s.is_zero():
-                out.pop(mon, None)
-            else:
-                out[mon] = s
-        return FockVector(self.space, out)
-
-    def __neg__(self) -> "FockVector":
-        return FockVector(self.space, {m: -c for m, c in self.terms.items()})
+    # bound in the class body: perfbench/tracer.py wraps it via __dict__
+    __add__ = Combination.__add__
 
     def __rmul__(self, scalar) -> "FockVector":
         c = scalar if isinstance(scalar, (int, Fraction)) else self.space.ctx.scalar(scalar)
@@ -247,18 +233,6 @@ class FockVector:
         if c == -1:
             return -self
         return FockVector(self.space, {m: v * c for m, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FockVector)
-            and self.space == other.space
-            and (self - other).is_zero()
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
 
     # -- grading ---------------------------------------------------------------
 

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import QQ, ParameterContext, ParamPolynomial, ParamScalar, _make
+from .scalars import QQ, Combination, ParameterContext, ParamPolynomial, ParamScalar, _make
 
 __all__ = [
     "Connection",
@@ -270,6 +270,9 @@ class FactoredCoeff:
     def __neg__(self):
         return FactoredCoeff(self.space, -self.num, self.zexp, self.pairs)
 
+    def __sub__(self, other: "FactoredCoeff") -> "FactoredCoeff":
+        return self + -other
+
     def __add__(self, other: "FactoredCoeff") -> "FactoredCoeff":
         if self.is_zero():
             return other
@@ -351,10 +354,14 @@ def _insert_sign(subset: tuple, q: int) -> int:
     return -1 if sum(1 for s in subset if s < q) % 2 else 1
 
 
-class RationalForm:
-    """Mixed-degree form with exact factored rational coefficients."""
+class RationalForm(Combination):
+    """Mixed-degree form with exact factored rational coefficients.
 
-    __slots__ = ("space", "terms")
+    ``terms`` maps a sorted dz-subset to a nonzero `FactoredCoeff`; sums are
+    `Combination`'s, over ``space``.
+    """
+
+    __slots__ = ("space",)
 
     def __init__(self, space: FormSpace, terms: dict | None = None):
         self.space = space
@@ -365,41 +372,25 @@ class RationalForm:
             if not coeff.is_zero():
                 self.terms[tuple(subset)] = coeff
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "RationalForm":
+        return RationalForm(self.space, terms)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            if s in out:
-                out[s] = out[s] + c
-            else:
-                out[s] = c
-        return RationalForm(self.space, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
+    # bound in the class body: perfbench/tracer.py wraps it via __dict__
+    __add__ = Combination.__add__
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, (FactoredCoeff, int, Fraction)):
             scalar = FactoredCoeff.from_scalar(self.space, scalar)
         return RationalForm(self.space, {s: c * scalar for s, c in self.terms.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, RationalForm) and (self - other).is_zero()
-
-    __hash__ = None
-
-    def d(self, conn: Connection | None = None) -> "RationalForm":
+    def d(self, conn: Connection) -> "RationalForm":
         space = self.space
         out: dict = {}
         for subset, coeff in self.terms.items():
             for q in range(space.nvars):
                 if q in subset:
                     continue
-                g = coeff.derivative_z(q)
-                if conn is not None:
-                    g = g + coeff * conn.gamma(space, q)
+                g = coeff.derivative_z(q) + coeff * conn.gamma(space, q)
                 if g.is_zero():
                     continue
                 new = tuple(sorted(subset + (q,)))
@@ -422,7 +413,7 @@ class RationalForm:
                     out[new] = out[new] + add if new in out else add
         return RationalForm(space, out)
 
-    def lie(self, field: "WittElement", conn: Connection | None = None) -> "RationalForm":
+    def lie(self, field: "WittElement", conn: Connection) -> "RationalForm":
         return self.contract(field).d(conn) + self.d(conn).contract(field)
 
 
@@ -794,13 +785,14 @@ def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement]) -> La
     """i_{x_1} ... i_{x_a} omega with the parity twist (-1)^(a(a+1)/2).
 
     The twist aligns the contraction-assembled components with the global
-    total-differential convention d' + (-1)^m d''.
+    total-differential convention d' + (-1)^m d''.  An odd twist negates
+    the first field, since i_{-x} = -i_x.
     """
+    a = len(fields)
+    if ((a * (a + 1)) // 2) % 2:
+        fields = [WittElement({n: -c for n, c in fields[0].coeffs.items()}), *fields[1:]]
     out = omega
     for field in reversed(fields):
         out = out.contract(field)
-    a = len(fields)
-    if ((a * (a + 1)) // 2) % 2:
-        out = -1 * out
     return out
 

@@ -5,8 +5,8 @@ modulo the Serre relations ad(theta_j)^(1-a_jk)(theta_k) = 0.  Its universal
 envelope is handled weight space by weight space: words of a fixed
 multidegree span the free weight space, the Serre ideal's span is row-reduced
 over Q to a reduced echelon basis, and the surviving (non-pivot) words form a
-canonical basis of the quotient.  Verma vectors are finitely supported maps
-from depth vectors to quotient coordinates; E/H/F act exactly.
+canonical basis of the quotient.  Verma vectors are finite combinations of
+basis words, each of which fixes its depth; E/H/F act exactly.
 
 Weight convention: the module labelled by hw = (<H_1,lam>, ..., <H_r,lam>)
 satisfies H_i v = (<H_i,lam> - 1) v on the highest-weight vector, i.e. the
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .scalars import QQ, ParameterContext, ParamScalar
+from .scalars import QQ, Combination, ParameterContext, ParamScalar
 
 Word = tuple  # tuple of 0-based generator indices
 Depth = tuple  # multidegree: how many times each generator occurs
@@ -267,14 +267,18 @@ def weight_space(cd: CartanData, depth: Depth) -> WeightSpace:
     return ws
 
 
+def _by_depth(combo: dict, rank: int) -> dict:
+    """A {word: scalar} map grouped as {depth: {word: scalar}}."""
+    out: dict = {}
+    for w, c in combo.items():
+        out.setdefault(_word_depth(w, rank), {})[w] = c
+    return out
+
+
 def _reduce_full(cd: CartanData, combo: dict) -> dict:
     """Normal form of a mixed-degree {word: scalar} map."""
-    by_depth: dict = {}
-    for w, c in combo.items():
-        by_depth.setdefault(_word_depth(w, cd.rank), {}).setdefault(w, 0)
-        by_depth[_word_depth(w, cd.rank)][w] += c
     out = {}
-    for depth, part in by_depth.items():
+    for depth, part in _by_depth(combo, cd.rank).items():
         out.update(weight_space(cd, depth).reduce(part))
     return out
 
@@ -308,57 +312,37 @@ def br(x, y):
 # Verma modules
 
 
-class VermaVector:
-    """Finitely supported map depth -> {basis word -> scalar}."""
+class VermaVector(Combination):
+    """Finite combination of basis words with exact coefficients.
 
-    __slots__ = ("module", "comps")
+    ``terms`` maps a basis word of its weight space to a nonzero scalar; a
+    word fixes its depth, so ``parts`` regroups the terms by depth.  Sums
+    are `Combination`'s, over ``module``.
+    """
 
-    def __init__(self, module: "VermaModule", comps: dict):
+    __slots__ = ("module",)
+    _space = "module"
+
+    def __init__(self, module: "VermaModule", terms: dict):
         self.module = module
-        clean = {}
-        for depth, part in comps.items():
-            entries = {w: c for w, c in part.items() if c}
-            if entries:
-                clean[tuple(depth)] = entries
-        self.comps = clean
+        self.terms = {w: c for w, c in terms.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.comps
+    def _like(self, terms: dict) -> "VermaVector":
+        return VermaVector(self.module, terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VermaVector)
-            and self.module is other.module
-            and self.comps == other.comps
-        )
-
-    def __add__(self, other):
-        return self._combine(other, False)
-
-    def __sub__(self, other):
-        return self._combine(other, True)
-
-    def _combine(self, other, negate: bool):
-        """self +- other, each entry of other added in place."""
-        out = {d: dict(p) for d, p in self.comps.items()}
-        for d, part in other.comps.items():
-            tgt = out.setdefault(d, {})
-            for w, c in part.items():
-                tgt[w] = (tgt[w] - c if negate else tgt[w] + c) if w in tgt else -c if negate else c
-        return VermaVector(self.module, out)
+    def parts(self) -> dict:
+        """The terms grouped by depth: {depth: {word: scalar}}."""
+        return _by_depth(self.terms, self.module.cd.rank)
 
     def __rmul__(self, scalar):
-        return VermaVector(
-            self.module,
-            {d: {w: c * scalar for w, c in part.items()} for d, part in self.comps.items()},
-        )
+        return VermaVector(self.module, {w: c * scalar for w, c in self.terms.items()})
 
     def __str__(self):
-        if not self.comps:
+        if not self.terms:
             return "0"
         bits = []
-        for depth in sorted(self.comps):
-            for w, c in sorted(self.comps[depth].items()):
+        for depth, part in sorted(self.parts().items()):
+            for w, c in sorted(part.items()):
                 mono = "".join("F%d" % (i + 1) for i in w) or "1"
                 bits.append("(%s)*%s v" % (c, mono))
         return " + ".join(bits)
@@ -380,12 +364,12 @@ class VermaModule:
         return VermaVector(self, {})
 
     def vacuum(self) -> VermaVector:
-        return VermaVector(self, {(0,) * self.cd.rank: {(): self.ctx.one()}})
+        return VermaVector(self, {(): self.ctx.one()})
 
     def basis_vectors(self, depth: Depth) -> list:
         ws = weight_space(self.cd, depth)
         one = self.ctx.one()
-        return [VermaVector(self, {tuple(depth): {w: one}}) for w in ws.basis_words]
+        return [VermaVector(self, {w: one}) for w in ws.basis_words]
 
     def h_eigenvalue(self, i: int, depth: Depth) -> ParamScalar:
         """H_i on the depth slice: <H_i, lam - rho> minus the root shifts."""
@@ -395,19 +379,13 @@ class VermaModule:
     # -- Chevalley actions -----------------------------------------------------
 
     def f(self, i: int, vec: VermaVector) -> VermaVector:
-        out: dict = {}
-        for depth, part in vec.comps.items():
-            new_depth = tuple(d + (1 if j == i else 0) for j, d in enumerate(depth))
-            ws = weight_space(self.cd, new_depth)
-            # depth parts go to distinct new depths, so none merge
-            out[new_depth] = ws.reduce({(i,) + w: c for w, c in part.items()})
-        return VermaVector(self, out)
+        return VermaVector(self, _reduce_full(self.cd, {(i,) + w: c for w, c in vec.terms.items()}))
 
     def h(self, i: int, vec: VermaVector) -> VermaVector:
         out = {}
-        for depth, part in vec.comps.items():
+        for depth, part in vec.parts().items():
             ev = self.h_eigenvalue(i, depth)
-            out[depth] = {w: c * ev for w, c in part.items()}
+            out.update((w, c * ev) for w, c in part.items())
         return VermaVector(self, out)
 
     def e(self, i: int, vec: VermaVector) -> VermaVector:
@@ -418,27 +396,20 @@ class VermaModule:
         the vacuum contributes <H_i, lam - rho>.
         """
         base = self.hw[i] - 1
-        out: dict = {}
+        acc: dict = {}
         cd = self.cd
-        for depth, part in vec.comps.items():
-            if depth[i] == 0:
-                continue
-            new_depth = tuple(d - (1 if j == i else 0) for j, d in enumerate(depth))
-            ws = weight_space(cd, new_depth)
-            acc: dict = {}
-            for w, c in part.items():
-                suffix_shift = 0
-                # iterate from the right so the suffix pairing accumulates
-                for p in range(len(w) - 1, -1, -1):
-                    if w[p] == i:
-                        coeff = c * (base - suffix_shift)
-                        dw = w[:p] + w[p + 1 :]
-                        if coeff:
-                            acc[dw] = acc.get(dw, 0) + coeff
-                    suffix_shift += cd.a(i, w[p])
-            # depth parts go to distinct new depths, so none merge
-            out[new_depth] = ws.reduce(acc)
-        return VermaVector(self, out)
+        for w, c in vec.terms.items():
+            suffix_shift = 0
+            # iterate from the right so the suffix pairing accumulates
+            for p in range(len(w) - 1, -1, -1):
+                if w[p] == i:
+                    coeff = c * (base - suffix_shift)
+                    dw = w[:p] + w[p + 1 :]
+                    if coeff:
+                        acc[dw] = acc.get(dw, 0) + coeff
+                suffix_shift += cd.a(i, w[p])
+        # a word fixes its depth, so the images of different depths never merge
+        return VermaVector(self, _reduce_full(cd, acc))
 
     def act(self, tree, vec: VermaVector) -> VermaVector:
         """Action of a bracket tree via nested commutators."""
@@ -455,23 +426,7 @@ class VermaModule:
 
     def multiply_right(self, vec: VermaVector, word: Word) -> VermaVector:
         """x v -> (x * theta_word) v, the right regular shift used by screenings."""
-        out: dict = {}
-        extra = _word_depth(word, self.cd.rank)
-        for depth, part in vec.comps.items():
-            new_depth = tuple(d + e for d, e in zip(depth, extra))
-            ws = weight_space(self.cd, new_depth)
-            # depth parts go to distinct new depths, so none merge
-            out[new_depth] = ws.reduce({w + word: c for w, c in part.items()})
-        return VermaVector(self, out)
-
-    def from_reduced(self, reduced: dict) -> VermaVector:
-        """Vector from a {normal-form word: scalar} map."""
-        out: dict = {}
-        for w, c in reduced.items():
-            out.setdefault(_word_depth(w, self.cd.rank), {})[w] = c
-        return VermaVector(self, out)
+        return VermaVector(self, _reduce_full(self.cd, {w + word: c for w, c in vec.terms.items()}))
 
     def apply_derivation(self, i: int, vec: VermaVector) -> VermaVector:
-        # a word fixes its depth, so the parts merge into one map
-        words = {w: c for part in vec.comps.values() for w, c in part.items()}
-        return self.from_reduced(partial_derivation(self.cd, i, words))
+        return VermaVector(self, partial_derivation(self.cd, i, vec.terms))

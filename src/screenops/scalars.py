@@ -30,6 +30,7 @@ RationalLike = Union[int, Fraction]
 
 __all__ = [
     "QQ",
+    "Combination",
     "ParameterContext",
     "ParamPolynomial",
     "ParamScalar",
@@ -41,6 +42,56 @@ _ONE = QQ(1)
 
 class PoleError(ZeroDivisionError):
     """A substitution or specialization hit a vanishing denominator."""
+
+
+class Combination:
+    """Finite formal sum over a space: ``terms`` maps each key to an exact coefficient.
+
+    Fock, Verma, field, loop and rational-form sums share this linear
+    structure.  Two sums combine only over equal spaces; each term of the
+    right operand is added or subtracted in place, so no operand is negated
+    whole, and a coefficient that cancels is dropped.  Equality is a zero
+    test of the difference.  A subclass names the attribute holding its
+    space in ``_space`` and supplies ``_like(terms)``, a sum over its own
+    space; it keeps its own ``__rmul__``, since each coerces scalars
+    differently.
+    """
+
+    __slots__ = ("terms",)
+    _space = "space"
+
+    def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, negate: bool):
+        mine, theirs = getattr(self, self._space), getattr(other, self._space)
+        if mine is not theirs and mine != theirs:
+            raise ValueError("cannot combine sums over %r and %r" % (mine, theirs))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = (out[key] - c if negate else out[key] + c) if key in out else -c if negate else c
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.terms.values())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return False
+        mine, theirs = getattr(self, self._space), getattr(other, self._space)
+        return (mine is theirs or mine == theirs) and (self - other).is_zero()
+
+    __hash__ = None
 
 
 class ParameterContext:

@@ -55,7 +55,7 @@ class ScreeningFamily:
         self.kappa = target.hw[i]
 
     def _retag(self, vec: VermaVector) -> VermaVector:
-        return VermaVector(self.target, vec.comps)
+        return VermaVector(self.target, vec.terms)
 
     def apply(self, n: int, vec: VermaVector) -> VermaVector:
         return self.target.multiply_right(self._retag(vec), (self.i,) * n)

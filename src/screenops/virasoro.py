@@ -993,9 +993,8 @@ def ff_intertwiner_checks() -> list:
     ]
     for name, alpha, beta, slots, halfwidth, n_max, e_max in cases:
         fam = VertexScreeningCochains(ctx, alpha, beta, slots, window_halfwidth=halfwidth)
-        kappa = fam.residue_exponents()[0][0]
-        # the pair exponent pairing*beta^2, read off beta: one slot has no pair
-        power = int(2 * beta * beta)
+        kappas, pairs = fam.residue_exponents()
+        pair = ", pair exponent %d" % pairs[0, 1] if pairs else " with no pair factor"
         basis = []
         for e in range(e_max + 1):
             for mon in fam.space.block_basis(e):
@@ -1009,9 +1008,8 @@ def ff_intertwiner_checks() -> list:
         results.append(
             passed(
                 "residue-intertwiner-%s" % name,
-                "residue operator at puncture exponent %d, pair exponent %d "
-                "commutes with stress modes |n| <= %d and is nonzero"
-                % (kappa, power, n_max),
+                "residue operator at puncture exponent %d%s commutes with "
+                "stress modes |n| <= %d and is nonzero" % (kappas[0], pair, n_max),
                 ok and nonzero,
                 witness if not ok else ("" if nonzero else "operator vanished"),
             )

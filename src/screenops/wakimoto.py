@@ -49,7 +49,7 @@ from .forms import (
     WittElement,
     contraction_cochain,
 )
-from .scalars import ParameterContext, ParamScalar
+from .scalars import Combination, ParameterContext, ParamScalar
 from .virasoro import multi_vertex_form
 
 __all__ = [
@@ -176,7 +176,7 @@ def wakimoto_space(params: AffineParams, chi=None) -> FockSpace:
     return FockSpace(OscSpec(params.ctx, has_pair=True), label)
 
 
-class LoopElement:
+class LoopElement(Combination):
     """Formal combination of loop generators X<n> plus the central element.
 
     Terms are keyed by ("E"|"H"|"F", n) or by the string "c" for the center.
@@ -184,7 +184,8 @@ class LoopElement:
     central term: [X<a>, Y<b>] = [X,Y]<a+b> + a (X,Y) delta_{a+b,0} c.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+    _space = "ctx"
 
     def __init__(self, ctx: ParameterContext, terms: Mapping):
         self.ctx = ctx
@@ -206,24 +207,12 @@ class LoopElement:
     def center(cls, ctx: ParameterContext) -> "LoopElement":
         return cls(ctx, {"c": ctx.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LoopElement") -> "LoopElement":
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            out[key] = out[key] + value if key in out else value
-        return LoopElement(self.ctx, out)
+    def _like(self, terms: dict) -> "LoopElement":
+        return LoopElement(self.ctx, terms)
 
     def __rmul__(self, scalar) -> "LoopElement":
         scalar = self.ctx.scalar(scalar)
         return LoopElement(self.ctx, {k: scalar * v for k, v in self.terms.items()})
-
-    def __neg__(self) -> "LoopElement":
-        return QQ(-1) * self
-
-    def __sub__(self, other: "LoopElement") -> "LoopElement":
-        return self + (-other)
 
     def bracket(self, other: "LoopElement") -> "LoopElement":
         out: dict = {}
@@ -345,9 +334,8 @@ class ScreeningData:
         return out
 
 
-def screening_ops(params: AffineParams | None = None) -> ScreeningData:
+def screening_ops(params: AffineParams) -> ScreeningData:
     """Screening current and companion family for the rank-one realization."""
-    params = params or AffineParams.generic()
     ctx, nu = params.ctx, params.nu
     inv = ctx.one() / nu
     vertex = FieldExpr.vertex(ctx, inv)

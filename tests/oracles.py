@@ -58,7 +58,7 @@ from screenops.forms import (
     cleared_d,
     koszul_value,
 )
-from screenops.kacmoody import VermaVector, _word_depth
+from screenops.kacmoody import VermaVector
 from screenops.scalars import ParameterContext, PoleError
 from screenops.verma_screenings import ScreeningFamily
 
@@ -143,9 +143,8 @@ def apply_ordered_word(word, vec):
 def e_recursive(M, i, vec):
     """E_i by recursion: E_i(theta_j u v) = theta_j E_i(u v) + delta_ij H_i(u v)."""
     out = M.zero()
-    for part in vec.comps.values():
-        for w, c in part.items():
-            out = out + c * _e_word(M, i, w)
+    for w, c in vec.terms.items():
+        out = out + c * _e_word(M, i, w)
     return out
 
 
@@ -153,7 +152,7 @@ def _e_word(M, i, w):
     if not w:
         return M.zero()
     j, rest = w[0], w[1:]
-    tail = VermaVector(M, {_word_depth(rest, M.cd.rank): {rest: M.ctx.one()}})
+    tail = VermaVector(M, {rest: M.ctx.one()})
     out = M.f(j, _e_word(M, i, rest))
     if j == i:
         out = out + M.h(i, tail)

@@ -94,13 +94,6 @@ class TestRationalLayer:
             form = random_form(space, degree, rng)
             assert form.d(conn).d(conn).is_zero()
 
-    def test_untwisted_matches_connectionless(self):
-        rng = random.Random(11)
-        space = make_space(2)
-        zero_conn = Connection([0, 0])
-        form = random_form(space, 0, rng)
-        assert form.d() == form.d(zero_conn)
-
     def test_contraction_squares_to_zero(self):
         rng = random.Random(13)
         space = make_space(3)

@@ -137,16 +137,16 @@ class TestVermaActions:
                     assert (M.e(i, v) - e_recursive(M, i, v)).is_zero()
 
     def test_actions_split_over_depth_parts(self):
-        # f, e and multiply_right store each depth part's image without
-        # merging; a vector spanning depths <= 2 catches two parts landing
-        # on one depth
+        # f, e and multiply_right reduce each depth part's image on its own
+        # weight space; a vector spanning depths <= 2 catches two parts
+        # landing on one depth
         cd = CartanData.sl3()
         M = VermaModule(cd, (L1, L2), CTX)
         basis = [b for d in [(0, 0), *_depths(2, 2)] for b in M.basis_vectors(d)]
         v = M.zero()
         for k, b in enumerate(basis):
             v = v + (L1 + k) * b
-        parts = [VermaVector(M, {d: p}) for d, p in v.comps.items()]
+        parts = [VermaVector(M, p) for p in v.parts().values()]
         assert len(parts) == 6
 
         def split_sum(fn):
