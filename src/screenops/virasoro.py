@@ -56,7 +56,6 @@ __all__ = [
     "verify_virasoro",
     "check_L_vertex",
     "product_formula_check",
-    "check_multi_vertex_products",
     "check_multi_vertex_transport",
     "screening_cochain_checks",
     "ff_intertwiner_checks",
@@ -487,22 +486,17 @@ def check_L_vertex(mode_max: int = 5) -> list:
     return results
 
 
-def _two_slot_cases(b1, b2, probes, window):
-    """(u, E, normal product, e1, e2) for |e1|, |e2| <= 2 on each probe.
-
-    ``window(E)`` gives the product's window for a probe of energy E; each
-    product is built once, when its probe is reached.
-    """
-    for u in probes:
-        E = u.energy_bound()
-        M = normal_multi_vertex([b1, b2], u, window(E))
-        for e1 in range(-2, 3):
-            for e2 in range(-2, 3):
-                yield u, E, M, e1, e2
-
-
 def product_formula_check(order_max: int = 6) -> list:
-    """Commutation of half vertices and factorization of the full product."""
+    """Commutation of half vertices and reduction of vertex products.
+
+    Composed vertices reduce to one symmetric normal product times the
+    commutation factors.  For two symbolic slots, each of two probes gets one
+    normal product on the window ((-2-E, 4+E),)*2 (E the probe's energy),
+    and each exponent pair (e1, e2) with |e1|, |e2| <= 2 gets one verdict per
+    ordering of the two vertices: ``vertex-factorization`` reads the first
+    ordering's verdicts and ``two-slot-orderings`` reads both.  Three slots
+    at rational exponents reduce through all three pair factors.
+    """
     ctx = ParameterContext(("alpha", "b1", "b2"))
     alpha = ctx.param("alpha")
     b1 = ctx.param("b1")
@@ -555,24 +549,34 @@ def product_formula_check(order_max: int = 6) -> list:
         )
     )
 
-    # factorization of the composed full vertices against the normal product
+    # both orderings of the composed full vertices against one normal product per probe
+    pair = (b1, b2)
     tgt_zero = space.shifted(b1 + b2).zero()
 
-    def factorization_holds(u, E, M, e1, e2):
-        lhs = apply_vertex(b1, e1, apply_vertex(b2, e2, u))
+    def reduces(u, E, M, e, i, j):
+        """V_i(e_i) V_j(e_j) u equals the sum over k of c_k M(e moved by k from slot j to i)."""
+        lhs = apply_vertex(pair[i], e[i], apply_vertex(pair[j], e[j], u))
         rhs = tgt_zero
-        for k in range(e2 + E + 1):
-            rhs = rhs + binomial[k] * _entry(M, (e1 + k, e2 - k), tgt_zero)
+        for k in range(e[j] + E + 1):
+            key = (e[0] + k, e[1] - k) if i == 0 else (e[0] - k, e[1] + k)
+            rhs = rhs + binomial[k] * _entry(M, key, tgt_zero)
         return lhs == rhs
+
+    verdicts = []
+    for u in probes[:2]:
+        E = u.energy_bound()
+        M = normal_multi_vertex(pair, u, ((-2 - E, 4 + E),) * 2)
+        for e in itertools.product(range(-2, 3), repeat=2):
+            verdicts.append((u, e, reduces(u, E, M, e, 0, 1), reduces(u, E, M, e, 1, 0)))
 
     results.append(
         passed(
             "vertex-factorization",
             "composed vertices equal the commutation factor times the normal product",
             *first_failure(
-                _two_slot_cases(b1, b2, probes[:2], lambda E: ((-2, 4 + E), (-E, 2))),
-                factorization_holds,
-                lambda u, E, M, e1, e2: "exponents (%d, %d) on %s" % (e1, e2, _fmt(u)),
+                verdicts,
+                lambda u, e, first, second: first,
+                lambda u, e, first, second: "exponents (%d, %d) on %s" % (e + (_fmt(u),)),
             ),
         )
     )
@@ -590,35 +594,6 @@ def product_formula_check(order_max: int = 6) -> list:
             lhs != naive,
         )
     )
-    return results
-
-
-def check_multi_vertex_products() -> list:
-    """Iterated vertex products reduce to one symmetric normal product."""
-    results = []
-
-    # two slots, symbolic exponents: both orderings against the same product
-    ctx = ParameterContext(("alpha", "b1", "b2"))
-    alpha = ctx.param("alpha")
-    b1 = ctx.param("b1")
-    b2 = ctx.param("b2")
-    space = FockSpace(OscSpec(ctx), alpha)
-    vac = space.vacuum()
-    gamma = space.spec.pairing * (b1 * b2)
-    coeffs = _commutation_coeffs(ctx, gamma, 8)
-    probes = [vac, osc_apply(("b", -1), vac)]
-    tgt_zero = space.shifted(b1 + b2).zero()
-
-    def orderings_hold(u, E, M, e1, e2):
-        first = apply_vertex(b1, e1, apply_vertex(b2, e2, u))
-        red1 = tgt_zero
-        for k in range(e2 + E + 1):
-            red1 = red1 + coeffs[k] * _entry(M, (e1 + k, e2 - k), tgt_zero)
-        second = apply_vertex(b2, e2, apply_vertex(b1, e1, u))
-        red2 = tgt_zero
-        for k in range(e1 + E + 1):
-            red2 = red2 + coeffs[k] * _entry(M, (e1 - k, e2 + k), tgt_zero)
-        return first == red1 and second == red2
 
     results.append(
         passed(
@@ -626,11 +601,9 @@ def check_multi_vertex_products() -> list:
             "both orderings of two vertices reduce to the same normal product "
             "with mirrored commutation factors",
             *first_failure(
-                _two_slot_cases(
-                    b1, b2, probes, lambda E: ((-2 - E, 4 + E), (-2 - E, 4 + E))
-                ),
-                orderings_hold,
-                lambda u, E, M, e1, e2: "exponents (%d, %d)" % (e1, e2),
+                verdicts,
+                lambda u, e, first, second: first and second,
+                lambda u, e, first, second: "exponents (%d, %d)" % e,
             ),
         )
     )

@@ -68,7 +68,6 @@ __all__ = [
     "verify_screening_regularity",
     "verify_screened_current_brackets",
     "screening_cocycle",
-    "generic_extension_and_descent",
 ]
 
 
@@ -809,7 +808,34 @@ def verify_screening_regularity(mode_max: int = 5) -> list:
     return results
 
 
-# -- screened current brackets --------------------------------------------------------
+# -- bracket trees: reduction, mode application and the companion rule ----------------
+
+
+def _word_reduce(ctx: ParameterContext, word) -> LoopElement:
+    """Reduce a bracket tree over the loop generators to a loop element."""
+    if word[0] == "gen":
+        return LoopElement.basis(ctx, word[1], word[2])
+    if word[0] == "br":
+        return _word_reduce(ctx, word[1]).bracket(_word_reduce(ctx, word[2]))
+    raise ValueError("malformed word %r" % (word,))
+
+
+def _word_apply(act: CurrentAction, word, vec: FockVector) -> FockVector:
+    """Apply a bracket tree as nested commutators of concrete mode actions."""
+    if word[0] == "gen":
+        return act.apply(word[1], word[2], vec)
+    if word[0] == "br":
+        left, right = word[1], word[2]
+        return _word_apply(act, left, _word_apply(act, right, vec)) - _word_apply(
+            act, right, _word_apply(act, left, vec)
+        )
+    raise ValueError("malformed word %r" % (word,))
+
+
+def _word_render(word) -> str:
+    if word[0] == "gen":
+        return "%s<%d>" % (word[1], word[2])
+    return "[%s, %s]" % (_word_render(word[1]), _word_render(word[2]))
 
 
 def _companion_commutator(
@@ -832,21 +858,7 @@ def _descent_defect(fam: ScreeningCochains, word, s: int, vec: FockVector) -> Fo
     return lhs - fam.data.loop_image_coeff(_word_reduce(ctx, word), s, vec)
 
 
-def _wrong_structure_defect(fam: ScreeningCochains) -> FockVector:
-    """[H<0>, companion(F<0>)](0) on the vacuum against the companion of
-    [H, F] with the structure constant flipped from -2 to +2."""
-    f0 = LoopElement.basis(fam.ctx, "F", 0)
-    vac = fam.source.vacuum()
-    lhs = _companion_commutator(fam, ("gen", "H", 0), f0, 0, vac)
-    return lhs - QQ(2) * fam.data.loop_image_coeff(f0, 0, vac)
-
-
-def _companion_opes(params: AffineParams, data: ScreeningData) -> dict:
-    """Singular parts of each current against each companion field."""
-    return {
-        (x, y): wick_ope(wakimoto_current(x, params), data.image(y))
-        for x, y in _ORDERED_PAIRS
-    }
+# -- screened current brackets and descent --------------------------------------------
 
 
 def _companion_residue_defect(opes: dict, data: ScreeningData, x: str, y: str) -> FieldExpr:
@@ -858,22 +870,44 @@ def _companion_residue_defect(opes: dict, data: ScreeningData, x: str, y: str) -
 
 
 def verify_screened_current_brackets(mode_max: int = 2) -> list:
-    """Products of currents with companion fields and their antisymmetry.
+    """Companion-field products and brackets, and descent of the companion family.
 
-    Every product of a current with a companion field has at most a simple
-    pole; the antisymmetrized residue equals the companion field of the
-    bracket; and the mode transcription holds including the central term
-    (whose companion image is zero).
+    Every current against a companion field has at most a simple pole, the
+    antisymmetrized residue is the companion field of the bracket, and the
+    mode transcription holds including the central term (whose companion
+    image is zero).  On bracket trees [W1, W2] over the loop generators,
+    [W1, S(red W2)] - [W2, S(red W1)], built from nested mode commutators,
+    equals the companion family of the reduced bracket: symbolically in
+    (nu, chi), then at five rational chi values plus one integral chi.
+
+    One symbolic one-slot family and one table of the nine current-companion
+    products feed every other check.  Each ordered pair gets one verdict
+    (pole order at most one, residue defect zero): ``screened-pole-shape``
+    reads the first, ``screened-bracket-ope`` the second, and
+    ``descent-conjecture-evidence`` both, as evidence for the conjectural
+    generic-level statement (conjecture — evidence only).  Both controls,
+    ``screened-wrong-structure`` and ``descent-wrong-reduction``, read one
+    defect: [H<0>, S(F<0>)](0) on the vacuum against the companion of [H, F]
+    with the structure constant flipped from -2 to +2.
     """
     params = AffineParams.generic()
     ctx = params.ctx
     fam = ScreeningCochains(screening_ops(params), 1)
     data = fam.data
+    vac = fam.source.vacuum()
+    probes = [vac, _unit(fam.source, [("as", -1)])]
     results = []
 
     g = data.image("F")
     gamma_g = FieldExpr.field(ctx, "gamma", 0) * g
-    opes = _companion_opes(params, data)
+    opes = {
+        (x, y): wick_ope(wakimoto_current(x, params), data.image(y))
+        for x, y in _ORDERED_PAIRS
+    }
+    verdicts = []
+    for x, y in _ORDERED_PAIRS:
+        defect = _companion_residue_defect(opes, data, x, y)
+        verdicts.append((x, y, opes[(x, y)].max_order() <= 1, defect.is_zero(), defect))
 
     results.append(
         passed(
@@ -895,9 +929,9 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
             "every current against a companion field has at most a simple "
             "pole",
             *first_failure(
-                _ORDERED_PAIRS,
-                lambda x, y: opes[(x, y)].max_order() <= 1,
-                lambda x, y: "%s against image of %s" % (x, y),
+                verdicts,
+                lambda x, y, simple, closes, defect: simple,
+                lambda x, y, simple, closes, defect: "%s against image of %s" % (x, y),
             ),
         )
     )
@@ -907,13 +941,18 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
             "antisymmetrized companion residues realize the bracket's "
             "companion field",
             *first_failure(
-                _ORDERED_PAIRS,
-                lambda x, y: _companion_residue_defect(opes, data, x, y).is_zero(),
-                lambda x, y: "(%s,%s): %s" % (
-                    x, y, _companion_residue_defect(opes, data, x, y).render()),
+                verdicts,
+                lambda x, y, simple, closes, defect: closes,
+                lambda x, y, simple, closes, defect: "(%s,%s): %s" % (x, y, defect.render()),
             ),
         )
     )
+
+    def descent_holds(fam, word, s, vec):
+        return _descent_defect(fam, word, s, vec).is_zero()
+
+    def descent_witness(fam, word, s, vec):
+        return "word %s at s=%d on %s" % (_word_render(word), s, _fmt(vec))
 
     # mode route including central pairs
     grid = [(x, n, y, m)
@@ -921,7 +960,6 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
             for n in range(-mode_max, mode_max + 1)
             for m in range(-mode_max, mode_max + 1)]
     grid += [("E", 3, "F", -3), ("H", 3, "H", -3), ("F", 4, "E", -4)]
-    probes = [fam.source.vacuum(), _unit(fam.source, [("as", -1)])]
     results.append(
         passed(
             "screened-bracket-modes",
@@ -934,9 +972,9 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
                     for s in (-2, 0, 1)
                     for vec in probes
                 ),
-                lambda x, n, y, m, s, vec: _descent_defect(
+                lambda x, n, y, m, s, vec: descent_holds(
                     fam, ("br", ("gen", x, n), ("gen", y, m)), s, vec
-                ).is_zero(),
+                ),
                 lambda x, n, y, m, s, vec: (
                     "[%s<%d>, S(%s)] - [%s<%d>, S(%s)] at s=%d on %s"
                     % (x, n, y, y, m, x, s, _fmt(vec))
@@ -945,14 +983,89 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
         )
     )
 
-    defect = _wrong_structure_defect(fam)
+    f0 = LoopElement.basis(ctx, "F", 0)
+    commuted = _companion_commutator(fam, ("gen", "H", 0), f0, 0, vac)
+    wrong = commuted - QQ(2) * data.loop_image_coeff(f0, 0, vac)
     results.append(
         control(
             "screened-wrong-structure",
             "flipping the Cartan-lowering structure constant must leave "
             "a visible defect",
-            broke=not defect.is_zero(),
-            witness=_fmt(defect),
+            broke=not wrong.is_zero(),
+            witness=_fmt(wrong),
+        )
+    )
+
+    def gen(name, n=0):
+        return ("gen", name, n)
+
+    def br(a, b):
+        return ("br", a, b)
+
+    word_pairs = [
+        br(gen("E"), gen("F")),
+        br(gen("H"), gen("F")),
+        br(gen("H", 1), gen("F", -1)),
+        br(gen("H", -1), gen("F", 1)),
+        br(gen("E", 1), gen("F", -1)),
+        br(gen("F", 1), gen("F", -1)),
+        br(gen("E"), br(gen("E"), gen("F"))),
+        br(gen("H"), br(gen("H"), gen("F"))),
+        br(gen("F"), br(gen("H"), gen("F"))),
+        br(br(gen("E"), gen("F")), gen("F")),
+        br(br(gen("H"), gen("E")), gen("F")),
+        br(gen("H", -1), br(gen("H", 1), gen("F"))),
+    ]
+    results.append(
+        passed(
+            "descent-tree-pairs",
+            "inductive companion rule on %d bracket trees matches the "
+            "reduced seeds symbolically in (nu, chi)" % len(word_pairs),
+            *first_failure(
+                ((fam, word, s, vec) for word in word_pairs for s in (-1, 0, 1) for vec in probes),
+                descent_holds,
+                descent_witness,
+            ),
+        )
+    )
+
+    def specialized(chi):
+        spec = ScreeningCochains(screening_ops(AffineParams(ParameterContext(("nu",)), chi=chi)), 1)
+        return ((chi, spec, w, s, spec.source.vacuum()) for w in word_pairs[:4] for s in (0, 1))
+
+    chis = [QQ(7, 3), QQ(-5, 2), QQ(13, 7), QQ(3, 5), QQ(-9, 4), QQ(2)]
+    results.append(
+        passed(
+            "descent-specializations",
+            "descent persists at five fixed non-integral weight labels "
+            "plus one integral label",
+            *first_failure(
+                itertools.chain.from_iterable(map(specialized, chis)),
+                lambda chi, *case: descent_holds(*case),
+                lambda chi, *case: "chi=%s: %s" % (chi, descent_witness(*case)),
+            ),
+        )
+    )
+
+    results.append(
+        passed(
+            "descent-conjecture-evidence",
+            "antisymmetrized residue identity for the generic-level "
+            "statement holds at rank one (conjecture — evidence only)",
+            *first_failure(
+                verdicts,
+                lambda x, y, simple, closes, defect: simple and closes,
+                lambda x, y, simple, closes, defect: "(%s,%s)" % (x, y),
+            ),
+        )
+    )
+    results.append(
+        control(
+            "descent-wrong-reduction",
+            "mis-reducing the Cartan-lowering bracket must leave a "
+            "visible defect",
+            broke=not wrong.is_zero(),
+            witness=_fmt(wrong),
         )
     )
     return results
@@ -1213,148 +1326,4 @@ def screening_cocycle(slots: int, window_halfwidth: int = 2, mode_max: int = 1) 
                 witness="",
             )
         )
-    return results
-
-
-# -- generic extension and descent ----------------------------------------------------
-
-
-def _word_reduce(ctx: ParameterContext, word) -> LoopElement:
-    """Reduce a bracket tree over the loop generators to a loop element."""
-    if word[0] == "gen":
-        return LoopElement.basis(ctx, word[1], word[2])
-    if word[0] == "br":
-        return _word_reduce(ctx, word[1]).bracket(_word_reduce(ctx, word[2]))
-    raise ValueError("malformed word %r" % (word,))
-
-
-def _word_apply(act: CurrentAction, word, vec: FockVector) -> FockVector:
-    """Apply a bracket tree as nested commutators of concrete mode actions."""
-    if word[0] == "gen":
-        return act.apply(word[1], word[2], vec)
-    if word[0] == "br":
-        left, right = word[1], word[2]
-        return _word_apply(act, left, _word_apply(act, right, vec)) - _word_apply(
-            act, right, _word_apply(act, left, vec)
-        )
-    raise ValueError("malformed word %r" % (word,))
-
-
-def _word_render(word) -> str:
-    if word[0] == "gen":
-        return "%s<%d>" % (word[1], word[2])
-    return "[%s, %s]" % (_word_render(word[1]), _word_render(word[2]))
-
-
-def generic_extension_and_descent() -> list:
-    """Descent of the inductively extended companion family to the quotient.
-
-    For bracket trees [W1, W2] over the loop generators, the inductive rule
-    evaluates [W1, S(red W2)] - [W2, S(red W1)] with nested machine-applied
-    commutator actions and reduced companion families; descent holds when
-    this equals the companion family of the reduced bracket.  Verified
-    symbolically in (nu, chi), then at five fixed rational chi values plus one
-    integral chi.  The antisymmetrized residue identity is re-reported here
-    as supporting evidence for the conjectural generic-level statement
-    (conjecture — evidence only).
-    """
-    params = AffineParams.generic()
-    results = []
-
-    def gen(name, n=0):
-        return ("gen", name, n)
-
-    def br(a, b):
-        return ("br", a, b)
-
-    word_pairs = [
-        br(gen("E"), gen("F")),
-        br(gen("H"), gen("F")),
-        br(gen("H", 1), gen("F", -1)),
-        br(gen("H", -1), gen("F", 1)),
-        br(gen("E", 1), gen("F", -1)),
-        br(gen("F", 1), gen("F", -1)),
-        br(gen("E"), br(gen("E"), gen("F"))),
-        br(gen("H"), br(gen("H"), gen("F"))),
-        br(gen("F"), br(gen("H"), gen("F"))),
-        br(br(gen("E"), gen("F")), gen("F")),
-        br(br(gen("H"), gen("E")), gen("F")),
-        br(gen("H", -1), br(gen("H", 1), gen("F"))),
-    ]
-
-    def descent_cases(fam, words, probes_count=2, s_values=(-1, 0, 1)):
-        probes = [fam.source.vacuum(), _unit(fam.source, [("as", -1)])][:probes_count]
-        for word in words:
-            for s in s_values:
-                for vec in probes:
-                    yield fam, word, s, vec
-
-    def descent_holds(fam, word, s, vec):
-        return _descent_defect(fam, word, s, vec).is_zero()
-
-    def descent_witness(fam, word, s, vec):
-        return "word %s at s=%d on %s" % (_word_render(word), s, _fmt(vec))
-
-    symbolic = ScreeningCochains(screening_ops(params), 1)
-    results.append(
-        passed(
-            "descent-tree-pairs",
-            "inductive companion rule on %d bracket trees matches the "
-            "reduced seeds symbolically in (nu, chi)" % len(word_pairs),
-            *first_failure(
-                descent_cases(symbolic, word_pairs), descent_holds, descent_witness
-            ),
-        )
-    )
-
-    chis = [QQ(7, 3), QQ(-5, 2), QQ(13, 7), QQ(3, 5), QQ(-9, 4), QQ(2)]
-    results.append(
-        passed(
-            "descent-specializations",
-            "descent persists at five fixed non-integral weight labels "
-            "plus one integral label",
-            *first_failure(
-                (
-                    (chi,) + case
-                    for chi in chis
-                    for case in descent_cases(
-                        ScreeningCochains(
-                            screening_ops(AffineParams(ParameterContext(("nu",)), chi=chi)), 1
-                        ),
-                        word_pairs[:4],
-                        probes_count=1,
-                        s_values=(0, 1),
-                    )
-                ),
-                lambda chi, *case: descent_holds(*case),
-                lambda chi, *case: "chi=%s: %s" % (chi, descent_witness(*case)),
-            ),
-        )
-    )
-
-    opes = _companion_opes(params, symbolic.data)
-    results.append(
-        passed(
-            "descent-conjecture-evidence",
-            "antisymmetrized residue identity for the generic-level "
-            "statement holds at rank one (conjecture — evidence only)",
-            *first_failure(
-                _ORDERED_PAIRS,
-                lambda x, y: opes[(x, y)].max_order() <= 1
-                and _companion_residue_defect(opes, symbolic.data, x, y).is_zero(),
-                lambda x, y: "(%s,%s)" % (x, y),
-            ),
-        )
-    )
-
-    defect = _wrong_structure_defect(symbolic)
-    results.append(
-        control(
-            "descent-wrong-reduction",
-            "mis-reducing the Cartan-lowering bracket must leave a "
-            "visible defect",
-            broke=not defect.is_zero(),
-            witness=_fmt(defect),
-        )
-    )
     return results

@@ -13,6 +13,7 @@ import pytest
 from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
 from screenops.fock import FockVector, commutator_blocks, monomial_energy, osc_apply
+from screenops import wakimoto
 from screenops.forms import residue_functional
 from screenops.wakimoto import (
     AffineParams,
@@ -23,7 +24,6 @@ from screenops.wakimoto import (
     _deep_probes,
     current_bracket,
     current_pairing,
-    generic_extension_and_descent,
     screening_cocycle,
     screening_contraction_coefficients,
     screening_ops,
@@ -503,12 +503,16 @@ class TestDescentHelpers:
         assert got == want
 
 
-def _all_green(results):
-    assert results, "battery returned no checks"
+PASS, XFAIL = "PASS", "EXPECTED-FAIL"
+
+
+def _all_green(results, expected):
+    """Every check is healthy, and the battery reports exactly ``expected``:
+    its ordered (check ID, status) pairs, controls included."""
     assert all(r.ok for r in results), [
         (r.check_id, r.status, r.witness) for r in results if not r.ok
     ]
-    assert any(r.expected_fail for r in results)
+    assert [(r.check_id, r.status) for r in results] == expected
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +522,15 @@ def current_algebra():
 
 class TestBatteries:
     def test_current_algebra_full_size(self, current_algebra):
-        _all_green(current_algebra)
+        _all_green(current_algebra, [
+            ("current-ope-table", PASS),
+            ("current-modes-core", PASS),
+            ("current-modes-deep", PASS),
+            ("current-route-agreement", PASS),
+            ("current-modes-blocks", PASS),
+            ("current-wrong-level", XFAIL),
+            ("current-drop-boson", XFAIL),
+        ])
 
     def test_deep_anchor_states_probe_reach(self, current_algebra):
         space = wakimoto_space(AffineParams.generic())
@@ -531,13 +543,23 @@ class TestBatteries:
         )
 
     def test_screening_contractions(self):
-        _all_green(screening_contraction_coefficients())
+        _all_green(screening_contraction_coefficients(), [
+            ("screen-pole-table", PASS),
+            ("screen-exponent-unique", PASS),
+            ("screen-derivative-identity", PASS),
+            ("screen-collapse", PASS),
+            ("screen-wrong-exponent", XFAIL),
+        ])
 
     def test_screening_regularity_full_size(self):
-        _all_green(verify_screening_regularity(mode_max=5))
-
-    def test_screened_current_brackets(self):
-        _all_green(verify_screened_current_brackets())
+        _all_green(verify_screening_regularity(mode_max=5), [
+            ("screen-ope-poles", PASS),
+            ("screen-ope-regular", PASS),
+            ("screen-typing", PASS),
+            ("screen-mode-transport", PASS),
+            ("screen-mode-invisible", PASS),
+            ("screen-drop-twist", XFAIL),
+        ])
 
     def test_screened_current_brackets_never_take_a_gcd(self, monkeypatch):
         # every denominator here is a power of nu, which the monomial step
@@ -552,23 +574,47 @@ class TestBatteries:
         monkeypatch.setattr(ParamPolynomial, "gcd", counting_gcd)
         results = verify_screened_current_brackets()
         assert calls == []
-        assert [(r.check_id, r.status) for r in results] == [
-            ("screened-residues", "PASS"),
-            ("screened-pole-shape", "PASS"),
-            ("screened-bracket-ope", "PASS"),
-            ("screened-bracket-modes", "PASS"),
-            ("screened-wrong-structure", "EXPECTED-FAIL"),
-        ]
+        _all_green(results, [
+            ("screened-residues", PASS),
+            ("screened-pole-shape", PASS),
+            ("screened-bracket-ope", PASS),
+            ("screened-bracket-modes", PASS),
+            ("screened-wrong-structure", XFAIL),
+            ("descent-tree-pairs", PASS),
+            ("descent-specializations", PASS),
+            ("descent-conjecture-evidence", PASS),
+            ("descent-wrong-reduction", XFAIL),
+        ])
+
+    def test_conjecture_evidence_reads_the_residue_verdicts(self, monkeypatch):
+        # a nonzero residue defect for (H, F) fails the bracket check and
+        # the evidence check that reads the same per-pair verdict
+        defect = wakimoto._companion_residue_defect
+
+        def broken(opes, data, x, y):
+            out = defect(opes, data, x, y)
+            return out + data.image("F") if (x, y) == ("H", "F") else out
+
+        monkeypatch.setattr(wakimoto, "_companion_residue_defect", broken)
+        checks = {r.check_id: r for r in verify_screened_current_brackets()}
+        assert checks["screened-pole-shape"].status == "PASS"
+        assert checks["screened-bracket-ope"].status == "FAIL"
+        assert checks["screened-bracket-ope"].witness.startswith("(H,F): ")
+        assert checks["descent-conjecture-evidence"].status == "FAIL"
+        assert checks["descent-conjecture-evidence"].witness == "(H,F)"
 
     def test_screening_cocycle_one_slot(self):
-        results = screening_cocycle(1)
-        assert results and all(r.ok for r in results)
+        _all_green(screening_cocycle(1), [
+            ("cocycle-1-nonvacuous", PASS),
+            ("cocycle-1-rows", PASS),
+        ])
 
     def test_screening_cocycle_two_slots(self):
-        _all_green(screening_cocycle(2))
-
-    def test_descent(self):
-        _all_green(generic_extension_and_descent())
+        _all_green(screening_cocycle(2), [
+            ("cocycle-2-nonvacuous", PASS),
+            ("cocycle-2-rows", PASS),
+            ("cocycle-2-drop-pairs", XFAIL),
+        ])
 
     def test_invalid_slot_count(self):
         with pytest.raises(ValueError, match="slots"):
