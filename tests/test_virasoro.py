@@ -533,6 +533,11 @@ def _all_green(results, expected):
     assert [(r.check_id, r.status) for r in results] == expected
 
 
+@pytest.fixture(scope="module")
+def product_formula():
+    return product_formula_check(order_max=6)
+
+
 class TestBatteries:
     def test_verify_virasoro_full_size(self):
         _all_green(verify_virasoro(mode_max=5, energy_max=6), [
@@ -551,12 +556,23 @@ class TestBatteries:
             ("vertex-transport-wrong-charge", XFAIL),
         ])
 
-    def test_product_formula_full_size(self):
-        _all_green(product_formula_check(order_max=6), [
+    def test_product_formula_full_size(self, product_formula):
+        _all_green(product_formula, [
             ("commutation-series", PASS),
             ("half-vertex-commutation", PASS),
             ("vertex-factorization", PASS),
             ("factorization-drop-commutation", XFAIL),
+            ("two-slot-orderings", PASS),
+            ("normal-product-leading", PASS),
+            ("three-slot-reduction", PASS),
+            ("three-slot-wrong-reduction", XFAIL),
+        ])
+
+    def test_multi_vertex_products(self, product_formula):
+        # iterated vertex products: the two orderings, the leading
+        # coefficient and the three-slot reduction with its control
+        multi = ("two-slot-orderings", "normal-product-leading", "three-slot")
+        _all_green([r for r in product_formula if r.check_id.startswith(multi)], [
             ("two-slot-orderings", PASS),
             ("normal-product-leading", PASS),
             ("three-slot-reduction", PASS),

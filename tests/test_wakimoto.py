@@ -520,6 +520,23 @@ def current_algebra():
     return verify_current_algebra(mode_max=4)
 
 
+@pytest.fixture(scope="module")
+def screened_brackets():
+    """The merged screened-bracket battery, run once, with every polynomial
+    gcd it takes recorded."""
+    calls = []
+    gcd = ParamPolynomial.gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ParamPolynomial, "gcd", counting_gcd)
+        results = verify_screened_current_brackets()
+    return results, calls
+
+
 class TestBatteries:
     def test_current_algebra_full_size(self, current_algebra):
         _all_green(current_algebra, [
@@ -561,25 +578,31 @@ class TestBatteries:
             ("screen-drop-twist", XFAIL),
         ])
 
-    def test_screened_current_brackets_never_take_a_gcd(self, monkeypatch):
-        # every denominator here is a power of nu, which the monomial step
-        # of scalar reduction cancels without a polynomial gcd
-        calls = []
-        gcd = ParamPolynomial.gcd
-
-        def counting_gcd(a, b):
-            calls.append((a, b))
-            return gcd(a, b)
-
-        monkeypatch.setattr(ParamPolynomial, "gcd", counting_gcd)
-        results = verify_screened_current_brackets()
-        assert calls == []
+    def test_screened_current_brackets(self, screened_brackets):
+        results, _ = screened_brackets
         _all_green(results, [
             ("screened-residues", PASS),
             ("screened-pole-shape", PASS),
             ("screened-bracket-ope", PASS),
             ("screened-bracket-modes", PASS),
             ("screened-wrong-structure", XFAIL),
+            ("descent-tree-pairs", PASS),
+            ("descent-specializations", PASS),
+            ("descent-conjecture-evidence", PASS),
+            ("descent-wrong-reduction", XFAIL),
+        ])
+
+    def test_screened_current_brackets_never_take_a_gcd(self, screened_brackets):
+        # every denominator here is a power of nu, which the monomial step
+        # of scalar reduction cancels without a polynomial gcd
+        _, calls = screened_brackets
+        assert calls == []
+
+    def test_descent(self, screened_brackets):
+        # descent of the extended companion family to the quotient: bracket
+        # trees, fixed specializations, conjecture evidence and its control
+        results, _ = screened_brackets
+        _all_green([r for r in results if r.check_id.startswith("descent-")], [
             ("descent-tree-pairs", PASS),
             ("descent-specializations", PASS),
             ("descent-conjecture-evidence", PASS),
