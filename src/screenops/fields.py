@@ -92,9 +92,9 @@ class FieldExpr(Combination):
     __slots__ = ("ctx",)
     _space = "ctx"
 
-    def __init__(self, ctx: ParameterContext, terms: dict | None = None):
+    def __init__(self, ctx: ParameterContext, terms: dict):
         self.ctx = ctx
-        self.terms = {} if terms is None else terms
+        self.terms = terms
 
     # -- constructors -----------------------------------------------------------
 

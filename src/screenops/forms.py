@@ -70,7 +70,7 @@ class Connection:
         return self.pairs.get(key)
 
     def active_pairs(self) -> list:
-        return [key for key, c in self.pairs.items() if not _scalar_is_zero(c)]
+        return [key for key, c in self.pairs.items() if not _value_is_zero(c)]
 
     def gamma(self, space: "FormSpace", q: int) -> "FactoredCoeff":
         """Gamma_q = kappa_q/z_q + sum_j kappa_qj/(z_q - z_j) over space, built once."""
@@ -82,12 +82,6 @@ class Connection:
                     gamma = gamma + one.mul_pair_inverse(q, j).mul_base(self.pair(q, j) or 0)
             self._gammas[(space, q)] = gamma
         return self._gammas[(space, q)]
-
-
-def _scalar_is_zero(c) -> bool:
-    if isinstance(c, ParamScalar):
-        return c.is_zero()
-    return c == 0
 
 
 def _value_is_zero(v) -> bool:
@@ -363,10 +357,10 @@ class RationalForm(Combination):
 
     __slots__ = ("space",)
 
-    def __init__(self, space: FormSpace, terms: dict | None = None):
+    def __init__(self, space: FormSpace, terms: dict):
         self.space = space
         self.terms = {}
-        for subset, coeff in (terms or {}).items():
+        for subset, coeff in terms.items():
             if not isinstance(coeff, FactoredCoeff):
                 coeff = FactoredCoeff.from_scalar(space, coeff)
             if not coeff.is_zero():
@@ -423,7 +417,7 @@ class WittElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        self.coeffs = {n: c for n, c in coeffs.items() if not _scalar_is_zero(c)}
+        self.coeffs = {n: c for n, c in coeffs.items() if not _value_is_zero(c)}
 
     @classmethod
     def basis(cls, n: int) -> "WittElement":
@@ -434,7 +428,7 @@ class WittElement:
         for n, c in self.coeffs.items():
             for m, d in other.coeffs.items():
                 k = (n - m) * (c * d)
-                if not _scalar_is_zero(k):
+                if not _value_is_zero(k):
                     key = n + m
                     out[key] = out.get(key, 0) + k
         return WittElement(out)
@@ -616,13 +610,13 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
                 merged: dict = {}
                 for n, (c, _, down) in enumerate(pieces):
                     c = key[1] * (conn.kappa[q] + exps[q] if c is None else c)
-                    if not _scalar_is_zero(c):
+                    if not _value_is_zero(c):
                         fed.add(n)
                         for degs, m in monomials[n].items():
                             d = degs[:q] + (degs[q] + down,) + degs[q + 1 :]
                             merged[d] = merged[d] + m * c if d in merged else m * c
                 tables[key] = [(d, None if c == 1 else c)
-                               for d, c in merged.items() if not _scalar_is_zero(c)]
+                               for d, c in merged.items() if not _value_is_zero(c)]
             _add_shifted(out, tuple(sorted(subset + (q,))), exps, value, tables[key])
         for n in fed:
             _, rest, down = pieces[n]

@@ -16,7 +16,6 @@ label is shifted by the Weyl vector (<H_i,rho> = 1).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -43,7 +42,7 @@ class CartanData:
 
     __slots__ = ("matrix", "sym", "name", "_ws_cache")
 
-    def __init__(self, matrix: Sequence[Sequence[int]], sym: Sequence[Fraction] | None = None, name: str = ""):
+    def __init__(self, matrix: Sequence[Sequence[int]], name: str = ""):
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
         r = len(matrix)
         if any(len(row) != r for row in matrix):
@@ -58,13 +57,7 @@ class CartanData:
                     if (matrix[i][j] == 0) != (matrix[j][i] == 0):
                         raise ValueError("zero pattern must be symmetric")
         self.matrix = matrix
-        self.sym = tuple(sym) if sym is not None else self._symmetrize()
-        if len(self.sym) != r or any(d <= 0 for d in self.sym):
-            raise ValueError("symmetrizers must be positive")
-        for i in range(r):
-            for j in range(r):
-                if self.sym[i] * matrix[i][j] != self.sym[j] * matrix[j][i]:
-                    raise ValueError("d_i a_ij != d_j a_ji: matrix not symmetrized by sym")
+        self.sym = self._symmetrize()
         self.name = name or "rank%d" % r
         self._ws_cache: dict = {}
 

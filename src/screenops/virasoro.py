@@ -15,6 +15,7 @@ is an exact zero test with no truncation error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction as QQ
 from typing import Sequence
@@ -295,41 +296,38 @@ def verify_virasoro(mode_max: int = 5, energy_max: int = 6) -> list:
         )
     )
 
+    # one memoised operator per stress mode: every check below reads L(n)
+    modes: dict = {}
+
+    def L(n: int) -> ModeOperator:
+        op = modes.get(n)
+        if op is None:
+            op = modes[n] = ModeOperator(
+                functools.partial(virasoro_apply, n, alpha0), space, space, -n)
+        return op
+
     # the two implementations of L_n agree (field coefficients vs direct sums)
     basis = []
     for e in range(energy_max + 1):
         for mon in space.block_basis(e):
             basis.append(FockVector(space, {mon: ctx.one()}))
-    light = [(idx, v) for idx, v in enumerate(basis) if v.energy_bound() <= 3]
+    light = [v for v in basis if v.energy_bound() <= 3]
     results.append(
         passed(
             "stress-mode-cross",
             "direct oscillator sums for L_n match the stress-field coefficients",
             *first_failure(
-                ((nn, v) for nn in range(-3, 4) for _, v in light),
-                lambda nn, v: virasoro_apply(nn, alpha0, v)
-                == apply_field_coeff(T, -nn - 2, v),
+                ((nn, v) for nn in range(-3, 4) for v in light),
+                lambda nn, v: L(nn).apply(v) == apply_field_coeff(T, -nn - 2, v),
                 lambda nn, v: "n=%d on %s" % (nn, _fmt(v)),
             ),
         )
     )
 
     # mode-route bracket relations on all blocks up to energy_max
-    images: dict = {}
-
-    def img(k: int, idx: int) -> FockVector:
-        key = (k, idx)
-        got = images.get(key)
-        if got is None:
-            got = virasoro_apply(k, alpha0, basis[idx])
-            images[key] = got
-        return got
-
-    def bracket_holds(n, m, idx, v):
-        lhs = virasoro_apply(n, alpha0, img(m, idx)) - virasoro_apply(
-            m, alpha0, img(n, idx)
-        )
-        rhs = QQ(n - m) * img(n + m, idx)
+    def bracket_holds(n, m, v):
+        lhs = L(n).apply(L(m).apply(v)) - L(m).apply(L(n).apply(v))
+        rhs = QQ(n - m) * L(n + m).apply(v)
         if n + m == 0:
             rhs = rhs + (QQ(n**3 - n, 12) * c) * v
         return lhs == rhs
@@ -345,18 +343,16 @@ def verify_virasoro(mode_max: int = 5, energy_max: int = 6) -> list:
             "[L_n, L_m] = (n-m) L_(n+m) + (n^3-n)/12 c on every block, "
             "%d mode pairs through energy %d" % (len(mode_pairs), energy_max),
             *first_failure(
-                ((n, m, idx, v) for n, m in mode_pairs for idx, v in enumerate(basis)),
+                ((n, m, v) for n, m in mode_pairs for v in basis),
                 bracket_holds,
-                lambda n, m, idx, v: "[L_%d, L_%d] on %s" % (n, m, _fmt(v)),
+                lambda n, m, v: "[L_%d, L_%d] on %s" % (n, m, _fmt(v)),
             ),
         )
     )
 
     # oscillator-stress commutator
-    def heisenberg_holds(k, m, idx, v):
-        lhs = osc_apply(("b", k), img(m, idx)) - virasoro_apply(
-            m, alpha0, osc_apply(("b", k), v)
-        )
+    def heisenberg_holds(k, m, v):
+        lhs = osc_apply(("b", k), L(m).apply(v)) - L(m).apply(osc_apply(("b", k), v))
         rhs = QQ(k) * osc_apply(("b", k + m), v)
         if k + m == 0:
             rhs = rhs + (QQ(2 * k * (k - 1)) * alpha0) * v
@@ -367,14 +363,9 @@ def verify_virasoro(mode_max: int = 5, energy_max: int = 6) -> list:
             "heisenberg-stress",
             "[b_k, L_m] = k b_(k+m) + 2k(k-1) alpha0 delta_(k+m,0)",
             *first_failure(
-                (
-                    (k, m, idx, v)
-                    for k in range(-4, 5)
-                    for m in range(-4, 5)
-                    for idx, v in light
-                ),
+                ((k, m, v) for k in range(-4, 5) for m in range(-4, 5) for v in light),
                 heisenberg_holds,
-                lambda k, m, idx, v: "[b_%d, L_%d] on %s" % (k, m, _fmt(v)),
+                lambda k, m, v: "[b_%d, L_%d] on %s" % (k, m, _fmt(v)),
             ),
         )
     )
@@ -382,8 +373,8 @@ def verify_virasoro(mode_max: int = 5, energy_max: int = 6) -> list:
     # highest-vector eigenvalues
     vac = space.vacuum()
     h = alpha * alpha - QQ(2) * (alpha0 * alpha)
-    ok = virasoro_apply(0, alpha0, vac) == h * vac and all(
-        virasoro_apply(nn, alpha0, vac).is_zero() for nn in range(1, mode_max + 1)
+    ok = L(0).apply(vac) == h * vac and all(
+        L(nn).apply(vac).is_zero() for nn in range(1, mode_max + 1)
     )
     results.append(
         passed(

@@ -6,8 +6,10 @@ boson and machine-checks, in exact arithmetic over the parameter field, that
 * their singular products close on the level-k bracket table (k = nu^2 - 2)
   by both the contraction route and the mode route;
 * the weight-one screening current (charged-pair prefactor times an
-  exponential field with exponent 1/nu) commutes with every current mode up
-  to the twisted derivative of a companion coefficient family;
+  exponential field with exponent 1/nu, the one exponent for which the
+  lowering current's simple pole is a total derivative) commutes with every
+  current mode up to the twisted derivative of a companion coefficient
+  family, by the contraction route and the mode route in one battery;
 * the multi-slot normal products of screening currents assemble into total
   cocycles for the loop-algebra Koszul complex relative to a log-derivative
   connection with one exponent per puncture and one weight per pair;
@@ -64,7 +66,6 @@ __all__ = [
     "wakimoto_space",
     "screening_ops",
     "verify_current_algebra",
-    "screening_contraction_coefficients",
     "verify_screening_regularity",
     "verify_screened_current_brackets",
     "screening_cocycle",
@@ -99,9 +100,7 @@ class AffineParams:
 
     __slots__ = ("ctx", "nu", "chi")
 
-    def __init__(self, ctx: ParameterContext | None = None, nu=None, chi=None):
-        if ctx is None:
-            ctx = ParameterContext(("nu", "chi"))
+    def __init__(self, ctx: ParameterContext, nu=None, chi=None):
         self.ctx = ctx
         self.nu = ctx.scalar(nu) if nu is not None else ctx.param("nu")
         if self.nu.is_zero():
@@ -552,36 +551,42 @@ def verify_current_algebra(mode_max: int = 4, params: AffineParams | None = None
     return results
 
 
-# -- screening current: contraction coefficients ------------------------------------
+# -- screening current: contraction and mode routes ----------------------------------
 
 
-def screening_contraction_coefficients() -> list:
-    """Singular part of the lowering current against a dressed charged factor.
+def verify_screening_regularity(mode_max: int = 5) -> list:
+    """Current products against the screening current, both routes.
 
-    With a generic vertex exponent t, the product has a double pole
-    -(2 t nu + k) V[t] and a simple pole (2 - 2 t nu) :gamma beta V[t]: +
-    nu :p V[t]:.  The exponent 1/nu is the unique value killing the
-    :gamma beta: residue, and there the whole singular part becomes the
-    twisted derivative of the companion field.
+    Contraction route at a generic vertex exponent t: the lowering current
+    against the dressed charged factor has a double pole -(2 t nu + k) V[t]
+    and a simple pole (2 - 2 t nu) :gamma beta V[t]: + nu :p V[t]:, and the
+    exponent 1/nu is the unique value killing the :gamma beta: residue.  At
+    the screening exponent, over (nu, chi) alone, the raising and Cartan
+    currents are regular against the screening current, and the lowering
+    current gives the companion field over the double pole and its
+    derivative over the simple pole: ``screen-ope-poles`` and
+    ``screen-collapse`` read this one OPE, and the collapse also checks that
+    the derivative is nu :p V[1/nu]:.  Mode route: with twist exponent
+    tau = -chi/nu^2, the commutators satisfy
+    [F<n>, S(s)] = (s + 1 + tau) G(s + 1 - n) on every probe, where S(s)
+    and G(u) are the plain coefficient families, and the raising and Cartan
+    modes commute with every S(s).
     """
-    ctx = ParameterContext(("nu", "chi", "t"))
-    params = AffineParams(ctx)
-    nu = params.nu
-    t = ctx.param("t")
     results = []
 
-    beta = FieldExpr.field(ctx, "beta", 0)
-    gamma = FieldExpr.field(ctx, "gamma", 0)
-    p = FieldExpr.field(ctx, "p", 0)
-    vertex_t = FieldExpr.vertex(ctx, t)
-    dressed = QQ(-1) * (beta * vertex_t)
-    f_expr = wakimoto_current("F", params)
+    # contraction route at a generic vertex exponent t
+    tctx = ParameterContext(("nu", "chi", "t"))
+    tparams = AffineParams(tctx)
+    tnu, t, two = tparams.nu, tctx.param("t"), tctx.scalar(2)
+    beta_t = FieldExpr.field(tctx, "beta", 0)
+    vertex_t = FieldExpr.vertex(tctx, t)
+    p_vertex_t = FieldExpr.field(tctx, "p", 0) * vertex_t
+    dressed = QQ(-1) * (beta_t * vertex_t)
 
-    ope = wick_ope(f_expr, dressed)
-    two = ctx.scalar(2)
-    expected2 = (QQ(-1) * (two * t * nu + params.level)) * vertex_t
-    expected1 = ((two - two * t * nu) * (gamma * (beta * vertex_t))
-                 + nu * (p * vertex_t))
+    ope = wick_ope(wakimoto_current("F", tparams), dressed)
+    expected2 = (QQ(-1) * (two * t * tnu + tparams.level)) * vertex_t
+    expected1 = ((two - two * t * tnu) * (FieldExpr.field(tctx, "gamma", 0) * (beta_t * vertex_t))
+                 + tnu * p_vertex_t)
     results.append(
         passed(
             "screen-pole-table",
@@ -594,11 +599,9 @@ def screening_contraction_coefficients() -> list:
         )
     )
 
-    h_expr = wakimoto_current("H", params)
-    e_expr = wakimoto_current("E", params)
-    h_ope = wick_ope(h_expr, dressed)
-    coeff = two - two * t * nu
-    at_screen = two - two * (ctx.one() / nu) * nu
+    h_ope = wick_ope(wakimoto_current("H", tparams), dressed)
+    coeff = two - two * t * tnu
+    at_screen = two - two * (tctx.one() / tnu) * tnu
     results.append(
         passed(
             "screen-exponent-unique",
@@ -607,7 +610,7 @@ def screening_contraction_coefficients() -> list:
             "exponent 1/nu",
             h_ope.max_order() <= 1
             and h_ope.pole(1) == coeff * dressed
-            and wick_ope(e_expr, dressed).is_regular()
+            and wick_ope(wakimoto_current("E", tparams), dressed).is_regular()
             and (not coeff.is_zero())
             and at_screen.is_zero(),
             h_ope.render(),
@@ -620,28 +623,38 @@ def screening_contraction_coefficients() -> list:
             "screen-derivative-identity",
             "the derivative of a vertex factor is minus its exponent times "
             "the boson-dressed vertex",
-            vertex_t.derivative() == (QQ(-1) * t) * (p * vertex_t),
+            vertex_t.derivative() == (QQ(-1) * t) * p_vertex_t,
             "",
         )
     )
 
-    data = screening_ops(params)
-    collapse = wick_ope(f_expr, data.screen)
+    # at the screening exponent, over (nu, chi)
+    params = AffineParams.generic()
+    ctx, nu = params.ctx, params.nu
+    fam = ScreeningCochains(screening_ops(params), 1)
+    data, source = fam.data, fam.source
+    act_src, act_tgt = fam.act_src, fam.act_tgt
+    beta = FieldExpr.field(ctx, "beta", 0)
+    p = FieldExpr.field(ctx, "p", 0)
+    f_expr = act_src.field("F")
     g = data.image("F")
+    ope_f = wick_ope(f_expr, data.screen)
+    poles_hold = (
+        ope_f.max_order() == 2
+        and ope_f.pole(2) == g
+        and ope_f.pole(1) == g.derivative()
+    )
     results.append(
         passed(
             "screen-collapse",
             "at the screening exponent the singular part collapses to the "
             "companion field and its derivative",
-            collapse.max_order() == 2
-            and collapse.pole(2) == g
-            and collapse.pole(1) == g.derivative()
-            and g.derivative() == nu * (p * FieldExpr.vertex(ctx, ctx.one() / nu)),
-            collapse.render(),
+            poles_hold and g.derivative() == nu * (p * FieldExpr.vertex(ctx, ctx.one() / nu)),
+            ope_f.render(),
         )
     )
 
-    wrong = QQ(-1) * (beta * FieldExpr.vertex(ctx, two / nu))
+    wrong = QQ(-1) * (beta * FieldExpr.vertex(ctx, ctx.scalar(2) / nu))
     broken = wick_ope(f_expr, wrong)
     residue = broken.pole(1) - broken.pole(2).derivative()
     results.append(
@@ -653,41 +666,13 @@ def screening_contraction_coefficients() -> list:
             witness=residue.render(),
         )
     )
-    return results
 
-
-# -- screening current: regularity and mode transport --------------------------------
-
-
-def verify_screening_regularity(mode_max: int = 5) -> list:
-    """Current products against the screening current, both routes.
-
-    Contraction route: the raising and Cartan currents are regular against
-    the screening current; the lowering current gives the companion field
-    over the double pole and its derivative over the simple pole.  Mode
-    route: with twist exponent tau = -chi/nu^2, the commutators satisfy
-    [F<n>, S(s)] = (s + 1 + tau) G(s + 1 - n) on every probe, where S(s)
-    and G(u) are the plain coefficient families, and the raising and Cartan
-    modes commute with every S(s).
-    """
-    params = AffineParams.generic()
-    ctx = params.ctx
-    fam = ScreeningCochains(screening_ops(params), 1)
-    data, source = fam.data, fam.source
-    act_src, act_tgt = fam.act_src, fam.act_tgt
-    results = []
-
-    f_expr = act_src.field("F")
-    g = data.image("F")
-    ope_f = wick_ope(f_expr, data.screen)
     results.append(
         passed(
             "screen-ope-poles",
             "the lowering current against the screening current produces "
             "the companion field and its derivative",
-            ope_f.max_order() == 2
-            and ope_f.pole(2) == g
-            and ope_f.pole(1) == g.derivative(),
+            poles_hold,
             ope_f.render(),
         )
     )

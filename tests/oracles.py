@@ -51,7 +51,7 @@ from screenops.forms import (
     FactoredCoeff,
     LaurentForm,
     _insert_sign,
-    _scalar_is_zero,
+    _value_is_zero,
     _win_intersect,
     _win_shift,
     clear_pairs,
@@ -233,13 +233,13 @@ def connection_times(conn, coeff, q):
     """Gamma_q * coeff with Gamma_q = kappa_q/z_q + sum_j kappa_qj/(z_q - z_j), term by term."""
     total = FactoredCoeff.zero(coeff.space)
     kq = conn.kappa[q]
-    if not _scalar_is_zero(kq):
+    if not _value_is_zero(kq):
         total = total + coeff.mul_base(kq).shift_z(q, -1)
     for j in range(coeff.space.nvars):
         if j == q:
             continue
         c = conn.pair(q, j)
-        if c is None or _scalar_is_zero(c):
+        if c is None or _value_is_zero(c):
             continue
         total = total + coeff.mul_base(c).mul_pair_inverse(q, j)
     return total
@@ -355,7 +355,7 @@ def cleared_d_stepwise(form, conn):
         # Delta * (d/dz_q + kappa_q/z_q) f wedge dz_q
         base = form.deriv(q)
         kq = conn.kappa[q]
-        if not _scalar_is_zero(kq):
+        if not _value_is_zero(kq):
             base = base + kq * form.shift(q, -1)
         piece = _wedge_dzq(base, q)
         if piece is not None:
@@ -476,7 +476,7 @@ class ToyVector:
 
     def __init__(self, module, comps: dict):
         self.module = module
-        self.comps = {a: c for a, c in comps.items() if not _scalar_is_zero(c)}
+        self.comps = {a: c for a, c in comps.items() if not _value_is_zero(c)}
 
     def is_zero(self) -> bool:
         return not self.comps

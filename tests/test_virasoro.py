@@ -538,9 +538,26 @@ def product_formula():
     return product_formula_check(order_max=6)
 
 
+@pytest.fixture(scope="module")
+def stress_battery():
+    """verify_virasoro at full size, run once, with every (n, alpha0, vector)
+    that virasoro_apply receives recorded."""
+    calls = []
+
+    def spy(n, alpha0, vec):
+        calls.append((n, alpha0, vec))
+        return virasoro_apply(n, alpha0, vec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(virasoro, "virasoro_apply", spy)
+        results = verify_virasoro(mode_max=5, energy_max=6)
+    return results, calls
+
+
 class TestBatteries:
-    def test_verify_virasoro_full_size(self):
-        _all_green(verify_virasoro(mode_max=5, energy_max=6), [
+    def test_verify_virasoro_full_size(self, stress_battery):
+        results, _ = stress_battery
+        _all_green(results, [
             ("stress-ope", PASS),
             ("stress-mode-cross", PASS),
             ("virasoro-bracket-mode", PASS),
@@ -548,6 +565,17 @@ class TestBatteries:
             ("vacuum-weight", PASS),
             ("virasoro-drop-background", XFAIL),
         ])
+
+    def test_stress_images_are_computed_once(self, stress_battery):
+        # one memoised operator per stress mode: at the symbolic background
+        # charge L_n only ever sees a unit monomial, and each (n, monomial) once
+        _, calls = stress_battery
+        symbolic = [(n, vec) for n, alpha0, vec in calls if not alpha0.is_zero()]
+        assert symbolic
+        for n, vec in symbolic:
+            assert [c == 1 for c in vec.terms.values()] == [True], (n, vec.terms)
+        keys = [(n, mon) for n, vec in symbolic for mon in vec.terms]
+        assert len(keys) == len(set(keys))
 
     def test_check_L_vertex_full_size(self):
         _all_green(check_L_vertex(mode_max=5), [

@@ -25,7 +25,6 @@ from screenops.wakimoto import (
     current_bracket,
     current_pairing,
     screening_cocycle,
-    screening_contraction_coefficients,
     screening_ops,
     verify_current_algebra,
     verify_screened_current_brackets,
@@ -521,6 +520,11 @@ def current_algebra():
 
 
 @pytest.fixture(scope="module")
+def screening_regularity():
+    return verify_screening_regularity(mode_max=5)
+
+
+@pytest.fixture(scope="module")
 def screened_brackets():
     """The merged screened-bracket battery, run once, with every polynomial
     gcd it takes recorded."""
@@ -559,8 +563,8 @@ class TestBatteries:
             "mode brackets close on probes reaching energy %d and charge %d" % (energy, charge)
         )
 
-    def test_screening_contractions(self):
-        _all_green(screening_contraction_coefficients(), [
+    def test_screening_contractions(self, screening_regularity):
+        _all_green(screening_regularity[:5], [
             ("screen-pole-table", PASS),
             ("screen-exponent-unique", PASS),
             ("screen-derivative-identity", PASS),
@@ -568,8 +572,8 @@ class TestBatteries:
             ("screen-wrong-exponent", XFAIL),
         ])
 
-    def test_screening_regularity_full_size(self):
-        _all_green(verify_screening_regularity(mode_max=5), [
+    def test_screening_regularity_full_size(self, screening_regularity):
+        _all_green(screening_regularity[5:], [
             ("screen-ope-poles", PASS),
             ("screen-ope-regular", PASS),
             ("screen-typing", PASS),
@@ -577,6 +581,29 @@ class TestBatteries:
             ("screen-mode-invisible", PASS),
             ("screen-drop-twist", XFAIL),
         ])
+
+    def test_collapse_and_poles_read_one_ope(self, monkeypatch):
+        # a wrong simple pole in the one (F, screen) product fails both
+        # checks that read it
+        params = AffineParams.generic()
+        f_text = wakimoto_current("F", params).render()
+        screen_text = screening_ops(params).screen.render()
+        ope = wakimoto.wick_ope
+        pair_calls = []
+
+        def broken(left, right):
+            out = ope(left, right)
+            if (left.render(), right.render()) == (f_text, screen_text):
+                pair_calls.append(out)
+                out.table[1] = out.pole(1) + out.pole(2)
+            return out
+
+        monkeypatch.setattr(wakimoto, "wick_ope", broken)
+        status = {r.check_id: r.status for r in verify_screening_regularity(mode_max=1)}
+        assert len(pair_calls) == 1
+        assert status["screen-collapse"] == "FAIL"
+        assert status["screen-ope-poles"] == "FAIL"
+        assert status["screen-pole-table"] == "PASS"
 
     def test_screened_current_brackets(self, screened_brackets):
         results, _ = screened_brackets
