@@ -27,10 +27,15 @@ Two independent evaluation routes are provided and cross-checked in tests:
   ``fock.OscSpec.pairing``.
 
 * ``apply_field_coeff`` -- the exact action of the coefficient of ``z^e`` in
-  a field expression on a Fock vector.  Annihilation is bounded by the
-  source vector and creation by the (determined) target block, so every mode
-  sum is finite and no truncation error is introduced.  Each mode sum is a
-  search that stops below an annihilation prefix that kills the vector.
+  a field expression on a Fock vector, one source monomial at a time.
+  Annihilation is bounded by the source monomial and creation by the
+  (determined) target block, so every mode sum is finite and no truncation
+  error is introduced.  Each mode sum is a search that stops below an
+  annihilation prefix that kills the monomial.  On a monomial every
+  annihilation mode but b_0 gives an integer multiple of one monomial (the
+  brackets of ``fock.OscSpec``), so a leaf carries an exact integer weight
+  and a b_0 count; the leaves add as integers and each sum is scaled by one
+  exact scalar.
 
 The exponential vertex is expanded in one place: ``vertex_annihilation_coeff``
 and ``vertex_creation_coeff`` are its two halves (label shift left out), and
@@ -54,6 +59,7 @@ from .fock import (
     _partitions,
     _sorted_monomial,
     is_annihilator,
+    monomial_energy,
     osc_apply,
 )
 from .scalars import Combination, ParamScalar, ParameterContext
@@ -523,51 +529,107 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     """Exact action of the z^e coefficient of ``expr`` on ``vec``.
 
     The target space is the source shifted by the (homogeneous) vertex
-    exponent.  Works termwise; all mode sums are finite because annihilation
-    is bounded by the source and creation by the resulting block.  Per term,
-    ``_factor_assignments`` applies annihilation modes as it chooses them and
-    skips every assignment whose annihilation prefix kills the vector.  Each
-    leaf merges its creation modes into its monomial keys and adds into one
-    accumulator.  ``beta``/``gamma`` without the charged pair raise ValueError.
+    exponent.  Works one source monomial and one term at a time; all mode
+    sums are finite because annihilation is bounded by the monomial and
+    creation by the resulting block.  ``_factor_assignments`` applies
+    annihilation modes as it chooses them, skips every assignment whose
+    annihilation prefix kills the monomial, and gives each leaf its lowered
+    monomial with an exact integer weight and a count of b_0 factors.  A
+    vertex-free leaf merges its creation modes into that monomial and adds
+    its integer into a sum keyed by (target monomial, b_0 count); a vertex
+    leaf adds into a sum keyed by (lowered monomial, vertex exponent,
+    creation modes, b_0 count), and each such sum goes through
+    ``apply_vertex`` once.  Each sum is scaled once, by the term's
+    coefficient times the monomial's times (pairing * alpha)^count, into one
+    accumulator.  ``beta``/``gamma`` without the charged pair raise
+    ValueError.
     """
     space = vec.space
+    spec = space.spec
     charged = [f for _, factors in expr.terms for f in factors if f[0] != "p"]
-    if charged and not space.spec.has_pair:
+    if charged and not spec.has_pair:
         raise ValueError("field factor %r needs the charged pair" % (charged[0],))
     mu = expr.vertex_exponent()
     target = space.shifted(mu) if not mu.is_zero() else space
-    if vec.is_zero():
-        return target.zero()
-    energy = vec.energy_bound()
-    zero = space.ctx.zero()
+    one = space.ctx.one()
+    zero_mode = [one]  # powers of the b_0 eigenvalue pairing * alpha
     acc: dict = {}
-    # tuple of annihilation modes applied so far -> the lowered vector
-    lowered = {(): vec}
-    for (tmu, factors), coeff in expr.terms.items():
-        tgt_max = energy + e + _term_weight(factors)
-        if tgt_max < 0:
-            continue
-        for modes, veps, c, low in _factor_assignments(factors, e, energy, tgt_max,
-                                                       tmu is not None, lowered):
-            result = low if veps is None else apply_vertex(tmu, veps, low)
-            creation = tuple(mode for mode in modes if not is_annihilator(mode))
-            scale = coeff * c
-            for mon, v in result.terms.items():
-                key = _sorted_monomial(mon + creation)
-                acc[key] = acc.get(key, zero) + v * scale
+    for mon, vc in vec.terms.items():
+        energy = monomial_energy(mon)
+        unit = vc == 1
+        # tuple of annihilation modes applied so far -> the lowered leaf value
+        lowered = {(): (mon, 1, 0)}
+        for (tmu, factors), coeff in expr.terms.items():
+            tgt_max = energy + e + _term_weight(factors)
+            if tgt_max < 0:
+                continue
+            sums: dict = {}
+            for modes, veps, c, (low, w, count) in _factor_assignments(
+                    factors, e, energy, tgt_max, tmu is not None, lowered, spec):
+                creation = tuple(mode for mode in modes if not is_annihilator(mode))
+                if veps is None:
+                    key = (_sorted_monomial(low + creation), None, (), count)
+                else:
+                    key = (low, veps, creation, count)
+                sums[key] = sums.get(key, 0) + c * w
+            scales: dict = {}
+            for (m, veps, creation, count), n in sums.items():
+                if not n:
+                    continue
+                scale = scales.get(count)
+                if scale is None:
+                    scale = coeff if unit else coeff * vc
+                    if count:
+                        while len(zero_mode) <= count:
+                            zero_mode.append(zero_mode[-1] * (spec.pairing * space.alpha))
+                        scale = scale * zero_mode[count]
+                    scales[count] = scale
+                scale = scale * n
+                if veps is None:
+                    image = {m: scale}
+                else:
+                    lifted = apply_vertex(tmu, veps, FockVector(space, {m: one}))
+                    image = {_sorted_monomial(t + creation): v * scale
+                             for t, v in lifted.terms.items()}
+                for t, v in image.items():
+                    acc[t] = acc[t] + v if t in acc else v
     return FockVector(target, {mon: v for mon, v in acc.items() if not v.is_zero()})
 
 
-def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
+_B0 = ("b", 0)
+
+
+def _annihilate(spec, mode, low):
+    """One annihilation mode on the leaf value ``w * (pairing alpha)^count *
+    mon`` given as ``low = (mon, w, count)``: b_0 raises the count, any other
+    mode removes one partner from the monomial and multiplies the weight by
+    the number of partners times ``OscSpec.contraction``'s bracket value.
+    Returns the new triple, or None when the mode kills the monomial."""
+    mon, w, count = low
+    if mode == _B0:
+        return mon, w, count + 1
+    partner, value = spec.contraction(mode)
+    k = mon.count(partner)
+    if not k:
+        return None
+    reduced = list(mon)
+    reduced.remove(partner)
+    return tuple(reduced), w * k * value, count
+
+
+def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered, spec):
     """Exponent assignments (factor modes + vertex remainder) that survive
     their annihilation modes.
 
     Yields ``(modes, vertex_eps, coefficient, low)``: the oscillator mode of
     each factor, the vertex's z exponent (None for a term without a vertex),
     the integer product of the factors' derivative coefficients and the
-    source vector after the annihilation modes.  ``lowered`` maps each tuple
-    of annihilation modes applied so far (in factor order) to its result, so
-    a shared prefix is applied once and a zero result ends the branch.
+    lowered source monomial ``low = (monomial, weight, b0_count)``, which
+    stands for ``weight * (pairing alpha)^b0_count * monomial`` with an exact
+    integer weight.  ``lowered`` maps each tuple of annihilation modes applied
+    so far (in factor order) to its ``_annihilate`` result, None when the
+    prefix kills the monomial, and starts as ``{(): (mon, 1, 0)}``; so a
+    shared prefix is applied once and a killing prefix ends the branch.
     A factor's exponent lies in its box (its mode annihilates at most the
     source energy and creates at most the largest target block) and must
     leave a remainder that the boxes after it, plus the vertex range or the
@@ -600,10 +662,11 @@ def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered):
             longer = prefix
             if is_annihilator(mode):
                 longer = prefix + (mode,)
-                low = lowered.get(longer)
+                if longer in lowered:
+                    low = lowered[longer]
+                else:
+                    low = lowered[longer] = _annihilate(spec, mode, lowered[prefix])
                 if low is None:
-                    low = lowered[longer] = osc_apply(mode, lowered[prefix])
-                if low.is_zero():
                     continue
             yield from rec(i + 1, remaining - eps, modes + (mode,), longer, sign * d * c)
 

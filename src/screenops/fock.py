@@ -29,11 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import Combination, ParamScalar, ParameterContext
+from .scalars import Combination, ParamScalar, ParameterContext, RationalLike
 
 Mode = tuple[str, int]
 
 _FAMILIES = ("b", "a", "as")
+# the family of the creation mode an annihilation mode pairs with
+_PARTNER = {"b": "b", "a": "as", "as": "a"}
 
 
 def _check_mode(mode: Mode) -> Mode:
@@ -79,12 +81,13 @@ class OscSpec:
     off (pure boson).
     """
 
-    __slots__ = ("ctx", "pairing", "has_pair")
+    __slots__ = ("ctx", "pairing", "has_pair", "_contractions")
 
     def __init__(self, ctx: ParameterContext, has_pair: bool = False):
         self.ctx = ctx
         self.pairing = ctx.scalar(2)
         self.has_pair = has_pair
+        self._contractions: dict = {}
 
     def __eq__(self, other):
         return (
@@ -116,6 +119,19 @@ class OscSpec:
         if fx == "as" and fy == "a":
             return self.ctx.scalar(1) if nx + ny == 0 else zero
         return zero
+
+    def contraction(self, mode: Mode) -> tuple[Mode, RationalLike]:
+        """``(partner, value)`` for an annihilation mode other than b_0: the
+        creation mode it removes and the exact rational ``bracket(mode,
+        partner)``, an int when integral (every value at pairing 2); memoized."""
+        got = self._contractions.get(mode)
+        if got is None:
+            fam, n = _check_mode(mode)
+            partner = _PARTNER[fam], -n
+            q = self.bracket(mode, partner).as_fraction()
+            value = q.numerator if q.denominator == 1 else q
+            got = self._contractions[mode] = (partner, value)
+        return got
 
 
 class FockSpace:
@@ -268,8 +284,8 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
 
     Creation modes multiply each monomial; annihilation modes commute through
     to the vacuum, which reduces to pairing each occurrence of the conjugate
-    creation mode with the bracket value (read once a monomial holds that
-    partner); b_0 acts by pairing*alpha.
+    creation mode with the bracket value (``OscSpec.contraction``); b_0 acts
+    by pairing*alpha.
     """
     fam, n = _check_mode(mode)
     space = vec.space
@@ -283,15 +299,12 @@ def osc_apply(mode: Mode, vec: FockVector) -> FockVector:
         return FockVector(
             space, {_sorted_monomial(mon + (mode,)): c for mon, c in vec.terms.items()}
         )
-    partner = {"b": "b", "a": "as", "as": "a"}[fam], -n
-    value = None
+    partner, value = spec.contraction(mode)
     out = {}
     for mon, c in vec.terms.items():
         count = mon.count(partner)
         if not count:
             continue
-        if value is None:
-            value = spec.bracket(mode, partner)
         reduced = list(mon)
         reduced.remove(partner)
         out[tuple(reduced)] = (count * value) * c

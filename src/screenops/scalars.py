@@ -14,6 +14,8 @@ coefficient 1), so equality is literal equality of those parts and
 first cancels the common parameter monomial by shifting exponents, and
 runs the multivariate gcd only when the denominator left is not a monomial;
 the batteries' denominators are monomials, so they never reach the gcd.
+A rational scalar also caches its exact ``Fraction`` value, so a sum or
+product of two of them is one ``Fraction`` operation.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 _ONE = QQ(1)
+_ZERO = QQ(0)
 
 
 class PoleError(ZeroDivisionError):
@@ -141,8 +144,13 @@ class ParameterContext:
             return self._zero
         if c == 1:
             return self._one
-        num = _make(self, self._unit, c if type(c) is Fraction else QQ(c))
-        return ParamScalar(num, self._poly_one, _reduced=True)
+        q = c if type(c) is Fraction else QQ(c)
+        s = object.__new__(ParamScalar)
+        s.num = _make(self, self._unit, q)
+        s.den = self._poly_one
+        s._hash = None
+        s._q = q
+        return s
 
     def param(self, name: str) -> "ParamScalar":
         return ParamScalar(self.poly_param(name), self._poly_one, _reduced=True)
@@ -613,13 +621,18 @@ class ParamScalar:
     taking a polynomial gcd only when the den left is not a monomial; the
     form does not depend on that order.
 
-    Multiplying by an int or Fraction q never builds a constant scalar: zero
-    gives zero, a rational scalar gives ``const``, and otherwise the result
-    scales the content of num only, which is still canonical because a
-    nonzero q changes neither gcd(num, den) nor the monic den.
+    A rational scalar (num and den constant) caches its exact value as the
+    ``Fraction`` ``_q``, set at construction; ``_q`` is None otherwise.
+    ``is_rational``, ``as_fraction``, ``hash`` and equality with an int or
+    Fraction read it, and a sum or product of two rational scalars is the
+    ``const`` of one ``Fraction`` sum or product, with no polynomial built on
+    the way.  Multiplying by an int or Fraction q never builds a constant
+    scalar: zero gives zero, a rational scalar gives ``const``, and otherwise
+    the result scales the content of num only, which is still canonical
+    because a nonzero q changes neither gcd(num, den) nor the monic den.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_q")
 
     def __init__(self, num: ParamPolynomial, den: ParamPolynomial, _reduced: bool = False):
         if den.is_zero():
@@ -629,6 +642,10 @@ class ParamScalar:
         self.num = num
         self.den = den
         self._hash = None
+        # a canonical den is monic, so a constant den is 1
+        self._q = None
+        if len(num.coeffs) <= 1 and num.is_constant() and den.is_constant():
+            self._q = num.content if num.coeffs else _ZERO
 
     @property
     def context(self) -> ParameterContext:
@@ -640,19 +657,19 @@ class ParamScalar:
         return self.num.is_zero()
 
     def is_rational(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return self._q is not None
 
     def as_fraction(self) -> Fraction:
-        if self.den is self.context._poly_one:
-            return self.num.constant_value()
-        return self.num.constant_value() / self.den.constant_value()
+        if self._q is None:
+            raise ValueError("not a rational scalar: %s" % self)
+        return self._q
 
     def __bool__(self):
         return not self.num.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
+            return self._q is not None and self._q == other
         return (
             isinstance(other, ParamScalar)
             and self.num == other.num
@@ -661,8 +678,8 @@ class ParamScalar:
 
     def __hash__(self):
         if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(self.as_fraction())
+            if self._q is not None:
+                self._hash = hash(self._q)
             else:
                 self._hash = hash((self.num, self.den))
         return self._hash
@@ -680,12 +697,12 @@ class ParamScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self._q is not None and o._q is not None:
+            return self.context.const(self._q + o._q)
         if self.is_zero():
             return o
         if o.is_zero():
             return self
-        if self.is_rational() and o.is_rational():
-            return self.context.const(self.as_fraction() + o.as_fraction())
         if self.den == o.den:
             return ParamScalar(self.num + o.num, self.den)
         return ParamScalar(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -705,20 +722,20 @@ class ParamScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        q = self._q
+        if isinstance(other, ParamScalar):
+            if q is not None and other._q is not None:
+                return self.context.const(q * other._q)
+            if self.is_zero() or other.is_zero():
+                return self.context.zero()
+            return ParamScalar(self.num * other.num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
+            if q is not None:
+                return self.context.const(q * other)
             if not other:
                 return self.context.zero()
-            if self.is_rational():
-                return self.context.const(self.as_fraction() * other)
             return ParamScalar(self.num * other, self.den, _reduced=True)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return self.context.zero()
-        if self.is_rational() and o.is_rational():
-            return self.context.const(self.as_fraction() * o.as_fraction())
-        return ParamScalar(self.num * o.num, self.den * o.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -297,13 +297,22 @@ def _lower(modes, vec):
     return vec
 
 
+def _leaf_vector(space, low):
+    """The vector w * (pairing alpha)^count * monomial of a leaf's
+    ``(monomial, w, count)``."""
+    mon, w, count = low
+    zero_mode = space.spec.pairing * space.alpha
+    return (w * zero_mode**count) * FockVector(space, {mon: space.ctx.one()})
+
+
 class TestFactorAssignments:
     @pytest.mark.parametrize("has_vertex", [False, True])
     @pytest.mark.parametrize("length", [0, 1, 2, 3])
     def test_matches_brute_force(self, charged, has_vertex, length):
-        """The search yields exactly the brute-force assignments whose
-        annihilation modes leave a nonzero vector, in the same order, each
-        with that lowered vector."""
+        """On each monomial of a probe vector, the search yields exactly the
+        brute-force assignments whose annihilation modes leave a nonzero
+        vector, in the same order, each with that lowered vector as an
+        integer weight and a b_0 count on one monomial."""
         ctx, F = charged
         shapes = list(itertools.product(_FACTORS, repeat=length))
         if length == 3:
@@ -317,21 +326,24 @@ class TestFactorAssignments:
                     continue
                 vec = _probe_vector(F, energy)
                 assert vec.energy_bound() == energy
-                got = list(_factor_assignments(factors, e, energy, tgt_max, has_vertex,
-                                               {(): vec}))
-                want = []
-                for modes, veps, c in _reference_assignments(factors, e, energy, tgt_max,
-                                                             has_vertex):
-                    low = _lower(modes, vec)
-                    if low.is_zero():
-                        pruned += 1
-                    else:
-                        want.append((modes, veps, c, low))
-                assert [(list(m), v, c) for m, v, c, _ in got] == [w[:3] for w in want], (
-                    factors, e, energy)
-                assert all(g[3] == w[3] for g, w in zip(got, want))
-                assert all(type(c) is int for _, _, c, _ in got)
-                compared += len(got)
+                for mon in vec.terms:
+                    unit = FockVector(F, {mon: ctx.one()})
+                    got = list(_factor_assignments(factors, e, energy, tgt_max, has_vertex,
+                                                   {(): (mon, 1, 0)}, F.spec))
+                    want = []
+                    for modes, veps, c in _reference_assignments(factors, e, energy, tgt_max,
+                                                                 has_vertex):
+                        low = _lower(modes, unit)
+                        if low.is_zero():
+                            pruned += 1
+                        else:
+                            want.append((modes, veps, c, low))
+                    assert [(list(m), v, c) for m, v, c, _ in got] == [w[:3] for w in want], (
+                        factors, e, energy, mon)
+                    assert all(_leaf_vector(F, g[3]) == w[3] for g, w in zip(got, want))
+                    assert all(type(c) is int and type(low[1]) is int
+                               for _, _, c, low in got)
+                    compared += len(got)
         assert compared > 0
         if length:
             assert pruned > 0
@@ -465,28 +477,27 @@ class TestAnnihilatorPrefixes:
         g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         expr = (g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b
         vec = osc_apply(("a", -2), osc_apply(("a", -1), osc_apply(("as", -1), F.vacuum())))
-        real_apply, real_search = fields.osc_apply, fields._factor_assignments
+        real_step, real_search = fields._annihilate, fields._factor_assignments
 
         def run():
             applied = []
 
-            def spy(mode, v):
-                if is_annihilator(mode):
-                    applied.append((mode, frozenset(v.terms.items())))
-                return real_apply(mode, v)
+            def spy(spec, mode, low):
+                applied.append((mode, low))
+                return real_step(spec, mode, low)
 
-            monkeypatch.setattr(fields, "osc_apply", spy)
+            monkeypatch.setattr(fields, "_annihilate", spy)
             return apply_field_coeff(expr, 0, vec), applied
 
         shared, applied = run()
         assert applied and len(applied) == len(set(applied))
-        # each term's search from the bare source vector, with no prefixes
+        # each term's search from the bare source monomial, with no prefixes
         # shared between the terms
         monkeypatch.setattr(
             fields,
             "_factor_assignments",
-            lambda factors, e, energy, tgt_max, has_vertex, lowered: real_search(
-                factors, e, energy, tgt_max, has_vertex, {(): lowered[()]}
+            lambda factors, e, energy, tgt_max, has_vertex, lowered, spec: real_search(
+                factors, e, energy, tgt_max, has_vertex, {(): lowered[()]}, spec
             ),
         )
         unshared, repeated = run()
@@ -495,7 +506,8 @@ class TestAnnihilatorPrefixes:
 
     def test_creation_modes_merge_without_osc_apply(self, charged, monkeypatch):
         """Creation modes enter the monomial keys directly: on vertex-free
-        terms apply_field_coeff calls osc_apply with annihilation modes only."""
+        terms apply_field_coeff lowers with annihilation modes only, one
+        monomial at a time, and never calls osc_apply."""
         ctx, F = charged
         g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         params = AffineParams(ctx)
@@ -503,17 +515,78 @@ class TestAnnihilatorPrefixes:
         exprs += [wakimoto_current(name, params) for name in ("E", "H", "F")]
         vec = osc_apply(("a", -1), osc_apply(("as", -1), osc_apply(("b", -1), F.vacuum())))
         want = [[_unpruned_action(expr, e, vec) for e in range(-2, 2)] for expr in exprs]
-        applied = []
-        real_apply = fields.osc_apply
+        applied, vectors = [], []
+        real_step, real_apply = fields._annihilate, fields.osc_apply
+        monkeypatch.setattr(fields, "_annihilate",
+                            lambda spec, mode, low: applied.append(mode)
+                            or real_step(spec, mode, low))
         monkeypatch.setattr(fields, "osc_apply",
-                            lambda mode, v: applied.append(mode) or real_apply(mode, v))
+                            lambda mode, v: vectors.append(mode) or real_apply(mode, v))
         got = [[apply_field_coeff(expr, e, vec) for e in range(-2, 2)] for expr in exprs]
         assert applied and all(is_annihilator(mode) for mode in applied)
+        assert vectors == []
         assert got == want
         # the leaves do carry creation modes
+        (mon,) = vec.terms
         leaves = _factor_assignments((("beta", 0), ("gamma", 0), ("gamma", 0)), -1, 3, 3,
-                                     False, {(): vec})
+                                     False, {(): (mon, 1, 0)}, F.spec)
         assert any(not is_annihilator(mode) for modes, _, _, _ in leaves for mode in modes)
+
+
+class TestZeroModeLeaves:
+    """b_0 enters a leaf as a count, scaled by (pairing * label)^count once
+    per sum; the b_0 edge cases against the unpruned brute-force action."""
+
+    @staticmethod
+    def _space(label):
+        ctx = ParameterContext(("alpha", "nu"))
+        return ctx, FockSpace(OscSpec(ctx, has_pair=True), ctx.scalar(label))
+
+    @pytest.mark.parametrize("label", [0, Fraction(3, 2), "alpha"], ids=["zero", "rational", "symbolic"])
+    def test_matches_unpruned_action(self, label):
+        """Vacuum label 0 (b_0 acts by zero), a rational and a symbolic label;
+        one-monomial and multi-term sources with symbolic coefficients;
+        vertex-free and vertex terms."""
+        ctx, F = self._space(label)
+        nu = ctx.param("nu")
+        p, g, b = (FieldExpr.field(ctx, s) for s in ("p", "gamma", "beta"))
+        dp = FieldExpr.field(ctx, "p", 1)
+        exprs = [
+            p * p,
+            nu * (p * p * p) + dp * p + p * g * b,
+            FieldExpr.vertex(ctx, nu) * (p * p + g),
+        ]
+        vac = F.vacuum()
+        probes = [
+            vac,
+            osc_apply(("b", -1), vac),
+            nu * osc_apply(("b", -2), vac)
+            + (nu * nu - 3) / (nu + 1) * osc_apply(("a", -1), osc_apply(("as", 0), vac))
+            + Fraction(5, 7) * osc_apply(("b", -1), osc_apply(("b", -1), vac)),
+        ]
+        nonzero = 0
+        for expr in exprs:
+            for vec in probes:
+                for e in range(-3, 2):
+                    got = apply_field_coeff(expr, e, vec)
+                    assert got == _unpruned_action(expr, e, vec), (label, expr, e, vec)
+                    assert not any(v.is_zero() for v in got.terms.values())
+                    nonzero += not got.is_zero()
+        assert nonzero > 10
+
+    @pytest.mark.parametrize("label", [0, Fraction(3, 2), "alpha"], ids=["zero", "rational", "symbolic"])
+    def test_two_zero_modes_in_one_leaf(self, label):
+        """The z^-2 coefficient of :p p: on the vacuum is b_0 b_0: one leaf
+        with count 2 and weight 1, acting by (2 label)^2."""
+        ctx, F = self._space(label)
+        leaves = list(_factor_assignments((("p", 0), ("p", 0)), -2, 0, 0, False,
+                                          {(): ((), 1, 0)}, F.spec))
+        assert [(modes, c, low) for modes, _, c, low in leaves] == [
+            ((("b", 0), ("b", 0)), 1, ((), 1, 2))]
+        p = p_field(ctx)
+        got = apply_field_coeff(p * p, -2, F.vacuum())
+        assert got == (2 * F.alpha) ** 2 * F.vacuum()
+        assert got.is_zero() == (label == 0) and got.terms.keys() <= {()}
 
 
 class TestVertexCreation:

@@ -171,6 +171,82 @@ class TestConstantFastPath:
             assert fast == general
 
 
+def _substituted(t):
+    """x with a and b sent to rationals (c too when ``all_params``), or x
+    itself when the substitution hits a pole."""
+    x, qa, qb, qc, all_params = t
+    mapping = {"a": CTX.const(qa), "b": CTX.const(qb)}
+    if all_params:
+        mapping["c"] = CTX.const(qc)
+    try:
+        return x.substitute(mapping)
+    except PoleError:
+        return x
+
+
+_NONZERO_Q = st.fractions(max_denominator=30).filter(lambda q: q and abs(q) < 100)
+_NONZERO = _quotient_strategy().filter(lambda x: not x.is_zero())
+# every way a scalar is built: const, arithmetic that cancels to a constant,
+# negation, inverse, substitution and a num/den pair with a constant den != 1
+_BUILT = st.one_of(
+    st.fractions(max_denominator=30).map(CTX.const),
+    _quotient_strategy(),
+    _NONZERO.map(lambda x: (x * x) / (x * x)),
+    st.tuples(_quotient_strategy(), _RATIONALS).map(lambda t: (t[0] + t[1]) - t[0]),
+    st.tuples(_NONZERO, _NONZERO_Q).map(lambda t: (t[0] * t[1]) / t[0]),
+    _quotient_strategy().map(lambda x: -x),
+    _NONZERO.map(lambda x: x.inverse()),
+    st.tuples(_quotient_strategy(), _RATIONALS, _RATIONALS, _RATIONALS, st.booleans()).map(
+        _substituted),
+    st.tuples(_poly_strategy(), _NONZERO_Q.filter(lambda q: q != 1)).map(
+        lambda t: ParamScalar(t[0].num, CTX.poly_const(t[1]))),
+)
+
+
+def _assert_cached_value(x):
+    """``_q`` agrees with the definition it caches: num and den constant."""
+    rational = x.num.is_constant() and x.den.is_constant()
+    assert x.is_rational() == rational
+    if rational:
+        q = x.num.constant_value() / x.den.constant_value()
+        assert type(x.as_fraction()) is Fraction and x.as_fraction() == q
+        assert hash(x) == hash(q)
+        assert x == q and x != q + 1
+        assert (x == q.numerator) == (q.denominator == 1)
+    else:
+        with pytest.raises(ValueError):
+            x.as_fraction()
+        assert hash(x) == hash((x.num, x.den))
+        assert x != 0 and x != 1 and x != Fraction(1, 2)
+
+
+class TestCachedRationalValue:
+    @settings(max_examples=300, deadline=None)
+    @given(_BUILT)
+    def test_agrees_with_constant_parts(self, x):
+        for y in (x, -x, x + 0, x * 1) + ((x.inverse(),) if not x.is_zero() else ()):
+            _assert_cached_value(y)
+
+    def test_cancelling_arithmetic(self):
+        nu = ParameterContext(["nu"]).param("nu")
+        one = (nu * nu) / (nu * nu)
+        assert one.is_rational() and one.as_fraction() == 1 and one == 1
+        assert hash(one) == hash(1)
+        shifted = (A + 1) - A
+        assert shifted.is_rational() and shifted == 1 and shifted.as_fraction() == Fraction(1)
+        raw = ParamScalar(A.num, CTX.poly_const(Fraction(2, 3)))
+        assert not raw.is_rational() and raw == Fraction(3, 2) * A
+        half = ParamScalar(CTX.poly_const(3), CTX.poly_const(6))
+        assert half.is_rational() and half.as_fraction() == Fraction(1, 2)
+        assert (A / A - 1).as_fraction() == 0 and (A / A - 1).is_zero()
+
+    def test_symbolic_as_fraction_raises(self):
+        for x in (A, A / B, CTX.one() / (A + 1), -C):
+            assert not x.is_rational()
+            with pytest.raises(ValueError):
+                x.as_fraction()
+
+
 def _poly_to_sympy(p, sympy):
     gens = sympy.symbols(CTX.names)
     total = sympy.Integer(0)
