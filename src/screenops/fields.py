@@ -456,10 +456,10 @@ def _taylor_accumulate(ctx, table, coeff, order, rest_left, rest_right, rmu):
 def vertex_annihilation_coeff(mu, k: int, vec: FockVector) -> FockVector:
     """Coefficient of z^-k in the annihilation half of the exponential field."""
     space = vec.space
-    mu = space.ctx.scalar(mu)
     out = space.zero()
     if k < 0 or vec.is_zero():
         return out
+    powers = _powers(space.ctx.scalar(mu), k)
     for part in _partitions(k):
         low = vec
         for n in part:
@@ -468,7 +468,7 @@ def vertex_annihilation_coeff(mu, k: int, vec: FockVector) -> FockVector:
                 break
         if low.is_zero():
             continue
-        out = out + _exp_multiset_coeff(mu, part, annihilate=True) * low
+        out = out + _exp_multiset_coeff(powers[len(part)], part, annihilate=True) * low
     return out
 
 
@@ -479,22 +479,31 @@ def vertex_creation_coeff(mu, k: int, vec: FockVector) -> FockVector:
     monomial keys of vec and every term adds into one accumulator.
     """
     space = vec.space
-    mu = space.ctx.scalar(mu)
     if k < 0 or vec.is_zero():
         return space.zero()
+    powers = _powers(space.ctx.scalar(mu), k)
     acc: dict = {}
     for part in _partitions(k):
         creation = tuple(("b", -m) for m in part)
-        scale = _exp_multiset_coeff(mu, part, annihilate=False)
+        scale = _exp_multiset_coeff(powers[len(part)], part, annihilate=False)
         for mon, c in vec.terms.items():
             key = _sorted_monomial(mon + creation)
             acc[key] = acc[key] + c * scale if key in acc else c * scale
     return FockVector(space, {mon: v for mon, v in acc.items() if not v.is_zero()})
 
 
-def _exp_multiset_coeff(mu, part: tuple[int, ...], annihilate: bool) -> ParamScalar:
+def _powers(mu: ParamScalar, k: int) -> list:
+    """[mu^0, ..., mu^k]; a partition of k has at most k parts."""
+    out = [mu.context.one()]
+    for _ in range(k):
+        out.append(out[-1] * mu)
+    return out
+
+
+def _exp_multiset_coeff(mu_power: ParamScalar, part: tuple[int, ...], annihilate: bool) -> ParamScalar:
     """Coefficient of a creation/annihilation multiset in exp expansion:
-    prod over occurrences of (-+ mu / n), divided by multiplicities!."""
+    prod over occurrences of (-+ mu / n), divided by multiplicities!;
+    ``mu_power`` is mu ** len(part)."""
     q = QQ(1)
     mult: dict[int, int] = {}
     for n in part:
@@ -502,7 +511,7 @@ def _exp_multiset_coeff(mu, part: tuple[int, ...], annihilate: bool) -> ParamSca
         q /= -n if annihilate else n
     for m in mult.values():
         q /= math.factorial(m)
-    return q * mu ** len(part)
+    return q * mu_power
 
 
 def apply_vertex(mu: ParamScalar, eps: int, vec: FockVector) -> FockVector:

@@ -7,15 +7,16 @@ content times a primitive integer part: a dict from exponent vectors to
 Python ints with gcd 1 whose coefficient at the lexicographically greatest
 exponent is positive.  That form is unique, and by Gauss's lemma a product
 of primitive parts is primitive, so products run on ints alone and scaling by
-a rational touches only the content.  Rational functions keep a coprime
-numerator/denominator pair with a monic denominator (graded-lex leading
-coefficient 1), so equality is literal equality of those parts and
-"residual == 0" is meaningful without any numeric tolerance.  Reduction
-first cancels the common parameter monomial by shifting exponents, and
-runs the multivariate gcd only when the denominator left is not a monomial;
-the batteries' denominators are monomials, so they never reach the gcd.
-A rational scalar also caches its exact ``Fraction`` value, so a sum or
-product of two of them is one ``Fraction`` operation.
+a rational touches only the content.  A content, like the cached value of a
+rational scalar, is an ``int`` when it is integral and a ``Fraction`` with
+denominator > 1 otherwise (``_rat``), so the integral values that dominate
+the batteries never build a ``Fraction``; the public views are ``Fraction``.
+Rational functions keep a coprime numerator/denominator pair with a monic
+denominator (graded-lex leading coefficient 1), so equality is literal
+equality of those parts and "residual == 0" is meaningful without any
+numeric tolerance.  The batteries' denominators are parameter monomials, and
+a product or sum of two such scalars is reduced by exponent arithmetic alone
+(``_cancel``); only other denominators reach the multivariate gcd.
 """
 
 from __future__ import annotations
@@ -39,8 +40,24 @@ __all__ = [
     "PoleError",
 ]
 
-_ONE = QQ(1)
 _ZERO = QQ(0)
+
+
+def _rat(x):
+    """An exact rational in its stored form: an int when integral, else a Fraction."""
+    return x if type(x) is int else x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """a / b for ints and Fractions, in stored form; never a float."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _rat(Fraction(a, b))
+
+
+def _frac(x) -> Fraction:
+    """A stored content or value as the Fraction of the public views."""
+    return x if type(x) is Fraction else QQ(x)
 
 
 class PoleError(ZeroDivisionError):
@@ -111,8 +128,8 @@ class ParameterContext:
         self._zero_exp = (0,) * len(names)
         # integer part of every constant polynomial; shared, never mutated
         self._unit = {self._zero_exp: 1}
-        self._poly_zero = _make(self, {}, QQ(0))
-        self._poly_one = _make(self, self._unit, _ONE)
+        self._poly_zero = _make(self, {}, 0)
+        self._poly_one = _make(self, self._unit, 1)
         self._zero = ParamScalar(self._poly_zero, self._poly_one, _reduced=True)
         self._one = ParamScalar(self._poly_one, self._poly_one, _reduced=True)
 
@@ -132,19 +149,19 @@ class ParameterContext:
             return self._poly_zero
         if c == 1:
             return self._poly_one
-        return _make(self, self._unit, c if type(c) is Fraction else QQ(c))
+        return _make(self, self._unit, _rat(c))
 
     def poly_param(self, name: str) -> "ParamPolynomial":
         exp = [0] * len(self.names)
         exp[self._index[name]] = 1
-        return _make(self, {tuple(exp): 1}, _ONE)
+        return _make(self, {tuple(exp): 1}, 1)
 
     def const(self, c: RationalLike) -> "ParamScalar":
         if c == 0:
             return self._zero
         if c == 1:
             return self._one
-        q = c if type(c) is Fraction else QQ(c)
+        q = _rat(c)
         s = object.__new__(ParamScalar)
         s.num = _make(self, self._unit, q)
         s.den = self._poly_one
@@ -184,7 +201,7 @@ def _heap_entry(exp):
     return (-sum(exp), tuple(-x for x in exp), exp)
 
 
-def _make(context, coeffs: dict, content: Fraction) -> "ParamPolynomial":
+def _make(context, coeffs: dict, content: RationalLike) -> "ParamPolynomial":
     """A polynomial from parts already in canonical form; no checks."""
     p = object.__new__(ParamPolynomial)
     p.context = context
@@ -195,7 +212,7 @@ def _make(context, coeffs: dict, content: Fraction) -> "ParamPolynomial":
     return p
 
 
-def _normalized(context, coeffs: dict, scale: Fraction) -> "ParamPolynomial":
+def _normalized(context, coeffs: dict, scale: RationalLike) -> "ParamPolynomial":
     """scale * coeffs for an integer dict without zero values, made canonical."""
     if not coeffs:
         return context._poly_zero
@@ -204,7 +221,7 @@ def _normalized(context, coeffs: dict, scale: Fraction) -> "ParamPolynomial":
         g = -g
     if g != 1:
         coeffs = {e: c // g for e, c in coeffs.items()}
-        scale = scale * g
+        scale = _rat(scale * g)
     return _make(context, coeffs, scale)
 
 
@@ -213,10 +230,14 @@ class ParamPolynomial:
 
     ``coeffs`` maps exponent tuples to Python ints with gcd 1, and its
     coefficient at ``max(coeffs)`` (the lexicographically greatest exponent)
-    is positive; ``content`` is a nonzero ``Fraction``, or 0 for the zero
-    polynomial, whose ``coeffs`` is empty.  The form is unique, so equality
-    compares the two parts.  ``terms`` is the rational view
-    ``{exponent: Fraction}``, built on first use.  Polynomials share their
+    is positive; ``content`` is nonzero, or 0 for the zero polynomial, whose
+    ``coeffs`` is empty.  The content is an ``int`` when it is integral and
+    otherwise a ``Fraction`` with denominator > 1, never a ``float``: every
+    product and sum of contents passes through ``_rat``, and every quotient
+    through ``_div``.  The form is unique, so equality compares the two parts,
+    and an int hashes as the equal Fraction does.  ``terms`` is the rational
+    view ``{exponent: Fraction}``, built on first use, and ``leading`` and
+    ``constant_value`` return ``Fraction`` values too.  Polynomials share their
     dicts, so neither ``coeffs`` nor ``terms`` may be changed in place.
     """
 
@@ -226,7 +247,7 @@ class ParamPolynomial:
         terms = {e: QQ(c) for e, c in terms.items() if c}
         den = math.lcm(*(c.denominator for c in terms.values()))
         ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        p = _normalized(context, ints, QQ(1, den))
+        p = _normalized(context, ints, _div(1, den))
         self.context = context
         self.coeffs = p.coeffs
         self.content = p.content
@@ -237,7 +258,7 @@ class ParamPolynomial:
     def terms(self) -> dict:
         """The rational coefficients ``{exponent: Fraction}``; read only."""
         if self._terms is None:
-            c = self.content
+            c = _frac(self.content)
             self._terms = {e: c * k for e, k in self.coeffs.items()}
         return self._terms
 
@@ -253,7 +274,7 @@ class ParamPolynomial:
         if not self.is_constant():
             raise ValueError("not a constant polynomial: %s" % self)
         # a nonzero constant's integer part is {0: 1}
-        return self.content
+        return _frac(self.content)
 
     def degree_in(self, var: int) -> int:
         if not self.coeffs:
@@ -265,7 +286,7 @@ class ParamPolynomial:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading term")
         exp, k = max(self.coeffs.items(), key=_grlex_key)
-        return exp, self.content * k
+        return exp, _frac(self.content) * k
 
     def __eq__(self, other):
         return (
@@ -301,7 +322,7 @@ class ParamPolynomial:
             g = math.gcd(na, nb)
             lcm = da * (db // math.gcd(da, db))
             ka, kb = (na // g) * (lcm // da), (nb // g) * (lcm // db)
-            common = QQ(g, lcm)
+            common = _div(g, lcm)
             out = {e: ka * c for e, c in self.coeffs.items()}
         get = out.get
         for e, c in other.coeffs.items():
@@ -330,11 +351,11 @@ class ParamPolynomial:
         if isinstance(other, (int, Fraction)):
             if not other or not self.coeffs:
                 return self.context._poly_zero
-            return _make(self.context, self.coeffs, self.content * other)
+            return _make(self.context, self.coeffs, _rat(self.content * other))
         if not self.coeffs or not other.coeffs:
             return self.context._poly_zero
         ca, cb = self.content, other.content
-        content = cb if ca == 1 else ca if cb == 1 else ca * cb
+        content = cb if ca == 1 else ca if cb == 1 else _rat(ca * cb)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -410,7 +431,7 @@ class ParamPolynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
-        content = self.content / divisor.content
+        content = _div(self.content, divisor.content)
         if divisor.is_constant():
             return _make(self.context, self.coeffs, content)
         rem = dict(self.coeffs)
@@ -464,7 +485,7 @@ class ParamPolynomial:
         if self.is_zero():
             return self
         _, k = max(self.coeffs.items(), key=_grlex_key)
-        return _make(self.context, self.coeffs, QQ(1, k))
+        return _make(self.context, self.coeffs, _div(1, k))
 
     def gcd(self, other: "ParamPolynomial") -> "ParamPolynomial":
         """Monic gcd via primitive PRS, recursing over variables."""
@@ -514,7 +535,7 @@ class ParamPolynomial:
         vals = [QQ(0)] * len(self.context.names)
         for name, v in values.items():
             vals[idx[name]] = QQ(v)
-        total = 0
+        total = _ZERO
         for e, c in self.coeffs.items():
             term = c
             for i, p in enumerate(e):
@@ -616,20 +637,28 @@ class ParamScalar:
     """Element of Q(params): reduced fraction of ParamPolynomials.
 
     Canonical form: gcd(num, den) == 1 and den monic in graded-lex order, so
-    == is structural equality.  All arithmetic stays exact.  ``_reduce``
-    reaches that form by cancelling the common parameter monomial first and
-    taking a polynomial gcd only when the den left is not a monomial; the
-    form does not depend on that order.
+    == is structural equality.  All arithmetic stays exact.
 
-    A rational scalar (num and den constant) caches its exact value as the
-    ``Fraction`` ``_q``, set at construction; ``_q`` is None otherwise.
-    ``is_rational``, ``as_fraction``, ``hash`` and equality with an int or
-    Fraction read it, and a sum or product of two rational scalars is the
-    ``const`` of one ``Fraction`` sum or product, with no polynomial built on
-    the way.  Multiplying by an int or Fraction q never builds a constant
-    scalar: zero gives zero, a rational scalar gives ``const``, and otherwise
-    the result scales the content of num only, which is still canonical
-    because a nonzero q changes neither gcd(num, den) nor the monic den.
+    When both dens are parameter monomials (as every den of the batteries
+    is), a product or sum never builds a den product or calls ``_reduce``:
+    the product multiplies the nums and adds the den exponents, and the sum
+    shifts each num to the componentwise-max den exponent and adds them in
+    one signed step; ``_cancel`` then divides out the common monomial
+    x^min(ord(num), d).  Each parameter is prime, so that pair is coprime,
+    and a monomial with coefficient 1 is monic.  Other dens take the
+    product or cross-multiplied sum through ``_reduce``.  ``inverse`` swaps
+    an already coprime pair and makes the new den monic.
+
+    A rational scalar (num and den constant) caches its exact value in
+    ``_q``, set at construction: an ``int`` when it is integral, otherwise a
+    ``Fraction`` with denominator > 1; ``_q`` is None for a symbolic scalar.
+    ``is_rational``, ``as_fraction`` (which returns a ``Fraction``), ``hash``
+    and equality with an int or Fraction read it, and a sum or product of
+    two rational scalars is the ``const`` of one sum or product of their
+    values, with no polynomial built on the way.  A rational q times a
+    symbolic scalar scales the content of num only, which is still
+    canonical because a nonzero q changes neither gcd(num, den) nor the
+    monic den.
     """
 
     __slots__ = ("num", "den", "_hash", "_q")
@@ -643,9 +672,8 @@ class ParamScalar:
         self.den = den
         self._hash = None
         # a canonical den is monic, so a constant den is 1
-        self._q = None
-        if len(num.coeffs) <= 1 and num.is_constant() and den.is_constant():
-            self._q = num.content if num.coeffs else _ZERO
+        rational = len(num.coeffs) <= 1 and num.is_constant() and den.is_constant()
+        self._q = num.content if rational else None
 
     @property
     def context(self) -> ParameterContext:
@@ -662,7 +690,7 @@ class ParamScalar:
     def as_fraction(self) -> Fraction:
         if self._q is None:
             raise ValueError("not a rational scalar: %s" % self)
-        return self._q
+        return _frac(self._q)
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -693,19 +721,40 @@ class ParamScalar:
             return self.context.const(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _sum(self, o: "ParamScalar", negate: bool) -> "ParamScalar":
+        """self + o, or self - o when ``negate``, with no negated copy of o."""
+        q, oq = self._q, o._q
+        if q is not None and oq is not None:
+            return self.context.const(q - oq if negate else q + oq)
+        a, b = self.num, o.num
+        if not b.coeffs:
+            return self
+        if not a.coeffs:
+            return -o if negate else o
+        da, db = self.den.coeffs, o.den.coeffs
+        if len(da) == 1 and len(db) == 1:
+            (ea,), (eb,) = da, db
+            if ea != eb:
+                top = tuple(map(max, ea, eb))
+                if top != ea:
+                    a = _shift(a, map(sub, top, ea))
+                if top != eb:
+                    b = _shift(b, map(sub, top, eb))
+                ea = top
+            num = a._plus(b, -b.content if negate else b.content)
+            if not num.coeffs:
+                return self.context._zero
+            return ParamScalar(*_cancel(num, ea), _reduced=True)
+        den = self.den
+        if den != o.den:
+            a, b, den = a * o.den, b * den, den * o.den
+        return ParamScalar(a._plus(b, -b.content if negate else b.content), den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self._q is not None and o._q is not None:
-            return self.context.const(self._q + o._q)
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        if self.den == o.den:
-            return ParamScalar(self.num + o.num, self.den)
-        return ParamScalar(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._sum(o, False)
 
     __radd__ = __add__
 
@@ -716,33 +765,49 @@ class ParamScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return self._sum(o, True)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o._sum(self, True)
+
+    def _scaled(self, q: RationalLike) -> "ParamScalar":
+        """q * self for a symbolic self: the content of num alone changes."""
+        if not q:
+            return self.context._zero
+        return ParamScalar(self.num * q, self.den, _reduced=True)
 
     def __mul__(self, other):
         q = self._q
         if isinstance(other, ParamScalar):
-            if q is not None and other._q is not None:
-                return self.context.const(q * other._q)
-            if self.is_zero() or other.is_zero():
-                return self.context.zero()
-            return ParamScalar(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+            oq = other._q
             if q is not None:
-                return self.context.const(q * other)
-            if not other:
-                return self.context.zero()
-            return ParamScalar(self.num * other, self.den, _reduced=True)
+                return self.context.const(q * oq) if oq is not None else other._scaled(q)
+            if oq is not None:
+                return self._scaled(oq)
+            num = self.num * other.num
+            da, db = self.den.coeffs, other.den.coeffs
+            if len(da) == 1 and len(db) == 1:
+                (ea,), (eb,) = da, db
+                return ParamScalar(*_cancel(num, tuple(map(add, ea, eb))), _reduced=True)
+            return ParamScalar(num, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return self.context.const(q * other) if q is not None else self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ParamScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        return ParamScalar(self.den, self.num)
+        """1/self: the swapped pair is already coprime, so only its den is made monic."""
+        q = self._q
+        if q is not None:
+            if not q:
+                raise ZeroDivisionError("inverse of zero scalar")
+            return self.context.const(_div(1, q))
+        monic = self.num.monic()
+        return ParamScalar(self.den * _div(monic.content, self.num.content), monic, _reduced=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -800,33 +865,61 @@ class ParamScalar:
     __repr__ = __str__
 
 
+def _shift(p: ParamPolynomial, s) -> ParamPolynomial:
+    """p times the monomial x^s; s may lower an exponent that every term has.
+
+    A common shift keeps the lex order of the exponents, so the integer part
+    stays canonical and the content is unchanged.
+    """
+    s = tuple(s)
+    return _make(p.context, {tuple(map(add, e, s)): c for e, c in p.coeffs.items()}, p.content)
+
+
+def _cancel(num: ParamPolynomial, dexp: tuple):
+    """The canonical pair for num / x^dexp, num nonzero.
+
+    Each parameter is prime in Q[params], so gcd(num, x^d) is the monomial
+    x^min(ord(num), d), ord taken componentwise over the terms of num; one
+    exponent shift divides it out of both, and x^d with coefficient 1 is
+    monic.  This is the one routine for monomial dens.
+    """
+    context = num.context
+    if not any(dexp):
+        return num, context._poly_one
+    low = tuple(map(min, dexp, *num.coeffs))
+    if any(low):
+        num = _shift(num, (-k for k in low))
+        dexp = tuple(map(sub, dexp, low))
+        if not any(dexp):
+            return num, context._poly_one
+    return num, _make(context, {dexp: 1}, 1)
+
+
 def _reduce(num: ParamPolynomial, den: ParamPolynomial):
     """The canonical pair for num/den: coprime, with den monic.
 
-    A constant den only rescales num.  Otherwise the common parameter
-    monomial (the componentwise minimum of every exponent of num and den)
-    is cancelled first, as an exponent shift with no division.  Each
-    parameter is prime in Q[params], so gcd(x^a f, x^b g) = x^min(a, b)
-    gcd(f, g), and ``gcd`` runs only when the den left has more than one
-    term and num is not constant.  The pair is the one a gcd of the inputs
-    gives, so every value, hash and printed form is the same either way.
+    A monomial den (a constant included) rescales num by its content and
+    goes to ``_cancel``.  Only other dens reach the gcd: the common
+    parameter monomial (the componentwise minimum of every exponent of num
+    and den) is shifted out first, since gcd(x^a f, x^b g) = x^min(a, b)
+    gcd(f, g), and ``gcd`` runs only when num is not constant.  The pair is
+    the one a gcd of the inputs gives, so every value, hash and printed form
+    is the same either way.
     """
     if num.is_zero():
         return num, num.context._poly_one
-    if den.is_constant():
-        if den.content == 1:
-            return num, den.context._poly_one
-        return num * (1 / den.content), num.context._poly_one
-    for var, k in enumerate(map(min, *num.coeffs, *den.coeffs)):
-        if k:
-            num, den = num.shift_var(var, -k), den.shift_var(var, -k)
-    if len(den.coeffs) > 1 and not num.is_constant():
+    if len(den.coeffs) == 1:
+        (dexp,) = den.coeffs
+        if den.content != 1:
+            num = num * _div(1, den.content)
+        return _cancel(num, dexp)
+    down = tuple(-k for k in map(min, *num.coeffs, *den.coeffs))
+    if any(down):
+        num, den = _shift(num, down), _shift(den, down)
+    if not num.is_constant():
         g = num.gcd(den)
         if not g.is_constant():
             num = num.exact_div(g)
             den = den.exact_div(g)
-    if den.is_constant():
-        return num * (1 / den.content), num.context._poly_one
     monic = den.monic()
-    return num * (monic.content / den.content), monic
-
+    return num * _div(monic.content, den.content), monic

@@ -32,6 +32,10 @@ Each function recomputes something the package computes another way:
 * ``vertex_creation_stepwise`` -- the creation half of the exponential
   field as one ``osc_apply`` per creation mode, checked against
   ``vertex_creation_coeff``, which merges the modes into the monomial keys;
+* ``scalar_product_general``, ``scalar_sum_general`` and
+  ``scalar_inverse_general`` -- scalar arithmetic on the unreduced product,
+  cross-multiplied sum or swapped pair, each reduced by ``_reduce``, checked
+  against the monomial-den route of ``ParamScalar``;
 * ``poly_add``, ``poly_mul``, ... -- polynomial arithmetic on plain
   ``{exponent: Fraction}`` dicts, checked against ``ParamPolynomial``;
 * ``random_specialize`` -- scalars evaluated at random integer points,
@@ -59,7 +63,7 @@ from screenops.forms import (
     koszul_value,
 )
 from screenops.kacmoody import VermaVector
-from screenops.scalars import ParameterContext, PoleError
+from screenops.scalars import ParameterContext, ParamScalar, PoleError
 from screenops.verma_screenings import ScreeningFamily
 
 
@@ -385,8 +389,27 @@ def vertex_creation_stepwise(mu, k, vec):
         raised = vec
         for m in part:
             raised = osc_apply(("b", -m), raised)
-        out = out + _exp_multiset_coeff(mu, part, annihilate=False) * raised
+        out = out + _exp_multiset_coeff(mu ** len(part), part, annihilate=False) * raised
     return out
+
+
+# -- scalars through the general reduction --------------------------------------------
+
+
+def scalar_product_general(x, y):
+    """x * y as the unreduced pair (num_x num_y, den_x den_y), reduced by ``_reduce``."""
+    return ParamScalar(x.num * y.num, x.den * y.den)
+
+
+def scalar_sum_general(x, y, sign=1):
+    """x + sign * y as the cross-multiplied pair, reduced by ``_reduce``."""
+    left, right = x.num * y.den, y.num * x.den
+    return ParamScalar(left + right if sign > 0 else left - right, x.den * y.den)
+
+
+def scalar_inverse_general(x):
+    """1 / x as the swapped pair, reduced by ``_reduce``."""
+    return ParamScalar(x.den, x.num)
 
 
 # -- polynomials as {exponent: Fraction} ---------------------------------------------

@@ -14,7 +14,11 @@ from oracles import (
     poly_sub,
     poly_univariate_in,
     random_specialize,
+    scalar_inverse_general,
+    scalar_product_general,
+    scalar_sum_general,
 )
+from screenops import scalars
 from screenops.scalars import (
     ParameterContext,
     ParamPolynomial,
@@ -282,6 +286,104 @@ class TestSympyOracle:
         assert sympy.gcd(num, den).is_number
 
 
+_DEN_EXPS = st.tuples(*(st.integers(0, 3) for _ in CTX.names))
+
+
+def _over_monomial(t):
+    """x / (k * a^i b^j c^l): a den in up to three parameters, or none."""
+    x, exp, k = t
+    return ParamScalar(x.num, ParamPolynomial(CTX, {exp: k}))
+
+
+_MONO_DEN = st.tuples(_poly_strategy(), _DEN_EXPS, st.integers(-4, 4).filter(bool)).map(_over_monomial)
+_WITH_PAIR_DEN = _MONO_DEN.map(lambda x: x / (A - B))
+_ROUTE_SCALARS = st.one_of(_MONO_DEN, _MONO_DEN, _WITH_PAIR_DEN, _RATIONALS.map(CTX.const))
+
+
+@st.composite
+def _route_pairs(draw):
+    """Operand pairs, some built so that the sum, difference, product or
+    quotient cancels to a constant or to zero."""
+    x = draw(_ROUTE_SCALARS)
+    kind = draw(st.sampled_from(["free", "same", "negated", "shifted", "reciprocal"]))
+    if kind == "free":
+        return x, draw(_ROUTE_SCALARS)
+    q = draw(_RATIONALS)
+    if kind == "same":
+        return x, x
+    if kind == "negated":
+        return x, q - x
+    if kind == "shifted":
+        return x, x + q
+    return x, (q / x if q and not x.is_zero() else x)
+
+
+def _assert_same_scalar(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert hash(got) == hash(want)
+    assert got == want
+    # canonical on its own terms too: coprime, with a monic den
+    assert got.num.gcd(got.den).is_constant() and got.den.leading()[1] == 1
+
+
+class TestMonomialRouteAgainstGeneral:
+    """Products, sums and inverses against the unreduced pairs reduced by ``_reduce``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_route_pairs(), _RATIONALS)
+    def test_matches_general_route(self, pair, q):
+        x, y = pair
+        for got, want in (
+            (x * y, scalar_product_general(x, y)),
+            (y * x, scalar_product_general(y, x)),
+            (x + y, scalar_sum_general(x, y)),
+            (y + x, scalar_sum_general(y, x)),
+            (x - y, scalar_sum_general(x, y, -1)),
+            (y - x, scalar_sum_general(y, x, -1)),
+            (q * x, scalar_product_general(CTX.const(q), x)),
+            (q + x, scalar_sum_general(CTX.const(q), x)),
+            (q - x, scalar_sum_general(CTX.const(q), x, -1)),
+            (x - q, scalar_sum_general(x, CTX.const(q), -1)),
+        ):
+            _assert_same_scalar(got, want)
+        if not y.is_zero():
+            inv = scalar_inverse_general(y)
+            _assert_same_scalar(y.inverse(), inv)
+            _assert_same_scalar(x / y, scalar_product_general(x, inv))
+            if q:
+                _assert_same_scalar(q / y, scalar_product_general(CTX.const(q), inv))
+                _assert_same_scalar(y / q, scalar_product_general(y, CTX.const(1 / Fraction(q))))
+
+    def test_cancellation_to_constants_and_zero(self):
+        x = (A * B + C) / (A**2 * B)
+        assert x * (A**2 * B / (A * B + C)) == 1 and (x * x.inverse()).is_rational()
+        assert (x - x).is_zero() and (x + 3) - x == 3
+        assert ((A + 1) / A) * (A / (A + 1)) == 1
+        assert (A**2 * B) / (A * B**2) == A / B
+
+    def test_only_pair_dens_reach_the_gcd(self, monkeypatch):
+        calls = {"reduce": 0, "gcd": 0}
+        reduce, gcd = scalars._reduce, ParamPolynomial.gcd
+
+        def counted_reduce(num, den):
+            calls["reduce"] += 1
+            return reduce(num, den)
+
+        def counted_gcd(self, other):
+            calls["gcd"] += 1
+            return gcd(self, other)
+
+        x, y = (A * B + C) / (A**2 * C), (B - 1) / (B * C**3)
+        monkeypatch.setattr(scalars, "_reduce", counted_reduce)
+        monkeypatch.setattr(ParamPolynomial, "gcd", counted_gcd)
+        for _ in (x * y, x + y, x - y, 2 - x, Fraction(1, 3) * y, x / (A * C), y.inverse()):
+            pass
+        assert calls == {"reduce": 0, "gcd": 0}
+        z = (A + B) / (A - B)
+        assert z * z.inverse() == 1 and (z + x).den == (A**2 * C * (A - B)).num
+        assert calls["reduce"] > 0 and calls["gcd"] > 0
+
+
 _POLYS = _poly_strategy().map(lambda s: s.num)
 _NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
 
@@ -392,11 +494,17 @@ _RAW_POLYS = st.one_of(
 def _assert_canonical(p):
     """Integer part with gcd 1 and a positive lex-greatest coefficient."""
     assert all(type(c) is int for c in p.coeffs.values())
-    assert type(p.content) is Fraction
+    # the content is an int when integral, else a Fraction with denominator > 1; never a float
+    assert type(p.content) is int or (type(p.content) is Fraction and p.content.denominator > 1)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    if p.is_constant():
+        assert type(p.constant_value()) is Fraction
+        assert type(ParamScalar(p, CTX.poly_const(1)).as_fraction()) is Fraction
     if p.is_zero():
         assert p.coeffs == {} and p.content == 0
     else:
         assert p.content != 0 and 0 not in p.coeffs.values()
+        assert type(p.leading()[1]) is Fraction
         assert math.gcd(*p.coeffs.values()) == 1
         assert p.coeffs[max(p.coeffs)] > 0
     again = ParamPolynomial(CTX, p.terms)
