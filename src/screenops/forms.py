@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .scalars import QQ, Combination, ParameterContext, ParamPolynomial, ParamScalar, _make
+from .scalars import _FIELD, _MASK, _floor, _shift
 
 __all__ = [
     "Connection",
@@ -101,6 +102,9 @@ class FormSpace:
         self.var_names = tuple("z%d" % (q + 1) for q in range(nvars))
         self.ctx = ParameterContext(base.names + self.var_names)
         self._zoff = len(base.names)
+        # the z's take the low fields of a packed exponent; z_q^1 packed, per q
+        self._zbits = _FIELD * nvars
+        self._zunit = tuple(1 << s for s in self.ctx._shifts[self._zoff :])
         self._pair_polys = {}
         for i in range(nvars):
             for j in range(i + 1, nvars):
@@ -128,29 +132,28 @@ class FormSpace:
         quotient coefficient at z_i^m z_j^(t-1-m) is -sum_{s<=m} c_s.  By
         Gauss's lemma that quotient is primitive, and its lex-leading
         coefficient is positive because z_i leads the divisor, so it is
-        already canonical with the content of poly.
+        already canonical with the content of poly.  A packed image is
+        exp - s (z_i / z_j); sorted (image, exp) pairs list each group by
+        ascending s, so one pass builds the quotient and stops at the first
+        group that does not sum to zero.
         """
-        vi, vj = self.zvar(key[0]), self.zvar(key[1])
-        groups: dict = {}
-        for exp, c in poly.coeffs.items():
-            s = exp[vi]
-            if s:
-                exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + s,) + exp[vj + 1 :]
-            groups.setdefault(exp, []).append((s, c))
-        for group in groups.values():
-            if len(group) == 1 or sum(c for _, c in group):
-                return None
-        out = {}
-        for image, group in groups.items():
-            group.sort()
-            head, mid, t, tail = image[:vi], image[vi + 1 : vj], image[vj] - 1, image[vj + 1 :]
-            acc = 0
-            for (s, c), (s_next, _) in zip(group, group[1:]):
-                acc -= c
+        ui, uj = self._zunit[key[0]], self._zunit[key[1]]
+        si, step = ui.bit_length() - 1, ui - uj
+        coeffs = poly.coeffs
+        images = [exp - (exp >> si & _MASK) * step for exp in coeffs]
+        acc, image0, out = 0, None, {}
+        for image, exp in sorted(zip(images, coeffs)):
+            if image != image0:
                 if acc:
-                    for m in range(s, s_next):
-                        out[head + (m,) + mid + (t - m,) + tail] = acc
-        return _make(poly.context, out, poly.content)
+                    return None
+                image0 = image
+            elif acc:
+                # z_i^m z_j^(t-1-m) for m from the previous s up to this one
+                for k in range(prev - uj, exp - uj, step):
+                    out[k] = acc
+            acc -= coeffs[exp]
+            prev = exp
+        return None if acc else _make(poly.context, out, poly.content)
 
     def base_poly(self, c) -> ParamPolynomial:
         """A rational, or a base-context scalar with a constant denominator, as a
@@ -160,8 +163,8 @@ class FormSpace:
             value = c if isinstance(c, ParamScalar) else self.base.const(c)
             if value.context != self.base or not value.den.is_constant():
                 raise ValueError("%s is not a polynomial in the base parameters" % c)
-            pad = (0,) * self.nvars
-            poly = ParamPolynomial(self.ctx, {e + pad: v for e, v in value.num.terms.items()})
+            num, shift = value.num, self._zbits
+            poly = _make(self.ctx, {e << shift: k for e, k in num.coeffs.items()}, num.content)
             self._base_polys[c] = poly
         return poly
 
@@ -170,10 +173,6 @@ class FormSpace:
         if scalar.context is self.ctx:
             return scalar
         return scalar.substitute({}, target=self.ctx)
-
-
-def _min_var_degree(poly: ParamPolynomial, var: int) -> int:
-    return min(exp[var] for exp in poly.coeffs)
 
 
 class FactoredCoeff:
@@ -192,14 +191,16 @@ class FactoredCoeff:
     `_cancel` is the one cancellation rule, and needs no general gcd: it
     moves every power of the named z_q from `num` into `zexp`, and divides
     out each named pair difference while the denominator still holds it
-    and `FormSpace.pair_quotient` finds that it divides.  `_normalized`
-    names every factor.  On reduced operands an operation names only the
-    factors it can cancel: `mul_base` and `shift_z` none; `mul_pair_inverse`
-    its pair when new to the denominator; a product no z_q and only the
-    pairs in exactly one operand's denominator, each in the other operand's
-    numerator before multiplying; a sum only the factors whose
-    powers are equal in both summands, since at unequal powers one scaled
-    numerator carries the factor and the other is prime to it;
+    and `FormSpace.pair_quotient` finds that it divides.  The z_q are named
+    by a mask of their packed fields, the low ones, and their powers move,
+    like a sum's rescaling to common z powers, by one packed shift of `num`.
+    `_normalized` names every factor.  On reduced operands an operation
+    names only the factors it can cancel: `mul_base` and `shift_z` none;
+    `mul_pair_inverse` its pair when new to the denominator; a product no
+    z_q and only the pairs in exactly one operand's denominator, each in the
+    other operand's numerator before multiplying; a sum only the factors
+    whose powers are equal in both summands, since at unequal powers one
+    scaled numerator carries the factor and the other is prime to it;
     `derivative_z` every factor of its num' term alone.
     """
 
@@ -227,9 +228,10 @@ class FactoredCoeff:
         value = space.lift(value)
         den = value.den
         exp = next(iter(den.coeffs))
-        if len(den.coeffs) != 1 or any(exp[: space._zoff]):
+        if len(den.coeffs) != 1 or exp >> space._zbits:
             raise ValueError("denominator %s is not a product of supported factors" % den)
-        return cls(space, value.num * (1 / den.terms[exp]), exp[space._zoff :])._normalized()
+        zexp = space.ctx._unpack(exp)[space._zoff :]
+        return cls(space, value.num * QQ(1, den.content), zexp)._normalized()
 
     # -- predicates -----------------------------------------------------------
 
@@ -238,18 +240,17 @@ class FactoredCoeff:
 
     # -- normalization ----------------------------------------------------------
 
-    def _cancel(self, zs: Iterable[int], keys: Iterable[tuple]) -> "FactoredCoeff":
-        """Self with every power of z_q in num (q in zs) moved into zexp, and each
-        pair in keys divided out by `FormSpace.pair_quotient` while both allow."""
+    def _cancel(self, zmask: int, keys: Iterable[tuple]) -> "FactoredCoeff":
+        """Self with every power of z_q in num moved into zexp, for each z_q whose
+        field zmask covers, and each pair in keys divided out by `FormSpace.pair_quotient`."""
         num, space = self.num, self.space
         if num.is_zero():
             return self
-        zexp, pairs = list(self.zexp), dict(self.pairs)
-        for q in zs:
-            d = _min_var_degree(num, space.zvar(q))
-            if d:
-                num = num.shift_var(space.zvar(q), -d)
-                zexp[q] -= d
+        zexp, pairs = self.zexp, dict(self.pairs)
+        low = _floor(space.ctx._guard, next(iter(num.coeffs)) & zmask, num.coeffs)
+        if low:
+            num = _shift(num, -low)
+            zexp = [z - d for z, d in zip(zexp, space.ctx._unpack(low)[space._zoff :])]
         for key in keys:
             while pairs.get(key) and (quotient := space.pair_quotient(key, num)) is not None:
                 num = quotient
@@ -257,7 +258,7 @@ class FactoredCoeff:
         return FactoredCoeff(space, num, zexp, pairs)
 
     def _normalized(self) -> "FactoredCoeff":
-        return self._cancel(range(self.space.nvars), list(self.pairs))
+        return self._cancel((1 << self.space._zbits) - 1, list(self.pairs))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -274,15 +275,16 @@ class FactoredCoeff:
             return self
         space = self.space
         na, nb = self.num, other.num
-        zexp, zs = [], []
+        zexp, zmask, sa, sb = [], 0, 0, 0
         for q, (a, b) in enumerate(zip(self.zexp, other.zexp)):
             if a == b:
-                zs.append(q)
+                zmask |= space._zunit[q] * _MASK
             elif a < b:
-                na = na.shift_var(space.zvar(q), b - a)
+                sa += (b - a) * space._zunit[q]
             else:
-                nb = nb.shift_var(space.zvar(q), a - b)
+                sb += (a - b) * space._zunit[q]
             zexp.append(max(a, b))
+        na, nb = _shift(na, sa) if sa else na, _shift(nb, sb) if sb else nb
         pairs, keys = {}, []
         for key in self.pairs.keys() | other.pairs.keys():
             a, b = self.pairs.get(key, 0), other.pairs.get(key, 0)
@@ -293,7 +295,7 @@ class FactoredCoeff:
             else:
                 nb = nb * space.pair_poly(*key) ** (a - b)
             pairs[key] = max(a, b)
-        return FactoredCoeff(space, na + nb, zexp, pairs)._cancel(zs, keys)
+        return FactoredCoeff(space, na + nb, zexp, pairs)._cancel(zmask, keys)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,9 +306,9 @@ class FactoredCoeff:
         # a pair in one operand's denominator is prime to that operand's
         # numerator, so it is divided out of the other one, before the product
         a = FactoredCoeff(self.space, self.num, zexp, pairs)
-        a = a._cancel((), other.pairs.keys() - self.pairs.keys())
+        a = a._cancel(0, other.pairs.keys() - self.pairs.keys())
         b = FactoredCoeff(self.space, other.num, zexp, a.pairs)
-        b = b._cancel((), self.pairs.keys() - other.pairs.keys())
+        b = b._cancel(0, self.pairs.keys() - other.pairs.keys())
         return FactoredCoeff(self.space, a.num * b.num, zexp, b.pairs)
 
     def mul_base(self, c) -> "FactoredCoeff":
@@ -326,7 +328,7 @@ class FactoredCoeff:
         num = self.num if i < j else -self.num
         pairs = {**self.pairs, key: self.pairs.get(key, 0) + 1}
         out = FactoredCoeff(self.space, num, self.zexp, pairs)
-        return out if key in self.pairs else out._cancel((), (key,))
+        return out if key in self.pairs else out._cancel(0, (key,))
 
     def derivative_z(self, q: int) -> "FactoredCoeff":
         space = self.space
@@ -533,19 +535,27 @@ class LaurentForm:
 
     def contract(self, field: WittElement) -> "LaurentForm":
         """i_field: each monomial c z^k of the field takes a value off its dz_q
-        to z_q^k times +-c (the sign of q's position); all add into one dict.
-        The window meets the input's shift by k in z_q for each (k, q) some term feeds."""
+        to z_q^k times +-c (the sign of q's position); all add into one dict,
+        a c of -1 as 1 of the other sign, and a negative term whose key is
+        there is subtracted, with no negated copy.  The window meets the
+        input's shift by k in z_q for each (k, q) some term feeds."""
         out: dict = {}
         window = self.window
         for coeff, k in field.monomials():
+            flip = coeff == -1
+            scale = -coeff if flip else coeff
             for q in range(self.nvars):
                 fed = False
                 for (subset, e), value in self.terms.items():
                     if q in subset:
                         fed, pos = True, subset.index(q)
                         key = (subset[:pos] + subset[pos + 1 :], e[:q] + (e[q] + k,) + e[q + 1 :])
-                        add = (coeff if pos % 2 == 0 else -coeff) * value
-                        out[key] = out[key] + add if key in out else add
+                        minus = (pos % 2 == 1) != flip
+                        if key in out:
+                            add = scale * value
+                            out[key] = out[key] - add if minus else out[key] + add
+                        else:
+                            out[key] = (-scale if minus else scale) * value
                 if fed:
                     window = _win_intersect(window, _win_shift(self.window, q, k))
         return LaurentForm(self.nvars, out, window)
@@ -571,11 +581,16 @@ def _delta_window(window, pairs):
 
 
 def _add_shifted(out: dict, subset: tuple, exps: tuple, value, shifts) -> None:
-    """out[subset, exps + offset] += c * value for each (offset, c) of shifts; c None is 1."""
+    """out[subset, exps + offset] += c * value for each (offset, c) of shifts; c None is 1.
+
+    A c of -1 subtracts value where the key is already there, with no negated copy."""
     for offset, c in shifts:
         key = (subset, tuple(e + d for e, d in zip(exps, offset)))
-        add = value if c is None else c * value
-        out[key] = out[key] + add if key in out else add
+        if key in out and c == -1:
+            out[key] = out[key] - value
+        else:
+            add = value if c is None else c * value
+            out[key] = out[key] + add if key in out else add
 
 
 def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:

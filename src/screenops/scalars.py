@@ -3,10 +3,15 @@
 Every quantity the engine manipulates (structure constants, highest-weight
 labels, central charges, OPE coefficients) lives in the field Q(params) for a
 fixed tuple of named parameters.  A polynomial is stored as one rational
-content times a primitive integer part: a dict from exponent vectors to
+content times a primitive integer part: a dict from packed exponents to
 Python ints with gcd 1 whose coefficient at the lexicographically greatest
-exponent is positive.  That form is unique, and by Gauss's lemma a product
-of primitive parts is primitive, so products run on ints alone and scaling by
+exponent is positive.  A packed exponent is one int with a ``_FIELD``-bit
+field per parameter, the first parameter most significant, so int order is
+lex order and a monomial product or shift is one int addition.  Every
+exponent stays below ``EXP_LIMIT`` = 2**15, the top bit of its field; an
+operation that would reach it raises ``ValueError`` rather than carry into
+the next field.  That form is unique, and by Gauss's lemma a product of
+primitive parts is primitive, so products run on ints alone and scaling by
 a rational touches only the content.  A content, like the cached value of a
 rational scalar, is an ``int`` when it is integral and a ``Fraction`` with
 denominator > 1 otherwise (``_rat``), so the integral values that dominate
@@ -24,7 +29,8 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 QQ = Fraction
@@ -41,6 +47,30 @@ __all__ = [
 ]
 
 _ZERO = QQ(0)
+
+_FIELD = 16  # bits per parameter in a packed exponent
+EXP_LIMIT = 1 << (_FIELD - 1)  # every exponent stays below the field's guard bit
+_MASK = (1 << _FIELD) - 1
+# integer part of every constant polynomial, in any context; shared, never mutated
+_UNIT = {0: 1}
+
+
+def _floor(guard: int, low: int, keys) -> int:
+    """The componentwise minimum of packed ``low`` and every packed key.  A field of
+    ``(low | guard) - e`` never borrows from the next one, and it keeps its
+    guard bit exactly when low's field is at least e's; there e's field is taken."""
+    for e in keys:
+        if not low:
+            break
+        ge = (((low | guard) - e) & guard) >> (_FIELD - 1)
+        low ^= (low ^ e) & ge * _MASK
+    return low
+
+
+def _overflow(context, keys) -> None:
+    """Raise if a packed key reached the exponent limit in some field."""
+    if reduce(or_, keys, 0) & context._guard:
+        raise ValueError("exponent overflow: an exponent reached the limit %d" % EXP_LIMIT)
 
 
 def _rat(x):
@@ -117,7 +147,7 @@ class Combination:
 class ParameterContext:
     """An ordered registry of parameter names defining Q(names)."""
 
-    __slots__ = ("names", "_index", "_zero_exp", "_unit", "_poly_zero", "_poly_one", "_one", "_zero")
+    __slots__ = ("names", "_index", "_shifts", "_guard", "_poly_zero", "_poly_one", "_one", "_zero")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -125,11 +155,11 @@ class ParameterContext:
             raise ValueError("duplicate parameter names: %r" % (names,))
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero_exp = (0,) * len(names)
-        # integer part of every constant polynomial; shared, never mutated
-        self._unit = {self._zero_exp: 1}
+        # bit offset of each parameter's field; the first parameter is most significant
+        self._shifts = tuple(_FIELD * (len(names) - 1 - i) for i in range(len(names)))
+        self._guard = sum(EXP_LIMIT << s for s in self._shifts)
         self._poly_zero = _make(self, {}, 0)
-        self._poly_one = _make(self, self._unit, 1)
+        self._poly_one = _make(self, _UNIT, 1)
         self._zero = ParamScalar(self._poly_zero, self._poly_one, _reduced=True)
         self._one = ParamScalar(self._poly_one, self._poly_one, _reduced=True)
 
@@ -142,6 +172,19 @@ class ParameterContext:
     def __hash__(self):
         return hash(self.names)
 
+    def _pack(self, exp: tuple) -> int:
+        """The packed form of an exponent tuple; each entry in 0 .. EXP_LIMIT - 1."""
+        if len(exp) != len(self.names):
+            raise ValueError("exponent %r has not %d entries" % (exp, len(self.names)))
+        for e in exp:
+            if not 0 <= e < EXP_LIMIT:
+                raise ValueError("exponent %r outside 0 .. %d: limit %d"
+                                 % (e, EXP_LIMIT - 1, EXP_LIMIT))
+        return sum(e << s for e, s in zip(exp, self._shifts))
+
+    def _unpack(self, key: int) -> tuple:
+        return tuple(key >> s & _MASK for s in self._shifts)
+
     # -- constructors ----------------------------------------------------
 
     def poly_const(self, c: RationalLike) -> "ParamPolynomial":
@@ -149,12 +192,10 @@ class ParameterContext:
             return self._poly_zero
         if c == 1:
             return self._poly_one
-        return _make(self, self._unit, _rat(c))
+        return _make(self, _UNIT, _rat(c))
 
     def poly_param(self, name: str) -> "ParamPolynomial":
-        exp = [0] * len(self.names)
-        exp[self._index[name]] = 1
-        return _make(self, {tuple(exp): 1}, 1)
+        return _make(self, {1 << self._shifts[self._index[name]]: 1}, 1)
 
     def const(self, c: RationalLike) -> "ParamScalar":
         if c == 0:
@@ -163,7 +204,7 @@ class ParameterContext:
             return self._one
         q = _rat(c)
         s = object.__new__(ParamScalar)
-        s.num = _make(self, self._unit, q)
+        s.num = _make(self, _UNIT, q)
         s.den = self._poly_one
         s._hash = None
         s._q = q
@@ -189,16 +230,6 @@ class ParameterContext:
         if isinstance(value, str):
             return self.param(value)
         return self.const(value)
-
-
-def _grlex_key(item):
-    exp, _ = item
-    return (sum(exp), exp)
-
-
-def _heap_entry(exp):
-    # heapq pops its least entry first, so negate degree and exponents
-    return (-sum(exp), tuple(-x for x in exp), exp)
 
 
 def _make(context, coeffs: dict, content: RationalLike) -> "ParamPolynomial":
@@ -228,7 +259,7 @@ def _normalized(context, coeffs: dict, scale: RationalLike) -> "ParamPolynomial"
 class ParamPolynomial:
     """Multivariate polynomial over Q, stored as ``content * coeffs``.
 
-    ``coeffs`` maps exponent tuples to Python ints with gcd 1, and its
+    ``coeffs`` maps packed exponents to Python ints with gcd 1, and its
     coefficient at ``max(coeffs)`` (the lexicographically greatest exponent)
     is positive; ``content`` is nonzero, or 0 for the zero polynomial, whose
     ``coeffs`` is empty.  The content is an ``int`` when it is integral and
@@ -236,15 +267,15 @@ class ParamPolynomial:
     product and sum of contents passes through ``_rat``, and every quotient
     through ``_div``.  The form is unique, so equality compares the two parts,
     and an int hashes as the equal Fraction does.  ``terms`` is the rational
-    view ``{exponent: Fraction}``, built on first use, and ``leading`` and
-    ``constant_value`` return ``Fraction`` values too.  Polynomials share their
-    dicts, so neither ``coeffs`` nor ``terms`` may be changed in place.
+    view ``{exponent tuple: Fraction}`` that the constructor takes, built on
+    first use; ``leading`` and ``constant_value`` give ``Fraction`` values.
+    Polynomials share their dicts, so neither may be changed in place.
     """
 
     __slots__ = ("context", "coeffs", "content", "_terms", "_hash")
 
     def __init__(self, context: ParameterContext, terms: Mapping[tuple, RationalLike]):
-        terms = {e: QQ(c) for e, c in terms.items() if c}
+        terms = {context._pack(e): QQ(c) for e, c in terms.items() if c}
         den = math.lcm(*(c.denominator for c in terms.values()))
         ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
         p = _normalized(context, ints, _div(1, den))
@@ -256,10 +287,10 @@ class ParamPolynomial:
 
     @property
     def terms(self) -> dict:
-        """The rational coefficients ``{exponent: Fraction}``; read only."""
+        """The rational coefficients ``{exponent tuple: Fraction}``; read only."""
         if self._terms is None:
-            c = _frac(self.content)
-            self._terms = {e: c * k for e, k in self.coeffs.items()}
+            c, unpack = _frac(self.content), self.context._unpack
+            self._terms = {unpack(e): c * k for e, k in self.coeffs.items()}
         return self._terms
 
     # -- basics -----------------------------------------------------------
@@ -268,7 +299,7 @@ class ParamPolynomial:
         return not self.coeffs
 
     def is_constant(self) -> bool:
-        return not self.coeffs or (len(self.coeffs) == 1 and self.context._zero_exp in self.coeffs)
+        return not self.coeffs or (len(self.coeffs) == 1 and 0 in self.coeffs)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -277,16 +308,20 @@ class ParamPolynomial:
         return _frac(self.content)
 
     def degree_in(self, var: int) -> int:
-        if not self.coeffs:
-            return -1
-        return max(e[var] for e in self.coeffs)
+        s = self.context._shifts[var]
+        return max((e >> s & _MASK for e in self.coeffs), default=-1)
+
+    def _lead(self) -> tuple:
+        """(packed exponent, int coefficient) of the graded-lex leading term."""
+        unpack = self.context._unpack
+        return max(self.coeffs.items(), key=lambda item: (sum(unpack(item[0])), item[0]))
 
     def leading(self) -> tuple:
-        """(exponent, coefficient) of the graded-lex leading term."""
+        """(exponent tuple, coefficient) of the graded-lex leading term."""
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading term")
-        exp, k = max(self.coeffs.items(), key=_grlex_key)
-        return exp, _frac(self.content) * k
+        exp, k = self._lead()
+        return self.context._unpack(exp), _frac(self.content) * k
 
     def __eq__(self, other):
         return (
@@ -362,19 +397,21 @@ class ParamPolynomial:
         if len(b) == 1:
             # a primitive monomial has coefficient 1: shift the exponents
             (e2,) = b
-            if e2 == self.context._zero_exp:
+            if not e2:
                 return _make(self.context, a, content)
-            return _make(self.context, {tuple(map(add, e1, e2)): c1 for e1, c1 in a.items()}, content)
-        # a product of primitive parts is primitive (Gauss) and its
-        # lex-greatest coefficient is the product of positive ones
-        out: dict = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
+            out = {e1 + e2: c1 for e1, c1 in a.items()}
+        else:
+            # a product of primitive parts is primitive (Gauss) and its
+            # lex-greatest coefficient is the product of positive ones
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+            if 0 in out.values():
+                out = {e: c for e, c in out.items() if c}
+        _overflow(self.context, out)
         return _make(self.context, out, content)
 
     __rmul__ = __mul__
@@ -392,18 +429,12 @@ class ParamPolynomial:
         return result
 
     def shift_var(self, var: int, delta: int) -> "ParamPolynomial":
-        """Multiply by (variable ``var``)^delta; every exponent must stay >= 0.
-
-        A common shift keeps the lex order of the exponents, so the integer
-        part stays canonical and the content is unchanged.
-        """
-        out = {}
-        for exp, c in self.coeffs.items():
-            e = exp[var] + delta
-            if e < 0:
-                raise ValueError("monomial shift went negative")
-            out[exp[:var] + (e,) + exp[var + 1 :]] = c
-        return _make(self.context, out, self.content)
+        """Multiply by (variable ``var``)^delta; every exponent must stay >= 0
+        and below ``EXP_LIMIT``, or ``ValueError`` is raised."""
+        s = self.context._shifts[var]
+        if min((e >> s & _MASK for e in self.coeffs), default=0) + delta < 0:
+            raise ValueError("monomial shift went negative")
+        return _shift(self, delta << s) if delta else self
 
     # -- division and gcd ---------------------------------------------------
 
@@ -411,14 +442,16 @@ class ParamPolynomial:
         """The quotient self / divisor, when the division is exact.
 
         A constant divisor changes only the content.  Otherwise the integer
-        parts are divided in graded-lex order (total degree first, then
-        lexicographic on the exponent tuple): each step cancels the leading
-        term of the remainder.  By Gauss's lemma an exact quotient of two
-        primitive parts is primitive with integer coefficients, so a step
-        whose leading exponent is not a multiple of the divisor's, or whose
-        coefficient leaves a nonzero ``divmod`` remainder, shows that the
-        division is not exact and raises ``ValueError("polynomial not
-        divisible")``.  A zero divisor raises ``ZeroDivisionError``.
+        parts are divided in lex order, the int order of packed exponents:
+        each step cancels the leading term of the remainder.  By Gauss's
+        lemma an exact quotient of two primitive parts is primitive with
+        integer coefficients, and its terms times the divisor's stay inside
+        the dividend's box of fieldwise maxima.  So a step whose leading
+        exponent is not a multiple of the divisor's (a guard-bit borrow, as
+        in ``_floor``), whose coefficient leaves a nonzero ``divmod``
+        remainder, or which adds an exponent outside the box raises
+        ``ValueError("polynomial not divisible")``; the box also bounds the
+        work of a failing division.  A zero divisor raises ``ZeroDivisionError``.
 
         The remainder's exponents sit in a max-heap with lazy deletion
         (Monagan and Pearce, "Sparse polynomial division using a heap",
@@ -436,28 +469,33 @@ class ParamPolynomial:
             return _make(self.context, self.coeffs, content)
         rem = dict(self.coeffs)
         out: dict = {}
-        dexp, dcoef = max(divisor.coeffs.items(), key=_grlex_key)
+        guard, top = self.context._guard, 0
+        for e in rem:
+            top += e - _floor(guard, top, (e,))
+        dexp, dcoef = max(divisor.coeffs.items())
         tail = [(e, c) for e, c in divisor.coeffs.items() if e != dexp]
-        heap = [_heap_entry(e) for e in rem]
+        # heapq pops its least entry first, so the heap holds negated exponents
+        heap = [-e for e in rem]
         heapq.heapify(heap)
         while heap:
-            exp = heapq.heappop(heap)[2]
+            exp = -heapq.heappop(heap)
             coef = rem.pop(exp, None)
             if coef is None:
                 continue
-            qexp = tuple(map(sub, exp, dexp))
-            if any(x < 0 for x in qexp):
-                raise ValueError("polynomial not divisible")
+            qexp = (exp | guard) - dexp
             qcoef, r = divmod(coef, dcoef)
-            if r:
+            if r or qexp & guard != guard:
                 raise ValueError("polynomial not divisible")
+            qexp ^= guard
             out[qexp] = qcoef
             for e2, c2 in tail:
-                e = tuple(map(add, qexp, e2))
+                e = qexp + e2
+                if ((top | guard) - e) & guard != guard:
+                    raise ValueError("polynomial not divisible")
                 old = rem.get(e)
                 if old is None:
                     rem[e] = -qcoef * c2
-                    heapq.heappush(heap, _heap_entry(e))
+                    heapq.heappush(heap, -e)
                 else:
                     s = old - qcoef * c2
                     if s:
@@ -475,16 +513,16 @@ class ParamPolynomial:
     def _univariate_in(self, var: int) -> dict:
         """View as univariate in `var`: {deg -> ParamPolynomial without var}."""
         out: dict = {}
+        s = self.context._shifts[var]
         for e, c in self.coeffs.items():
-            d = e[var]
-            e0 = e[:var] + (0,) + e[var + 1 :]
-            out.setdefault(d, {})[e0] = c
+            d = e >> s & _MASK
+            out.setdefault(d, {})[e - (d << s)] = c
         return {d: _normalized(self.context, t, self.content) for d, t in out.items()}
 
     def monic(self) -> "ParamPolynomial":
         if self.is_zero():
             return self
-        _, k = max(self.coeffs.items(), key=_grlex_key)
+        _, k = self._lead()
         return _make(self.context, self.coeffs, _div(1, k))
 
     def gcd(self, other: "ParamPolynomial") -> "ParamPolynomial":
@@ -520,12 +558,11 @@ class ParamPolynomial:
         return (cont * g).monic()
 
     def derivative(self, name: str) -> "ParamPolynomial":
-        var = self.context._index[name]
+        s = self.context._shifts[self.context._index[name]]
         out: dict = {}
         for e, c in self.coeffs.items():
-            if e[var]:
-                e2 = e[:var] + (e[var] - 1,) + e[var + 1 :]
-                out[e2] = c * e[var]
+            if k := e >> s & _MASK:
+                out[e - (1 << s)] = c * k
         return _normalized(self.context, out, self.content)
 
     # -- evaluation -----------------------------------------------------------
@@ -538,7 +575,7 @@ class ParamPolynomial:
         total = _ZERO
         for e, c in self.coeffs.items():
             term = c
-            for i, p in enumerate(e):
+            for i, p in enumerate(self.context._unpack(e)):
                 if p:
                     term *= vals[i] ** p
             total += term
@@ -562,7 +599,7 @@ class ParamPolynomial:
         total = target.zero()
         for e, c in self.coeffs.items():
             term = target.const(c)
-            for i, p in enumerate(e):
+            for i, p in enumerate(self.context._unpack(e)):
                 if p:
                     term = term * (image(i) ** p)
             total = total + term
@@ -575,7 +612,7 @@ class ParamPolynomial:
             return "0"
         names = self.context.names
         parts = []
-        for e, c in sorted(self.terms.items(), key=_grlex_key, reverse=True):
+        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
             factors = []
             for i, p in enumerate(e):
                 if p == 1:
@@ -735,11 +772,11 @@ class ParamScalar:
         if len(da) == 1 and len(db) == 1:
             (ea,), (eb,) = da, db
             if ea != eb:
-                top = tuple(map(max, ea, eb))
+                top = ea + eb - _floor(self.context._guard, ea, (eb,))
                 if top != ea:
-                    a = _shift(a, map(sub, top, ea))
+                    a = _shift(a, top - ea)
                 if top != eb:
-                    b = _shift(b, map(sub, top, eb))
+                    b = _shift(b, top - eb)
                 ea = top
             num = a._plus(b, -b.content if negate else b.content)
             if not num.coeffs:
@@ -791,7 +828,7 @@ class ParamScalar:
             da, db = self.den.coeffs, other.den.coeffs
             if len(da) == 1 and len(db) == 1:
                 (ea,), (eb,) = da, db
-                return ParamScalar(*_cancel(num, tuple(map(add, ea, eb))), _reduced=True)
+                return ParamScalar(*_cancel(num, ea + eb), _reduced=True)
             return ParamScalar(num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.context.const(q * other) if q is not None else self._scaled(other)
@@ -865,32 +902,38 @@ class ParamScalar:
     __repr__ = __str__
 
 
-def _shift(p: ParamPolynomial, s) -> ParamPolynomial:
-    """p times the monomial x^s; s may lower an exponent that every term has.
+def _shift(p: ParamPolynomial, s: int) -> ParamPolynomial:
+    """p times the monomial x^s, s packed: one int addition per term.
 
-    A common shift keeps the lex order of the exponents, so the integer part
-    stays canonical and the content is unchanged.
+    A negative s lowers exponents that every term has, so no field borrows;
+    a positive s is checked against the limit.  A common shift keeps the lex
+    order of the exponents, so the integer part stays canonical and the
+    content is unchanged.
     """
-    s = tuple(s)
-    return _make(p.context, {tuple(map(add, e, s)): c for e, c in p.coeffs.items()}, p.content)
+    out = {e + s: c for e, c in p.coeffs.items()}
+    if s > 0:
+        _overflow(p.context, out)
+    return _make(p.context, out, p.content)
 
 
-def _cancel(num: ParamPolynomial, dexp: tuple):
-    """The canonical pair for num / x^dexp, num nonzero.
+def _cancel(num: ParamPolynomial, dexp: int):
+    """The canonical pair for num / x^dexp, num nonzero and dexp packed.
 
     Each parameter is prime in Q[params], so gcd(num, x^d) is the monomial
     x^min(ord(num), d), ord taken componentwise over the terms of num; one
-    exponent shift divides it out of both, and x^d with coefficient 1 is
-    monic.  This is the one routine for monomial dens.
+    packed shift divides it out of both, and x^d with coefficient 1 is
+    monic.  This is the one routine for monomial dens; it checks the limit
+    on a den exponent that a product made.
     """
     context = num.context
-    if not any(dexp):
+    if not dexp:
         return num, context._poly_one
-    low = tuple(map(min, dexp, *num.coeffs))
-    if any(low):
-        num = _shift(num, (-k for k in low))
-        dexp = tuple(map(sub, dexp, low))
-        if not any(dexp):
+    _overflow(context, (dexp,))
+    low = _floor(context._guard, dexp, num.coeffs)
+    if low:
+        num = _shift(num, -low)
+        dexp -= low
+        if not dexp:
             return num, context._poly_one
     return num, _make(context, {dexp: 1}, 1)
 
@@ -913,9 +956,9 @@ def _reduce(num: ParamPolynomial, den: ParamPolynomial):
         if den.content != 1:
             num = num * _div(1, den.content)
         return _cancel(num, dexp)
-    down = tuple(-k for k in map(min, *num.coeffs, *den.coeffs))
-    if any(down):
-        num, den = _shift(num, down), _shift(den, down)
+    low = _floor(num.context._guard, max(den.coeffs), [*den.coeffs, *num.coeffs])
+    if low:
+        num, den = _shift(num, -low), _shift(den, -low)
     if not num.is_constant():
         g = num.gcd(den)
         if not g.is_constant():

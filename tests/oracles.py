@@ -254,14 +254,14 @@ def pair_divides(space, key, poly):
 
     Substitutes z_i = z_j and tests the image for zero.  The divisor is
     monic and linear in z_i, so the image is the remainder of the division
-    and vanishes iff the division is exact.  Only the integer part is read,
-    since the nonzero content does not change the answer.  Terms are
-    grouped by image exponent first: a group of one term cannot cancel, and
-    each other group is summed in integers.
+    and vanishes iff the division is exact.  The rational view ``terms`` is
+    read, with exponent tuples, so the oracle is independent of the packed
+    kernel.  Terms are grouped by image exponent first: a group of one term
+    cannot cancel, and each other group is summed.
     """
     vi, vj = space.zvar(key[0]), space.zvar(key[1])
     groups = {}
-    for exp, c in poly.coeffs.items():
+    for exp, c in poly.terms.items():
         k = exp[vi]
         if k:
             exp = exp[:vi] + (0,) + exp[vi + 1 : vj] + (exp[vj] + k,) + exp[vj + 1 :]
@@ -280,7 +280,7 @@ def normalized_by_exact_div(coeff):
     zexp, pairs = list(coeff.zexp), dict(coeff.pairs)
     for q in range(space.nvars):
         var = space.zvar(q)
-        d = min(exp[var] for exp in num.coeffs)
+        d = min(exp[var] for exp in num.terms)
         num = num.shift_var(var, -d)
         zexp[q] -= d
     for key in pairs:

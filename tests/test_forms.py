@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from screenops.scalars import ParameterContext, ParamPolynomial
+from screenops.fock import FockSpace, OscSpec
+from screenops.scalars import Combination, ParameterContext, ParamPolynomial
 from screenops.forms import (
     Connection,
     FactoredCoeff,
@@ -721,6 +722,47 @@ class TestOnePassClearing:
             for i, j in ((0, 1), (1, 0), (0, nvars - 1)):
                 got, want = form.mul_zdiff(i, j), mul_zdiff_stepwise(form, i, j)
                 assert (got.window, got.terms) == (want.window, want.terms)
+
+
+class TestNegatedCopies:
+    """A negative term whose key is already in the accumulator is subtracted in
+    place, as ``Combination._combine`` does; only a key first reached by a
+    negative term holds a negated copy of a vector value."""
+
+    WINDOW = ((-5, 5), (-5, 5))
+
+    @pytest.fixture
+    def negations(self, monkeypatch):
+        calls = []
+        neg = Combination.__neg__
+        monkeypatch.setattr(Combination, "__neg__", lambda v: calls.append(v) or neg(v))
+        return calls
+
+    @pytest.fixture
+    def vectors(self):
+        ctx = ParameterContext(("lam",))
+        vac = FockSpace(OscSpec(ctx, has_pair=False), ctx.param("lam")).vacuum()
+        return vac, ctx.param("lam") * vac
+
+    def test_contract(self, negations, vectors):
+        u, w = vectors
+        form = LaurentForm(2, {((0, 1), (0, 0)): u, ((0, 1), (1, 0)): w}, self.WINDOW)
+        # monomials -z and -z^2; dz_1 sits at an even position, so its terms are negative
+        got = form.contract(WittElement({0: 1, 1: 1}))
+        # four negative terms on three keys: (2, 0) is reached twice
+        assert len(negations) == 3
+        assert got.terms[((1,), (2, 0))] == -(u + w)
+        assert got.terms[((1,), (1, 0))] == -u and got.terms[((1,), (3, 0))] == -w
+        assert got.terms[((0,), (0, 1))] == u and got.terms[((0,), (1, 2))] == w
+        assert len(got.terms) == 7
+
+    def test_clear_pairs(self, negations, vectors):
+        u, w = vectors
+        form = LaurentForm(2, {((), (0, 1)): u, ((), (1, 0)): w}, self.WINDOW)
+        # Delta = z1 - z2: w's -z2 term lands on (1, 1), which u's z1 term made
+        got = clear_pairs(form, Connection([0, 0], {(0, 1): 1}))
+        assert len(negations) == 1
+        assert got.terms == {((), (1, 1)): u - w, ((), (0, 2)): -u, ((), (2, 0)): w}
 
 
 class TestCochainAssembly:

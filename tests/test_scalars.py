@@ -468,7 +468,7 @@ class TestPolynomialKernelOracle:
         num_in, den_in = x_a * f * common, x_b * g * common
         num, den = _reduce(num_in, den_in)
         # both parts are polynomials, den is monic, and they are coprime
-        assert all(k >= 0 for p in (num, den) for e in p.coeffs for k in e)
+        assert all(k >= 0 for p in (num, den) for e in p.terms for k in e)
         assert _is_monic(den)
         num_s, den_s = _poly_to_sympy(num, sympy), _poly_to_sympy(den, sympy)
         assert sympy.gcd(num_s, den_s).is_number
@@ -556,3 +556,126 @@ class TestIntegerKernelAgainstReference:
         q = (f * g).exact_div(g)
         _assert_canonical(q)
         assert q.terms == f.terms
+
+
+# exponents anywhere in a field, and tuples of them, for the packed kernel
+_FIELD_EXPS = st.integers(0, scalars.EXP_LIMIT - 1)
+_WIDE_EXPS = st.tuples(*(_FIELD_EXPS for _ in CTX.names))
+_WIDE_POLYS = st.dictionaries(_WIDE_EXPS, _NONZERO_COEFFS, min_size=1, max_size=5).map(
+    lambda t: ParamPolynomial(CTX, t))
+
+
+class TestPackedExponents:
+    """The packed-int exponent kernel against plain tuple arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_EXPS)
+    def test_pack_round_trips(self, exp):
+        assert CTX._unpack(CTX._pack(exp)) == exp
+        p = ParamPolynomial(CTX, {exp: 3})
+        assert p.terms == {exp: 3} and p.leading() == (exp, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_EXPS, _WIDE_EXPS)
+    def test_int_order_is_lex_order(self, a, b):
+        assert (CTX._pack(a) < CTX._pack(b)) == (a < b)
+        assert (CTX._pack(a) == CTX._pack(b)) == (a == b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_EXPS, _WIDE_EXPS)
+    def test_monomial_division_borrow(self, a, b):
+        # x^a / x^b with a field of a below b's: the packed difference would
+        # borrow from the field above, which may be large
+        dividend, monomial = ParamPolynomial(CTX, {a: 1}), ParamPolynomial(CTX, {b: 1})
+        if all(x >= y for x, y in zip(a, b)):
+            want = {tuple(x - y for x, y in zip(a, b)): 1}
+            assert dividend.exact_div(monomial).terms == want
+        else:
+            with pytest.raises(ValueError, match="not divisible"):
+                dividend.exact_div(monomial)
+        if any(b):
+            # 2 x^b + 1 divides no monomial
+            with pytest.raises(ValueError, match="not divisible"):
+                dividend.exact_div(ParamPolynomial(CTX, {b: 2, (0, 0, 0): 1}))
+
+    @pytest.mark.parametrize("high", [1, 7, scalars.EXP_LIMIT - 1])
+    def test_borrow_in_a_low_field_under_a_large_high_field(self, high):
+        # a^high c^0 / (a^0 c^1): the quotient's c field would go to -1
+        num = ParamPolynomial(CTX, {(high, 0, 0): 1})
+        for den in ({(0, 0, 1): 1}, {(0, 0, 1): 1, (0, 0, 0): -1}, {(0, 1, 1): 2, (0, 1, 0): 1}):
+            with pytest.raises(ValueError, match="not divisible"):
+                num.exact_div(ParamPolynomial(CTX, den))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_POLYS, _WIDE_POLYS)
+    def test_componentwise_floor(self, f, g):
+        keys = [*f.coeffs, *g.coeffs]
+        low = scalars._floor(CTX._guard, keys[-1], keys)
+        assert CTX._unpack(low) == tuple(map(min, *f.terms, *g.terms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_WIDE_POLYS, st.sampled_from(CTX.names), st.integers(-3, 3))
+    def test_shift_var_is_a_monomial_product(self, f, name, k):
+        var = CTX._index[name]
+        exps = [e[var] + k for e in f.terms]
+        if min(exps) < 0:
+            with pytest.raises(ValueError, match="went negative"):
+                f.shift_var(var, k)
+        elif max(exps) >= scalars.EXP_LIMIT:
+            with pytest.raises(ValueError, match="exponent overflow"):
+                f.shift_var(var, k)
+        else:
+            unit = tuple(int(n == name) for n in CTX.names)
+            want = {tuple(x + k * u for x, u in zip(e, unit)): c for e, c in f.terms.items()}
+            assert f.shift_var(var, k).terms == want
+
+
+class TestExponentLimit:
+    """No exponent reaches EXP_LIMIT: a carry into the next field would be a
+    wrong polynomial, so every route that could reach it raises instead."""
+
+    LIMIT = scalars.EXP_LIMIT
+
+    @pytest.mark.parametrize("exp", [(LIMIT, 0, 0), (0, 0, LIMIT), (0, LIMIT + 5, 0), (0, -1, 0)])
+    def test_constructor_rejects_an_exponent_out_of_range(self, exp):
+        bad = next(e for e in exp if not 0 <= e < self.LIMIT)
+        with pytest.raises(ValueError, match=r"exponent %d outside .*limit %d" % (bad, self.LIMIT)):
+            ParamPolynomial(CTX, {exp: 1})
+
+    def test_constructor_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError, match="entries"):
+            ParamPolynomial(CTX, {(1, 0): 1})
+
+    @pytest.mark.parametrize("name", CTX.names)
+    def test_power_raises_at_the_limit(self, name):
+        x = CTX.poly_param(name)
+        assert (x ** (self.LIMIT - 1)).degree_in(CTX._index[name]) == self.LIMIT - 1
+        with pytest.raises(ValueError, match="exponent overflow"):
+            x ** 2**15
+        with pytest.raises(ValueError, match="exponent overflow"):
+            CTX.param(name) ** 2**15
+        with pytest.raises(ValueError, match="exponent overflow"):
+            CTX.param(name) ** -(2**15)
+
+    def test_product_and_shift_raise_rather_than_carry(self):
+        half = self.LIMIT // 2
+        c, b = CTX.poly_param("c"), CTX.poly_param("b")
+        # the low field c: a carry would turn c^LIMIT into b^1
+        with pytest.raises(ValueError, match="exponent overflow"):
+            c**half * (c**half + b)
+        with pytest.raises(ValueError, match="exponent overflow"):
+            (c**half + CTX.poly_const(1)) * (c**half + b)
+        with pytest.raises(ValueError, match="exponent overflow"):
+            (c ** (self.LIMIT - 1) + b).shift_var(CTX._index["c"], 1)
+        with pytest.raises(ValueError, match="went negative"):
+            (c + b).shift_var(CTX._index["c"], -1)
+        assert (c**half * c ** (half - 1)).degree_in(CTX._index["c"]) == self.LIMIT - 1
+
+    def test_scalar_dens_raise_rather_than_carry(self):
+        half = self.LIMIT // 2
+        inv = CTX.one() / CTX.param("c") ** half
+        with pytest.raises(ValueError, match="exponent overflow"):
+            inv * inv
+        top = CTX.param("c") ** (self.LIMIT - 1)
+        with pytest.raises(ValueError, match="exponent overflow"):
+            top + CTX.one() / CTX.param("c")
