@@ -526,7 +526,8 @@ class ParamPolynomial:
         return _make(self.context, self.coeffs, _div(1, k))
 
     def gcd(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        """Monic gcd via primitive PRS, recursing over variables."""
+        """Monic gcd via primitive PRS, recursing over variables; the PRS runs on
+        integer parts, since a content carried through the remainders only grows."""
         a, b = self, other
         if a.is_zero():
             return b.monic()
@@ -542,8 +543,8 @@ class ParamPolynomial:
         cont_a = _list_gcd(list(ua.values()), self.context)
         cont_b = _list_gcd(list(ub.values()), self.context)
         cont = cont_a.gcd(cont_b)
-        pa = a.exact_div(cont_a)
-        pb = b.exact_div(cont_b)
+        pa = _make(self.context, a.exact_div(cont_a).coeffs, 1)
+        pb = _make(self.context, b.exact_div(cont_b).coeffs, 1)
         if pa.degree_in(var) < pb.degree_in(var):
             pa, pb = pb, pa
         while True:
@@ -646,11 +647,12 @@ def _list_gcd(polys, context) -> ParamPolynomial:
 
 
 def _primitive_part(p: ParamPolynomial, var: int) -> ParamPolynomial:
+    """The integer part of p over its content in ``var``, with content 1."""
     u = p._univariate_in(var)
     cont = _list_gcd(list(u.values()), p.context)
     if cont.is_zero():
         return p
-    return p.exact_div(cont)
+    return _make(p.context, p.exact_div(cont).coeffs, 1)
 
 
 def _pseudo_rem(a: ParamPolynomial, b: ParamPolynomial, var: int) -> ParamPolynomial:

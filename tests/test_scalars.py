@@ -441,6 +441,25 @@ class TestPolynomialKernelOracle:
         )
         assert ratio.is_number and ratio != 0
 
+    def test_remainder_sequence_runs_on_integer_parts(self, monkeypatch):
+        # with a rational content carried from remainder to remainder, the
+        # contents of this pair's sequence grew to millions of bits
+        a, b, c = (CTX.poly_param(n) for n in CTX.names)
+        one = CTX.poly_const(1)
+        g = -3 * a**2 * b**2 + 5 * a**2 * b + 2 * a * b * c
+        f = 2 * a**3 * b**3 * c**3 - 3 * b**2 * c - b * c + 2 * one
+        h = -2 * a * b * c**3 + 3 * b**2 * c + 3 * c**3 + 5 * a
+        contents = []
+        pseudo_rem = scalars._pseudo_rem
+
+        def spy(x, y, var):
+            contents.extend((x.content, y.content))
+            return pseudo_rem(x, y, var)
+
+        monkeypatch.setattr(scalars, "_pseudo_rem", spy)
+        assert (g * f).gcd(g * h) == g.monic()
+        assert contents and set(contents) == {1}
+
     @settings(max_examples=80, deadline=None)
     @given(_POLYS, _NONZERO_POLYS, _POLYS)
     def test_reduce_matches_sympy_cancel(self, common, den_part, num_part):
