@@ -30,12 +30,12 @@ Two independent evaluation routes are provided and cross-checked in tests:
   a field expression on a Fock vector, one source monomial at a time.
   Annihilation is bounded by the source monomial and creation by the
   (determined) target block, so every mode sum is finite and no truncation
-  error is introduced.  Each mode sum is a search that stops below an
-  annihilation prefix that kills the monomial.  On a monomial every
-  annihilation mode but b_0 gives an integer multiple of one monomial (the
-  brackets of ``fock.OscSpec``), so a leaf carries an exact integer weight
-  and a b_0 count; the leaves add as integers and each sum is scaled by one
-  exact scalar.
+  error is introduced.  Each mode sum is a search in which an annihilating
+  factor takes only a mode whose partner the lowered monomial holds (or
+  b_0).  On a monomial every annihilation mode but b_0 gives an integer
+  multiple of one monomial (the brackets of ``fock.OscSpec``), so a leaf
+  carries an exact integer weight and a b_0 count; the leaves add as
+  integers and each sum is scaled by one exact scalar.
 
 The exponential vertex is expanded in one place: ``vertex_annihilation_coeff``
 and ``vertex_creation_coeff`` are its two halves (label shift left out), and
@@ -56,9 +56,9 @@ from .fock import (
     FockSpace,
     FockVector,
     ModeOperator,
+    _PARTNER,
     _partitions,
     _sorted_monomial,
-    is_annihilator,
     monomial_energy,
     osc_apply,
 )
@@ -538,20 +538,14 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     """Exact action of the z^e coefficient of ``expr`` on ``vec``.
 
     The target space is the source shifted by the (homogeneous) vertex
-    exponent.  Works one source monomial and one term at a time; all mode
-    sums are finite because annihilation is bounded by the monomial and
-    creation by the resulting block.  ``_factor_assignments`` applies
-    annihilation modes as it chooses them, skips every assignment whose
-    annihilation prefix kills the monomial, and gives each leaf its lowered
-    monomial with an exact integer weight and a count of b_0 factors.  A
-    vertex-free leaf merges its creation modes into that monomial and adds
-    its integer into a sum keyed by (target monomial, b_0 count); a vertex
-    leaf adds into a sum keyed by (lowered monomial, vertex exponent,
-    creation modes, b_0 count), and each such sum goes through
-    ``apply_vertex`` once.  Each sum is scaled once, by the term's
-    coefficient times the monomial's times (pairing * alpha)^count, into one
-    accumulator.  ``beta``/``gamma`` without the charged pair raise
-    ValueError.
+    exponent.  Works one source monomial and one term at a time: for each,
+    ``_mode_sums`` gives integer sums keyed by (monomial, vertex exponent or
+    None, creation modes, b_0 count).  A vertex-free key holds its target
+    monomial; a vertex key holds the lowered monomial, whose sum goes through
+    ``apply_vertex`` once before its creation modes merge in.  Each sum is
+    scaled once, by the term's coefficient times the monomial's times
+    (pairing * alpha)^count, into one accumulator.  ``beta``/``gamma``
+    without the charged pair raise ValueError.
     """
     space = vec.space
     spec = space.spec
@@ -566,21 +560,11 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     for mon, vc in vec.terms.items():
         energy = monomial_energy(mon)
         unit = vc == 1
-        # tuple of annihilation modes applied so far -> the lowered leaf value
-        lowered = {(): (mon, 1, 0)}
         for (tmu, factors), coeff in expr.terms.items():
             tgt_max = energy + e + _term_weight(factors)
             if tgt_max < 0:
                 continue
-            sums: dict = {}
-            for modes, veps, c, (low, w, count) in _factor_assignments(
-                    factors, e, energy, tgt_max, tmu is not None, lowered, spec):
-                creation = tuple(mode for mode in modes if not is_annihilator(mode))
-                if veps is None:
-                    key = (_sorted_monomial(low + creation), None, (), count)
-                else:
-                    key = (low, veps, creation, count)
-                sums[key] = sums.get(key, 0) + c * w
+            sums = _mode_sums(factors, e, energy, tgt_max, tmu is not None, mon, spec)
             scales: dict = {}
             for (m, veps, creation, count), n in sums.items():
                 if not n:
@@ -605,85 +589,94 @@ def apply_field_coeff(expr: FieldExpr, e: int, vec: FockVector) -> FockVector:
     return FockVector(target, {mon: v for mon, v in acc.items() if not v.is_zero()})
 
 
-_B0 = ("b", 0)
+# field -> (oscillator family of its modes, sign of its mode expansion)
+_MODE_FAMILIES = {"p": ("b", -1), "beta": ("a", 1), "gamma": ("as", 1)}
 
 
-def _annihilate(spec, mode, low):
-    """One annihilation mode on the leaf value ``w * (pairing alpha)^count *
-    mon`` given as ``low = (mon, w, count)``: b_0 raises the count, any other
-    mode removes one partner from the monomial and multiplies the weight by
-    the number of partners times ``OscSpec.contraction``'s bracket value.
-    Returns the new triple, or None when the mode kills the monomial."""
-    mon, w, count = low
-    if mode == _B0:
-        return mon, w, count + 1
-    partner, value = spec.contraction(mode)
-    k = mon.count(partner)
-    if not k:
-        return None
-    reduced = list(mon)
-    reduced.remove(partner)
-    return tuple(reduced), w * k * value, count
+def _mode_sums(factors, e, energy, tgt_max, has_vertex, mon, spec) -> dict:
+    """Integer sums over the exponent assignments of one term on ``mon``.
 
-
-def _factor_assignments(factors, e, energy, tgt_max, has_vertex, lowered, spec):
-    """Exponent assignments (factor modes + vertex remainder) that survive
-    their annihilation modes.
-
-    Yields ``(modes, vertex_eps, coefficient, low)``: the oscillator mode of
-    each factor, the vertex's z exponent (None for a term without a vertex),
-    the integer product of the factors' derivative coefficients and the
-    lowered source monomial ``low = (monomial, weight, b0_count)``, which
-    stands for ``weight * (pairing alpha)^b0_count * monomial`` with an exact
-    integer weight.  ``lowered`` maps each tuple of annihilation modes applied
-    so far (in factor order) to its ``_annihilate`` result, None when the
-    prefix kills the monomial, and starts as ``{(): (mon, 1, 0)}``; so a
-    shared prefix is applied once and a killing prefix ends the branch.
-    A factor's exponent lies in its box (its mode annihilates at most the
-    source energy and creates at most the largest target block) and must
-    leave a remainder that the boxes after it, plus the vertex range or the
-    0 that a vertex-free term sums to, can take up; so a branch ends before
-    its leaf only at a vanishing derivative coefficient or a killing prefix.
+    Factor ``D^k f`` at z^eps takes the mode ``(family, -eps - weight - k)``
+    with coefficient ``sign * (eps+1)...(eps+k)``, which vanishes for
+    -k <= eps < 0; the vertex takes what is left of ``e``, and a vertex-free
+    term must leave 0, so its last factor's exponent is forced.  An exponent
+    lies in the factor's box (annihilating at most the source energy,
+    creating at most the largest target block) and leaves a remainder the
+    later boxes can take up.  Applied in factor order, an annihilating
+    factor takes its mode only from the partners the lowered monomial holds
+    (plus b_0 for ``p``), and a forced one is settled by one lookup of its
+    partner, so no annihilation kills the monomial.  An assignment stands for
+    ``weight * (pairing alpha)^count * lowered monomial``, with an exact
+    integer weight and a b_0 count, times the creation modes; it adds
+    ``coefficient * weight`` into the sum keyed ``(target monomial, None, (),
+    count)`` without a vertex and ``(lowered monomial, vertex exponent,
+    creation modes, count)`` with one.  Keys arrive in the lexicographic
+    order of the exponents.
     """
+    sums: dict = {}
+    last = len(factors) - 1
+    end = last if has_vertex else last - 1  # factors after end take no search
     boxes = [(-energy - _WEIGHT[s] - k, tgt_max + energy - _WEIGHT[s] - k) for s, k in factors]
     # suffix[i]: the range of the exponents of factors i.. plus the vertex's
     suffix = [(-energy, tgt_max + energy) if has_vertex else (0, 0)]
     for lo, hi in reversed(boxes):
         suffix.insert(0, (suffix[0][0] + lo, suffix[0][1] + hi))
 
-    def rec(i, remaining, modes, prefix, c):
-        if i == len(factors):
-            yield modes, remaining if has_vertex else None, c, lowered[prefix]
-            return
-        sym, k = factors[i]
-        lo = max(boxes[i][0], remaining - suffix[i + 1][1])
-        hi = min(boxes[i][1], remaining - suffix[i + 1][0])
-        for eps in range(lo, hi + 1):
-            d = _rising(eps + 1, k)  # product (eps+1)...(eps+k)
-            if d == 0:
-                continue
-            if sym == "p":
-                mode, sign = ("b", -eps - 1 - k), -1
-            elif sym == "beta":
-                mode, sign = ("a", -eps - 1 - k), 1
-            else:
-                mode, sign = ("as", -eps - k), 1
-            longer = prefix
-            if is_annihilator(mode):
-                longer = prefix + (mode,)
-                if longer in lowered:
-                    low = lowered[longer]
-                else:
-                    low = lowered[longer] = _annihilate(spec, mode, lowered[prefix])
-                if low is None:
+    def rec(i, remaining, low, w, count, creation, c):
+        if i <= last:
+            sym, k = factors[i]
+            fam, sign = _MODE_FAMILIES[sym]
+            partner_fam, shift = _PARTNER[fam], _WEIGHT[sym] + k
+        if i <= end:
+            lo = max(boxes[i][0], remaining - suffix[i + 1][1])
+            hi = min(boxes[i][1], remaining - suffix[i + 1][0])
+            for j, held in enumerate(low):  # sorted: the partners in ascending eps
+                if held[0] != partner_fam or (j and low[j - 1] == held):
                     continue
-            yield from rec(i + 1, remaining - eps, modes + (mode,), longer, sign * d * c)
+                eps = held[1] - shift
+                if eps > hi:
+                    break
+                if eps >= lo:
+                    value = spec.contraction((fam, -held[1]))[1]
+                    rec(i + 1, remaining - eps, low[:j] + low[j + 1:],
+                        w * low.count(held) * value, count, creation,
+                        sign * _rising(eps + 1, k) * c)
+            if fam == "b" and lo <= -1 - k <= hi:  # b_0
+                rec(i + 1, remaining + 1 + k, low, w, count + 1, creation,
+                    sign * _rising(-k, k) * c)
+            for eps in range(max(lo, 0), hi + 1):
+                rec(i + 1, remaining - eps, low, w, count, creation + ((fam, -eps - shift),),
+                    sign * _rising(eps + 1, k) * c)
+            return
+        if has_vertex:
+            key = (low, remaining, creation, count)
+        else:
+            if i == last:  # the forced exponent eps = remaining: one lookup
+                mode = (fam, -remaining - shift)
+                if remaining >= 0:
+                    creation += (mode,)
+                elif remaining >= -k:
+                    return
+                elif mode == ("b", 0):
+                    count += 1
+                else:
+                    partner = (partner_fam, remaining + shift)
+                    n = low.count(partner)
+                    if not n:
+                        return
+                    w *= n * spec.contraction(mode)[1]
+                    j = low.index(partner)
+                    low = low[:j] + low[j + 1:]
+                c *= sign * _rising(remaining + 1, k)
+            key = (_sorted_monomial(low + creation), None, (), count)
+        sums[key] = sums.get(key, 0) + c * w
 
     try:
         if suffix[0][0] <= e <= suffix[0][1]:
-            yield from rec(0, e, (), (), 1)
+            rec(0, e, mon, 1, 0, (), 1)
     finally:
         del rec  # rec's cell refers to rec: break the cycle
+    return sums
 
 
 def mode_of_field(expr: FieldExpr, n: int, space: FockSpace) -> ModeOperator:

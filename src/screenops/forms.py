@@ -137,9 +137,11 @@ class FormSpace:
         ascending s, so one pass builds the quotient and stops at the first
         group that does not sum to zero.
         """
+        coeffs = poly.coeffs
+        if len(coeffs) == 1:  # one group of one term: no pair difference divides a monomial
+            return None
         ui, uj = self._zunit[key[0]], self._zunit[key[1]]
         si, step = ui.bit_length() - 1, ui - uj
-        coeffs = poly.coeffs
         images = [exp - (exp >> si & _MASK) * step for exp in coeffs]
         acc, image0, out = 0, None, {}
         for image, exp in sorted(zip(images, coeffs)):

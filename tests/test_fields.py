@@ -17,7 +17,7 @@ from screenops.fock import FockSpace, FockVector, OscSpec, is_annihilator, osc_a
 from screenops.fields import (
     FieldExpr,
     UnsupportedPairingError,
-    _factor_assignments,
+    _mode_sums,
     apply_field_coeff,
     apply_vertex,
     mode_of_field,
@@ -309,10 +309,11 @@ class TestFactorAssignments:
     @pytest.mark.parametrize("has_vertex", [False, True])
     @pytest.mark.parametrize("length", [0, 1, 2, 3])
     def test_matches_brute_force(self, charged, has_vertex, length):
-        """On each monomial of a probe vector, the search yields exactly the
-        brute-force assignments whose annihilation modes leave a nonzero
-        vector, in the same order, each with that lowered vector as an
-        integer weight and a b_0 count on one monomial."""
+        """On each monomial of a probe vector, the search's integer sums are
+        the brute-force assignments whose annihilation modes leave a nonzero
+        vector, grouped under the same keys in the same order; each lowered
+        vector is an integer weight times (pairing alpha)^count times one
+        monomial, count being its number of b_0 factors."""
         ctx, F = charged
         shapes = list(itertools.product(_FACTORS, repeat=length))
         if length == 3:
@@ -328,21 +329,27 @@ class TestFactorAssignments:
                 assert vec.energy_bound() == energy
                 for mon in vec.terms:
                     unit = FockVector(F, {mon: ctx.one()})
-                    got = list(_factor_assignments(factors, e, energy, tgt_max, has_vertex,
-                                                   {(): (mon, 1, 0)}, F.spec))
-                    want = []
+                    got = _mode_sums(factors, e, energy, tgt_max, has_vertex, mon, F.spec)
+                    want = {}
                     for modes, veps, c in _reference_assignments(factors, e, energy, tgt_max,
                                                                  has_vertex):
                         low = _lower(modes, unit)
                         if low.is_zero():
-                            pruned += 1
-                        else:
-                            want.append((modes, veps, c, low))
-                    assert [(list(m), v, c) for m, v, c, _ in got] == [w[:3] for w in want], (
-                        factors, e, energy, mon)
-                    assert all(_leaf_vector(F, g[3]) == w[3] for g, w in zip(got, want))
-                    assert all(type(c) is int and type(low[1]) is int
-                               for _, _, c, low in got)
+                            pruned += 1  # killed: the search never visits it
+                            continue
+                        count = modes.count(("b", 0))
+                        ((lowered, w),) = _lower([m for m in modes if m != ("b", 0)],
+                                                 unit).terms.items()
+                        w = w.as_fraction()
+                        assert w.denominator == 1
+                        w = w.numerator
+                        assert _leaf_vector(F, (lowered, w, count)) == low
+                        creation = tuple(m for m in modes if not is_annihilator(m))
+                        key = ((lowered, veps, creation, count) if has_vertex
+                               else (tuple(sorted(lowered + creation)), None, (), count))
+                        want[key] = want.get(key, 0) + c * w
+                    assert list(got.items()) == list(want.items()), (factors, e, energy, mon)
+                    assert all(type(n) is int for n in got.values())
                     compared += len(got)
         assert compared > 0
         if length:
@@ -376,25 +383,26 @@ class TestFactorAssignments:
                     nonzero += not got.is_zero()
         assert nonzero > 10
 
-    @pytest.mark.parametrize("name", ["E", "H", "F", "screen"])
+    @pytest.mark.parametrize("name", ["E", "H", "F", "screen", "F-image"])
     def test_pruning_drops_only_zero_terms_on_wakimoto_fields(self, name):
-        """The same oracle on the three Wakimoto currents and the screening
-        current at symbolic (nu, chi), on every monomial of the blocks with
-        energy <= 2 and charge -1..1."""
+        """The same oracle on the three Wakimoto currents, the screening
+        current and the companion image of F at symbolic (nu, chi), on every
+        monomial of the blocks with energy <= 3 and charge -2..2, e in -3..2."""
         params = AffineParams.generic()
-        expr = (screening_ops(params).screen if name == "screen"
-                else wakimoto_current(name, params))
+        data = screening_ops(params)
+        expr = {"screen": data.screen, "F-image": data.image("F")}.get(name)
+        expr = expr or wakimoto_current(name, params)
         space = wakimoto_space(params)
-        mons = [mon for energy in range(3) for charge in (-1, 0, 1)
+        mons = [mon for energy in range(4) for charge in range(-2, 3)
                 for mon in space.block_basis(energy, charge)]
         nonzero = 0
         for mon in mons:
             vec = FockVector(space, {mon: params.ctx.one()})
-            for e in range(-2, 2):
+            for e in range(-3, 3):
                 got = apply_field_coeff(expr, e, vec)
                 assert got == _unpruned_action(expr, e, vec), (name, mon, e)
                 nonzero += not got.is_zero()
-        assert len(mons) > 20 and nonzero > len(mons)
+        assert len(mons) > 60 and nonzero > len(mons)
 
 
 def _unpruned_action(expr, e, vec):
@@ -472,37 +480,31 @@ class TestRender:
 
 
 class TestAnnihilatorPrefixes:
-    def test_each_prefix_applied_once(self, charged, monkeypatch):
+    def test_every_annihilation_removes_a_held_mode(self, charged, monkeypatch):
+        """Every annihilation the search performs (each reads its bracket
+        value from OscSpec.contraction; b_0 aside) removes a mode that the
+        monomial holds, so none kills it, while the brute-force assignments
+        do try modes whose partner is missing."""
         ctx, F = charged
         g, b = FieldExpr.field(ctx, "gamma"), FieldExpr.field(ctx, "beta")
         expr = (g * b) * (g * b) + FieldExpr.field(ctx, "beta", 1) * g * b
         vec = osc_apply(("a", -2), osc_apply(("a", -1), osc_apply(("as", -1), F.vacuum())))
-        real_step, real_search = fields._annihilate, fields._factor_assignments
-
-        def run():
-            applied = []
-
-            def spy(spec, mode, low):
-                applied.append((mode, low))
-                return real_step(spec, mode, low)
-
-            monkeypatch.setattr(fields, "_annihilate", spy)
-            return apply_field_coeff(expr, 0, vec), applied
-
-        shared, applied = run()
-        assert applied and len(applied) == len(set(applied))
-        # each term's search from the bare source monomial, with no prefixes
-        # shared between the terms
-        monkeypatch.setattr(
-            fields,
-            "_factor_assignments",
-            lambda factors, e, energy, tgt_max, has_vertex, lowered, spec: real_search(
-                factors, e, energy, tgt_max, has_vertex, {(): lowered[()]}, spec
-            ),
-        )
-        unshared, repeated = run()
-        assert len(repeated) > len(set(repeated))
-        assert not shared.is_zero() and shared == unshared
+        (mon,) = vec.terms
+        applied = []
+        real_contraction = OscSpec.contraction
+        monkeypatch.setattr(OscSpec, "contraction",
+                            lambda spec, mode: applied.append(mode) or real_contraction(spec, mode))
+        got = apply_field_coeff(expr, 0, vec)
+        monkeypatch.undo()
+        assert applied and all(F.spec.contraction(mode)[0] in mon for mode in applied)
+        assert not got.is_zero() and got == _unpruned_action(expr, 0, vec)
+        energy = vec.energy_bound()
+        missing = [mode for (_, factors) in expr.terms
+                   for modes, _, _ in _reference_assignments(
+                       factors, 0, energy, energy + fields._term_weight(factors), False)
+                   for mode in modes
+                   if is_annihilator(mode) and F.spec.contraction(mode)[0] not in mon]
+        assert missing
 
     def test_creation_modes_merge_without_osc_apply(self, charged, monkeypatch):
         """Creation modes enter the monomial keys directly: on vertex-free
@@ -516,21 +518,20 @@ class TestAnnihilatorPrefixes:
         vec = osc_apply(("a", -1), osc_apply(("as", -1), osc_apply(("b", -1), F.vacuum())))
         want = [[_unpruned_action(expr, e, vec) for e in range(-2, 2)] for expr in exprs]
         applied, vectors = [], []
-        real_step, real_apply = fields._annihilate, fields.osc_apply
-        monkeypatch.setattr(fields, "_annihilate",
-                            lambda spec, mode, low: applied.append(mode)
-                            or real_step(spec, mode, low))
+        real_contraction, real_apply = OscSpec.contraction, fields.osc_apply
+        monkeypatch.setattr(OscSpec, "contraction",
+                            lambda spec, mode: applied.append(mode) or real_contraction(spec, mode))
         monkeypatch.setattr(fields, "osc_apply",
                             lambda mode, v: vectors.append(mode) or real_apply(mode, v))
         got = [[apply_field_coeff(expr, e, vec) for e in range(-2, 2)] for expr in exprs]
         assert applied and all(is_annihilator(mode) for mode in applied)
         assert vectors == []
         assert got == want
-        # the leaves do carry creation modes
+        # the leaves do carry creation modes: a target monomial holds a mode
+        # that the source does not
         (mon,) = vec.terms
-        leaves = _factor_assignments((("beta", 0), ("gamma", 0), ("gamma", 0)), -1, 3, 3,
-                                     False, {(): (mon, 1, 0)}, F.spec)
-        assert any(not is_annihilator(mode) for modes, _, _, _ in leaves for mode in modes)
+        sums = _mode_sums((("beta", 0), ("gamma", 0), ("gamma", 0)), -1, 3, 3, False, mon, F.spec)
+        assert any(set(target) - set(mon) for target, _, _, _ in sums)
 
 
 class TestZeroModeLeaves:
@@ -579,10 +580,8 @@ class TestZeroModeLeaves:
         """The z^-2 coefficient of :p p: on the vacuum is b_0 b_0: one leaf
         with count 2 and weight 1, acting by (2 label)^2."""
         ctx, F = self._space(label)
-        leaves = list(_factor_assignments((("p", 0), ("p", 0)), -2, 0, 0, False,
-                                          {(): ((), 1, 0)}, F.spec))
-        assert [(modes, c, low) for modes, _, c, low in leaves] == [
-            ((("b", 0), ("b", 0)), 1, ((), 1, 2))]
+        sums = _mode_sums((("p", 0), ("p", 0)), -2, 0, 0, False, (), F.spec)
+        assert sums == {((), None, (), 2): 1}
         p = p_field(ctx)
         got = apply_field_coeff(p * p, -2, F.vacuum())
         assert got == (2 * F.alpha) ** 2 * F.vacuum()

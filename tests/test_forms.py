@@ -5,6 +5,7 @@ both implement the same twisted differential, so cleared-denominator results
 are compared term by term against Delta times the closed-form answer.
 """
 
+import itertools
 import math
 import random
 import re
@@ -67,8 +68,6 @@ def random_scalar(space, rng):
 
 
 def random_form(space, degree, rng):
-    import itertools
-
     terms = {}
     for subset in itertools.combinations(range(space.nvars), degree):
         terms[subset] = random_scalar(space, rng)
@@ -223,6 +222,20 @@ class TestPairDivisibility:
     ], ids=["denser-quotient", "middle-variable", "squared-pair", "one-term-group", "nonzero-sum"])
     def test_pair_quotient_by_hand(self, key, dividend, quotient):
         assert DIAG_SPACE.pair_quotient(key, dividend) == quotient
+
+    @pytest.mark.parametrize("key", sorted(DIAG_SPACE._pair_polys))
+    def test_monomials_never_divide(self, key):
+        """Every monomial of degree <= 2 in each variable, with coefficient 1
+        or -3, gives None; a multi-term multiple of z_i - z_j still divides."""
+        pp = DIAG_SPACE.pair_poly(*key)
+        for exps in itertools.product(range(3), repeat=4):
+            mono = ONE
+            for var, n in zip((T, Z1, Z2, Z3), exps):
+                mono = mono * var**n
+            for c in (1, -3):
+                assert DIAG_SPACE.pair_quotient(key, mono * c) is None, (exps, c)
+        quotient = T * Z1 * 3 - Z2**2 + ONE
+        assert DIAG_SPACE.pair_quotient(key, pp * quotient) == quotient
 
     def test_zero_numerator(self):
         zero = DIAG_SPACE.ctx.poly_const(0)

@@ -41,7 +41,7 @@ def test_factor_assignments_leaves_no_cycle():
     ctx, space = fock_space()
     u = osc_apply(("b", -1), space.vacuum())
     left = garbage_closures(lambda: apply_field_coeff(p_field(ctx), 0, u))
-    assert "_factor_assignments.<locals>.rec" not in left
+    assert "_mode_sums.<locals>.rec" not in left
 
 
 def test_thread_leaves_no_cycle():
