@@ -1,9 +1,11 @@
 """Exact Virasoro layer over rank-one Fock modules.
 
-Builds the deformed quadratic stress tensor as exact mode operators,
-normal-ordered products of label-shifting exponential fields as windowed
-Laurent forms with module-vector values, and the contraction-assembled
-cochain family of weight-one screening currents.  At integral exponents
+Builds the deformed quadratic stress tensor as exact mode operators
+(``StressAction``), normal-ordered products of label-shifting exponential
+fields as windowed Laurent forms with module-vector values, and the cochain
+family of a product of screening currents over the local system of their
+vertex parts (``VertexCochains``, the base of the Feigin-Fuchs family here
+and of ``wakimoto.ScreeningCochains``).  At integral exponents
 (and a nonnegative pair exponent) the family's ``residue``, which
 ``forms.TotalComplex`` reads off the top component, maps its Fock space to
 the label-shifted ``target`` and commutes with every stress mode.
@@ -53,6 +55,8 @@ __all__ = [
     "normal_multi_vertex",
     "multi_vertex_form",
     "multi_vertex_transport_defect",
+    "StressAction",
+    "VertexCochains",
     "VertexScreeningCochains",
     "verify_virasoro",
     "check_L_vertex",
@@ -104,6 +108,34 @@ def virasoro_apply(n: int, alpha0, vec: FockVector) -> FockVector:
     if not lin.is_zero():
         out = out - (QQ(n + 1) * alpha0) * lin
     return out
+
+
+class StressAction:
+    """Stress modes at background charge alpha0 on one Fock module, one
+    memoised ``ModeOperator`` per mode L_n (as ``wakimoto.CurrentAction``)."""
+
+    __slots__ = ("alpha0", "space", "_modes")
+
+    def __init__(self, alpha0, space: FockSpace):
+        self.alpha0 = alpha0
+        self.space = space
+        self._modes: dict = {}
+
+    def mode(self, n: int) -> ModeOperator:
+        """L_n on ``space``."""
+        op = self._modes.get(n)
+        if op is None:
+            alpha0 = self.alpha0  # not self: a cycle would keep the memos past the action's use
+            op = self._modes[n] = ModeOperator(
+                lambda v: virasoro_apply(n, alpha0, v), self.space, self.space, -n)
+        return op
+
+    def apply_element(self, x: WittElement, vec: FockVector) -> FockVector:
+        """The image of vec under the element x (linearly extended)."""
+        out = self.space.zero()
+        for n, c in x.coeffs.items():
+            out = out + c * self.mode(n).apply(vec)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +329,7 @@ def verify_virasoro(mode_max: int = 5, energy_max: int = 6) -> list:
     )
 
     # one memoised operator per stress mode: every check below reads L(n)
-    modes: dict = {}
-
-    def L(n: int) -> ModeOperator:
-        op = modes.get(n)
-        if op is None:
-            op = modes[n] = ModeOperator(
-                functools.partial(virasoro_apply, n, alpha0), space, space, -n)
-        return op
+    L = StressAction(alpha0, space).mode
 
     # the two implementations of L_n agree (field coefficients vs direct sums)
     basis = []
@@ -732,23 +757,87 @@ def check_multi_vertex_transport() -> list:
 # contraction-assembled screening cochains
 
 
-class VertexScreeningCochains(TotalComplex):
-    """Cochain family assembled from a p-fold product of screening currents.
+class VertexCochains(TotalComplex):
+    """Cochains of a ``slots``-fold product of screening currents with vertex part V[mu].
+
+    The de Rham side is the local system of the vertex parts: exponent
+    pairing*alpha*mu at each puncture (alpha the label of ``source``) and
+    pairing*mu^2 on each slot pair unless ``include_pairs`` is false.  Values
+    live in ``target``, the source shifted by slots*mu.  ``action(space)``
+    builds the algebra's action on one module (``act_src``, ``act_tgt``).
+    ``unit_top`` memoises the top form of each unit source monomial.
+    """
+
+    def __init__(self, source: FockSpace, mu, slots: int, window_halfwidth: int,
+                 include_pairs: bool, action):
+        if slots < 1:
+            raise ValueError("a screening cochain needs at least one slot, got %d" % slots)
+        self.ctx = source.ctx
+        self.source = source
+        self.mu = mu
+        self.slots = self.depth = slots
+        self.target = source.shifted(slots * mu)
+        self.act_src = action(source)
+        self.act_tgt = action(self.target)
+        pairing = source.spec.pairing
+        pair = pairing * (mu * mu)
+        pairs = (
+            {(i, j): pair for i in range(slots) for j in range(i + 1, slots)}
+            if include_pairs
+            else None
+        )
+        self.connection = Connection([pairing * (source.alpha * mu)] * slots, pairs)
+        self.window = ((-window_halfwidth, window_halfwidth),) * slots
+        self._tops: dict = {}
+
+    def unit_top(self, mon, lo: int, hi: int) -> LaurentForm:
+        """``multi_vertex_form`` on the unit monomial mon over the exponents lo..hi
+        in every slot, valued in ``target``; rebuilt only for a wider range."""
+        top = self._tops.get(mon)
+        if top is not None:
+            have_lo, have_hi = top.window[0]
+            if have_lo <= lo and hi <= have_hi:
+                return top
+            lo, hi = min(lo, have_lo), max(hi, have_hi)
+        unit = FockVector(self.source, {mon: self.ctx.one()})
+        form = multi_vertex_form((self.mu,) * self.slots, unit, ((lo, hi),) * self.slots)
+        top = self._tops[mon] = form.map_values(lambda v: FockVector(self.target, v.terms))
+        return top
+
+    def top_form(self, u: FockVector) -> LaurentForm:
+        """The top form on u: sum c * unit_top(mon) over its terms c*mon."""
+        lo, hi = self.window[0]
+        return self._sum_units(u, lambda mon: self.unit_top(mon, lo, hi).terms)
+
+    def _sum_units(self, u: FockVector, unit) -> LaurentForm:
+        """sum c * unit(mon) over the terms c*mon of u; unit(mon) gives form terms."""
+        if u.space is not self.source and u.space != self.source:
+            raise ValueError("vector lives over %r, the family expects %r" % (u.space, self.source))
+        terms: dict = {}
+        for mon, c in u.terms.items():
+            for key, value in unit(mon).items():
+                add = c * value
+                terms[key] = terms[key] + add if key in terms else add
+        return LaurentForm(self.slots, terms, self.window)
+
+    def act_target(self, x, v: FockVector) -> FockVector:
+        return self.act_tgt.apply_element(x, v)
+
+    def act_source(self, x, u: FockVector) -> FockVector:
+        return self.act_src.apply_element(x, u)
+
+
+class VertexScreeningCochains(VertexCochains):
+    """Feigin-Fuchs cochain family of a p-fold product of screening currents.
 
     The top component is the normal-ordered product of ``slots`` exponential
-    fields with the common screening exponent (conformal weight one, i.e.
-    the background charge is (beta^2-1)/(2 beta)), taken as a top-degree
-    Laurent form; the depth-a component contracts ``a`` diagonal vector
-    fields into it with the parity twist (-1)^(a(a+1)/2).  The de Rham side
-    is the log-derivative connection with exponents pairing*alpha*beta at
-    each puncture and pair weights pairing*beta^2.  Values live in
-    ``target``, the Fock space with label alpha + slots*beta.  The residue
-    reads the top form inside the window, so the window must reach
-    z^(-1-kappa) and the pair-product shifts below it.
-
-    Two memos serve every row: one ``ModeOperator`` per (stress mode n, Fock
-    space), covering ``space`` and ``target``, and the top form of each unit
-    source monomial, which ``top_form(u)`` sums over the terms of u.
+    fields with the common screening exponent beta (conformal weight one,
+    i.e. the background charge alpha0 is (beta^2-1)/(2 beta)), taken as a
+    top-degree Laurent form; the depth-a component contracts ``a`` diagonal
+    vector fields into it with the parity twist (-1)^(a(a+1)/2).  The source
+    ``space`` has label alpha.  The residue reads the top form inside the
+    window, so the window must reach z^(-1-kappa) and the pair-product shifts
+    below it.
     """
 
     def __init__(
@@ -760,69 +849,16 @@ class VertexScreeningCochains(TotalComplex):
         window_halfwidth: int = 4,
         include_pairs: bool = True,
     ):
-        if slots < 1:
-            raise ValueError("a screening cochain needs at least one slot, got %d" % slots)
-        self.ctx = ctx
-        self.alpha = ctx.scalar(alpha)
-        self.beta = ctx.scalar(beta)
-        if self.beta.is_zero():
+        beta = ctx.scalar(beta)
+        if beta.is_zero():
             raise ValueError("screening exponent beta must be nonzero")
-        self.slots = self.depth = slots
-        self.alpha0 = (self.beta * self.beta - ctx.one()) / (QQ(2) * self.beta)
-        self.space = FockSpace(OscSpec(ctx), self.alpha)
-        self.target = self.space.shifted(slots * self.beta)
-        pairing = self.space.spec.pairing
-        kappa = pairing * (self.alpha * self.beta)
-        pair = pairing * (self.beta * self.beta)
-        pairs = (
-            {(i, j): pair for i in range(slots) for j in range(i + 1, slots)}
-            if include_pairs
-            else None
-        )
-        self.connection = Connection([kappa] * slots, pairs)
-        self.window = tuple((-window_halfwidth, window_halfwidth) for _ in range(slots))
-        self._modes: dict = {}
-        self._tops: dict = {}
-
-    # -- building blocks -------------------------------------------------------
-
-    def stress(self, x: WittElement, u: FockVector) -> FockVector:
-        """The Virasoro image of u under the element x (linearly extended)."""
-        out = u.space.zero()
-        for n, c in x.coeffs.items():
-            out = out + c * self.stress_mode(n, u.space).apply(u)
-        return out
-
-    def stress_mode(self, n: int, space: FockSpace) -> ModeOperator:
-        """L_n on ``space``: one memoised operator per (n, space)."""
-        op = self._modes.get((n, space))
-        if op is None:
-            alpha0 = self.alpha0  # not self: a cycle would keep the memos past the family's use
-            op = ModeOperator(lambda v: virasoro_apply(n, alpha0, v), space, space, -n)
-            self._modes[n, space] = op
-        return op
-
-    def top_form(self, u: FockVector) -> LaurentForm:
-        """The top form on u, valued in ``target``: sum c * (unit's form) over its terms c*mon."""
-        if u.space is not self.space and u.space != self.space:
-            raise ValueError("vector lives over %r, the family expects %r" % (u.space, self.space))
-        terms: dict = {}
-        for mon, c in u.terms.items():
-            unit = self._tops.get(mon)
-            if unit is None:
-                one = FockVector(self.space, {mon: self.ctx.one()})
-                form = multi_vertex_form((self.beta,) * self.slots, one, self.window)
-                unit = self._tops[mon] = form.map_values(lambda v: FockVector(self.target, v.terms))
-            for key, value in unit.terms.items():
-                add = c * value
-                terms[key] = terms[key] + add if key in terms else add
-        return LaurentForm(self.slots, terms, self.window)
+        self.alpha0 = (beta * beta - ctx.one()) / (QQ(2) * beta)
+        super().__init__(FockSpace(OscSpec(ctx), alpha), beta, slots, window_halfwidth,
+                         include_pairs, functools.partial(StressAction, self.alpha0))
+        self.space = self.source
 
     def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
         return contraction_cochain(self.top_form(u), xs)
-
-    # the stress modes act alike on both ends of the cochain
-    act_target = act_source = stress
 
     # -- the verified statements ------------------------------------------------
 

@@ -23,6 +23,7 @@ returns a CheckResult and negative controls guard against vacuous passes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction as QQ
 from typing import Mapping, Sequence
@@ -45,14 +46,13 @@ from .fock import (
     osc_apply,
 )
 from .forms import (
-    Connection,
     LaurentForm,
     TotalComplex,
     WittElement,
     contraction_cochain,
 )
 from .scalars import Combination, ParameterContext, ParamScalar
-from .virasoro import multi_vertex_form
+from .virasoro import VertexCochains
 
 __all__ = [
     "AffineParams",
@@ -292,22 +292,21 @@ class ScreeningData:
     """The rank-one screening operator over the charged pair plus one boson.
 
     ``screen`` is the plain coefficient part of the screening current (the
-    overall z-power twist is carried as the ``twist`` exponent and never
-    expanded); ``images`` maps each generator name to the plain part of its
-    companion field.  ``label_shift`` is the boson-label translation of one
-    screening slot.  ``pair_weight`` is the pair exponent of the
-    log-derivative connection used by the multi-slot cocycles.
+    overall z-power twist is never expanded: it is the puncture exponent of
+    the cochain family's connection); ``images`` maps each generator name to
+    the plain part of its companion field.  ``label_shift`` is the
+    boson-label translation of one screening slot, the exponent mu of its
+    vertex part; the connection exponents pairing*alpha*mu and pairing*mu^2
+    follow from it and the source label alpha (``virasoro.VertexCochains``).
     """
 
-    __slots__ = ("params", "ctx", "screen", "images", "twist", "pair_weight", "label_shift")
+    __slots__ = ("params", "ctx", "screen", "images", "label_shift")
 
-    def __init__(self, params, screen, images, twist, pair_weight, label_shift):
+    def __init__(self, params, screen, images, label_shift):
         self.params = params
         self.ctx = params.ctx
         self.screen = screen
         self.images = dict(images)
-        self.twist = twist
-        self.pair_weight = pair_weight
         self.label_shift = label_shift
 
     def image(self, name: str) -> FieldExpr:
@@ -342,8 +341,6 @@ def screening_ops(params: AffineParams) -> ScreeningData:
         params,
         screen=QQ(-1) * (FieldExpr.field(ctx, "beta", 0) * vertex),
         images={"E": zero, "H": zero, "F": (QQ(-1) * (nu * nu)) * vertex},
-        twist=(QQ(-1) * params.chi) / (nu * nu),
-        pair_weight=ctx.scalar(2) / (nu * nu),
         label_shift=inv,
     )
 
@@ -701,7 +698,7 @@ def verify_screening_regularity(mode_max: int = 5) -> list:
         )
     )
 
-    tau = data.twist
+    tau = fam.connection.kappa[0]
     vac = source.vacuum()
     small = [
         _unit(source, [("as", -1)]),
@@ -1059,19 +1056,18 @@ def verify_screened_current_brackets(mode_max: int = 2) -> list:
 # -- multi-slot screening cocycles ----------------------------------------------------
 
 
-class ScreeningCochains(TotalComplex):
+class ScreeningCochains(VertexCochains):
     """Total cocycle rows for multi-slot screening products.
 
     The source is ``wakimoto_space(data.params)`` and the target its
     translate by ``slots`` label shifts, each with its ``CurrentAction``
     (``act_src``, ``act_tgt``); the one-slot family is the module and its
-    screened partner for the single-screening batteries too.
+    screened partner for the single-screening batteries too.  The connection
+    has twist -chi/nu^2 at each puncture and pair weight 2/nu^2.
 
-    ``component(xs, u)`` is assembled like
-    ``virasoro.VertexScreeningCochains``: the top form of the
-    local system is the joint normal-ordered product of ``slots`` screening
-    vertices V[label_shift](z_q) dz_q (``multi_vertex_form``) on u, and the
-    depth-a component contracts a Witt elements into it
+    The top form of the local system is the joint normal-ordered product of
+    ``slots`` screening vertices V[label_shift](z_q) dz_q on u (``unit_top``
+    per unit monomial); the depth-a component contracts a Witt elements into it
     (``contraction_cochain``, with its position signs and parity twist).
     Each loop element maps to sum c e_{n-1} over its F<n> terms, since
     contracting dz_q with e_{n-1} = -z^n d/dz substitutes the companion of
@@ -1084,8 +1080,7 @@ class ScreeningCochains(TotalComplex):
     exponents past what the charged prefactor reads; a lower n raises
     "window exceeded".  Rows of the total differential combine the Koszul
     differential of the current action with the pair-cleared twisted de Rham
-    differential (one twist exponent per slot, one pair weight per slot
-    pair).  At integral exponents ``TotalComplex.residue`` reads an
+    differential.  At integral exponents ``TotalComplex.residue`` reads an
     intertwiner of the current action off the top component.
     """
 
@@ -1097,38 +1092,20 @@ class ScreeningCochains(TotalComplex):
         include_pairs: bool = True,
         mode_bound: int = 2,
     ):
-        if slots < 1:
-            raise ValueError("a screening cochain needs at least one slot, got %d" % slots)
         self.data = data
-        self.ctx = data.ctx
-        self.slots = self.depth = slots
         self.mode_bound = mode_bound
-        params = self.params = data.params
-        self.source = wakimoto_space(params)
-        total_shift = data.label_shift * self.ctx.scalar(slots)
-        self.target = self.source.shifted(total_shift)
-        self.act_src = CurrentAction(params, self.source)
-        self.act_tgt = CurrentAction(params, self.target)
-        pairs = (
-            {(i, j): data.pair_weight
-             for i in range(slots) for j in range(i + 1, slots)}
-            if include_pairs
-            else None
-        )
-        self.connection = Connection([data.twist] * slots, pairs)
-        half = window_halfwidth
-        self.window = tuple((-half, half) for _ in range(slots))
+        super().__init__(wakimoto_space(data.params), data.label_shift, slots, window_halfwidth,
+                         include_pairs, functools.partial(CurrentAction, data.params))
         self._image_scale = self._vertex_multiple(data.image("F"))
         if any(not expr.is_zero() for name, expr in data.images.items() if name != "F"):
             raise ValueError("cocycle assembly needs zero E and H companion images")
-        self._tops: dict = {}
 
     def _vertex_multiple(self, expr: FieldExpr) -> ParamScalar:
         """The scalar c with expr = c * V[label_shift]; rejects anything else."""
         terms = [(key, c) for key, c in expr.terms.items() if not c.is_zero()]
         if len(terms) == 1:
             (mu, factors), coeff = terms[0]
-            if not factors and mu is not None and (mu - self.data.label_shift).is_zero():
+            if not factors and mu is not None and (mu - self.mu).is_zero():
                 return coeff
         raise ValueError(
             "cocycle assembly needs companion images proportional to the screening vertex"
@@ -1139,10 +1116,8 @@ class ScreeningCochains(TotalComplex):
     def _unit_component(self, fields: list, mon) -> dict:
         """Terms of the depth-len(fields) component on one unit monomial.
 
-        The unit's vertex top form is cached and built as far as the rows
-        read it: the charged prefactor reads exponents up to hi + bound + 1,
-        and a contraction with e_{n-1} up to hi - n, at most mode_bound
-        further.
+        The unit's top form is read up to hi + bound + 1 by the charged
+        prefactor, and up to hi - n, at most mode_bound further, by e_{n-1}.
         """
         bound = monomial_energy(mon)
         lo, hi = self.window[0]
@@ -1152,13 +1127,9 @@ class ScreeningCochains(TotalComplex):
                 "window exceeded: loop shift %d pushes a slot past the "
                 "materialized exponent window" % shift
             )
-        reach = max(hi + bound + 1, hi - shift)
-        omega = self._tops.get(mon)
-        if omega is None or omega.window[0][1] < reach:
-            unit = FockVector(self.source, {mon: self.ctx.one()})
-            window = ((-bound, reach),) * self.slots
-            omega = multi_vertex_form((self.data.label_shift,) * self.slots, unit, window)
-            self._tops[mon] = omega
+        # from -bound, below which no term lies: the prefactor's creation modes
+        # raise terms below lo into the window
+        omega = self.unit_top(mon, -bound, max(hi + bound + 1, hi - shift))
         # beta(z_q) = sum_m a_m z_q^(-m-1) on every slot that keeps dz (its
         # sign is in component); a_m with m past the energy bound kills the unit
         terms: dict = {}
@@ -1188,24 +1159,12 @@ class ScreeningCochains(TotalComplex):
         })
 
     def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
-        if u.space is not self.source and u.space != self.source:
-            raise ValueError("vector lives over %r, the family expects %r" % (u.space, self.source))
+        """The depth-len(xs) component on u; scale * u carries the sign and image
+        scale, so each unit value takes one product with its coefficient."""
         fields = [self._witt(x) for x in xs]
         a = len(fields)
         scale = QQ(-1) ** (self.slots - a) * self._image_scale ** a
-        total: dict = {}
-        for mon, cmon in u.terms.items():
-            c = scale * cmon
-            for key, value in self._unit_component(fields, mon).items():
-                add = FockVector(self.target, (c * value).terms)
-                total[key] = total[key] + add if key in total else add
-        return LaurentForm(self.slots, total, self.window)
-
-    def act_target(self, x: LoopElement, v: FockVector) -> FockVector:
-        return self.act_tgt.apply_element(x, v)
-
-    def act_source(self, x: LoopElement, u: FockVector) -> FockVector:
-        return self.act_src.apply_element(x, u)
+        return self._sum_units(scale * u, lambda mon: self._unit_component(fields, mon))
 
     # -- the rows ---------------------------------------------------------------
 

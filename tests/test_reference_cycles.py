@@ -10,13 +10,18 @@ recursive helpers there.
 
 import gc
 import types
+from fractions import Fraction
+
+import pytest
 
 from screenops.fields import apply_field_coeff, p_field
 from screenops.fock import FockSpace, OscSpec, osc_apply
+from screenops.forms import WittElement
 from screenops.kacmoody import CartanData, gen
 from screenops.scalars import ParameterContext
 from screenops.verma_screenings import ReflectionCochains
-from screenops.virasoro import normal_multi_vertex
+from screenops.virasoro import VertexScreeningCochains, normal_multi_vertex
+from screenops.wakimoto import AffineParams, LoopElement, ScreeningCochains, screening_ops
 
 
 def garbage_closures(call) -> set:
@@ -58,3 +63,20 @@ def test_normal_multi_vertex_leaves_no_cycle():
     left = garbage_closures(lambda: normal_multi_vertex(mus, space.vacuum(), ((-1, 1), (-1, 1))))
     assert not {"normal_multi_vertex.<locals>.create",
                 "normal_multi_vertex.<locals>.annihilate"} & left
+
+
+def _virasoro_row():
+    fam = VertexScreeningCochains(ParameterContext(()), Fraction(-2, 5), Fraction(3, 2), 1,
+                                  window_halfwidth=3)
+    fam.residual([WittElement.basis(1)], fam.space.vacuum())
+
+
+def _wakimoto_row():
+    fam = ScreeningCochains(screening_ops(AffineParams.generic()), 1, window_halfwidth=3)
+    fam.residual([LoopElement.basis(fam.ctx, "F", 1)], fam.source.vacuum())
+
+
+@pytest.mark.parametrize("row", [_virasoro_row, _wakimoto_row], ids=["virasoro", "wakimoto"])
+def test_vertex_cochain_family_leaves_no_cycle(row):
+    # the memoised mode operators must not refer back to the action that holds them
+    assert garbage_closures(row) == set()

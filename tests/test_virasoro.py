@@ -43,6 +43,8 @@ from screenops.virasoro import (
     virasoro_apply,
 )
 
+from screenops.wakimoto import AffineParams, LoopElement, ScreeningCochains, screening_ops
+
 from oracles import every_value_residual
 
 QQ = Fraction
@@ -268,7 +270,7 @@ class TestScreeningCochains:
     def test_weight_one_background_charge(self):
         ctx = ParameterContext(("alpha", "b"))
         fam = VertexScreeningCochains(ctx, ctx.param("alpha"), ctx.param("b"), 2)
-        b = fam.beta
+        b = fam.mu
         assert b * b - QQ(2) * (fam.alpha0 * b) == ctx.one()
 
     def test_single_slot_depth_one_row(self):
@@ -316,47 +318,93 @@ class TestScreeningCochains:
             VertexScreeningCochains(ctx, QQ(-2, 5), 0, 1)
 
 
+def _virasoro_family():
+    ctx = ParameterContext(("alpha", "b"))
+    return VertexScreeningCochains(ctx, ctx.param("alpha"), ctx.param("b"), 2, window_halfwidth=2)
+
+
+def _virasoro_probe(fam):
+    return virasoro_apply(-2, fam.alpha0, osc_apply(("b", -1), fam.space.vacuum()))
+
+
+def _wakimoto_family():
+    return ScreeningCochains(screening_ops(AffineParams.generic()), 2, window_halfwidth=1)
+
+
+def _wakimoto_probe(fam):
+    vac = fam.source.vacuum()
+    x = LoopElement.basis(fam.ctx, "F", -1)
+    return fam.act_source(x, osc_apply(("as", -1), vac)) + QQ(3) * osc_apply(("b", -1), vac)
+
+
+VERTEX_FAMILIES = {
+    "virasoro": (_virasoro_family, _virasoro_probe),
+    "wakimoto": (_wakimoto_family, _wakimoto_probe),
+}
+
+
 class TestMemoisedRoutes:
-    """The family's memoised stress modes and unit top forms against the
-    per-vector routes they replace."""
+    """The memoised stress modes, and the unit top forms that both vertex
+    cochain families share, against the per-vector routes they replace."""
 
     @pytest.fixture
     def fam(self):
-        ctx = ParameterContext(("alpha", "b"))
-        return VertexScreeningCochains(ctx, ctx.param("alpha"), ctx.param("b"), 2, window_halfwidth=2)
+        return _virasoro_family()
+
+    @pytest.fixture(params=sorted(VERTEX_FAMILIES))
+    def family_and_probe(self, request):
+        build, probe = VERTEX_FAMILIES[request.param]
+        fam = build()
+        return fam, probe(fam)
 
     def test_stress_mode_matches_virasoro_apply(self, fam):
         cases = 0
-        for space in (fam.space, fam.target):
+        for act in (fam.act_src, fam.act_tgt):
             for n in range(-3, 4):
-                op = fam.stress_mode(n, space)
-                assert fam.stress_mode(n, space) is op
+                op = act.mode(n)
+                assert act.mode(n) is op
                 for e in range(4):
-                    for mon in space.block_basis(e):
-                        u = FockVector(space, {mon: fam.ctx.one()})
+                    for mon in act.space.block_basis(e):
+                        u = FockVector(act.space, {mon: fam.ctx.one()})
                         assert op.apply(u) == virasoro_apply(n, fam.alpha0, u), (n, mon)
                         cases += 1
         assert cases == 2 * 7 * 7
 
     def test_stress_of_a_combination(self, fam):
         b = fam.ctx.param("b")
-        u = virasoro_apply(-2, fam.alpha0, osc_apply(("b", -1), fam.space.vacuum()))
+        u = _virasoro_probe(fam)
         x = WittElement({-2: QQ(2), 1: b})
         want = QQ(2) * virasoro_apply(-2, fam.alpha0, u) + b * virasoro_apply(1, fam.alpha0, u)
-        assert fam.stress(x, u) == want
+        assert fam.act_source(x, u) == want
 
-    def test_top_form_sums_unit_forms(self, fam):
-        u = virasoro_apply(-2, fam.alpha0, osc_apply(("b", -1), fam.space.vacuum()))
-        assert len(u.terms) > 1
+    def test_unit_top_is_memoised_per_range(self, family_and_probe):
+        fam, u = family_and_probe
+        mon = max(u.terms, key=len)
+        lo, hi = fam.window[0]
+        top = fam.unit_top(mon, lo, hi)
+        assert fam.unit_top(mon, lo, hi) is top and fam.unit_top(mon, lo + 1, hi - 1) is top
+        higher = fam.unit_top(mon, lo, hi + 1)
+        assert higher is not top and higher.window == ((lo, hi + 1),) * fam.slots
+        assert fam.unit_top(mon, lo, hi) is higher
+        assert {k: v for k, v in higher.terms.items() if max(k[1]) <= hi} == top.terms
+        # a lower floor widens the range without giving up the higher reach
+        wider = fam.unit_top(mon, lo - 1, hi)
+        assert wider.window == ((lo - 1, hi + 1),) * fam.slots
+        assert {k: v for k, v in wider.terms.items() if min(k[1]) >= lo} == higher.terms
+
+    def test_top_form_sums_unit_forms(self, family_and_probe):
+        fam, u = family_and_probe
+        assert len(set(u.terms.values())) > 1
         got = fam.top_form(u)
-        want = multi_vertex_form((fam.beta,) * fam.slots, u, fam.window)
+        want = multi_vertex_form((fam.mu,) * fam.slots, u, fam.window)
         assert got.window == want.window
-        assert set(got.terms) == set(want.terms)
+        assert want.terms and set(got.terms) == set(want.terms)
         for key, value in want.terms.items():
             assert got.terms[key] == value
             assert got.terms[key].space is fam.target
 
-    def test_top_form_rejects_a_foreign_vector(self, fam):
+    def test_top_form_rejects_a_foreign_vector(self, family_and_probe):
+        fam, _ = family_and_probe
         with pytest.raises(ValueError, match="the family expects"):
             fam.top_form(fam.target.vacuum())
 
@@ -516,7 +564,7 @@ class TestResidueIntertwiner:
                 for mon in fam.space.block_basis(e):
                     v = FockVector(fam.space, {mon: ctx.one()})
                     x = WittElement.basis(n)
-                    defect = fam.stress(x, off(v)) - off(fam.stress(x, v))
+                    defect = fam.act_target(x, off(v)) - off(fam.act_source(x, v))
                     broken += not defect.is_zero()
         assert broken
 

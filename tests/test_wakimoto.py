@@ -241,7 +241,7 @@ class TestScreeningTransport:
             apply_field_coeff(data.screen, -1, f_vac)
         assert lhs == params.chi * tgt.vacuum()
 
-        scalar = ctx.zero() + data.twist
+        scalar = ctx.zero() - params.chi / (params.nu * params.nu)
         rhs = scalar * apply_field_coeff(data.image("F"), 0, vac)
         assert lhs == rhs
 
@@ -296,9 +296,13 @@ class TestScreeningData:
         assert data.images["E"] == FieldExpr.zero(ctx)
         assert data.images["H"] == FieldExpr.zero(ctx)
         assert data.images["F"] == (QQ(-1) * nu * nu) * vertex
-        assert (data.twist + chi / (nu * nu)).is_zero()
-        assert (data.pair_weight - 2 / (nu * nu)).is_zero()
         assert (data.label_shift - 1 / nu).is_zero()
+        # the connection exponents the two-slot family derives from the data
+        conn = ScreeningCochains(data, 2).connection
+        assert len(conn.kappa) == 2
+        assert all((kappa + chi / (nu * nu)).is_zero() for kappa in conn.kappa)
+        assert list(conn.pairs) == [(0, 1)]
+        assert (conn.pairs[0, 1] - 2 / (nu * nu)).is_zero()
 
     def test_cocycle_rejects_non_vertex_images(self):
         params = AffineParams.generic()
@@ -312,8 +316,6 @@ class TestScreeningData:
                 "H": data.images["H"],
                 "F": FieldExpr.field(ctx, "gamma", 0),
             },
-            data.twist,
-            data.pair_weight,
             data.label_shift,
         )
         with pytest.raises(ValueError, match="proportional to"):
@@ -326,9 +328,7 @@ class TestScreeningData:
         data = screening_ops(AffineParams.generic())
         images = dict(data.images)
         images[name] = images["F"]
-        bad = ScreeningData(
-            data.params, data.screen, images, data.twist, data.pair_weight, data.label_shift
-        )
+        bad = ScreeningData(data.params, data.screen, images, data.label_shift)
         assert not bad.loop_image_coeff(
             LoopElement.basis(data.ctx, name, 0), 0, wakimoto_space(data.params).vacuum()
         ).is_zero()
