@@ -13,13 +13,15 @@ Two coefficient models share the same connection/contraction conventions:
   (d, contractions, Lie derivatives) is computed in closed form; used for the
   abstract dg-module identities.
 
-* `LaurentForm`: coefficients are finite Laurent windows whose values live in
-  an arbitrary vector type (module vectors, operator columns, scalars).  The
+* `LaurentForm`: finitely many Laurent coefficients whose values live in an
+  arbitrary vector type (module vectors, operator columns, scalars).  The
   connection's (z_i - z_j)^(-1) terms are handled by clearing denominators:
   `cleared_d` returns Delta * (twisted d) with Delta the product of the pair
   differences, so every comparison stays inside Laurent polynomials.  Each
-  form carries per-variable validity windows; operations shrink them, and
-  zero-tests only inspect exponents inside the window.
+  operation moves the total degree sum(e_q) of every term by a fixed amount,
+  so a form carries one window, the (lo, hi) range of degrees on which it is
+  exact; operations move it with the degrees, and zero tests only inspect
+  degrees inside it.
 
 Vector fields are Witt elements: e_n acts as -z^(n+1) d/dz, diagonally in all
 variables, with [e_n, e_m] = (n - m) e_{n+m}.
@@ -449,29 +451,27 @@ class WittElement:
 
 
 # ---------------------------------------------------------------------------
-# windowed Laurent forms with generic values
+# Laurent forms exact on a range of total degree
 
 
-def _win_intersect(w1, w2):
-    return tuple((max(a1, a2), min(b1, b2)) for (a1, b1), (a2, b2) in zip(w1, w2))
+def _meet(w1, w2):
+    return max(w1[0], w2[0]), min(w1[1], w2[1])
 
 
-def _win_shift(window, q, delta):
-    out = list(window)
-    lo, hi = out[q]
-    out[q] = (lo + delta, hi + delta)
-    return tuple(out)
+def _shifted(window, delta):
+    return window[0] + delta, window[1] + delta
 
 
 def _in_window(exps, window) -> bool:
-    return all(lo <= e <= hi for e, (lo, hi) in zip(exps, window))
+    return window[0] <= sum(exps) <= window[1]
 
 
 class LaurentForm:
-    """dict[(dz-subset, exponent tuple) -> value] with validity windows.
+    """dict[(dz-subset, exponent tuple) -> value], exact on a range of total degree.
 
-    The window holds one (lo, hi) exponent range per variable, hi = ``math.inf`` when
-    exact above lo; zero tests skip terms outside it and ``map_values`` drops them.
+    The window is the (lo, hi) range of total degree sum(e_q), ``math.inf`` at
+    an open end, on which the form is exact; zero tests skip terms outside it
+    and ``map_values`` drops them.  No range shift depends on the terms.
     """
 
     __slots__ = ("nvars", "terms", "window")
@@ -489,14 +489,14 @@ class LaurentForm:
         out = dict(self.terms)
         for key, value in other.terms.items():
             out[key] = out[key] + value if key in out else value
-        return LaurentForm(self.nvars, out, _win_intersect(self.window, other.window))
+        return LaurentForm(self.nvars, out, _meet(self.window, other.window))
 
     def __sub__(self, other: "LaurentForm") -> "LaurentForm":
         """Each term of other subtracted in place; only values new to self are negated."""
         out = dict(self.terms)
         for key, value in other.terms.items():
             out[key] = out[key] - value if key in out else -1 * value
-        return LaurentForm(self.nvars, out, _win_intersect(self.window, other.window))
+        return LaurentForm(self.nvars, out, _meet(self.window, other.window))
 
     def __rmul__(self, scalar) -> "LaurentForm":
         return LaurentForm(self.nvars, {k: scalar * v for k, v in self.terms.items()}, self.window)
@@ -513,7 +513,7 @@ class LaurentForm:
             e = list(exps)
             e[q] += delta
             out[(subset, tuple(e))] = value
-        return LaurentForm(self.nvars, out, _win_shift(self.window, q, delta))
+        return LaurentForm(self.nvars, out, _shifted(self.window, delta))
 
     def deriv(self, q: int) -> "LaurentForm":
         out = {}
@@ -525,32 +525,32 @@ class LaurentForm:
             key = (subset, tuple(e))
             add = exps[q] * value
             out[key] = out[key] + add if key in out else add
-        return LaurentForm(self.nvars, out, _win_shift(self.window, q, -1))
+        return LaurentForm(self.nvars, out, _shifted(self.window, -1))
 
     def mul_zdiff(self, i: int, j: int) -> "LaurentForm":
-        """Multiply by (z_i - z_j); the window is `_delta_window`'s."""
+        """Multiply by (z_i - z_j), which raises the degree by one."""
         units = [tuple(int(v == w) for v in range(self.nvars)) for w in (i, j)]
         out: dict = {}
         for (subset, exps), value in self.terms.items():
             _add_shifted(out, subset, exps, value, [(units[0], None), (units[1], -1)])
-        return LaurentForm(self.nvars, out, _delta_window(self.window, [(i, j)]))
+        return LaurentForm(self.nvars, out, _shifted(self.window, 1))
 
     def contract(self, field: WittElement) -> "LaurentForm":
         """i_field: each monomial c z^k of the field takes a value off its dz_q
         to z_q^k times +-c (the sign of q's position); all add into one dict,
         a c of -1 as 1 of the other sign, and a negative term whose key is
-        there is subtracted, with no negated copy.  The window meets the
-        input's shift by k in z_q for each (k, q) some term feeds."""
+        there is subtracted, with no negated copy.  The degree D of the output
+        reads D - k for every k, so the range is (lo + max k, hi + min k);
+        a zero field gives an exactly zero form."""
         out: dict = {}
-        window = self.window
-        for coeff, k in field.monomials():
+        monomials = field.monomials()
+        for coeff, k in monomials:
             flip = coeff == -1
             scale = -coeff if flip else coeff
             for q in range(self.nvars):
-                fed = False
                 for (subset, e), value in self.terms.items():
                     if q in subset:
-                        fed, pos = True, subset.index(q)
+                        pos = subset.index(q)
                         key = (subset[:pos] + subset[pos + 1 :], e[:q] + (e[q] + k,) + e[q + 1 :])
                         minus = (pos % 2 == 1) != flip
                         if key in out:
@@ -558,8 +558,9 @@ class LaurentForm:
                             out[key] = out[key] - add if minus else out[key] + add
                         else:
                             out[key] = (-scale if minus else scale) * value
-                if fed:
-                    window = _win_intersect(window, _win_shift(self.window, q, k))
+        ks = [k for _, k in monomials]
+        lo, hi = self.window
+        window = (lo + max(ks), hi + min(ks)) if ks else (-math.inf, math.inf)
         return LaurentForm(self.nvars, out, window)
 
     def nonzero_terms(self) -> list:
@@ -571,15 +572,6 @@ class LaurentForm:
 
     def is_zero(self) -> bool:
         return not self.nonzero_terms()
-
-    def window_is_empty(self) -> bool:
-        return any(lo > hi for lo, hi in self.window)
-
-
-def _delta_window(window, pairs):
-    """The window after multiplying by prod (z_i - z_j) over pairs: a product is exact where
-    both single-variable shifts of the factor are, so each factor raises both bottoms by one."""
-    return tuple((lo + sum(v in p for p in pairs), hi) for v, (lo, hi) in enumerate(window))
 
 
 def _add_shifted(out: dict, subset: tuple, exps: tuple, value, shifts) -> None:
@@ -604,13 +596,12 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
     Delta with that one factor omitted.  One pass over the form: for each q,
     exponent e_q and wedge sign the pieces (kappa_q + e_q) z_q^-1 Delta and
     kappa_qj Delta/(z_q - z_j) merge into one scalar per exponent shift, so a
-    value is scaled once per output exponent.  The window is the input's, met
-    with that of each piece that some term feeds with a nonzero factor.
+    value is scaled once per output exponent.  Every piece moves the degree
+    by |Delta| - 1, and so does the range.
     """
     nvars = form.nvars
     active = conn.active_pairs()
     out: dict = {}
-    window = form.window
     for q in range(nvars):
         # (factor, pairs left in Delta, z_q shift); factor None is kappa_q + e_q, and
         # kappa_qj changes sign for q = j since Delta carries z_i - z_j with i < j
@@ -618,7 +609,7 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
             (conn.pair(*p) * (1 if q == p[0] else -1), [r for r in active if r != p], 0)
             for p in active if q in p]
         monomials = [_pair_power_monomials(nvars, dict.fromkeys(rest, 1)) for _, rest, _ in pieces]
-        fed, tables = set(), {}  # tables: (e_q, wedge sign) -> [(exponent shift, scalar)]
+        tables = {}  # (e_q, wedge sign) -> [(exponent shift, scalar)]
         for (subset, exps), value in form.terms.items():
             if q in subset:
                 continue
@@ -628,17 +619,13 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
                 for n, (c, _, down) in enumerate(pieces):
                     c = key[1] * (conn.kappa[q] + exps[q] if c is None else c)
                     if not _value_is_zero(c):
-                        fed.add(n)
                         for degs, m in monomials[n].items():
                             d = degs[:q] + (degs[q] + down,) + degs[q + 1 :]
                             merged[d] = merged[d] + m * c if d in merged else m * c
                 tables[key] = [(d, None if c == 1 else c)
                                for d, c in merged.items() if not _value_is_zero(c)]
             _add_shifted(out, tuple(sorted(subset + (q,))), exps, value, tables[key])
-        for n in fed:
-            _, rest, down = pieces[n]
-            window = _win_intersect(window, _delta_window(_win_shift(form.window, q, down), rest))
-    return LaurentForm(nvars, out, window)
+    return LaurentForm(nvars, out, _shifted(form.window, len(active) - 1))
 
 
 def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
@@ -652,7 +639,7 @@ def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
     out: dict = {}
     for (subset, exps), value in form.terms.items():
         _add_shifted(out, subset, exps, value, shifts)
-    return LaurentForm(form.nvars, out, _delta_window(form.window, active))
+    return LaurentForm(form.nvars, out, _shifted(form.window, len(active)))
 
 
 def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callable):
@@ -705,15 +692,17 @@ def residue_functional(form: LaurentForm, kappas: Sequence[int], pairs: dict):
 
     Reads the top-degree coefficient at z^-1 in every slot: the sum over the
     monomials c z^d of the pair product of c times the coefficient of form at
-    (-1 - kappas[q] - d[q])_q.  Returns None when no such coefficient is
-    present and raises if an exponent read lies outside the validity window.
+    (-1 - kappas[q] - d[q])_q, all of total degree -nvars - sum(kappas) -
+    sum(pairs).  Returns None when no such coefficient is present and raises
+    if that degree lies outside the validity window.
     """
     full = tuple(range(form.nvars))
+    lo, hi = form.window
+    if not lo <= -form.nvars - sum(kappas) - sum(pairs.values()) <= hi:
+        raise ValueError("residue exponents fall outside the validity window")
     out = None
     for degs, c in _pair_power_monomials(form.nvars, pairs).items():
         exps = tuple(-1 - k - d for k, d in zip(kappas, degs))
-        if not _in_window(exps, form.window):
-            raise ValueError("residue exponents fall outside the validity window")
         value = form.terms.get((full, exps))
         if value is not None:
             add = c * value
@@ -733,7 +722,10 @@ class TotalComplex:
     no depth-m component past ``depth``, and the depth-0 row is d'' alone.
     ``cleared_d`` returns Delta * d'', so d' is multiplied by the same pair
     product Delta (``clear_pairs``, the identity without pairs) before the
-    two are added.  Every row is expected to vanish inside its window.
+    two are added.  Every row is expected to vanish on every degree of its
+    window.  It raises "window exceeded" when the components it reads have
+    terms but none lands in that range (d' moves them by |Delta|, d'' by
+    |Delta| - 1); a row whose components are all zero is a true zero.
 
     ``residue(u)`` is the iterated residue of the top component on u at the
     connection's exponents (``residue_exponents``): ``residue_functional``
@@ -770,24 +762,32 @@ class TotalComplex:
         """The total-differential row at the elements xs on the vector u."""
         xs = list(xs)
         m = len(xs)
+        shift = len(self.connection.active_pairs())
+        reads = []  # (component, the shift of its degrees in the row)
+
+        def read(ys, v, down):
+            form = self.component(ys, v)
+            reads.append((form, shift - down))
+            return form
+
         if m == 0:
-            out = cleared_d(self.component([], u), self.connection)
+            out = cleared_d(read([], u, 1), self.connection)
         else:
             def action(x, ys):
-                moved = self.component(ys, u).map_values(lambda v: self.act_target(x, v))
-                return moved - self.component(ys, self.act_source(x, u))
+                moved = read(ys, u, 0).map_values(lambda v: self.act_target(x, v))
+                return moved - read(ys, self.act_source(x, u), 0)
 
-            dprime = koszul_value(
-                lambda ys: self.component(ys, u), xs, action=action, bracket=self.bracket
-            )
+            dprime = koszul_value(lambda ys: read(ys, u, 0), xs, action=action, bracket=self.bracket)
             out = clear_pairs(dprime, self.connection)
             if m <= self.depth:
-                second = cleared_d(self.component(xs, u), self.connection)
+                second = cleared_d(read(xs, u, 1), self.connection)
                 out = out - second if m % 2 else out + second
-        if out.window_is_empty():
+        lo, hi = out.window
+        if any(form.terms for form, _ in reads) and not any(
+                lo <= sum(exps) + s <= hi for form, s in reads for _, exps in form.terms):
             raise ValueError(
-                "window exceeded: the residual window is empty; widen the "
-                "exponent window or lower the loop modes"
+                "window exceeded: no term the row reads lies in its degree range; "
+                "raise the degree cap or lower the loop modes"
             )
         return out
 

@@ -116,7 +116,10 @@ class ReflectionCochains(TotalComplex):
     M(lam_p); the depth-m component replaces m of the slots by companion
     factors of the supplied Lie elements, with the inductive position sign and
     the permutation sign, and keeps dz's at the unreplaced positions.  Values
-    are windowed Laurent forms with module-vector coefficients.
+    are Laurent forms with module-vector coefficients.  The slots thread
+    modes under one total budget a*mode_max, so a component is exact on every
+    total degree from -a*mode_max up: a slot's exponent is minus its mode,
+    less one more where it keeps dz.
     """
 
     def __init__(
@@ -147,9 +150,6 @@ class ReflectionCochains(TotalComplex):
         """The depth-len(xs) component applied to the test vector u."""
         a = self.a
         m = len(xs)
-        # exact at every exponent above the mode cap: no top, so the rows
-        # derived from it keep testing the exponent-0 terms of d'
-        window = ((-self.mode_max, math.inf),) * a
         terms: dict = {}
         for ps in itertools.combinations(range(1, a + 1), m):
             base_sign = (-1) ** _sgn_positions(ps)
@@ -158,13 +158,13 @@ class ReflectionCochains(TotalComplex):
                 sign = base_sign * _perm_sign(sigma)
                 slot_tree = {ps[j]: xs[sigma[j]] for j in range(m)}
                 self._thread(terms, dz_subset, slot_tree, u, sign)
-        return LaurentForm(a, terms, window)
+        return LaurentForm(a, terms, (-a * self.mode_max, math.inf))
 
     def _thread(self, terms, dz_subset, slot_tree, u, sign):
         a = self.a
         exps = [0] * a
 
-        def rec(p: int, vec: VermaVector):
+        def rec(p: int, vec: VermaVector, budget: int):
             if vec.is_zero():
                 return
             if p == 0:
@@ -174,17 +174,17 @@ class ReflectionCochains(TotalComplex):
                 return
             fam = self.slots[p - 1]
             tree = slot_tree.get(p)
-            for n in range(self.mode_max + 1):
+            for n in range(budget + 1):
                 if tree is None:
                     exps[p - 1] = -n - 1
-                    rec(p - 1, fam.apply(n, vec))
+                    rec(p - 1, fam.apply(n, vec), budget - n)
                 else:
                     exps[p - 1] = -n
-                    rec(p - 1, fam.companion(tree, n, vec))
+                    rec(p - 1, fam.companion(tree, n, vec), budget - n)
             exps[p - 1] = 0
 
         try:
-            rec(a, u)
+            rec(a, u, a * self.mode_max)
         finally:
             del rec  # rec's cell refers to rec: break the cycle
 
@@ -208,8 +208,8 @@ class ReflectionCochains(TotalComplex):
 
         Slot p applies its mode kappa_p, last slot first.  This is the
         coefficient that ``TotalComplex.residue`` reads off the top component,
-        without building that component, every slot of which threads all
-        modes up to ``mode_max``.  A negative kappa_p is rejected, since
+        without building that component, whose slots thread every mode
+        under the budget a*mode_max.  A negative kappa_p is rejected, since
         ``ScreeningFamily.apply`` would take it for the identity.
         """
         kappas, _ = self.residue_exponents()

@@ -2,7 +2,7 @@
 
 Builds the deformed quadratic stress tensor as exact mode operators
 (``StressAction``), normal-ordered products of label-shifting exponential
-fields as windowed Laurent forms with module-vector values, and the cochain
+fields as Laurent forms with module-vector values, and the cochain
 family of a product of screening currents over the local system of their
 vertex parts (``VertexCochains``, the base of the Feigin-Fuchs family here
 and of ``wakimoto.ScreeningCochains``).  At integral exponents
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction as QQ
 from typing import Sequence
 
@@ -179,15 +180,17 @@ def _exp_series_coeffs(ctx: ParameterContext, gamma, order: int) -> list:
 # normal-ordered multi-point vertex products
 
 
-def normal_multi_vertex(mus: Sequence, vec: FockVector, window: Sequence) -> LaurentForm:
+def normal_multi_vertex(mus: Sequence, vec: FockVector, cap: int) -> LaurentForm:
     """Exact coefficient family of the normal-ordered product of vertex fields.
 
     Returns a function-degree-zero Laurent form in len(mus) variables whose
     value at exponents (e_1, ..., e_p) is the normal-ordered product
     coefficient applied to ``vec``: all annihilation halves act first
-    (jointly bounded by the source energy), then the single label shift by
-    sum(mus), then the creation halves (pinned per slot by the window).
-    Every value inside the window is exact.
+    (jointly bounded by the source energy E), then the single label shift by
+    sum(mus), then the creation halves.  Slot q's exponent is its creation
+    order minus its annihilation order d_q, so no term lies below total
+    degree -E, and the creation halves spend at most cap + sum(d_q) between
+    them: the form is exact on every total degree through ``cap``.
     """
     space = vec.space
     ctx = space.ctx
@@ -195,32 +198,24 @@ def normal_multi_vertex(mus: Sequence, vec: FockVector, window: Sequence) -> Lau
     p = len(mus)
     if p == 0:
         raise ValueError("need at least one vertex slot")
-    window = tuple((int(lo), int(hi)) for lo, hi in window)
-    if len(window) != p:
-        raise ValueError("window needs one (lo, hi) pair per slot")
-    for lo, hi in window:
-        if lo > hi:
-            raise ValueError("empty window slot")
     total = ctx.zero()
     for m in mus:
         total = total + m
     target = space.shifted(total)
     terms: dict = {}
 
-    def create(i: int, cur: FockVector, downs: tuple, exps: tuple):
+    def create(i: int, cur: FockVector, downs: tuple, room: int, exps: tuple):
         if i == p:
             key = ((), exps)
             terms[key] = terms[key] + cur if key in terms else cur
             return
-        lo, hi = window[i]
-        d = downs[i]
-        for amount in range(max(0, lo + d), hi + d + 1):
+        for amount in range(room + 1):
             raised = vertex_creation_coeff(mus[i], amount, cur)
-            create(i + 1, raised, downs, exps + (amount - d,))
+            create(i + 1, raised, downs, room - amount, exps + (amount - downs[i],))
 
     def annihilate(i: int, cur: FockVector, downs: tuple):
         if i == p:
-            create(0, FockVector(target, cur.terms), downs, ())
+            create(0, FockVector(target, cur.terms), downs, cap + sum(downs), ())
             return
         for d in range(cur.energy_bound() + 1):
             low = vertex_annihilation_coeff(mus[i], d, cur)
@@ -231,13 +226,13 @@ def normal_multi_vertex(mus: Sequence, vec: FockVector, window: Sequence) -> Lau
         annihilate(0, vec, ())
     finally:
         del create, annihilate  # each one's cell refers to itself: break the cycles
-    return LaurentForm(p, terms, window)
+    return LaurentForm(p, terms, (-math.inf, cap))
 
 
-def multi_vertex_form(mus: Sequence, vec: FockVector, window: Sequence) -> LaurentForm:
+def multi_vertex_form(mus: Sequence, vec: FockVector, cap: int) -> LaurentForm:
     """The normal-ordered product as a top-degree form (dz at every slot)."""
-    base = normal_multi_vertex(mus, vec, window)
-    full = tuple(range(len(base.window)))
+    base = normal_multi_vertex(mus, vec, cap)
+    full = tuple(range(base.nvars))
     return LaurentForm(
         base.nvars,
         {(full, exps): v for (_, exps), v in base.terms.items()},
@@ -263,10 +258,14 @@ def multi_vertex_transport_defect(
     mus: Sequence,
     alpha0,
     vec: FockVector,
-    window: Sequence,
+    cap: int,
     weight_shift: int = 0,
 ) -> LaurentForm:
     """Commutator of L_n with the normal product minus its transport operator.
+
+    Both sides are built through total degree ``cap``; the transport terms
+    read the product at degree D - n, so the defect is exact through
+    min(cap, cap + n).
 
     The transport operator is sum_i (z_i^(n+1) d_i + (h_i (n+1) + pairing *
     alpha * mu_i) z_i^n) plus the pair terms sum_{i<j} pairing * mu_i * mu_j
@@ -280,9 +279,9 @@ def multi_vertex_transport_defect(
     alpha0 = ctx.scalar(alpha0)
     mus = [ctx.scalar(m) for m in mus]
     pairing = space.spec.pairing
-    M = normal_multi_vertex(mus, vec, window)
+    M = normal_multi_vertex(mus, vec, cap)
     lhs = M.map_values(lambda v: virasoro_apply(n, alpha0, v)) - normal_multi_vertex(
-        mus, virasoro_apply(n, alpha0, vec), window
+        mus, virasoro_apply(n, alpha0, vec), cap
     )
     rhs = LaurentForm(M.nvars, {}, M.window)
     for i, mu in enumerate(mus):
@@ -507,7 +506,7 @@ def product_formula_check(order_max: int = 6) -> list:
 
     Composed vertices reduce to one symmetric normal product times the
     commutation factors.  For two symbolic slots, each of two probes gets one
-    normal product on the window ((-2-E, 4+E),)*2 (E the probe's energy),
+    normal product through total degree 4, the most that a reduction reads,
     and each exponent pair (e1, e2) with |e1|, |e2| <= 2 gets one verdict per
     ordering of the two vertices: ``vertex-factorization`` reads the first
     ordering's verdicts and ``two-slot-orderings`` reads both.  Three slots
@@ -581,7 +580,7 @@ def product_formula_check(order_max: int = 6) -> list:
     verdicts = []
     for u in probes[:2]:
         E = u.energy_bound()
-        M = normal_multi_vertex(pair, u, ((-2 - E, 4 + E),) * 2)
+        M = normal_multi_vertex(pair, u, 4)
         for e in itertools.product(range(-2, 3), repeat=2):
             verdicts.append((u, e, reduces(u, E, M, e, 0, 1), reduces(u, E, M, e, 1, 0)))
 
@@ -599,8 +598,7 @@ def product_formula_check(order_max: int = 6) -> list:
 
     # forget the commutation factor entirely
     u = vac
-    window = ((-2, 4), (0, 2))
-    M = normal_multi_vertex([b1, b2], u, window)
+    M = normal_multi_vertex([b1, b2], u, 0)
     lhs = apply_vertex(b1, -1, apply_vertex(b2, 1, u))
     naive = _entry(M, (-1, 1), tgt_zero)
     results.append(
@@ -625,7 +623,7 @@ def product_formula_check(order_max: int = 6) -> list:
     )
 
     # leading coefficient on the highest vector
-    M0 = normal_multi_vertex([b1, b2], vac, ((0, 0), (0, 0)))
+    M0 = normal_multi_vertex([b1, b2], vac, 0)
     lead = _entry(M0, (0, 0), tgt_zero)
     ok = lead == space.shifted(b1 + b2).vacuum()
     results.append(
@@ -647,8 +645,7 @@ def product_formula_check(order_max: int = 6) -> list:
     c12 = _commutation_coeffs(ctx3, pairing * mus[0] * mus[1], 8)
     c13 = _commutation_coeffs(ctx3, pairing * mus[0] * mus[2], 8)
     c23 = _commutation_coeffs(ctx3, pairing * mus[1] * mus[2], 8)
-    window = ((-1, 6), (-1, 4), (-1, 2))
-    M3 = normal_multi_vertex(mus, vac3, window)
+    M3 = normal_multi_vertex(mus, vac3, 6)
     tgt_zero3 = space3.shifted(mus[0] + mus[1] + mus[2]).zero()
 
     def reduction_holds(e1, e2, e3):
@@ -704,7 +701,7 @@ def check_multi_vertex_transport() -> list:
     space = FockSpace(OscSpec(ctx), alpha)
     vac = space.vacuum()
     probes = [vac, osc_apply(("b", -1), vac)]
-    window = ((-4, 4), (-4, 4))
+    cap = 4
     results.append(
         passed(
             "transport-two-slots",
@@ -713,7 +710,7 @@ def check_multi_vertex_transport() -> list:
             *first_failure(
                 ((n, u) for n in range(-3, 4) for u in probes),
                 lambda n, u: multi_vertex_transport_defect(
-                    n, mus, alpha0, u, window
+                    n, mus, alpha0, u, cap
                 ).is_zero(),
                 lambda n, u: "n=%d on %s" % (n, _fmt(u)),
             ),
@@ -726,7 +723,6 @@ def check_multi_vertex_transport() -> list:
     alpha0_3 = QQ(4, 9)
     space3 = FockSpace(OscSpec(ctx3), ctx3.scalar(QQ(2, 7)))
     vac3 = space3.vacuum()
-    window3 = ((-3, 3), (-3, 3), (-3, 3))
     results.append(
         passed(
             "transport-three-slots",
@@ -735,14 +731,14 @@ def check_multi_vertex_transport() -> list:
             *first_failure(
                 ((n,) for n in (-1, 0, 1)),
                 lambda n: multi_vertex_transport_defect(
-                    n, mus3, alpha0_3, vac3, window3
+                    n, mus3, alpha0_3, vac3, 3
                 ).is_zero(),
                 lambda n: "n=%d" % n,
             ),
         )
     )
 
-    defect = multi_vertex_transport_defect(1, mus, alpha0, vac, window, weight_shift=1)
+    defect = multi_vertex_transport_defect(1, mus, alpha0, vac, cap, weight_shift=1)
     results.append(
         control(
             "transport-wrong-weight",
@@ -765,7 +761,8 @@ class VertexCochains(TotalComplex):
     pairing*mu^2 on each slot pair unless ``include_pairs`` is false.  Values
     live in ``target``, the source shifted by slots*mu.  ``action(space)``
     builds the algebra's action on one module (``act_src``, ``act_tgt``).
-    ``unit_top`` memoises the top form of each unit source monomial.
+    Every component is exact on ``window``, the total degrees through the cap
+    ``window_halfwidth``.  ``unit_top`` memoises each unit monomial's top form.
     """
 
     def __init__(self, source: FockSpace, mu, slots: int, window_halfwidth: int,
@@ -787,27 +784,22 @@ class VertexCochains(TotalComplex):
             else None
         )
         self.connection = Connection([pairing * (source.alpha * mu)] * slots, pairs)
-        self.window = ((-window_halfwidth, window_halfwidth),) * slots
+        self.window = (-math.inf, window_halfwidth)
         self._tops: dict = {}
 
-    def unit_top(self, mon, lo: int, hi: int) -> LaurentForm:
-        """``multi_vertex_form`` on the unit monomial mon over the exponents lo..hi
-        in every slot, valued in ``target``; rebuilt only for a wider range."""
+    def unit_top(self, mon, cap: int) -> LaurentForm:
+        """``multi_vertex_form`` on the unit monomial mon through total degree cap,
+        valued in ``target``; rebuilt only for a higher cap."""
         top = self._tops.get(mon)
-        if top is not None:
-            have_lo, have_hi = top.window[0]
-            if have_lo <= lo and hi <= have_hi:
-                return top
-            lo, hi = min(lo, have_lo), max(hi, have_hi)
-        unit = FockVector(self.source, {mon: self.ctx.one()})
-        form = multi_vertex_form((self.mu,) * self.slots, unit, ((lo, hi),) * self.slots)
-        top = self._tops[mon] = form.map_values(lambda v: FockVector(self.target, v.terms))
+        if top is None or top.window[1] < cap:
+            unit = FockVector(self.source, {mon: self.ctx.one()})
+            form = multi_vertex_form((self.mu,) * self.slots, unit, cap)
+            top = self._tops[mon] = form.map_values(lambda v: FockVector(self.target, v.terms))
         return top
 
     def top_form(self, u: FockVector) -> LaurentForm:
         """The top form on u: sum c * unit_top(mon) over its terms c*mon."""
-        lo, hi = self.window[0]
-        return self._sum_units(u, lambda mon: self.unit_top(mon, lo, hi).terms)
+        return self._sum_units(u, lambda mon: self.unit_top(mon, self.window[1]).terms)
 
     def _sum_units(self, u: FockVector, unit) -> LaurentForm:
         """sum c * unit(mon) over the terms c*mon of u; unit(mon) gives form terms."""
@@ -835,9 +827,9 @@ class VertexScreeningCochains(VertexCochains):
     i.e. the background charge alpha0 is (beta^2-1)/(2 beta)), taken as a
     top-degree Laurent form; the depth-a component contracts ``a`` diagonal
     vector fields into it with the parity twist (-1)^(a(a+1)/2).  The source
-    ``space`` has label alpha.  The residue reads the top form inside the
-    window, so the window must reach z^(-1-kappa) and the pair-product shifts
-    below it.
+    ``space`` has label alpha.  The residue reads the top form at the single
+    degree -slots - sum(kappa) - sum(g) (g the pair exponents), so
+    ``window_halfwidth``, the degree cap, must reach it.
     """
 
     def __init__(
@@ -984,15 +976,14 @@ def ff_intertwiner_checks() -> list:
     """Residue intertwiners at integral specializations commute with the stress."""
     ctx = ParameterContext(())
     results = []
-    # each window is the one the residue reads: z^(-1-kappa) shifted down by
-    # up to power*(slots-1) through the monomials of the pair product
+    # every residue reads the one degree -slots - sum(kappa) - sum(g) = 0
     cases = [
-        ("one-slot", QQ(-1, 2), QQ(1), 1, 0, 4, 3),
-        ("two-slot", QQ(-1), QQ(1), 2, 1, 4, 2),
-        ("two-slot-deformed", QQ(-5, 4), QQ(2), 2, 4, 3, 1),
+        ("one-slot", QQ(-1, 2), QQ(1), 1, 4, 3),
+        ("two-slot", QQ(-1), QQ(1), 2, 4, 2),
+        ("two-slot-deformed", QQ(-5, 4), QQ(2), 2, 3, 1),
     ]
-    for name, alpha, beta, slots, halfwidth, n_max, e_max in cases:
-        fam = VertexScreeningCochains(ctx, alpha, beta, slots, window_halfwidth=halfwidth)
+    for name, alpha, beta, slots, n_max, e_max in cases:
+        fam = VertexScreeningCochains(ctx, alpha, beta, slots, window_halfwidth=0)
         kappas, pairs = fam.residue_exponents()
         pair = ", pair exponent %d" % pairs[0, 1] if pairs else " with no pair factor"
         basis = []

@@ -56,8 +56,6 @@ from screenops.forms import (
     LaurentForm,
     _insert_sign,
     _value_is_zero,
-    _win_intersect,
-    _win_shift,
     clear_pairs,
     cleared_d,
     koszul_value,
@@ -310,7 +308,7 @@ def every_value_residual(fam, xs, u):
 
 
 def mul_zdiff_stepwise(form, i, j):
-    """form times (z_i - z_j): exact only where both shifted windows overlap."""
+    """form times (z_i - z_j): each term moves up one degree, and so does the range."""
     out = {}
     for (subset, exps), value in form.terms.items():
         for var, sign in ((i, 1), (j, -1)):
@@ -319,8 +317,8 @@ def mul_zdiff_stepwise(form, i, j):
             key = (subset, tuple(e))
             add = sign * value
             out[key] = out[key] + add if key in out else add
-    window = _win_intersect(_win_shift(form.window, i, 1), _win_shift(form.window, j, 1))
-    return LaurentForm(form.nvars, out, window)
+    lo, hi = form.window
+    return LaurentForm(form.nvars, out, (lo + 1, hi + 1))
 
 
 def _wedge_dzq(form, q):
@@ -350,11 +348,13 @@ def clear_pairs_stepwise(form, conn):
 def cleared_d_stepwise(form, conn):
     """Delta * (twisted d), one intermediate form per derivative, shift, wedge and pair factor.
 
-    A piece with no term adds nothing, not even its window.
+    Every piece lowers the degree by one and each pair factor raises it by
+    one, so the sum starts from the input's range moved by |Delta| - 1.
     """
     nvars = form.nvars
     active = conn.active_pairs()
-    total = LaurentForm(nvars, {}, form.window)
+    lo, hi = form.window
+    total = LaurentForm(nvars, {}, (lo + len(active) - 1, hi + len(active) - 1))
     for q in range(nvars):
         # Delta * (d/dz_q + kappa_q/z_q) f wedge dz_q
         base = form.deriv(q)

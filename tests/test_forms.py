@@ -1,6 +1,6 @@
-"""Twisted-form calculus: flatness, Cartan identities, window bookkeeping.
+"""Twisted-form calculus: flatness, Cartan identities, degree-range bookkeeping.
 
-The exact rational layer serves as the oracle for the windowed Laurent layer:
+The exact rational layer serves as the oracle for the Laurent layer:
 both implement the same twisted differential, so cleared-denominator results
 are compared term by term against Delta times the closed-form answer.
 """
@@ -521,7 +521,7 @@ class TestMultiContraction:
 
 
 # ---------------------------------------------------------------------------
-# windowed Laurent layer, cross-checked against the rational layer
+# Laurent layer, cross-checked against the rational layer
 
 
 def mirror_rational(space, lform):
@@ -554,14 +554,17 @@ def windowed_map(lform):
 
 
 def assert_matches_within_window(got, want_map):
-    from screenops.forms import _in_window
-
+    """got equals want_map on every total degree of got's range; returns the count compared."""
+    lo, hi = got.window
     got_map = windowed_map(got)
     for key, val in got_map.items():
         assert want_map.get(key, Fraction(0)) == val, key
+    compared = 0
     for key, val in want_map.items():
-        if _in_window(key[1], got.window):
+        if lo <= sum(key[1]) <= hi:
             assert got_map.get(key, Fraction(0)) == val, key
+            compared += 1
+    return compared
 
 
 def random_laurent(base, nvars, rng, degree=None):
@@ -573,8 +576,7 @@ def random_laurent(base, nvars, rng, degree=None):
         coeff = base.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         key = (subset, exps)
         terms[key] = terms.get(key, base.zero()) + coeff
-    window = tuple((-6, 6) for _ in range(nvars))
-    return LaurentForm(nvars, terms, window)
+    return LaurentForm(nvars, terms, (-6, 6))
 
 
 class TestLaurentLayer:
@@ -584,11 +586,14 @@ class TestLaurentLayer:
         nvars = 2
         space = FormSpace(base, nvars)
         conn = Connection([Fraction(3), Fraction(-2)], {(0, 1): Fraction(5)})
+        compared = 0
         for _ in range(4):
             lform = random_laurent(base, nvars, rng)
             got = cleared_d(lform, conn)
+            assert got.window == lform.window  # |Delta| - 1 = 0
             exact = (space.z(0) - space.z(1)) * mirror_rational(space, lform).d(conn)
-            assert_matches_within_window(got, laurent_expansion(space, exact))
+            compared += assert_matches_within_window(got, laurent_expansion(space, exact))
+        assert compared
 
     def test_cleared_differential_three_variables(self):
         rng = random.Random(419)
@@ -607,39 +612,54 @@ class TestLaurentLayer:
             * (space.z(1) - space.z(2))
         )
         exact = delta * mirror_rational(space, lform).d(conn)
-        assert_matches_within_window(got, laurent_expansion(space, exact))
+        assert got.window == (-4, 8)
+        assert assert_matches_within_window(got, laurent_expansion(space, exact))
 
     def test_contraction_matches_exact_layer(self):
         rng = random.Random(433)
         base = ParameterContext(("a",))
         nvars = 2
         space = FormSpace(base, nvars)
+        compared = 0
         for _ in range(4):
             lform = random_laurent(base, nvars, rng, degree=2)
             tau = random_witt(rng)
             got = lform.contract(tau)
+            ks = [k for _, k in tau.monomials()]
+            assert got.window == (-6 + max(ks), 6 + min(ks))
             want = mirror_rational(space, lform).contract(tau)
-            assert_matches_within_window(got, laurent_expansion(space, want))
+            compared += assert_matches_within_window(got, laurent_expansion(space, want))
+        assert compared
 
-    def test_window_shrinks_under_derivative_and_shift(self):
+    def test_contraction_by_a_zero_field_is_exactly_zero(self):
         ctx = ParameterContext(())
-        form = LaurentForm(1, {((), (0,)): ctx.scalar(1)}, ((-2, 2),))
-        assert form.deriv(0).window == ((-3, 1),)
-        assert form.shift(0, 3).window == ((1, 5),)
-        form2 = LaurentForm(2, {((), (0, 0)): ctx.scalar(1)}, ((-2, 2), (-1, 4)))
-        # a difference product is exact only where both shifted copies are known
-        assert form2.mul_zdiff(0, 1).window == ((-1, 2), (0, 4))
+        form = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)}, (-2, 2))
+        got = form.contract(WittElement({}))
+        assert got.terms == {} and got.window == (-math.inf, math.inf)
+
+    def test_window_moves_under_derivative_shift_and_pair_factor(self):
+        ctx = ParameterContext(())
+        # a constant has no derivative term, and the range moves all the same
+        form = LaurentForm(1, {((), (0,)): ctx.scalar(1)}, (-2, 2))
+        assert form.deriv(0).terms == {} and form.deriv(0).window == (-3, 1)
+        assert form.shift(0, 3).window == (1, 5)
+        form2 = LaurentForm(2, {((), (0, 0)): ctx.scalar(1)}, (-2, 4))
+        # a pair difference raises every degree by one
+        assert form2.mul_zdiff(0, 1).window == (-1, 5)
+        assert form2.mul_zdiff(0, 1).shift(1, -2).window == (-3, 3)
 
     def test_addition_intersects_windows(self):
         ctx = ParameterContext(())
-        f = LaurentForm(1, {((), (0,)): ctx.scalar(1)}, ((-4, 1),))
-        g = LaurentForm(1, {((), (1,)): ctx.scalar(2)}, ((0, 9),))
-        assert (f + g).window == ((0, 1),)
+        f = LaurentForm(1, {((), (0,)): ctx.scalar(1)}, (-4, 1))
+        g = LaurentForm(1, {((), (1,)): ctx.scalar(2)}, (0, 9))
+        assert (f + g).window == (0, 1)
+        h = LaurentForm(1, {}, (-math.inf, 3))
+        assert (f - h).window == (-4, 1) and (h + g).window == (0, 3)
 
     def test_clear_pairs_is_identity_without_active_pairs(self):
         # the total-complex rows clear d' with the same call for every family
         ctx = ParameterContext(("t",))
-        form = LaurentForm(2, {((0,), (1, -1)): ctx.param("t")}, ((-2, 2), (-3, 1)))
+        form = LaurentForm(2, {((0,), (1, -1)): ctx.param("t")}, (-2, 2))
         for conn in (
             Connection([Fraction(1), Fraction(2)]),
             Connection([Fraction(1), Fraction(2)], {(0, 1): ctx.zero()}),
@@ -650,9 +670,10 @@ class TestLaurentLayer:
 
     def test_map_values_acts_only_inside_the_window(self):
         ctx = ParameterContext(())
-        inside = {((), (0, 0)): ctx.scalar(1), ((0,), (2, -2)): ctx.scalar(2)}
+        # the range holds total degrees -2..2, whatever each exponent is
+        inside = {((), (0, 0)): ctx.scalar(1), ((0,), (4, -3)): ctx.scalar(2)}
         outside = {((), (3, 0)): ctx.scalar(3), ((0, 1), (-1, -3)): ctx.scalar(4)}
-        form = LaurentForm(2, {**inside, **outside}, ((-2, 2), (-2, 2)))
+        form = LaurentForm(2, {**inside, **outside}, (-2, 2))
         seen = []
 
         def fn(v):
@@ -668,16 +689,18 @@ class TestLaurentLayer:
 
     def test_out_of_window_terms_ignored_by_zero_test(self):
         ctx = ParameterContext(())
-        f = LaurentForm(1, {((), (5,)): ctx.scalar(1)}, ((-2, 2),))
+        f = LaurentForm(1, {((), (5,)): ctx.scalar(1)}, (-2, 2))
         assert f.is_zero()
-        g = LaurentForm(1, {((), (1,)): ctx.scalar(1)}, ((-2, 2),))
+        g = LaurentForm(1, {((), (1,)): ctx.scalar(1)}, (-2, 2))
         assert not g.is_zero()
+        h = LaurentForm(2, {((), (4, -3)): ctx.scalar(1)}, (-2, 2))
+        assert not h.is_zero()
 
 
 class TestOnePassClearing:
     """cleared_d and clear_pairs build each row in one dict; the stepwise
     oracles build one intermediate form per step.  Both must give the same
-    window and the same terms."""
+    range and the same terms."""
 
     @staticmethod
     def random_form(ctx, nvars, rng):
@@ -688,7 +711,7 @@ class TestOnePassClearing:
             exps = tuple(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(nvars))
             terms[(subset, exps)] = rng.choice((ctx.one(), -ctx.one(), ctx.scalar(Fraction(2, 3)))) + (
                 rng.randint(-2, 2) * t)
-        window = tuple((rng.randint(-5, -2), rng.choice((3, 4, math.inf))) for _ in range(nvars))
+        window = (rng.choice((-math.inf, rng.randint(-5, -2))), rng.choice((3, 4, math.inf)))
         return LaurentForm(nvars, terms, window)
 
     @staticmethod
@@ -709,23 +732,24 @@ class TestOnePassClearing:
         for conn in self.connections(ctx, nvars):
             for _ in range(4):
                 form = self.random_form(ctx, nvars, rng)
-                for got, want in ((cleared_d(form, conn), cleared_d_stepwise(form, conn)),
-                                  (clear_pairs(form, conn), clear_pairs_stepwise(form, conn))):
-                    assert got.window == want.window
+                active = len(conn.active_pairs())
+                for got, want, shift in (
+                        (cleared_d(form, conn), cleared_d_stepwise(form, conn), active - 1),
+                        (clear_pairs(form, conn), clear_pairs_stepwise(form, conn), active)):
+                    assert got.window == want.window == tuple(w + shift for w in form.window)
                     assert got.terms == want.terms
 
-    def test_window_narrows_only_for_pieces_that_exist(self):
-        # kappa_q = 0 at e_q = 0: no derivative piece, so the top of z_1 stays
+    def test_window_moves_whatever_pieces_exist(self):
+        # kappa_q = 0 at e_q = 0: no derivative piece, yet the range moves by
+        # |Delta| - 1 as for any other connection
         ctx = ParameterContext(("t",))
-        form = LaurentForm(2, {((1,), (0, 1)): ctx.param("t")}, ((-2, 2), (-3, 4)))
-        for kappa, window in (([0, 1], ((-2, 2), (-3, 4))), ([1, 1], ((-2, 1), (-3, 4)))):
-            got, want = cleared_d(form, Connection(kappa)), cleared_d_stepwise(form, Connection(kappa))
+        form = LaurentForm(2, {((1,), (0, 1)): ctx.param("t")}, (-2, 2))
+        for conn, window in ((Connection([0, 1]), (-3, 1)), (Connection([1, 1]), (-3, 1)),
+                             (Connection([0, 1], {(0, 1): ctx.param("t")}), (-2, 2))):
+            got, want = cleared_d(form, conn), cleared_d_stepwise(form, conn)
             assert got.window == want.window == window
             assert got.terms == want.terms
-        paired = Connection([0, 1], {(0, 1): ctx.param("t")})
-        got, want = cleared_d(form, paired), cleared_d_stepwise(form, paired)
-        assert got.window == want.window == ((-2, 2), (-3, 4))
-        assert got.terms == want.terms
+        assert cleared_d(form, Connection([0, 1])).terms == {}
 
     def test_mul_zdiff_matches_the_stepwise_route(self):
         ctx = ParameterContext(("t",))
@@ -742,7 +766,7 @@ class TestNegatedCopies:
     place, as ``Combination._combine`` does; only a key first reached by a
     negative term holds a negated copy of a vector value."""
 
-    WINDOW = ((-5, 5), (-5, 5))
+    WINDOW = (-10, 10)
 
     @pytest.fixture
     def negations(self, monkeypatch):
@@ -781,7 +805,7 @@ class TestNegatedCopies:
 class TestCochainAssembly:
     def test_parity_twist(self):
         ctx = ParameterContext(())
-        omega = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)}, ((-5, 5),))
+        omega = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)}, (-5, 5))
         tau = WittElement.basis(1)  # contraction inserts -z^2
         plain = omega.contract(tau)
         twisted = contraction_cochain(omega, [tau])
@@ -791,7 +815,7 @@ class TestCochainAssembly:
         omega3 = LaurentForm(
             3,
             {((0, 1, 2), (0, 0, 0)): ctx.scalar(1)},
-            ((-5, 5),) * 3,
+            (-5, 5),
         )
         fields = [WittElement.basis(n) for n in (0, 1, 2)]
         a = omega3
@@ -806,7 +830,7 @@ class TestOneVariableCohomology:
     def test_kernel_witness_is_closed_in_laurent_layer(self):
         ctx = ParameterContext(())
         conn = Connection([Fraction(-3)])
-        witness = LaurentForm(1, {((), (3,)): ctx.scalar(1)}, ((0, 5),))
+        witness = LaurentForm(1, {((), (3,)): ctx.scalar(1)}, (0, 5))
         assert cleared_d(witness, conn).is_zero()
-        non_witness = LaurentForm(1, {((), (2,)): ctx.scalar(1)}, ((0, 5),))
+        non_witness = LaurentForm(1, {((), (2,)): ctx.scalar(1)}, (0, 5))
         assert not cleared_d(non_witness, conn).is_zero()

@@ -60,7 +60,7 @@ def test_thread_leaves_no_cycle():
 def test_normal_multi_vertex_leaves_no_cycle():
     ctx, space = fock_space()
     mus = [ctx.param("b"), ctx.param("alpha0")]
-    left = garbage_closures(lambda: normal_multi_vertex(mus, space.vacuum(), ((-1, 1), (-1, 1))))
+    left = garbage_closures(lambda: normal_multi_vertex(mus, space.vacuum(), 2))
     assert not {"normal_multi_vertex.<locals>.create",
                 "normal_multi_vertex.<locals>.annihilate"} & left
 

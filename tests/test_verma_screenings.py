@@ -1,11 +1,19 @@
 """Checks for mode-indexed intertwining operators and their cochain families."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from screenops.forms import Connection, LaurentForm, TotalComplex, cleared_d, residue_functional
+from screenops.forms import (
+    Connection,
+    LaurentForm,
+    TotalComplex,
+    clear_pairs,
+    cleared_d,
+    residue_functional,
+)
 from screenops.kacmoody import CartanData, VermaModule, VermaVector, _reduce_full, br, gen
 from screenops.scalars import ParameterContext
 from screenops.verma_screenings import ReflectionCochains, ScreeningFamily
@@ -258,13 +266,15 @@ class TestReflectionCochains:
                 assert rc.residual([x, y], u).is_zero(), ("depth2", x, y)
 
     def test_rows_match_the_every_value_route(self):
-        # the components carry terms at exponent -mode_max-1, below their
-        # window, which the rows do not act on; doubling the target
+        # the components carry terms at degree -mode_max-1, below their
+        # range, which the rows do not act on; doubling the target
         # action makes the rows nonzero, so the comparison is not of zeros
         ctx = toy_ctx()
         rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         u = rc.source.act(gen("f", 0), rc.source.vacuum())
-        assert any(exps[0] < -rc.mode_max for _, exps in rc.component([], u).terms)
+        top = rc.component([], u)
+        assert top.window == (-rc.mode_max, math.inf)
+        assert any(sum(exps) < top.window[0] for _, exps in top.terms)
         broken = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         broken.act_target = lambda x, v: 2 * broken.target.act(x, v)
         rows = [[gen("e", 0)], [gen("f", 0)], [gen("e", 0), gen("f", 0)]]
@@ -304,6 +314,34 @@ class TestReflectionCochains:
             match = [v for s, e, v in large.nonzero_terms() if (s, e) == (subset, exps)]
             assert match and match[0].terms == value.terms
 
+    def test_range_completeness_under_mode_cap(self):
+        # mode_max 2 and 4 agree coefficient for coefficient on every degree
+        # of the smaller range, for the components, cleared_d and clear_pairs
+        compared = 0
+        cases = [
+            (CartanData.sl2(), ("lam",), [0], ["e", "h", "f"], 1),
+            (CartanData.sl3(), ("lam0", "lam1"), [0, 1], ["e", "h", "f"], 2),
+        ]
+        for cd, names, word, kinds, rank in cases:
+            ctx = ParameterContext(names)
+            hw = tuple(ctx.param(n) for n in names)
+            small, large = (ReflectionCochains(cd, hw, word, ctx, mode_max=cap) for cap in (2, 4))
+            rows = [[]] + [[gen(k, i)] for k in kinds for i in range(rank)]
+            rows += [[gen("e", 0), gen("f", rank - 1)]]
+            for xs in rows:
+                a = small.component(xs, small.source.vacuum())
+                b = large.component(xs, large.source.vacuum())
+                assert b.window[0] < a.window[0]
+                for op in (lambda f, conn: f, cleared_d, clear_pairs):
+                    got, want = op(a, small.connection), op(b, large.connection)
+                    lo, hi = got.window
+                    keys = [k for k in got.terms.keys() | want.terms.keys() if lo <= sum(k[1]) <= hi]
+                    for key in keys:
+                        g, w = got.terms.get(key), want.terms.get(key)
+                        assert (g.terms if g else {}) == (w.terms if w else {}), (xs, key)
+                    compared += len(keys)
+        assert compared
+
     def test_two_slot_total_residuals(self):
         cd = CartanData.sl3()
         ctx = ParameterContext(("lam0", "lam1"))
@@ -332,24 +370,37 @@ class TestReflectionCochains:
             assert rc.residual(list(xs), u).is_zero(), ("depth3",) + xs
 
     def test_row_window_covers_koszul_terms(self):
-        # the rows vanish and LaurentForm drops zeros, so a row window whose
-        # top sits below the d' terms would pass untested: check that every
-        # term of the depth-1 components entering d' lies under the row top
+        # the rows vanish and LaurentForm drops zeros, so a row range that
+        # missed the d' terms would pass untested: the range is every degree
+        # from -a*mode_max up, and it holds every degree of the depth-1
+        # components entering d' down to that floor
         cd = CartanData.sl3()
         ctx = ParameterContext(("lam0", "lam1"))
         hw = (ctx.param("lam0"), ctx.param("lam1"))
         rc = ReflectionCochains(cd, hw, [0, 1], ctx, mode_max=2)
         u = rc.source.vacuum()
         pairs = [(gen("e", 0), gen("e", 1)), (gen("h", 0), gen("e", 1))]
-        terms = 0
+        inside = 0
         for x, y in pairs:
-            top = [hi for _, hi in rc.residual([x, y], u).window]
+            lo, hi = rc.residual([x, y], u).window
+            assert (lo, hi) == (-4, math.inf)
             for z in (x, y):
                 for v in (u, rc.source.act(x, u), rc.source.act(y, u)):
-                    for _subset, exps in rc.component([z], v).terms:
-                        terms += 1
-                        assert all(e <= hi for e, hi in zip(exps, top)), (x, y, exps)
-        assert terms
+                    degrees = [sum(exps) for _, exps in rc.component([z], v).terms]
+                    # one dz slot: degree -1 - (n1 + n2) with n1 + n2 <= 4
+                    assert all(-5 <= d <= -1 for d in degrees), (x, y, degrees)
+                    inside += sum(d >= lo for d in degrees)
+        assert inside
+
+    def test_rows_without_a_mode_budget_are_rejected(self):
+        # at mode_max 0 every top-component term sits at degree -1, below the
+        # row range [0, inf): the row would compare nothing, so it raises
+        ctx = toy_ctx()
+        rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=0)
+        u = rc.source.vacuum()
+        assert rc.component([], u).terms
+        with pytest.raises(ValueError, match="window exceeded"):
+            rc.residual([], u)
 
     def test_two_slot_depth1_nontrivial(self):
         cd = CartanData.sl3()
@@ -441,7 +492,7 @@ class TestResidueFunctional:
         # through top cohomology
         kappas = [2, 3]
         conn = Connection([Fraction(2), Fraction(3)])
-        window = ((-6, 3), (-6, 3))
+        window = (-12, 6)
         rng_terms = {
             ((0,), (-2, 1)): Fraction(5),
             ((0,), (-4, -1)): Fraction(-3, 2),
@@ -457,7 +508,7 @@ class TestResidueFunctional:
         form = LaurentForm(
             2,
             {((0, 1), (-3, -4)): Fraction(11), ((0, 1), (-1, -1)): Fraction(5)},
-            ((-6, 0), (-6, 0)),
+            (-8, 0),
         )
         assert residue_functional(form, [2, 3], {}) == Fraction(11)
         with pytest.raises(ValueError):

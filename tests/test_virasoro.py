@@ -23,7 +23,14 @@ from screenops.fields import (
     vertex_creation_coeff,
 )
 from screenops import virasoro
-from screenops.forms import WittElement, _in_window, _pair_power_monomials, residue_functional
+from screenops.forms import (
+    WittElement,
+    _in_window,
+    _pair_power_monomials,
+    clear_pairs,
+    cleared_d,
+    residue_functional,
+)
 from screenops.virasoro import (
     VertexScreeningCochains,
     _commutation_coeffs,
@@ -193,7 +200,7 @@ class TestNormalMultiVertex:
         ctx, space = symbolic
         b = ctx.param("b")
         u = osc_apply(("b", -1), space.vacuum())
-        M = normal_multi_vertex([b], u, ((-2, 2),))
+        M = normal_multi_vertex([b], u, 2)
         tgt_zero = space.shifted(b).zero()
         for e in range(-2, 3):
             got = M.terms.get(((), (e,)), tgt_zero)
@@ -203,25 +210,30 @@ class TestNormalMultiVertex:
         ctx, space = symbolic
         alpha0, b = ctx.param("alpha0"), ctx.param("b")
         vac = space.vacuum()
-        window = ((-2, 2), (-2, 2))
-        M12 = normal_multi_vertex([b, alpha0], vac, window)
-        M21 = normal_multi_vertex([alpha0, b], vac, window)
+        M12 = normal_multi_vertex([b, alpha0], vac, 2)
+        M21 = normal_multi_vertex([alpha0, b], vac, 2)
         for (subset, exps), value in M12.terms.items():
             swapped = M21.terms.get((subset, (exps[1], exps[0])))
             assert swapped is not None and swapped == value
 
     def test_window_validation(self, symbolic):
+        # no term lies below minus the source energy, so a cap below it
+        # builds nothing; every degree through the cap is built
         ctx, space = symbolic
         b = ctx.param("b")
+        u = osc_apply(("b", -1), space.vacuum())
+        assert not normal_multi_vertex([b, b], u, -2).terms
+        M = normal_multi_vertex([b, b], u, 1)
+        assert M.window == (-math.inf, 1)
+        assert {exps for _, exps in M.terms} == {
+            (e1, e2) for e1 in range(-1, 3) for e2 in range(-1, 3) if -1 <= e1 + e2 <= 1}
         with pytest.raises(ValueError):
-            normal_multi_vertex([b], space.vacuum(), ((2, -2),))
-        with pytest.raises(ValueError):
-            normal_multi_vertex([], space.vacuum(), ())
+            normal_multi_vertex([], space.vacuum(), 0)
 
     def test_leading_coefficient_on_vacuum(self, rational):
         ctx, space = rational
         mus = [QQ(1, 2), QQ(3)]
-        M = normal_multi_vertex(mus, space.vacuum(), ((0, 0), (0, 0)))
+        M = normal_multi_vertex(mus, space.vacuum(), 0)
         tgt = space.shifted(ctx.scalar(QQ(7, 2)))
         assert M.terms[((), (0, 0))] == tgt.vacuum()
 
@@ -244,8 +256,9 @@ class TestTransportDefect:
     def test_zero_for_screening_data(self, rational):
         ctx, space = rational
         defect = multi_vertex_transport_defect(
-            -2, [QQ(3, 2), QQ(-1, 2)], QQ(1, 3), space.vacuum(), ((-3, 3), (-3, 3))
+            -2, [QQ(3, 2), QQ(-1, 2)], QQ(1, 3), space.vacuum(), 3
         )
+        assert defect.window == (-math.inf, 1)
         assert defect.is_zero()
 
     def test_wrong_weight_is_visible(self, rational):
@@ -255,7 +268,7 @@ class TestTransportDefect:
             [QQ(3, 2), QQ(-1, 2)],
             QQ(1, 3),
             space.vacuum(),
-            ((-3, 3), (-3, 3)),
+            3,
             weight_shift=1,
         )
         assert not defect.is_zero()
@@ -296,16 +309,30 @@ class TestScreeningCochains:
         assert not res.is_zero()
 
     def test_empty_residual_window_is_rejected(self):
-        # regression: a row whose window shrank to nothing passed vacuously
+        # regression: a row that compares nothing must not pass.  At cap -1 the
+        # vacuum's top form is empty, but L_n vac for n < 0 has energy -n, so
+        # its top form has terms at degrees n..-1; the row range ends at
+        # -1 + n - 1 (one slot) or -1 + n (pairs dropped), below all of them
         ctx = ParameterContext(())
-        fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=0)
+        fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=-1)
+        vac = fam.space.vacuum()
+        assert not fam.top_form(vac).terms
+        assert fam.top_form(fam.act_source(WittElement.basis(-2), vac)).terms
         with pytest.raises(ValueError, match="window exceeded"):
-            fam.residual([WittElement.basis(2)], fam.space.vacuum())
+            fam.residual([WittElement.basis(-2)], vac)
+        broken = VertexScreeningCochains(
+            ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=-1, include_pairs=False
+        )
+        with pytest.raises(ValueError, match="window exceeded"):
+            broken.residual([WittElement.basis(-1)], broken.space.vacuum())
+        # the rows that a box window once left empty now compare whole degree
+        # pieces: the one-slot row vanishes, the dropped-pairs row does not
+        fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=0)
+        assert fam.residual([WittElement.basis(2)], fam.space.vacuum()).is_zero()
         broken = VertexScreeningCochains(
             ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=1, include_pairs=False
         )
-        with pytest.raises(ValueError, match="window exceeded"):
-            broken.residual([WittElement.basis(1)], broken.space.vacuum())
+        assert not broken.residual([WittElement.basis(1)], broken.space.vacuum()).is_zero()
 
     def test_slots_below_one_rejected(self):
         ctx = ParameterContext(())
@@ -380,23 +407,23 @@ class TestMemoisedRoutes:
     def test_unit_top_is_memoised_per_range(self, family_and_probe):
         fam, u = family_and_probe
         mon = max(u.terms, key=len)
-        lo, hi = fam.window[0]
-        top = fam.unit_top(mon, lo, hi)
-        assert fam.unit_top(mon, lo, hi) is top and fam.unit_top(mon, lo + 1, hi - 1) is top
-        higher = fam.unit_top(mon, lo, hi + 1)
-        assert higher is not top and higher.window == ((lo, hi + 1),) * fam.slots
-        assert fam.unit_top(mon, lo, hi) is higher
-        assert {k: v for k, v in higher.terms.items() if max(k[1]) <= hi} == top.terms
-        # a lower floor widens the range without giving up the higher reach
-        wider = fam.unit_top(mon, lo - 1, hi)
-        assert wider.window == ((lo - 1, hi + 1),) * fam.slots
-        assert {k: v for k, v in wider.terms.items() if min(k[1]) >= lo} == higher.terms
+        cap = fam.window[1]
+        top = fam.unit_top(mon, cap)
+        assert fam.unit_top(mon, cap) is top and fam.unit_top(mon, cap - 1) is top
+        higher = fam.unit_top(mon, cap + 1)
+        assert higher is not top and higher.window == (-math.inf, cap + 1)
+        assert fam.unit_top(mon, cap) is higher
+        assert {k: v for k, v in higher.terms.items() if sum(k[1]) <= cap} == top.terms
+        # the natural floor: no term below minus the unit's energy, and one at it
+        # (the annihilation halves take every oscillator of the vertex's boson)
+        energy = FockVector(fam.source, {mon: fam.ctx.one()}).energy_bound()
+        assert min(sum(exps) for _, exps in higher.terms) >= -energy
 
     def test_top_form_sums_unit_forms(self, family_and_probe):
         fam, u = family_and_probe
         assert len(set(u.terms.values())) > 1
         got = fam.top_form(u)
-        want = multi_vertex_form((fam.mu,) * fam.slots, u, fam.window)
+        want = multi_vertex_form((fam.mu,) * fam.slots, u, fam.window[1])
         assert got.window == want.window
         assert want.terms and set(got.terms) == set(want.terms)
         for key, value in want.terms.items():
@@ -409,13 +436,73 @@ class TestMemoisedRoutes:
             fam.top_form(fam.target.vacuum())
 
 
+def coefficients_agree(small, large):
+    """small equals large on every total degree of small's range, coefficient
+    for coefficient; returns the number of coefficients compared."""
+    lo, hi = small.window
+    keys = [key for key in small.terms.keys() | large.terms.keys() if lo <= sum(key[1]) <= hi]
+    for key in keys:
+        got, want = small.terms.get(key), large.terms.get(key)
+        assert (got.terms if got else {}) == (want.terms if want else {}), key
+    return len(keys)
+
+
+def rows_agree(small, large, rows, probes):
+    """component, cleared_d and clear_pairs of two families that differ only in
+    their degree cap agree on the smaller range; returns the coefficients compared."""
+    compared = 0
+    for xs in rows:
+        for u in probes:
+            a, b = small.component(xs, u), large.component(xs, FockVector(large.source, u.terms))
+            assert b.window[1] > a.window[1]
+            compared += coefficients_agree(a, b)
+            for op in (cleared_d, clear_pairs):
+                compared += coefficients_agree(op(a, small.connection), op(b, large.connection))
+    return compared
+
+
+class TestRangeCompleteness:
+    """A family is exact on every degree of its range: raising the degree cap
+    adds degrees and changes none inside the smaller range."""
+
+    def test_virasoro_caps_2_and_5(self):
+        W = WittElement.basis
+        combo = WittElement({-1: QQ(2), 2: QQ(-3)})
+        rows = [[], [W(-1)], [W(2)], [combo], [W(-1), W(1)], [W(-1), W(0), W(1)]]
+        sym = ParameterContext(("alpha", "b"))
+        rat = ParameterContext(())
+        compared = 0
+        for slots in (1, 2, 3):
+            ctx, alpha, beta = (sym, sym.param("alpha"), sym.param("b")) if slots < 3 else (
+                rat, QQ(-2, 5), QQ(3, 2))
+            small, large = (VertexScreeningCochains(ctx, alpha, beta, slots, window_halfwidth=cap)
+                            for cap in (2, 5))
+            vac = small.space.vacuum()
+            probes = [vac, osc_apply(("b", -1), vac)]
+            compared += rows_agree(small, large, [xs for xs in rows if len(xs) <= slots], probes)
+        assert compared > 1000
+
+    def test_wakimoto_caps_1_and_4(self):
+        data = screening_ops(AffineParams.generic())
+        F = lambda n: LoopElement.basis(data.ctx, "F", n)  # noqa: E731
+        rows = [[], [F(0)], [F(1)], [F(-1)], [F(1), F(-1)]]
+        compared = 0
+        for slots in (1, 2):
+            small, large = (ScreeningCochains(data, slots, window_halfwidth=cap) for cap in (1, 4))
+            vac = small.source.vacuum()
+            probes = [vac, osc_apply(("as", -1), vac)]
+            compared += rows_agree(small, large, [xs for xs in rows if len(xs) <= slots], probes)
+        assert compared > 100
+
+
 class TestInWindowAction:
     def test_two_slot_rows_match_the_every_value_route(self):
-        # the depth-1 components carry terms outside their window, which the
-        # rows do not act on; the dropped-pairs family has nonzero rows,
-        # so agreement there is not agreement of two zeros
+        # contracting a field with z^0 and z^3 terms leaves the depth-1
+        # components with terms above their range, which the rows do not act
+        # on; the dropped-pairs family has nonzero rows, so agreement there is
+        # not agreement of two zeros
         ctx = ParameterContext(())
-        xs = [WittElement.basis(-1), WittElement.basis(1)]
+        xs = [WittElement.basis(-1), WittElement({-1: QQ(2), 2: QQ(-3)})]
         nonzero = 0
         for include_pairs in (True, False):
             fam = VertexScreeningCochains(
@@ -464,12 +551,14 @@ class TestResidueIntertwiner:
         assert deformed.residue(deformed.space.vacuum()) == QQ(70) * deformed.target.vacuum()
 
     def test_residue_needs_the_read_window(self):
-        # the deformed residue reads z^(4-d) for d in 0..8, so a window of
-        # half-width 3 cannot hold it
+        # the deformed residue reads z^(4-d) z^(4-8+d), all at degree
+        # -2 + 10 - 8 = 0, so a degree cap of -1 cannot hold it
         ctx = ParameterContext(())
-        fam = VertexScreeningCochains(ctx, QQ(-5, 4), QQ(2), 2, window_halfwidth=3)
+        fam = VertexScreeningCochains(ctx, QQ(-5, 4), QQ(2), 2, window_halfwidth=-1)
         with pytest.raises(ValueError, match="outside the validity window"):
             fam.residue(fam.space.vacuum())
+        fam = VertexScreeningCochains(ctx, QQ(-5, 4), QQ(2), 2, window_halfwidth=0)
+        assert fam.residue(fam.space.vacuum()) == QQ(70) * fam.target.vacuum()
 
     def test_energy_preserving_grading(self):
         # ModeOperator.matrix raises if an image leaves the energy-e block
@@ -509,14 +598,13 @@ class TestResidueIntertwiner:
         for alpha, beta, slots, e_max in cases:
             fam = VertexScreeningCochains(ctx, alpha, beta, slots)
             kappas, pairs = fam.residue_exponents()
-            kappa, power = kappas[0], pairs.get((0, 1), 0)
-            e0 = -1 - kappa
-            window = ((e0 - power * (slots - 1), e0),) * slots
+            power = pairs.get((0, 1), 0)
+            cap = -slots - sum(kappas) - sum(pairs.values())  # the degree read
             nonzero = 0
             for e in range(e_max + 1):
                 for mon in fam.space.block_basis(e):
                     u = FockVector(fam.space, {mon: ctx.one()})
-                    form = multi_vertex_form((beta,) * slots, u, window)
+                    form = multi_vertex_form((beta,) * slots, u, cap)
                     for i, j in itertools.combinations(range(slots), 2):
                         for _ in range(power):
                             form = form.mul_zdiff(i, j)

@@ -346,12 +346,38 @@ class TestCochainWindows:
             fam.residual([LoopElement.basis(ctx, "F", -5)], fam.source.vacuum())
 
     def test_collapsed_window_raises(self):
+        # at cap -1 the only term the row [F<0>] reads is the top component of
+        # F<0> vac at degree -1, above the row range (-inf, -2): it raises
         params = AffineParams.generic()
         ctx = params.ctx
         data = screening_ops(params)
-        fam = ScreeningCochains(data, 1, window_halfwidth=0)
+        F0 = LoopElement.basis(ctx, "F", 0)
+        fam = ScreeningCochains(data, 1, window_halfwidth=-1)
+        vac = fam.source.vacuum()
+        assert [sum(e) for _, e in fam.component([], fam.act_source(F0, vac)).terms] == [-1]
         with pytest.raises(ValueError, match="window exceeded"):
-            fam.residual([LoopElement.basis(ctx, "F", 0)], fam.source.vacuum())
+            fam.residual([F0], vac)
+        # a row whose components all vanish is a true zero and does not raise:
+        # at cap -2 every component on the vacuum is empty, and E and H have
+        # no Witt image, so the components of [E<0>, F<0>, H<0>] are too
+        assert ScreeningCochains(data, 1, window_halfwidth=-2).residual([F0], vac).is_zero()
+        two = ScreeningCochains(data, 2, window_halfwidth=1)
+        row = [LoopElement.basis(ctx, "E", 0), F0, LoopElement.basis(ctx, "H", 0)]
+        assert two.residual(row, vac).is_zero()
+
+    def test_doubled_target_action_shows_in_the_vacuum_rows(self):
+        # mutation: the benchmark's family with its target action doubled.
+        # Every row below reads the action on a component with terms in its
+        # range, so each must now be nonzero
+        data = screening_ops(AffineParams.generic())
+        fam = ScreeningCochains(data, 2, window_halfwidth=1, mode_bound=2)
+        act = fam.act_target
+        fam.act_target = lambda x, v: 2 * act(x, v)
+        L = lambda name, n: LoopElement.basis(fam.ctx, name, n)  # noqa: E731
+        combo = L("F", 1) + QQ(-2) * L("H", 0)
+        vac = fam.source.vacuum()
+        for xs in ([L("F", 0)], [L("F", 1)], [combo], [L("F", 0), combo], [L("H", 0)]):
+            assert not fam.residual(xs, vac).is_zero(), xs
 
     def test_single_slot_row_zero(self):
         params = AffineParams.generic()
