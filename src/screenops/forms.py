@@ -723,13 +723,17 @@ class TotalComplex:
     ``cleared_d`` returns Delta * d'', so d' is multiplied by the same pair
     product Delta (``clear_pairs``, the identity without pairs) before the
     two are added.  Every row is expected to vanish on every degree of its
-    window.  It raises "window exceeded" when the components it reads have
-    terms but none lands in that range (d' moves them by |Delta|, d'' by
-    |Delta| - 1); a row whose components are all zero is a true zero.
+    window, the row range: the meet of the windows of the components it
+    reads, moved by |Delta| (d') and |Delta| - 1 (d'').  The range is fixed
+    first, and the actions and differentials run only on the terms that land
+    in it.  A row raises "window exceeded" when the components it reads have
+    terms but none lands in the range; a row whose components are all zero is
+    a true zero.  ``read_component`` memoises ``component`` on the family by
+    the values of (xs, u), so each is built once.
 
     ``residue(u)`` is the iterated residue of the top component on u at the
     connection's exponents (``residue_exponents``): ``residue_functional``
-    reads it off ``component([], u)``, and the family's ``target`` supplies
+    reads it off the top component on u, and the family's ``target`` supplies
     the zero.  It raises ``ValueError`` when an exponent is not an integer or
     a pair exponent is negative.  At such exponents the twisted form is
     single-valued and the residue of the exact part vanishes, so the residue
@@ -751,45 +755,73 @@ class TotalComplex:
     def residue(self, u):
         """Iterated residue of the top component on u, a target vector."""
         kappas, pairs = self.residue_exponents()
-        got = residue_functional(self.component([], u), kappas, pairs)
+        got = residue_functional(self.read_component([], u), kappas, pairs)
         return self.target.zero() if got is None else got
 
     def intertwining_defect(self, x, u):
         """Target action after the residue minus the residue after the source action."""
         return self.act_target(x, self.residue(u)) - self.residue(self.act_source(x, u))
 
+    def read_component(self, xs: Sequence, u) -> LaurentForm:
+        """component(xs, u), built once per family for each value of (xs, u)."""
+        memo = self.__dict__.setdefault("_components", {})
+        key = tuple(map(_value_key, xs)), _value_key(u)
+        form = memo.get(key)
+        if form is None:
+            form = memo[key] = self.component(xs, u)
+        return form
+
     def residual(self, xs: Sequence, u) -> LaurentForm:
-        """The total-differential row at the elements xs on the vector u."""
+        """The total-differential row at the elements xs on the vector u, built
+        from the terms of its components that land in the row range."""
         xs = list(xs)
         m = len(xs)
         shift = len(self.connection.active_pairs())
+        moved = {id(x): self.act_source(x, u) for x in xs}
         reads = []  # (component, the shift of its degrees in the row)
 
-        def read(ys, v, down):
-            form = self.component(ys, v)
-            reads.append((form, shift - down))
-            return form
+        def note(ys, v, down):  # koszul_value below only walks the reads: 0 stands in
+            reads.append((self.read_component(ys, v), shift - down))
+            return 0
 
-        if m == 0:
-            out = cleared_d(read([], u, 1), self.connection)
-        else:
-            def action(x, ys):
-                moved = read(ys, u, 0).map_values(lambda v: self.act_target(x, v))
-                return moved - read(ys, self.act_source(x, u), 0)
-
-            dprime = koszul_value(lambda ys: read(ys, u, 0), xs, action=action, bracket=self.bracket)
-            out = clear_pairs(dprime, self.connection)
-            if m <= self.depth:
-                second = cleared_d(read(xs, u, 1), self.connection)
-                out = out - second if m % 2 else out + second
-        lo, hi = out.window
+        if m <= self.depth:
+            note(xs, u, 1)
+        if m:
+            koszul_value(lambda ys: note(ys, u, 0), xs,
+                         lambda x, ys: note(ys, u, 0) + note(ys, moved[id(x)], 0), self.bracket)
+        lo, hi = max(f.window[0] + s for f, s in reads), min(f.window[1] + s for f, s in reads)
         if any(form.terms for form, _ in reads) and not any(
                 lo <= sum(exps) + s <= hi for form, s in reads for _, exps in form.terms):
             raise ValueError(
                 "window exceeded: no term the row reads lies in its degree range; "
                 "raise the degree cap or lower the loop modes"
             )
+
+        def read(ys, v, down):  # the terms that land in the row range, exact on it
+            form, window = self.read_component(ys, v), _shifted((lo, hi), down - shift)
+            kept = {k: w for k, w in form.terms.items() if _in_window(k[1], window)}
+            return LaurentForm(form.nvars, kept, window)
+
+        if m == 0:
+            return cleared_d(read([], u, 1), self.connection)
+
+        def action(x, ys):
+            acted = read(ys, u, 0).map_values(lambda v: self.act_target(x, v))
+            return acted - read(ys, moved[id(x)], 0)
+
+        dprime = koszul_value(lambda ys: read(ys, u, 0), xs, action=action, bracket=self.bracket)
+        out = clear_pairs(dprime, self.connection)
+        if m <= self.depth:
+            second = cleared_d(read(xs, u, 1), self.connection)
+            out = out - second if m % 2 else out + second
         return out
+
+
+def _value_key(x):
+    """A hashable key, equal for equal values: a sum by its type, space and terms."""
+    if isinstance(x, Combination):
+        return type(x), getattr(x, x._space), frozenset(x.terms.items())
+    return frozenset(x.coeffs.items()) if isinstance(x, WittElement) else x
 
 
 def contraction_cochain(omega: LaurentForm, fields: Sequence[WittElement]) -> LaurentForm:

@@ -116,10 +116,12 @@ class ReflectionCochains(TotalComplex):
     M(lam_p); the depth-m component replaces m of the slots by companion
     factors of the supplied Lie elements, with the inductive position sign and
     the permutation sign, and keeps dz's at the unreplaced positions.  Values
-    are Laurent forms with module-vector coefficients.  The slots thread
-    modes under one total budget a*mode_max, so a component is exact on every
-    total degree from -a*mode_max up: a slot's exponent is minus its mode,
-    less one more where it keeps dz.
+    are Laurent forms with module-vector coefficients.  A slot's exponent is
+    minus its mode, less one more where it keeps dz, and a component is exact
+    on every total degree from -a*mode_max up: its slots thread modes under
+    the budget that window needs, a*mode_max less the number of dz slots.  At
+    mode_max 0 the budget is 0: dz terms sit below the window, and a row that
+    reads only them raises "window exceeded" rather than compare nothing.
     """
 
     def __init__(
@@ -184,7 +186,7 @@ class ReflectionCochains(TotalComplex):
             exps[p - 1] = 0
 
         try:
-            rec(a, u, a * self.mode_max)
+            rec(a, u, max(a * self.mode_max - len(dz_subset), 0))
         finally:
             del rec  # rec's cell refers to rec: break the cycle
 
@@ -209,7 +211,7 @@ class ReflectionCochains(TotalComplex):
         Slot p applies its mode kappa_p, last slot first.  This is the
         coefficient that ``TotalComplex.residue`` reads off the top component,
         without building that component, whose slots thread every mode
-        under the budget a*mode_max.  A negative kappa_p is rejected, since
+        its window needs.  A negative kappa_p is rejected, since
         ``ScreeningFamily.apply`` would take it for the identity.
         """
         kappas, _ = self.residue_exponents()

@@ -266,15 +266,16 @@ class TestReflectionCochains:
                 assert rc.residual([x, y], u).is_zero(), ("depth2", x, y)
 
     def test_rows_match_the_every_value_route(self):
-        # the components carry terms at degree -mode_max-1, below their
-        # range, which the rows do not act on; doubling the target
-        # action makes the rows nonzero, so the comparison is not of zeros
+        # the slots thread modes only down to the component's range, so no
+        # term sits below it; doubling the target action makes the rows
+        # nonzero, so the comparison is not of zeros
         ctx = toy_ctx()
         rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         u = rc.source.act(gen("f", 0), rc.source.vacuum())
         top = rc.component([], u)
         assert top.window == (-rc.mode_max, math.inf)
-        assert any(sum(exps) < top.window[0] for _, exps in top.terms)
+        assert top.terms
+        assert all(sum(exps) >= top.window[0] for _, exps in top.terms)
         broken = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         broken.act_target = lambda x, v: 2 * broken.target.act(x, v)
         rows = [[gen("e", 0)], [gen("f", 0)], [gen("e", 0), gen("f", 0)]]
@@ -401,6 +402,50 @@ class TestReflectionCochains:
         assert rc.component([], u).terms
         with pytest.raises(ValueError, match="window exceeded"):
             rc.residual([], u)
+
+    @staticmethod
+    def _benchmark_rows(rank):
+        """The family and (elements, probe) rows of the benchmark's Verma pass.
+
+        sl2 at mode_max 4: depths 0-2 on the basis vector of each depth < 4;
+        sl3 at mode_max 2: depths 0-1 on the vacuum and the depth-one basis,
+        and four pairs and two triples on the vacuum."""
+        if rank == 1:
+            ctx = toy_ctx()
+            rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=4)
+            gens = [E, H, F]
+            xss = [[]] + [[x] for x in gens] + [list(p) for p in itertools.combinations(gens, 2)]
+            return rc, [(xs, u) for d in range(4) for u in rc.source.basis_vectors((d,))
+                        for xs in xss]
+        ctx = ParameterContext(("lam0", "lam1"))
+        rc = ReflectionCochains(CartanData.sl3(), (ctx.param("lam0"), ctx.param("lam1")),
+                                [0, 1], ctx, mode_max=2)
+        e0, e1, f0, f1, h0 = (gen(k, i) for k, i in (("e", 0), ("e", 1), ("f", 0), ("f", 1),
+                                                      ("h", 0)))
+        vac = rc.source.vacuum()
+        probes = [vac] + rc.source.basis_vectors((1, 0)) + rc.source.basis_vectors((0, 1))
+        rows = [(xs, u) for u in probes for xs in [[]] + [[x] for x in (e0, e1, f0, f1, h0)]]
+        return rc, rows + [(xs, vac) for xs in ([e0, e1], [e0, f0], [h0, e1], [f0, f1],
+                                                 [e0, e1, f0], [e0, h0, f1])]
+
+    @pytest.mark.parametrize("rank, distinct", [(1, 53), (2, 56)], ids=["sl2", "sl3"])
+    def test_rows_build_each_component_once(self, rank, distinct):
+        # the family memoises component by the values of (elements, probe):
+        # each is built once, where the rows used to build 100 (sl2) and 90
+        # (sl3) components
+        rc, rows = self._benchmark_rows(rank)
+        calls = []
+        component = rc.component
+
+        def spy(xs, u):
+            calls.append((tuple(xs), frozenset(u.terms.items())))
+            return component(xs, u)
+
+        rc.component = spy
+        for xs, u in rows:
+            assert rc.residual(xs, u).is_zero(), (xs, u)
+        assert len(set(calls)) == distinct
+        assert len(calls) == distinct
 
     def test_two_slot_depth1_nontrivial(self):
         cd = CartanData.sl3()

@@ -518,6 +518,36 @@ class TestInWindowAction:
             nonzero += not got.is_zero()
         assert nonzero == 1
 
+    @pytest.mark.parametrize("slots, xs", [(1, [WittElement.basis(-2)]),
+                                           (2, [WittElement.basis(-1)])], ids=["one", "two"])
+    def test_target_action_only_on_the_row_range(self, slots, xs):
+        # every value the target action sees lands in the row range once the
+        # d' shift |Delta| moves its degree; the top component that d' reads
+        # has terms above that range, since d'' of the depth-1 component with
+        # the field z^(n+1), n < 0, reaches n degrees less far
+        fam = VertexScreeningCochains(ParameterContext(()), QQ(-2, 5), QQ(3, 2), slots)
+        u = osc_apply(("b", -1), fam.space.vacuum())
+        degrees, forms, acted = {}, [], []
+        component, act = fam.component, fam.act_target
+
+        def spy_component(ys, v):
+            form = component(ys, v)
+            forms.append(form)  # keeps every value alive, so its id stays unique
+            degrees.update((id(w), sum(exps)) for (_, exps), w in form.terms.items())
+            return form
+
+        def spy_act(x, v):
+            acted.append(degrees[id(v)])
+            return act(x, v)
+
+        fam.component, fam.act_target = spy_component, spy_act
+        row = fam.residual(xs, u)
+        lo, hi = row.window
+        shift = len(fam.connection.active_pairs())
+        assert any(sum(exps) + shift > hi for _, exps in component([], u).terms)
+        assert acted and all(lo <= d + shift <= hi for d in acted), (sorted(set(acted)), row.window)
+        assert row.is_zero()
+
 
 class TestResidueIntertwiner:
     def test_pair_power_expansion(self):
