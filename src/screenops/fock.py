@@ -319,11 +319,11 @@ class ModeOperator:
 
     Wraps a function on vectors and memoizes the image of each source
     monomial, so ``fn`` must be linear: ``apply`` sums c * image over the
-    terms of a vector, and the exact block matrices (source block ->
-    shifted target block, memoized too) read the same images.
+    terms of a vector, and ``matrix`` reads the same images into the exact
+    block matrix from a source block to the shifted target block.
     """
 
-    __slots__ = ("fn", "source", "target", "energy_shift", "charge_shift", "_images", "_blocks")
+    __slots__ = ("fn", "source", "target", "energy_shift", "charge_shift", "_images")
 
     def __init__(
         self,
@@ -339,7 +339,6 @@ class ModeOperator:
         self.energy_shift = energy_shift
         self.charge_shift = charge_shift
         self._images: dict = {}
-        self._blocks: dict = {}
 
     def _image(self, mon: tuple[Mode, ...]) -> FockVector:
         """Memoized image of one source monomial."""
@@ -371,10 +370,6 @@ class ModeOperator:
         is the coefficient of target monomial i in the image of source
         monomial j.
         """
-        key = (energy, charge)
-        cached = self._blocks.get(key)
-        if cached is not None:
-            return cached
         src = self.source.block_basis(energy, charge)
         tgt = self.target.block_basis(energy + self.energy_shift, charge + self.charge_shift)
         index = {mon: i for i, mon in enumerate(tgt)}
@@ -388,14 +383,14 @@ class ModeOperator:
                         "image of %r leaves the shifted block: %r" % (mon, m)
                     )
                 rows[i][j] = c
-        cached = self._blocks[key] = (src, tgt, rows)
-        return cached
+        return src, tgt, rows
 
 
 def commutator_blocks(a: ModeOperator, b: ModeOperator, energy: int, charge: int = 0):
     """Exact matrix of [a, b] on the (energy, charge) block of the common source.
 
-    Composes the memoized ``a.apply`` and ``b.apply``.  Returns
+    Builds a fresh operator on each call, composing the memoized
+    ``a.apply`` and ``b.apply``, and returns its
     ``(source_basis, target_basis, rows)`` as ``ModeOperator.matrix``.
     """
     if a.source != b.source or a.target != b.target or a.source != a.target:

@@ -5,13 +5,13 @@ Two coefficient models share the same connection/contraction conventions:
 * `RationalForm`: coefficients are exact rational functions of the
   configuration variables z_1..z_p with numerators polynomial in the base
   parameters.  The denominators that twisted calculus produces are always
-  products of z monomials and pairwise differences (z_i - z_j), so
-  coefficients are kept in factored form (`FactoredCoeff`) and reduced
-  against those known factors — no general multivariate gcd is ever needed.
-  A pair difference is divided out by synthetic division on the terms
-  grouped by their image under z_i = z_j.  Everything
-  (d, contractions, Lie derivatives) is computed in closed form; used for the
-  abstract dg-module identities.
+  products of z monomials and pairwise differences (z_i - z_j), so a
+  coefficient is a numerator over the exponents of those factors
+  (`FactoredCoeff`).  No operation cancels a factor and no coefficient has a
+  normal form: the only verdicts are zero tests, and over a nonzero
+  denominator a coefficient is zero exactly when its numerator is.
+  Everything (d, contractions, Lie derivatives) is computed in closed form;
+  used for the abstract dg-module identities.
 
 * `LaurentForm`: finitely many Laurent coefficients whose values live in an
   arbitrary vector type (module vectors, operator columns, scalars).  The
@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .scalars import QQ, Combination, ParameterContext, ParamPolynomial, ParamScalar, _make
-from .scalars import _FIELD, _MASK, _floor, _shift
+from .scalars import _FIELD, _shift
 
 __all__ = [
     "Connection",
@@ -124,41 +124,6 @@ class FormSpace:
     def pair_poly(self, i: int, j: int) -> ParamPolynomial:
         return self._pair_polys[(i, j) if i < j else (j, i)]
 
-    def pair_quotient(self, key: tuple, poly: ParamPolynomial) -> ParamPolynomial | None:
-        """poly / (z_i - z_j) for key = (i, j) with i < j, or None if it does not divide.
-
-        z_i = z_j maps c_s z_i^s z_j^(t-s) m to c_s z_j^t m, so the integer
-        terms fall into groups by image exponent.  The divisor is monic and
-        linear in z_i, so it divides iff every group sums to zero, which a
-        group of one term cannot.  Each group then divides on its own: the
-        quotient coefficient at z_i^m z_j^(t-1-m) is -sum_{s<=m} c_s.  By
-        Gauss's lemma that quotient is primitive, and its lex-leading
-        coefficient is positive because z_i leads the divisor, so it is
-        already canonical with the content of poly.  A packed image is
-        exp - s (z_i / z_j); sorted (image, exp) pairs list each group by
-        ascending s, so one pass builds the quotient and stops at the first
-        group that does not sum to zero.
-        """
-        coeffs = poly.coeffs
-        if len(coeffs) == 1:  # one group of one term: no pair difference divides a monomial
-            return None
-        ui, uj = self._zunit[key[0]], self._zunit[key[1]]
-        si, step = ui.bit_length() - 1, ui - uj
-        images = [exp - (exp >> si & _MASK) * step for exp in coeffs]
-        acc, image0, out = 0, None, {}
-        for image, exp in sorted(zip(images, coeffs)):
-            if image != image0:
-                if acc:
-                    return None
-                image0 = image
-            elif acc:
-                # z_i^m z_j^(t-1-m) for m from the previous s up to this one
-                for k in range(prev - uj, exp - uj, step):
-                    out[k] = acc
-            acc -= coeffs[exp]
-            prev = exp
-        return None if acc else _make(poly.context, out, poly.content)
-
     def base_poly(self, c) -> ParamPolynomial:
         """A rational, or a base-context scalar with a constant denominator, as a
         polynomial of ``ctx``; memoised per scalar.  Raises ValueError otherwise."""
@@ -183,29 +148,14 @@ class FactoredCoeff:
     """num / (prod z_q^zexp[q] * prod (z_i - z_j)^pairs[i,j]).
 
     `num` is a polynomial over the enlarged context, so base parameters occur
-    only in numerators.  The z_q and the z_i - z_j are distinct primes, each
-    prime to a nonzero base polynomial, and every coefficient is kept in one
-    normal form: each power of z_q is the signed exponent zexp[q] (negative
-    for a power in the numerator), each pair exponent is positive, and `num`
-    is prime to every z_q and to every pair of its denominator.  Zero has no
-    denominator.  `from_scalar` accepts a scalar whose denominator is a
-    constant times a z monomial; pair differences enter the denominator only
-    through `mul_pair_inverse`.
-
-    `_cancel` is the one cancellation rule, and needs no general gcd: it
-    moves every power of the named z_q from `num` into `zexp`, and divides
-    out each named pair difference while the denominator still holds it
-    and `FormSpace.pair_quotient` finds that it divides.  The z_q are named
-    by a mask of their packed fields, the low ones, and their powers move,
-    like a sum's rescaling to common z powers, by one packed shift of `num`.
-    `_normalized` names every factor.  On reduced operands an operation
-    names only the factors it can cancel: `mul_base` and `shift_z` none;
-    `mul_pair_inverse` its pair when new to the denominator; a product no
-    z_q and only the pairs in exactly one operand's denominator, each in the
-    other operand's numerator before multiplying; a sum only the factors
-    whose powers are equal in both summands, since at unequal powers one
-    scaled numerator carries the factor and the other is prime to it;
-    `derivative_z` every factor of its num' term alone.
+    only in numerators.  zexp[q] is signed (negative for a power of z_q in
+    the numerator) and each pair exponent is positive.  There is no normal
+    form: no operation cancels a factor of the denominator against `num`, so
+    one value has many representations.  The denominator is never zero, so
+    a zero test reads `num` alone, and `Combination` compares forms by the
+    zero test of their difference.  Zero has no denominator.  `from_scalar`
+    accepts a scalar whose denominator is a constant times a z monomial;
+    pair differences enter the denominator only through `mul_pair_inverse`.
     """
 
     __slots__ = ("space", "num", "zexp", "pairs")
@@ -235,34 +185,12 @@ class FactoredCoeff:
         if len(den.coeffs) != 1 or exp >> space._zbits:
             raise ValueError("denominator %s is not a product of supported factors" % den)
         zexp = space.ctx._unpack(exp)[space._zoff :]
-        return cls(space, value.num * QQ(1, den.content), zexp)._normalized()
+        return cls(space, value.num * QQ(1, den.content), zexp)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    # -- normalization ----------------------------------------------------------
-
-    def _cancel(self, zmask: int, keys: Iterable[tuple]) -> "FactoredCoeff":
-        """Self with every power of z_q in num moved into zexp, for each z_q whose
-        field zmask covers, and each pair in keys divided out by `FormSpace.pair_quotient`."""
-        num, space = self.num, self.space
-        if num.is_zero():
-            return self
-        zexp, pairs = self.zexp, dict(self.pairs)
-        low = _floor(space.ctx._guard, next(iter(num.coeffs)) & zmask, num.coeffs)
-        if low:
-            num = _shift(num, -low)
-            zexp = [z - d for z, d in zip(zexp, space.ctx._unpack(low)[space._zoff :])]
-        for key in keys:
-            while pairs.get(key) and (quotient := space.pair_quotient(key, num)) is not None:
-                num = quotient
-                pairs[key] -= 1
-        return FactoredCoeff(space, num, zexp, pairs)
-
-    def _normalized(self) -> "FactoredCoeff":
-        return self._cancel((1 << self.space._zbits) - 1, list(self.pairs))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -273,33 +201,30 @@ class FactoredCoeff:
         return self + -other
 
     def __add__(self, other: "FactoredCoeff") -> "FactoredCoeff":
+        """The sum over the larger power of each z_q and each pair."""
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         space = self.space
         na, nb = self.num, other.num
-        zexp, zmask, sa, sb = [], 0, 0, 0
-        for q, (a, b) in enumerate(zip(self.zexp, other.zexp)):
-            if a == b:
-                zmask |= space._zunit[q] * _MASK
-            elif a < b:
-                sa += (b - a) * space._zunit[q]
+        zexp, sa, sb = [], 0, 0
+        for unit, a, b in zip(space._zunit, self.zexp, other.zexp):
+            if a < b:
+                sa += (b - a) * unit
             else:
-                sb += (a - b) * space._zunit[q]
+                sb += (a - b) * unit
             zexp.append(max(a, b))
         na, nb = _shift(na, sa) if sa else na, _shift(nb, sb) if sb else nb
-        pairs, keys = {}, []
+        pairs = {}
         for key in self.pairs.keys() | other.pairs.keys():
             a, b = self.pairs.get(key, 0), other.pairs.get(key, 0)
-            if a == b:
-                keys.append(key)
-            elif a < b:
+            if a < b:
                 na = na * space.pair_poly(*key) ** (b - a)
-            else:
+            elif a > b:
                 nb = nb * space.pair_poly(*key) ** (a - b)
             pairs[key] = max(a, b)
-        return FactoredCoeff(space, na + nb, zexp, pairs)._cancel(zmask, keys)
+        return FactoredCoeff(space, na + nb, zexp, pairs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -307,13 +232,7 @@ class FactoredCoeff:
         zexp = tuple(a + b for a, b in zip(self.zexp, other.zexp))
         keys = self.pairs.keys() | other.pairs.keys()
         pairs = {k: self.pairs.get(k, 0) + other.pairs.get(k, 0) for k in keys}
-        # a pair in one operand's denominator is prime to that operand's
-        # numerator, so it is divided out of the other one, before the product
-        a = FactoredCoeff(self.space, self.num, zexp, pairs)
-        a = a._cancel(0, other.pairs.keys() - self.pairs.keys())
-        b = FactoredCoeff(self.space, other.num, zexp, a.pairs)
-        b = b._cancel(0, self.pairs.keys() - other.pairs.keys())
-        return FactoredCoeff(self.space, a.num * b.num, zexp, b.pairs)
+        return FactoredCoeff(self.space, self.num * other.num, zexp, pairs)
 
     def mul_base(self, c) -> "FactoredCoeff":
         """Multiply by a rational or a base-parameter polynomial (`FormSpace.base_poly`)."""
@@ -331,13 +250,12 @@ class FactoredCoeff:
         key = (i, j) if i < j else (j, i)
         num = self.num if i < j else -self.num
         pairs = {**self.pairs, key: self.pairs.get(key, 0) + 1}
-        out = FactoredCoeff(self.space, num, self.zexp, pairs)
-        return out if key in self.pairs else out._cancel(0, (key,))
+        return FactoredCoeff(self.space, num, self.zexp, pairs)
 
     def derivative_z(self, q: int) -> "FactoredCoeff":
+        """d/dz_q: the num' term, then one term per power of z_q and per pair through q."""
         space = self.space
         out = FactoredCoeff(space, self.num.derivative(space.var_names[q]), self.zexp, self.pairs)
-        out = out._normalized()
         if self.zexp[q]:
             out = out + (self * -self.zexp[q]).shift_z(q, -1)
         for key, b in self.pairs.items():

@@ -761,8 +761,14 @@ class VertexCochains(TotalComplex):
     pairing*mu^2 on each slot pair unless ``include_pairs`` is false.  Values
     live in ``target``, the source shifted by slots*mu.  ``action(space)``
     builds the algebra's action on one module (``act_src``, ``act_tgt``).
-    Every component is exact on ``window``, the total degrees through the cap
-    ``window_halfwidth``.  ``unit_top`` memoises each unit monomial's top form.
+    ``window`` holds the total degrees through the cap ``window_halfwidth``;
+    the top form is exact on it.  A Wakimoto component reads the top form
+    as far past the cap as its contractions and charged prefactors need, so
+    it is exact on ``window`` too.  A Feigin-Fuchs component is the top form
+    contracted as it is: a contraction by x moves the cap by the least n + 1
+    over the modes e_n of x (on the vacuum at cap 4, [e_-2] is exact through
+    degree 3 and [e_2] through 7).
+    ``unit_top`` memoises each unit monomial's top form.
     """
 
     def __init__(self, source: FockSpace, mu, slots: int, window_halfwidth: int,

@@ -11,15 +11,16 @@ Each function recomputes something the package computes another way:
   commutation recursion, checked against ``VermaModule.e``;
 * ``positive_roots`` and ``pbw_dim`` -- weight-space dimensions from root
   multisets, checked against the Serre-quotient echelon basis;
-* ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``;
+* ``laurent_terms`` -- the Laurent coefficients of a ``FactoredCoeff``,
+  read after ``normalized_by_exact_div`` has cancelled its pair factors;
 * ``connection_times`` -- Gamma_q * coeff as a sum of one term per
   connection exponent, checked against coeff times the memoised
   ``Connection.gamma``;
 * ``pair_divides`` -- whether z_i - z_j divides a polynomial, by
   substituting z_i = z_j, checked against ``exact_div``;
 * ``normalized_by_exact_div`` -- a coefficient reduced by ``pair_divides``
-  and ``exact_div``, checked against ``FactoredCoeff._normalized``, which
-  divides by ``FormSpace.pair_quotient``;
+  and ``exact_div``, checked to keep its value; ``FactoredCoeff`` itself
+  never cancels a factor;
 * ``every_value_residual`` -- a total-complex row with the target action
   applied to every value of a component, inside its window or not, checked
   against ``TotalComplex.residual``, which acts on in-window values only;
@@ -218,7 +219,12 @@ def pbw_dim(cd, depth):
 
 
 def laurent_terms(coeff):
-    """z-exponent tuple -> Fraction of a FactoredCoeff with a pure Laurent value."""
+    """z-exponent tuple -> Fraction of a FactoredCoeff with a pure Laurent value.
+
+    The coefficient is reduced first, since a Laurent value may still carry
+    pair factors that its numerator cancels.
+    """
+    coeff = normalized_by_exact_div(coeff)
     if coeff.pairs:
         raise ValueError("pair factors remain in the denominator")
     nbase = coeff.space._zoff

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from screenops.fock import FockSpace, OscSpec
-from screenops.scalars import Combination, ParameterContext, ParamPolynomial
+from screenops.scalars import Combination, ParameterContext, ParamPolynomial, ParamScalar
 from screenops.forms import (
     Connection,
     FactoredCoeff,
@@ -176,8 +176,8 @@ ONE = DIAG_SPACE.ctx.poly_const(1)
 
 
 class TestPairDivisibility:
-    """Division by z_i - z_j: the substitution oracle and the synthetic
-    division of `FormSpace.pair_quotient`, both against `exact_div`."""
+    """Division by z_i - z_j: the substitution oracle `pair_divides` and the
+    reduction oracle `normalized_by_exact_div`, both against `exact_div`."""
 
     @settings(max_examples=150, deadline=None)
     @given(*_DIVISION_CASES)
@@ -195,21 +195,6 @@ class TestPairDivisibility:
         if k and perturbation is None:
             assert divisible
 
-    @settings(max_examples=150, deadline=None)
-    @given(*_DIVISION_CASES)
-    def test_pair_quotient_agrees_with_exact_div(self, key, k, r, perturbation):
-        pp = DIAG_SPACE.pair_poly(*key)
-        poly = _dividend(key, k, r, perturbation)
-        got = DIAG_SPACE.pair_quotient(key, poly)
-        try:
-            want = poly.exact_div(pp)
-        except ValueError:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.coeffs, got.content) == (want.coeffs, want.content)
-            assert got * pp == poly
-
     @pytest.mark.parametrize("key, dividend, quotient", [
         # the quotient has more terms than the dividend
         ((0, 1), Z1**3 - Z2**3, Z1**2 + Z1 * Z2 + Z2**2),
@@ -220,36 +205,39 @@ class TestPairDivisibility:
         ((0, 1), Z1 * Z2 - Z2**2 + Z3, None),
         ((0, 1), Z1 + Z2, None),
     ], ids=["denser-quotient", "middle-variable", "squared-pair", "one-term-group", "nonzero-sum"])
-    def test_pair_quotient_by_hand(self, key, dividend, quotient):
-        assert DIAG_SPACE.pair_quotient(key, dividend) == quotient
+    def test_pair_division_by_hand(self, key, dividend, quotient):
+        assert pair_divides(DIAG_SPACE, key, dividend) == (quotient is not None)
+        if quotient is not None:
+            assert dividend.exact_div(DIAG_SPACE.pair_poly(*key)) == quotient
 
     @pytest.mark.parametrize("key", sorted(DIAG_SPACE._pair_polys))
     def test_monomials_never_divide(self, key):
         """Every monomial of degree <= 2 in each variable, with coefficient 1
-        or -3, gives None; a multi-term multiple of z_i - z_j still divides."""
+        or -3, fails the substitution test; a multi-term multiple of
+        z_i - z_j still passes it."""
         pp = DIAG_SPACE.pair_poly(*key)
         for exps in itertools.product(range(3), repeat=4):
             mono = ONE
             for var, n in zip((T, Z1, Z2, Z3), exps):
                 mono = mono * var**n
             for c in (1, -3):
-                assert DIAG_SPACE.pair_quotient(key, mono * c) is None, (exps, c)
-        quotient = T * Z1 * 3 - Z2**2 + ONE
-        assert DIAG_SPACE.pair_quotient(key, pp * quotient) == quotient
+                assert not pair_divides(DIAG_SPACE, key, mono * c), (exps, c)
+        assert pair_divides(DIAG_SPACE, key, pp * (T * Z1 * 3 - Z2**2 + ONE))
 
     def test_zero_numerator(self):
+        # zero has no denominator, whatever exponents it is built with
         zero = DIAG_SPACE.ctx.poly_const(0)
-        assert DIAG_SPACE.pair_quotient((0, 2), zero) == zero == zero.exact_div(Z1 - Z3)
-        fc = FactoredCoeff(DIAG_SPACE, zero, (1, 0, 2), {(0, 2): 3})._normalized()
+        assert zero == zero.exact_div(Z1 - Z3)
+        fc = FactoredCoeff(DIAG_SPACE, zero, (1, 0, 2), {(0, 2): 3})
         assert_same_coeff(fc, FactoredCoeff.zero(DIAG_SPACE))
 
     @pytest.mark.parametrize("held, left", [(2, 0), (3, 0), (4, 1)])
     def test_cancel_divides_a_cube_out_while_the_denominator_holds_it(self, held, left):
-        # (z1 - z3)^3 r over (z1 - z3)^held: min(3, held) divisions, each by pair_quotient
+        # (z1 - z3)^3 r over (z1 - z3)^held: min(3, held) divisions by exact_div
         r = Z2 + T * Z1 + ONE
-        fc = FactoredCoeff(DIAG_SPACE, (Z1 - Z3) ** 3 * r, None, {(0, 2): held})._normalized()
+        fc = FactoredCoeff(DIAG_SPACE, (Z1 - Z3) ** 3 * r, None, {(0, 2): held})
         want = FactoredCoeff(DIAG_SPACE, (Z1 - Z3) ** (3 - min(3, held)) * r, None, {(0, 2): left})
-        assert_same_coeff(fc, want)
+        assert_same_coeff(normalized_by_exact_div(fc), want)
 
     def test_from_scalar_rejects_base_parameter_denominator(self):
         space = FormSpace(ParameterContext(("k1",)), 1)
@@ -282,14 +270,19 @@ def _unreduced(poly, num_zexp, num_pairs, zexp, pairs):
     return FactoredCoeff(DIAG_SPACE, poly, zexp, pairs)
 
 
-# numerators share factors with the denominator, so reductions do happen
-_UNREDUCED = st.builds(_unreduced, _DIAG_POLYS, _DIAG_ZEXPS, _DIAG_PAIRS, _DIAG_ZEXPS, _DIAG_PAIRS)
-_REDUCED = _UNREDUCED.map(FactoredCoeff._normalized)
+# numerators share factors with the denominator, as unreduced results do
+_COEFFS = st.builds(_unreduced, _DIAG_POLYS, _DIAG_ZEXPS, _DIAG_PAIRS, _DIAG_ZEXPS, _DIAG_PAIRS)
 _ORDERED_PAIRS = st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j])
 
 
 def assert_same_coeff(got, want):
     assert (got.num, got.zexp, got.pairs) == (want.num, want.zexp, want.pairs)
+
+
+def assert_same_value(got, want):
+    """got and want are equal rational functions: cross-multiplied over the
+    common denominator by ``_unreduced_sum``, not by ``FactoredCoeff.__add__``."""
+    assert _unreduced_sum(got, -want).is_zero()
 
 
 def _unreduced_sum(fa, fb):
@@ -330,86 +323,169 @@ def _unreduced_derivative(fc, q):
 
 
 class TestReductionRoutes:
-    """Each operation that re-tests only the factors it can change, against the
-    same result rebuilt unreduced and reduced in full by ``_normalized``, and
-    ``_normalized`` against the substitution test and ``exact_div``."""
+    """Each operation against the same result rebuilt by hand over its own
+    denominator, compared by value, and the reduction oracle
+    ``normalized_by_exact_div`` against the coefficient it reduces."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_UNREDUCED)
+    @given(_COEFFS)
     def test_normalized_against_exact_div(self, fc):
-        assert_same_coeff(fc._normalized(), normalized_by_exact_div(fc))
+        assert_same_value(normalized_by_exact_div(fc), fc)
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, _REDUCED, st.booleans())
+    @given(_COEFFS, _COEFFS, st.booleans())
     def test_add(self, fa, g, cancel):
-        # with cancel the second summand is g - fa, so most factors of the
-        # common denominator appear at equal powers and cancel from the sum
-        fb = _unreduced_sum(-fa, g)._normalized() if cancel else g
-        assert_same_coeff(fa + fb, _unreduced_sum(fa, fb)._normalized())
+        # with cancel the second summand is g - fa, so the sum is g and most
+        # of the common denominator cancels against its numerator
+        fb = _unreduced_sum(-fa, g) if cancel else g
+        assert_same_value(fa + fb, _unreduced_sum(fa, fb))
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, _REDUCED)
+    @given(_COEFFS, _COEFFS)
     def test_mul(self, fa, fb):
         zexp = tuple(a + b for a, b in zip(fa.zexp, fb.zexp))
         keys = fa.pairs.keys() | fb.pairs.keys()
         pairs = {k: fa.pairs.get(k, 0) + fb.pairs.get(k, 0) for k in keys}
-        want = FactoredCoeff(DIAG_SPACE, fa.num * fb.num, zexp, pairs)._normalized()
-        assert_same_coeff(fa * fb, want)
+        assert_same_value(fa * fb, FactoredCoeff(DIAG_SPACE, fa.num * fb.num, zexp, pairs))
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, st.integers(0, 2))
+    @given(_COEFFS, st.integers(0, 2))
     def test_derivative_z(self, fc, q):
-        assert_same_coeff(fc.derivative_z(q), _unreduced_derivative(fc, q)._normalized())
+        assert_same_value(fc.derivative_z(q), _unreduced_derivative(fc, q))
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, _BASE_SCALARS)
+    @given(_COEFFS, _BASE_SCALARS)
     def test_mul_base(self, fc, c):
         num = fc.num * FactoredCoeff.from_scalar(DIAG_SPACE, c).num
-        want = FactoredCoeff(DIAG_SPACE, num, fc.zexp, fc.pairs)._normalized()
-        assert_same_coeff(fc.mul_base(c), want)
+        assert_same_value(fc.mul_base(c), FactoredCoeff(DIAG_SPACE, num, fc.zexp, fc.pairs))
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, st.integers(0, 2), st.integers(-3, 3))
+    @given(_COEFFS, st.integers(0, 2), st.integers(-3, 3))
     def test_shift_z(self, fc, q, k):
         num, zexp = fc.num, list(fc.zexp)
         if k >= 0:
             num = num.shift_var(DIAG_SPACE.zvar(q), k)
         else:
             zexp[q] -= k
-        want = FactoredCoeff(DIAG_SPACE, num, zexp, fc.pairs)._normalized()
-        assert_same_coeff(fc.shift_z(q, k), want)
+        assert_same_value(fc.shift_z(q, k), FactoredCoeff(DIAG_SPACE, num, zexp, fc.pairs))
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, _ORDERED_PAIRS)
+    @given(_COEFFS, _ORDERED_PAIRS)
     def test_mul_pair_inverse(self, fc, ij):
         i, j = ij
         key = (min(ij), max(ij))
         pairs = dict(fc.pairs)
         pairs[key] = pairs.get(key, 0) + 1
         num = fc.num if i < j else -fc.num
-        want = FactoredCoeff(DIAG_SPACE, num, fc.zexp, pairs)._normalized()
-        assert_same_coeff(fc.mul_pair_inverse(i, j), want)
+        assert_same_value(fc.mul_pair_inverse(i, j), FactoredCoeff(DIAG_SPACE, num, fc.zexp, pairs))
 
     @settings(max_examples=100, deadline=None)
-    @given(_REDUCED, st.integers(0, 2), st.lists(_BASE_SCALARS, min_size=6, max_size=6))
+    @given(_COEFFS, st.integers(0, 2), st.lists(_BASE_SCALARS, min_size=6, max_size=6))
     def test_connection_product(self, fc, q, cs):
         conn = Connection(cs[:3], {(0, 1): cs[3], (0, 2): cs[4], (1, 2): cs[5]})
         gamma = conn.gamma(DIAG_SPACE, q)
         assert conn.gamma(DIAG_SPACE, q) is gamma
-        assert_same_coeff(fc * gamma, connection_times(conn, fc, q))
+        assert_same_value(fc * gamma, connection_times(conn, fc, q))
 
     @pytest.mark.parametrize("make", [
         lambda space: space.z(0),
         lambda space: 1 / (space.base.param("k1") + 1),
     ], ids=["z-dependent", "parameter-denominator"])
     def test_mul_base_rejects_what_is_not_a_base_polynomial(self, make):
-        # z factors and parameter denominators are the inputs for which
-        # multiplying without a reduction would leave an unreduced coefficient
+        # z factors go through shift_z, and a FactoredCoeff has no place for
+        # a parameter denominator
         space = make_space(1)
         c = make(space)
         one = FactoredCoeff(space, space.ctx.poly_const(1))
         with pytest.raises(ValueError, match=re.escape(str(c))):
             one.mul_base(c)
+
+
+def _sympy_poly(poly, sympy):
+    """A ParamPolynomial as a sympy Poly in its context's names, read from its
+    exponent tuples."""
+    gens = sympy.symbols(poly.context.names)
+    terms = {exp: sympy.Rational(c.numerator, c.denominator) for exp, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, *gens, domain="QQ")
+
+
+def _sympy_coeff(fc, sympy):
+    """A FactoredCoeff over DIAG_SPACE as a (numerator, denominator) pair of
+    sympy polynomials."""
+    gens = sympy.symbols(DIAG_SPACE.ctx.names)
+    zs = [sympy.Poly(z, *gens) for z in gens[DIAG_SPACE.zvar(0):]]
+    num, den = _sympy_poly(fc.num, sympy), sympy.Poly(1, *gens, domain="QQ")
+    for z, e in zip(zs, fc.zexp):
+        num, den = (num, den * z**e) if e >= 0 else (num * z**-e, den)
+    for (i, j), e in fc.pairs.items():
+        den = den * (zs[i] - zs[j]) ** e
+    return num, den
+
+
+def assert_sympy_equal(ours, theirs):
+    """Two (numerator, denominator) pairs are equal rational functions:
+    cross-multiplied, with no gcd."""
+    (a, b), (c, d) = ours, theirs
+    assert (a * d - b * c).is_zero
+
+
+def _sympy_base(c, sympy):
+    """A base scalar of DIAG_SPACE, a rational or a ParamScalar in t, in sympy."""
+    if not isinstance(c, ParamScalar):
+        return sympy.Rational(c.numerator, c.denominator)
+    return _sympy_poly(c.num, sympy).as_expr() / _sympy_poly(c.den, sympy).as_expr()
+
+
+class TestRationalKernelAgainstSympy:
+    """The rational kernel against sympy, which shares no code with it: each
+    `FactoredCoeff` operation and one `RationalForm.d` coefficient on random
+    coefficients with z and pair denominators, against the textbook rule on
+    numerator and denominator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_COEFFS, _COEFFS)
+    def test_add_and_mul(self, fa, fb):
+        sympy = pytest.importorskip("sympy")
+        (na, da), (nb, db) = _sympy_coeff(fa, sympy), _sympy_coeff(fb, sympy)
+        assert_sympy_equal(_sympy_coeff(fa + fb, sympy), (na * db + nb * da, da * db))
+        assert_sympy_equal(_sympy_coeff(fa * fb, sympy), (na * nb, da * db))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_COEFFS, st.integers(0, 2), st.integers(-3, 3), _ORDERED_PAIRS)
+    def test_shift_pair_inverse_and_derivative(self, fc, q, k, ij):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols(DIAG_SPACE.ctx.names)
+        zs = [sympy.Poly(z, *gens) for z in gens[DIAG_SPACE.zvar(0):]]
+        zq = gens[DIAG_SPACE.zvar(q)]
+        n, d = _sympy_coeff(fc, sympy)
+        i, j = ij
+        shifted = (n * zs[q] ** k, d) if k >= 0 else (n, d * zs[q] ** -k)
+        assert_sympy_equal(_sympy_coeff(fc.shift_z(q, k), sympy), shifted)
+        assert_sympy_equal(_sympy_coeff(fc.mul_pair_inverse(i, j), sympy), (n, d * (zs[i] - zs[j])))
+        want = (n.diff(zq) * d - n * d.diff(zq), d * d)
+        assert_sympy_equal(_sympy_coeff(fc.derivative_z(q), sympy), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_COEFFS, _ORDERED_PAIRS, st.lists(_BASE_SCALARS, min_size=6, max_size=6))
+    def test_differential_coefficient(self, fc, qs, cs):
+        # d(f dz_s) at dz_q ^ dz_s is (df/dz_q + Gamma_q f), with
+        # Gamma_q = kappa_q/z_q + sum_j kappa_qj/(z_q - z_j), signed by the sort
+        sympy = pytest.importorskip("sympy")
+        q, s = qs
+        gens = sympy.symbols(DIAG_SPACE.ctx.names)
+        zs = gens[DIAG_SPACE.zvar(0):]
+        pairs = {(0, 1): cs[3], (0, 2): cs[4], (1, 2): cs[5]}
+        conn = Connection(cs[:3], pairs)
+        gamma = _sympy_base(cs[q], sympy) / zs[q] + sum(
+            _sympy_base(c, sympy) / (zs[q] - zs[j if q == i else i])
+            for (i, j), c in pairs.items() if q in (i, j))
+        gn, gd = (sympy.Poly(x, *gens, domain="QQ") for x in sympy.fraction(sympy.together(gamma)))
+        n, d = _sympy_coeff(fc, sympy)
+        sign = 1 if q < s else -1
+        want = (((n.diff(zs[q]) * d - n * d.diff(zs[q])) * gd + gn * n * d) * sign, d * d * gd)
+        got = RationalForm(DIAG_SPACE, {(s,): fc}).d(conn).terms.get(tuple(sorted(qs)))
+        got = FactoredCoeff.zero(DIAG_SPACE) if got is None else got
+        assert_sympy_equal(_sympy_coeff(got, sympy), want)
 
 
 def graded_commutator_with_d(form, fields, conn):
