@@ -18,10 +18,11 @@ Two coefficient models share the same connection/contraction conventions:
   connection's (z_i - z_j)^(-1) terms are handled by clearing denominators:
   `cleared_d` returns Delta * (twisted d) with Delta the product of the pair
   differences, so every comparison stays inside Laurent polynomials.  Each
-  operation moves the total degree sum(e_q) of every term by a fixed amount,
-  so a form carries one window, the (lo, hi) range of degrees on which it is
-  exact; operations move it with the degrees, and zero tests only inspect
-  degrees inside it.
+  operation moves the total degree sum(e_q) of every term by a fixed amount.
+  A form carries no range: the cochain family that builds it states one
+  window, the (lo, hi) range of total degree on which each of its
+  components is exact, and `TotalComplex` moves that window with the
+  degrees to the range a row compares.
 
 Vector fields are Witt elements: e_n acts as -z^(n+1) d/dz, diagonally in all
 variables, with [e_n, e_m] = (n - m) e_{n+m}.
@@ -66,6 +67,10 @@ class Connection:
             if i == j:
                 raise ValueError("pair term needs distinct variables")
             key = (i, j) if i < j else (j, i)
+            if key[0] < 0 or key[1] >= len(self.kappa):
+                raise ValueError("pair %r is out of range for %d variables" % ((i, j), len(self.kappa)))
+            if key in self.pairs:
+                raise ValueError("pair %r is given in both orders" % (key,))
             self.pairs[key] = c
 
     def pair(self, i: int, j: int):
@@ -369,60 +374,42 @@ class WittElement:
 
 
 # ---------------------------------------------------------------------------
-# Laurent forms exact on a range of total degree
-
-
-def _meet(w1, w2):
-    return max(w1[0], w2[0]), min(w1[1], w2[1])
-
-
-def _shifted(window, delta):
-    return window[0] + delta, window[1] + delta
-
-
-def _in_window(exps, window) -> bool:
-    return window[0] <= sum(exps) <= window[1]
+# Laurent forms
 
 
 class LaurentForm:
-    """dict[(dz-subset, exponent tuple) -> value], exact on a range of total degree.
+    """dict[(dz-subset, exponent tuple) -> value], zero values dropped; no range:
+    the family window a component is exact on moves with its degrees (`TotalComplex`)."""
 
-    The window is the (lo, hi) range of total degree sum(e_q), ``math.inf`` at
-    an open end, on which the form is exact; zero tests skip terms outside it
-    and ``map_values`` drops them.  No range shift depends on the terms.
-    """
+    __slots__ = ("nvars", "terms")
 
-    __slots__ = ("nvars", "terms", "window")
-
-    def __init__(self, nvars: int, terms: dict, window):
+    def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
         self.terms = {}
         for (subset, exps), value in terms.items():
             if value is None or _value_is_zero(value):
                 continue
             self.terms[(tuple(subset), tuple(exps))] = value
-        self.window = tuple(window)
 
     def __add__(self, other: "LaurentForm") -> "LaurentForm":
         out = dict(self.terms)
         for key, value in other.terms.items():
             out[key] = out[key] + value if key in out else value
-        return LaurentForm(self.nvars, out, _meet(self.window, other.window))
+        return LaurentForm(self.nvars, out)
 
     def __sub__(self, other: "LaurentForm") -> "LaurentForm":
         """Each term of other subtracted in place; only values new to self are negated."""
         out = dict(self.terms)
         for key, value in other.terms.items():
             out[key] = out[key] - value if key in out else -1 * value
-        return LaurentForm(self.nvars, out, _meet(self.window, other.window))
+        return LaurentForm(self.nvars, out)
 
     def __rmul__(self, scalar) -> "LaurentForm":
-        return LaurentForm(self.nvars, {k: scalar * v for k, v in self.terms.items()}, self.window)
+        return LaurentForm(self.nvars, {k: scalar * v for k, v in self.terms.items()})
 
     def map_values(self, fn: Callable) -> "LaurentForm":
-        """fn applied to every value inside the window; the values outside it are dropped."""
-        terms = {k: fn(v) for k, v in self.terms.items() if _in_window(k[1], self.window)}
-        return LaurentForm(self.nvars, terms, self.window)
+        """fn applied to every value."""
+        return LaurentForm(self.nvars, {k: fn(v) for k, v in self.terms.items()})
 
     def shift(self, q: int, delta: int) -> "LaurentForm":
         """Multiply by z_q^delta."""
@@ -431,7 +418,7 @@ class LaurentForm:
             e = list(exps)
             e[q] += delta
             out[(subset, tuple(e))] = value
-        return LaurentForm(self.nvars, out, _shifted(self.window, delta))
+        return LaurentForm(self.nvars, out)
 
     def deriv(self, q: int) -> "LaurentForm":
         out = {}
@@ -443,23 +430,23 @@ class LaurentForm:
             key = (subset, tuple(e))
             add = exps[q] * value
             out[key] = out[key] + add if key in out else add
-        return LaurentForm(self.nvars, out, _shifted(self.window, -1))
+        return LaurentForm(self.nvars, out)
 
     def mul_zdiff(self, i: int, j: int) -> "LaurentForm":
         """Multiply by (z_i - z_j), which raises the degree by one."""
         units = [tuple(int(v == w) for v in range(self.nvars)) for w in (i, j)]
         out: dict = {}
         for (subset, exps), value in self.terms.items():
-            _add_shifted(out, subset, exps, value, [(units[0], None), (units[1], -1)])
-        return LaurentForm(self.nvars, out, _shifted(self.window, 1))
+            _add_offsets(out, subset, exps, value, [(units[0], None), (units[1], -1)])
+        return LaurentForm(self.nvars, out)
 
     def contract(self, field: WittElement) -> "LaurentForm":
         """i_field: each monomial c z^k of the field takes a value off its dz_q
         to z_q^k times +-c (the sign of q's position); all add into one dict,
         a c of -1 as 1 of the other sign, and a negative term whose key is
-        there is subtracted, with no negated copy.  The degree D of the output
-        reads D - k for every k, so the range is (lo + max k, hi + min k);
-        a zero field gives an exactly zero form."""
+        there is subtracted, with no negated copy.  The output at degree D
+        reads the input at D - k for every k, so it is exact through the
+        input's top degree plus the least k; a zero field gives zero."""
         out: dict = {}
         monomials = field.monomials()
         for coeff, k in monomials:
@@ -476,23 +463,13 @@ class LaurentForm:
                             out[key] = out[key] - add if minus else out[key] + add
                         else:
                             out[key] = (-scale if minus else scale) * value
-        ks = [k for _, k in monomials]
-        lo, hi = self.window
-        window = (lo + max(ks), hi + min(ks)) if ks else (-math.inf, math.inf)
-        return LaurentForm(self.nvars, out, window)
-
-    def nonzero_terms(self) -> list:
-        out = []
-        for (subset, exps), value in self.terms.items():
-            if _in_window(exps, self.window) and not _value_is_zero(value):
-                out.append((subset, exps, value))
-        return out
+        return LaurentForm(self.nvars, out)
 
     def is_zero(self) -> bool:
-        return not self.nonzero_terms()
+        return not self.terms
 
 
-def _add_shifted(out: dict, subset: tuple, exps: tuple, value, shifts) -> None:
+def _add_offsets(out: dict, subset: tuple, exps: tuple, value, shifts) -> None:
     """out[subset, exps + offset] += c * value for each (offset, c) of shifts; c None is 1.
 
     A c of -1 subtracts value where the key is already there, with no negated copy."""
@@ -515,7 +492,7 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
     exponent e_q and wedge sign the pieces (kappa_q + e_q) z_q^-1 Delta and
     kappa_qj Delta/(z_q - z_j) merge into one scalar per exponent shift, so a
     value is scaled once per output exponent.  Every piece moves the degree
-    by |Delta| - 1, and so does the range.
+    by |Delta| - 1, so the output is exact on the input's range moved by it.
     """
     nvars = form.nvars
     active = conn.active_pairs()
@@ -542,8 +519,8 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
                             merged[d] = merged[d] + m * c if d in merged else m * c
                 tables[key] = [(d, None if c == 1 else c)
                                for d, c in merged.items() if not _value_is_zero(c)]
-            _add_shifted(out, tuple(sorted(subset + (q,))), exps, value, tables[key])
-    return LaurentForm(nvars, out, _shifted(form.window, len(active) - 1))
+            _add_offsets(out, tuple(sorted(subset + (q,))), exps, value, tables[key])
+    return LaurentForm(nvars, out)
 
 
 def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
@@ -556,8 +533,8 @@ def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
     shifts = [(d, None if c == 1 else c) for d, c in delta.items()]
     out: dict = {}
     for (subset, exps), value in form.terms.items():
-        _add_shifted(out, subset, exps, value, shifts)
-    return LaurentForm(form.nvars, out, _shifted(form.window, len(active)))
+        _add_offsets(out, subset, exps, value, shifts)
+    return LaurentForm(form.nvars, out)
 
 
 def koszul_value(phi: Callable, xs: Sequence, action: Callable, bracket: Callable):
@@ -611,13 +588,11 @@ def residue_functional(form: LaurentForm, kappas: Sequence[int], pairs: dict):
     Reads the top-degree coefficient at z^-1 in every slot: the sum over the
     monomials c z^d of the pair product of c times the coefficient of form at
     (-1 - kappas[q] - d[q])_q, all of total degree -nvars - sum(kappas) -
-    sum(pairs).  Returns None when no such coefficient is present and raises
-    if that degree lies outside the validity window.
+    sum(pairs), on which the form must be exact (`TotalComplex.residue`
+    checks it against the family window).  Returns None when no such
+    coefficient is present.
     """
     full = tuple(range(form.nvars))
-    lo, hi = form.window
-    if not lo <= -form.nvars - sum(kappas) - sum(pairs.values()) <= hi:
-        raise ValueError("residue exponents fall outside the validity window")
     out = None
     for degs, c in _pair_power_monomials(form.nvars, pairs).items():
         exps = tuple(-1 - k - d for k, d in zip(kappas, degs))
@@ -640,22 +615,27 @@ class TotalComplex:
     no depth-m component past ``depth``, and the depth-0 row is d'' alone.
     ``cleared_d`` returns Delta * d'', so d' is multiplied by the same pair
     product Delta (``clear_pairs``, the identity without pairs) before the
-    two are added.  Every row is expected to vanish on every degree of its
-    window, the row range: the meet of the windows of the components it
-    reads, moved by |Delta| (d') and |Delta| - 1 (d'').  The range is fixed
-    first, and the actions and differentials run only on the terms that land
-    in it.  A row raises "window exceeded" when the components it reads have
-    terms but none lands in the range; a row whose components are all zero is
-    a true zero.  ``read_component`` memoises ``component`` on the family by
-    the values of (xs, u), so each is built once.
+    two are added.  The family's ``window``, the (lo, hi) range of total
+    degree (``math.inf`` at an open end) on which every component it returns
+    is exact, is the one statement of exactness.  The actions keep the degree
+    and d' and d'' move it by |Delta| and |Delta| - 1, so a row is exact on
+    its row range, the window moved by both where the row has both parts.
+    Every row is expected to vanish there, and the actions and differentials
+    run only on the terms that land in it.  A row raises "window exceeded"
+    when the components it reads have terms but none lands in the range; a
+    row whose components are all zero is a true zero.  ``read_component``
+    memoises ``component`` on the family by the values of (xs, u), so each
+    is built once.
 
     ``residue(u)`` is the iterated residue of the top component on u at the
     connection's exponents (``residue_exponents``): ``residue_functional``
-    reads it off the top component on u, and the family's ``target`` supplies
-    the zero.  It raises ``ValueError`` when an exponent is not an integer or
-    a pair exponent is negative.  At such exponents the twisted form is
-    single-valued and the residue of the exact part vanishes, so the residue
-    is an intertwiner: ``intertwining_defect`` is expected to vanish.
+    reads it off the top component on u at one total degree, which must lie
+    in the window, and the family's ``target`` supplies the zero.  It raises
+    ``ValueError`` when an exponent is not an integer, a pair exponent is
+    negative or the read degree is outside the window.  At such exponents
+    the twisted form is single-valued and the residue of the exact part
+    vanishes, so the residue is an intertwiner: ``intertwining_defect`` is
+    expected to vanish.
     """
 
     def bracket(self, x, y):
@@ -673,6 +653,9 @@ class TotalComplex:
     def residue(self, u):
         """Iterated residue of the top component on u, a target vector."""
         kappas, pairs = self.residue_exponents()
+        lo, hi = self.window
+        if not lo <= -len(kappas) - sum(kappas) - sum(pairs.values()) <= hi:
+            raise ValueError("residue exponents fall outside the validity window")
         got = residue_functional(self.read_component([], u), kappas, pairs)
         return self.target.zero() if got is None else got
 
@@ -695,43 +678,35 @@ class TotalComplex:
         xs = list(xs)
         m = len(xs)
         shift = len(self.connection.active_pairs())
+        lo = self.window[0] + shift - (m == 0)
+        hi = self.window[1] + shift - (m <= self.depth)
         moved = {id(x): self.act_source(x, u) for x in xs}
-        reads = []  # (component, the shift of its degrees in the row)
+        seen = kept = False
 
-        def note(ys, v, down):  # koszul_value below only walks the reads: 0 stands in
-            reads.append((self.read_component(ys, v), shift - down))
-            return 0
+        def read(ys, v, down):  # the terms that land in the row range
+            nonlocal seen, kept
+            form = self.read_component(ys, v)
+            a, b = lo + down - shift, hi + down - shift
+            terms = {k: w for k, w in form.terms.items() if a <= sum(k[1]) <= b}
+            seen, kept = seen or bool(form.terms), kept or bool(terms)
+            return LaurentForm(form.nvars, terms)
 
-        if m <= self.depth:
-            note(xs, u, 1)
+        out = None
         if m:
-            koszul_value(lambda ys: note(ys, u, 0), xs,
-                         lambda x, ys: note(ys, u, 0) + note(ys, moved[id(x)], 0), self.bracket)
-        lo, hi = max(f.window[0] + s for f, s in reads), min(f.window[1] + s for f, s in reads)
-        if any(form.terms for form, _ in reads) and not any(
-                lo <= sum(exps) + s <= hi for form, s in reads for _, exps in form.terms):
+            def action(x, ys):
+                acted = read(ys, u, 0).map_values(lambda v: self.act_target(x, v))
+                return acted - read(ys, moved[id(x)], 0)
+
+            dprime = koszul_value(lambda ys: read(ys, u, 0), xs, action, self.bracket)
+            out = clear_pairs(dprime, self.connection)
+        if m <= self.depth:
+            second = cleared_d(read(xs, u, 1), self.connection)
+            out = second if out is None else out - second if m % 2 else out + second
+        if seen and not kept:
             raise ValueError(
                 "window exceeded: no term the row reads lies in its degree range; "
                 "raise the degree cap or lower the loop modes"
             )
-
-        def read(ys, v, down):  # the terms that land in the row range, exact on it
-            form, window = self.read_component(ys, v), _shifted((lo, hi), down - shift)
-            kept = {k: w for k, w in form.terms.items() if _in_window(k[1], window)}
-            return LaurentForm(form.nvars, kept, window)
-
-        if m == 0:
-            return cleared_d(read([], u, 1), self.connection)
-
-        def action(x, ys):
-            acted = read(ys, u, 0).map_values(lambda v: self.act_target(x, v))
-            return acted - read(ys, moved[id(x)], 0)
-
-        dprime = koszul_value(lambda ys: read(ys, u, 0), xs, action=action, bracket=self.bracket)
-        out = clear_pairs(dprime, self.connection)
-        if m <= self.depth:
-            second = cleared_d(read(xs, u, 1), self.connection)
-            out = out - second if m % 2 else out + second
         return out
 
 

@@ -117,11 +117,12 @@ class ReflectionCochains(TotalComplex):
     factors of the supplied Lie elements, with the inductive position sign and
     the permutation sign, and keeps dz's at the unreplaced positions.  Values
     are Laurent forms with module-vector coefficients.  A slot's exponent is
-    minus its mode, less one more where it keeps dz, and a component is exact
-    on every total degree from -a*mode_max up: its slots thread modes under
-    the budget that window needs, a*mode_max less the number of dz slots.  At
-    mode_max 0 the budget is 0: dz terms sit below the window, and a row that
-    reads only them raises "window exceeded" rather than compare nothing.
+    minus its mode, less one more where it keeps dz.  The family's ``window``
+    is every total degree from -a*mode_max up, and each component is exact
+    on it: its slots thread modes under the budget that window needs,
+    a*mode_max less the number of dz slots.  At mode_max 0 the budget is 0:
+    dz terms sit below the window, and a row that reads only them raises
+    "window exceeded" rather than compare nothing.
     """
 
     def __init__(
@@ -137,6 +138,7 @@ class ReflectionCochains(TotalComplex):
         self.reflections = tuple(reflections)
         self.a = self.depth = len(self.reflections)
         self.mode_max = mode_max
+        self.window = (-self.a * mode_max, math.inf)
         weights = cd.weight_sequence(tuple(ctx.scalar(x) for x in hw), self.reflections)
         self.modules = [VermaModule(cd, w, ctx) for w in weights]
         self.slots = []
@@ -160,7 +162,7 @@ class ReflectionCochains(TotalComplex):
                 sign = base_sign * _perm_sign(sigma)
                 slot_tree = {ps[j]: xs[sigma[j]] for j in range(m)}
                 self._thread(terms, dz_subset, slot_tree, u, sign)
-        return LaurentForm(a, terms, (-a * self.mode_max, math.inf))
+        return LaurentForm(a, terms)
 
     def _thread(self, terms, dz_subset, slot_tree, u, sign):
         a = self.a

@@ -226,18 +226,14 @@ def normal_multi_vertex(mus: Sequence, vec: FockVector, cap: int) -> LaurentForm
         annihilate(0, vec, ())
     finally:
         del create, annihilate  # each one's cell refers to itself: break the cycles
-    return LaurentForm(p, terms, (-math.inf, cap))
+    return LaurentForm(p, terms)
 
 
 def multi_vertex_form(mus: Sequence, vec: FockVector, cap: int) -> LaurentForm:
     """The normal-ordered product as a top-degree form (dz at every slot)."""
     base = normal_multi_vertex(mus, vec, cap)
     full = tuple(range(base.nvars))
-    return LaurentForm(
-        base.nvars,
-        {(full, exps): v for (_, exps), v in base.terms.items()},
-        base.window,
-    )
+    return LaurentForm(base.nvars, {(full, exps): v for (_, exps), v in base.terms.items()})
 
 
 def _entry(form: LaurentForm, exps: tuple, zero: FockVector) -> FockVector:
@@ -265,7 +261,7 @@ def multi_vertex_transport_defect(
 
     Both sides are built through total degree ``cap``; the transport terms
     read the product at degree D - n, so the defect is exact through
-    min(cap, cap + n).
+    min(cap, cap + n) and keeps only those degrees.
 
     The transport operator is sum_i (z_i^(n+1) d_i + (h_i (n+1) + pairing *
     alpha * mu_i) z_i^n) plus the pair terms sum_{i<j} pairing * mu_i * mu_j
@@ -283,7 +279,7 @@ def multi_vertex_transport_defect(
     lhs = M.map_values(lambda v: virasoro_apply(n, alpha0, v)) - normal_multi_vertex(
         mus, virasoro_apply(n, alpha0, vec), cap
     )
-    rhs = LaurentForm(M.nvars, {}, M.window)
+    rhs = LaurentForm(M.nvars, {})
     for i, mu in enumerate(mus):
         rhs = rhs + M.deriv(i).shift(i, n + 1)
         h = mu * mu - QQ(2) * (alpha0 * mu) + ctx.scalar(weight_shift)
@@ -293,7 +289,8 @@ def multi_vertex_transport_defect(
             pair = pairing * (mu * mus[j])
             for c, a, b in _telescoped_quotient(n):
                 rhs = rhs + (QQ(c) * pair) * M.shift(i, a).shift(j, b)
-    return lhs - rhs
+    top = min(cap, cap + n)
+    return LaurentForm(M.nvars, {k: v for k, v in (lhs - rhs).terms.items() if sum(k[1]) <= top})
 
 
 # ---------------------------------------------------------------------------
@@ -761,14 +758,11 @@ class VertexCochains(TotalComplex):
     pairing*mu^2 on each slot pair unless ``include_pairs`` is false.  Values
     live in ``target``, the source shifted by slots*mu.  ``action(space)``
     builds the algebra's action on one module (``act_src``, ``act_tgt``).
-    ``window`` holds the total degrees through the cap ``window_halfwidth``;
-    the top form is exact on it.  A Wakimoto component reads the top form
-    as far past the cap as its contractions and charged prefactors need, so
-    it is exact on ``window`` too.  A Feigin-Fuchs component is the top form
-    contracted as it is: a contraction by x moves the cap by the least n + 1
-    over the modes e_n of x (on the vacuum at cap 4, [e_-2] is exact through
-    degree 3 and [e_2] through 7).
-    ``unit_top`` memoises each unit monomial's top form.
+    ``window`` holds the total degrees through the cap ``window_halfwidth``,
+    and every component is exact on it and holds no degree above the cap:
+    each reads the top form as far past the cap as its contractions (and,
+    for Wakimoto, its charged prefactors) need.  ``unit_top`` memoises each
+    unit monomial's top form in ``_tops``, with the cap it was built to.
     """
 
     def __init__(self, source: FockSpace, mu, slots: int, window_halfwidth: int,
@@ -795,17 +789,14 @@ class VertexCochains(TotalComplex):
 
     def unit_top(self, mon, cap: int) -> LaurentForm:
         """``multi_vertex_form`` on the unit monomial mon through total degree cap,
-        valued in ``target``; rebuilt only for a higher cap."""
-        top = self._tops.get(mon)
-        if top is None or top.window[1] < cap:
+        valued in ``target``; rebuilt only for a higher cap, so it may hold more."""
+        built = self._tops.get(mon)
+        if built is None or built[0] < cap:
             unit = FockVector(self.source, {mon: self.ctx.one()})
             form = multi_vertex_form((self.mu,) * self.slots, unit, cap)
-            top = self._tops[mon] = form.map_values(lambda v: FockVector(self.target, v.terms))
-        return top
-
-    def top_form(self, u: FockVector) -> LaurentForm:
-        """The top form on u: sum c * unit_top(mon) over its terms c*mon."""
-        return self._sum_units(u, lambda mon: self.unit_top(mon, self.window[1]).terms)
+            built = self._tops[mon] = cap, form.map_values(
+                lambda v: FockVector(self.target, v.terms))
+        return built[1]
 
     def _sum_units(self, u: FockVector, unit) -> LaurentForm:
         """sum c * unit(mon) over the terms c*mon of u; unit(mon) gives form terms."""
@@ -816,7 +807,7 @@ class VertexCochains(TotalComplex):
             for key, value in unit(mon).items():
                 add = c * value
                 terms[key] = terms[key] + add if key in terms else add
-        return LaurentForm(self.slots, terms, self.window)
+        return LaurentForm(self.slots, terms)
 
     def act_target(self, x, v: FockVector) -> FockVector:
         return self.act_tgt.apply_element(x, v)
@@ -856,7 +847,14 @@ class VertexScreeningCochains(VertexCochains):
         self.space = self.source
 
     def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
-        return contraction_cochain(self.top_form(u), xs)
+        """The top form on u through cap - sum_x min(n + 1) over the modes e_n
+        of each x, contracted by xs, with the degrees above the cap dropped."""
+        cap = self.window[1]
+        read = cap - sum(min((n + 1 for n in x.coeffs), default=0) for x in xs)
+        top = self._sum_units(u, lambda mon: {
+            k: v for k, v in self.unit_top(mon, read).terms.items() if sum(k[1]) <= read})
+        form = contraction_cochain(top, xs)
+        return LaurentForm(self.slots, {k: v for k, v in form.terms.items() if sum(k[1]) <= cap})
 
     # -- the verified statements ------------------------------------------------
 

@@ -22,8 +22,9 @@ Each function recomputes something the package computes another way:
   and ``exact_div``, checked to keep its value; ``FactoredCoeff`` itself
   never cancels a factor;
 * ``every_value_residual`` -- a total-complex row with the target action
-  applied to every value of a component, inside its window or not, checked
-  against ``TotalComplex.residual``, which acts on in-window values only;
+  applied to every value of a component, inside the row range or not, and
+  the sum cut to that range at the end, checked against
+  ``TotalComplex.residual``, which acts on the values that land in it only;
 * ``cleared_d_stepwise`` and ``clear_pairs_stepwise`` -- Delta times the
   twisted differential, and Delta times a form, built one intermediate form
   per derivative, shift, dz_q wedge and pair factor, checked against the
@@ -298,23 +299,29 @@ def normalized_by_exact_div(coeff):
 
 
 def every_value_residual(fam, xs, u):
-    """The row of ``fam`` at xs (at least one element) on u, acting on every value."""
+    """The row of ``fam`` at xs (at least one element) on u, acting on every value.
+
+    d' is exact on the family window moved by |Delta|, d'' on it moved by
+    |Delta| - 1; the row keeps the degrees where both parts are exact."""
 
     def action(x, ys):
         comp = fam.component(ys, u)
         moved = {key: fam.act_target(x, v) for key, v in comp.terms.items()}
-        return LaurentForm(comp.nvars, moved, comp.window) - fam.component(ys, fam.act_source(x, u))
+        return LaurentForm(comp.nvars, moved) - fam.component(ys, fam.act_source(x, u))
 
     dprime = koszul_value(lambda ys: fam.component(ys, u), xs, action, fam.bracket)
     out = clear_pairs(dprime, fam.connection)
+    shift = len(fam.connection.active_pairs())
+    lo, hi = fam.window[0] + shift, fam.window[1] + shift
     if len(xs) <= fam.depth:
         second = cleared_d(fam.component(xs, u), fam.connection)
         out = out - second if len(xs) % 2 else out + second
-    return out
+        hi -= 1
+    return LaurentForm(out.nvars, {k: v for k, v in out.terms.items() if lo <= sum(k[1]) <= hi})
 
 
 def mul_zdiff_stepwise(form, i, j):
-    """form times (z_i - z_j): each term moves up one degree, and so does the range."""
+    """form times (z_i - z_j): each term moves up one degree."""
     out = {}
     for (subset, exps), value in form.terms.items():
         for var, sign in ((i, 1), (j, -1)):
@@ -323,8 +330,7 @@ def mul_zdiff_stepwise(form, i, j):
             key = (subset, tuple(e))
             add = sign * value
             out[key] = out[key] + add if key in out else add
-    lo, hi = form.window
-    return LaurentForm(form.nvars, out, (lo + 1, hi + 1))
+    return LaurentForm(form.nvars, out)
 
 
 def _wedge_dzq(form, q):
@@ -337,7 +343,7 @@ def _wedge_dzq(form, q):
         out[key] = out[key] + add if key in out else add
     if not out:
         return None
-    return LaurentForm(form.nvars, out, form.window)
+    return LaurentForm(form.nvars, out)
 
 
 def _apply_delta(form, pairs):
@@ -355,12 +361,11 @@ def cleared_d_stepwise(form, conn):
     """Delta * (twisted d), one intermediate form per derivative, shift, wedge and pair factor.
 
     Every piece lowers the degree by one and each pair factor raises it by
-    one, so the sum starts from the input's range moved by |Delta| - 1.
+    one, so every term moves by |Delta| - 1.
     """
     nvars = form.nvars
     active = conn.active_pairs()
-    lo, hi = form.window
-    total = LaurentForm(nvars, {}, (lo + len(active) - 1, hi + len(active) - 1))
+    total = LaurentForm(nvars, {})
     for q in range(nvars):
         # Delta * (d/dz_q + kappa_q/z_q) f wedge dz_q
         base = form.deriv(q)

@@ -6,7 +6,6 @@ are compared term by term against Delta times the closed-form answer.
 """
 
 import itertools
-import math
 import random
 import re
 from fractions import Fraction
@@ -83,6 +82,18 @@ def random_witt(rng, span=(-2, 3)):
     if not coeffs:
         coeffs[1] = Fraction(1)
     return WittElement(coeffs)
+
+
+class TestConnection:
+    def test_pair_out_of_range_names_the_pair(self):
+        with pytest.raises(ValueError, match=re.escape("pair (0, 1) is out of range")):
+            Connection([1], {(0, 1): 2})
+        with pytest.raises(ValueError, match=re.escape("pair (-1, 1) is out of range")):
+            Connection([1, 2], {(-1, 1): 2})
+
+    def test_pair_in_both_orders_names_the_pair(self):
+        with pytest.raises(ValueError, match=re.escape("pair (0, 1) is given in both orders")):
+            Connection([1, 2], {(0, 1): 3, (1, 0): 4})
 
 
 class TestRationalLayer:
@@ -621,26 +632,19 @@ def laurent_expansion(space, form):
     return {k: v for k, v in out.items() if v}
 
 
-def windowed_map(lform):
+def rational_map(lform):
     out = {}
-    for subset, exps, value in lform.nonzero_terms():
+    for key, value in lform.terms.items():
         assert value.is_rational()
-        out[(subset, exps)] = value.as_fraction()
+        out[key] = value.as_fraction()
     return out
 
 
-def assert_matches_within_window(got, want_map):
-    """got equals want_map on every total degree of got's range; returns the count compared."""
-    lo, hi = got.window
-    got_map = windowed_map(got)
-    for key, val in got_map.items():
-        assert want_map.get(key, Fraction(0)) == val, key
-    compared = 0
-    for key, val in want_map.items():
-        if lo <= sum(key[1]) <= hi:
-            assert got_map.get(key, Fraction(0)) == val, key
-            compared += 1
-    return compared
+def assert_matches(got, want_map):
+    """got equals want_map term for term; returns the count compared.  A form
+    built from a Laurent polynomial is exact on every degree."""
+    assert rational_map(got) == want_map
+    return len(want_map)
 
 
 def random_laurent(base, nvars, rng, degree=None):
@@ -652,7 +656,7 @@ def random_laurent(base, nvars, rng, degree=None):
         coeff = base.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         key = (subset, exps)
         terms[key] = terms.get(key, base.zero()) + coeff
-    return LaurentForm(nvars, terms, (-6, 6))
+    return LaurentForm(nvars, terms)
 
 
 class TestLaurentLayer:
@@ -666,9 +670,8 @@ class TestLaurentLayer:
         for _ in range(4):
             lform = random_laurent(base, nvars, rng)
             got = cleared_d(lform, conn)
-            assert got.window == lform.window  # |Delta| - 1 = 0
             exact = (space.z(0) - space.z(1)) * mirror_rational(space, lform).d(conn)
-            compared += assert_matches_within_window(got, laurent_expansion(space, exact))
+            compared += assert_matches(got, laurent_expansion(space, exact))
         assert compared
 
     def test_cleared_differential_three_variables(self):
@@ -688,8 +691,7 @@ class TestLaurentLayer:
             * (space.z(1) - space.z(2))
         )
         exact = delta * mirror_rational(space, lform).d(conn)
-        assert got.window == (-4, 8)
-        assert assert_matches_within_window(got, laurent_expansion(space, exact))
+        assert assert_matches(got, laurent_expansion(space, exact))
 
     def test_contraction_matches_exact_layer(self):
         rng = random.Random(433)
@@ -701,76 +703,59 @@ class TestLaurentLayer:
             lform = random_laurent(base, nvars, rng, degree=2)
             tau = random_witt(rng)
             got = lform.contract(tau)
-            ks = [k for _, k in tau.monomials()]
-            assert got.window == (-6 + max(ks), 6 + min(ks))
             want = mirror_rational(space, lform).contract(tau)
-            compared += assert_matches_within_window(got, laurent_expansion(space, want))
+            compared += assert_matches(got, laurent_expansion(space, want))
         assert compared
 
     def test_contraction_by_a_zero_field_is_exactly_zero(self):
         ctx = ParameterContext(())
-        form = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)}, (-2, 2))
-        got = form.contract(WittElement({}))
-        assert got.terms == {} and got.window == (-math.inf, math.inf)
+        form = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)})
+        assert form.contract(WittElement({})).terms == {}
 
     def test_window_moves_under_derivative_shift_and_pair_factor(self):
+        # a family window moves with the degrees: each operation moves every
+        # term's total degree by the same amount, whatever its exponents
         ctx = ParameterContext(())
-        # a constant has no derivative term, and the range moves all the same
-        form = LaurentForm(1, {((), (0,)): ctx.scalar(1)}, (-2, 2))
-        assert form.deriv(0).terms == {} and form.deriv(0).window == (-3, 1)
-        assert form.shift(0, 3).window == (1, 5)
-        form2 = LaurentForm(2, {((), (0, 0)): ctx.scalar(1)}, (-2, 4))
-        # a pair difference raises every degree by one
-        assert form2.mul_zdiff(0, 1).window == (-1, 5)
-        assert form2.mul_zdiff(0, 1).shift(1, -2).window == (-3, 3)
-
-    def test_addition_intersects_windows(self):
-        ctx = ParameterContext(())
-        f = LaurentForm(1, {((), (0,)): ctx.scalar(1)}, (-4, 1))
-        g = LaurentForm(1, {((), (1,)): ctx.scalar(2)}, (0, 9))
-        assert (f + g).window == (0, 1)
-        h = LaurentForm(1, {}, (-math.inf, 3))
-        assert (f - h).window == (-4, 1) and (h + g).window == (0, 3)
+        form = LaurentForm(2, {((), (0, 2)): ctx.scalar(1), ((0,), (-3, 1)): ctx.scalar(2)})
+        degrees = lambda f: {sum(exps) for _, exps in f.terms}  # noqa: E731
+        assert degrees(form) == {2, -2}
+        assert degrees(form.deriv(1)) == {1, -3}
+        assert degrees(form.shift(0, 3)) == {5, 1}
+        assert degrees(form.mul_zdiff(0, 1)) == {3, -1}
+        assert degrees(form.mul_zdiff(0, 1).shift(1, -2)) == {1, -3}
+        # a constant has no derivative term
+        assert LaurentForm(1, {((), (0,)): ctx.scalar(1)}).deriv(0).terms == {}
 
     def test_clear_pairs_is_identity_without_active_pairs(self):
         # the total-complex rows clear d' with the same call for every family
         ctx = ParameterContext(("t",))
-        form = LaurentForm(2, {((0,), (1, -1)): ctx.param("t")}, (-2, 2))
+        form = LaurentForm(2, {((0,), (1, -1)): ctx.param("t")})
         for conn in (
             Connection([Fraction(1), Fraction(2)]),
             Connection([Fraction(1), Fraction(2)], {(0, 1): ctx.zero()}),
         ):
-            out = clear_pairs(form, conn)
-            assert out.terms == form.terms
-            assert out.window == form.window
+            assert clear_pairs(form, conn).terms == form.terms
 
-    def test_map_values_acts_only_inside_the_window(self):
+    def test_map_values_acts_on_every_value(self):
         ctx = ParameterContext(())
-        # the range holds total degrees -2..2, whatever each exponent is
-        inside = {((), (0, 0)): ctx.scalar(1), ((0,), (4, -3)): ctx.scalar(2)}
-        outside = {((), (3, 0)): ctx.scalar(3), ((0, 1), (-1, -3)): ctx.scalar(4)}
-        form = LaurentForm(2, {**inside, **outside}, (-2, 2))
+        terms = {((), (0, 0)): ctx.scalar(1), ((0,), (4, -3)): ctx.scalar(2),
+                 ((0, 1), (-1, -3)): ctx.scalar(4)}
         seen = []
 
         def fn(v):
             seen.append(v)
             return Fraction(5) * v
 
-        out = form.map_values(fn)
-        assert sorted(seen, key=repr) == sorted(inside.values(), key=repr)
-        assert out.window == form.window
-        assert set(out.terms) == set(inside)
-        for key, v in inside.items():
-            assert out.terms[key] == Fraction(5) * v
+        out = LaurentForm(2, terms).map_values(fn)
+        assert sorted(seen, key=repr) == sorted(terms.values(), key=repr)
+        assert out.terms == {key: Fraction(5) * v for key, v in terms.items()}
 
-    def test_out_of_window_terms_ignored_by_zero_test(self):
+    def test_zero_test_reads_every_term(self):
         ctx = ParameterContext(())
-        f = LaurentForm(1, {((), (5,)): ctx.scalar(1)}, (-2, 2))
-        assert f.is_zero()
-        g = LaurentForm(1, {((), (1,)): ctx.scalar(1)}, (-2, 2))
-        assert not g.is_zero()
-        h = LaurentForm(2, {((), (4, -3)): ctx.scalar(1)}, (-2, 2))
-        assert not h.is_zero()
+        assert LaurentForm(1, {((), (5,)): ctx.zero()}).is_zero()
+        assert not LaurentForm(1, {((), (5,)): ctx.scalar(1)}).is_zero()
+        f = LaurentForm(2, {((), (4, -3)): ctx.scalar(1)})
+        assert (f - f).is_zero() and not (f + f).is_zero()
 
 
 class TestOnePassClearing:
@@ -787,8 +772,7 @@ class TestOnePassClearing:
             exps = tuple(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(nvars))
             terms[(subset, exps)] = rng.choice((ctx.one(), -ctx.one(), ctx.scalar(Fraction(2, 3)))) + (
                 rng.randint(-2, 2) * t)
-        window = (rng.choice((-math.inf, rng.randint(-5, -2))), rng.choice((3, 4, math.inf)))
-        return LaurentForm(nvars, terms, window)
+        return LaurentForm(nvars, terms)
 
     @staticmethod
     def connections(ctx, nvars):
@@ -809,23 +793,25 @@ class TestOnePassClearing:
             for _ in range(4):
                 form = self.random_form(ctx, nvars, rng)
                 active = len(conn.active_pairs())
+                degrees = {sum(exps) for _, exps in form.terms}
                 for got, want, shift in (
                         (cleared_d(form, conn), cleared_d_stepwise(form, conn), active - 1),
                         (clear_pairs(form, conn), clear_pairs_stepwise(form, conn), active)):
-                    assert got.window == want.window == tuple(w + shift for w in form.window)
+                    assert {sum(exps) - shift for _, exps in got.terms} <= degrees
                     assert got.terms == want.terms
 
     def test_window_moves_whatever_pieces_exist(self):
-        # kappa_q = 0 at e_q = 0: no derivative piece, yet the range moves by
-        # |Delta| - 1 as for any other connection
+        # kappa_q = 0 at e_q = 0: no derivative piece; whichever pieces exist,
+        # each moves the degree by |Delta| - 1, as for any other connection
         ctx = ParameterContext(("t",))
-        form = LaurentForm(2, {((1,), (0, 1)): ctx.param("t")}, (-2, 2))
-        for conn, window in ((Connection([0, 1]), (-3, 1)), (Connection([1, 1]), (-3, 1)),
-                             (Connection([0, 1], {(0, 1): ctx.param("t")}), (-2, 2))):
+        form = LaurentForm(2, {((1,), (0, 1)): ctx.param("t"), ((1,), (2, 1)): ctx.one()})
+        for conn, degrees in ((Connection([0, 1]), {2}), (Connection([1, 1]), {0, 2}),
+                              (Connection([0, 1], {(0, 1): ctx.param("t")}), {1, 3})):
             got, want = cleared_d(form, conn), cleared_d_stepwise(form, conn)
-            assert got.window == want.window == window
+            assert {sum(exps) for _, exps in got.terms} == degrees
             assert got.terms == want.terms
-        assert cleared_d(form, Connection([0, 1])).terms == {}
+        only = LaurentForm(2, {((1,), (0, 1)): ctx.param("t")})
+        assert cleared_d(only, Connection([0, 1])).terms == {}
 
     def test_mul_zdiff_matches_the_stepwise_route(self):
         ctx = ParameterContext(("t",))
@@ -834,15 +820,13 @@ class TestOnePassClearing:
             form = self.random_form(ctx, nvars, rng)
             for i, j in ((0, 1), (1, 0), (0, nvars - 1)):
                 got, want = form.mul_zdiff(i, j), mul_zdiff_stepwise(form, i, j)
-                assert (got.window, got.terms) == (want.window, want.terms)
+                assert got.terms == want.terms
 
 
 class TestNegatedCopies:
     """A negative term whose key is already in the accumulator is subtracted in
     place, as ``Combination._combine`` does; only a key first reached by a
     negative term holds a negated copy of a vector value."""
-
-    WINDOW = (-10, 10)
 
     @pytest.fixture
     def negations(self, monkeypatch):
@@ -859,7 +843,7 @@ class TestNegatedCopies:
 
     def test_contract(self, negations, vectors):
         u, w = vectors
-        form = LaurentForm(2, {((0, 1), (0, 0)): u, ((0, 1), (1, 0)): w}, self.WINDOW)
+        form = LaurentForm(2, {((0, 1), (0, 0)): u, ((0, 1), (1, 0)): w})
         # monomials -z and -z^2; dz_1 sits at an even position, so its terms are negative
         got = form.contract(WittElement({0: 1, 1: 1}))
         # four negative terms on three keys: (2, 0) is reached twice
@@ -871,7 +855,7 @@ class TestNegatedCopies:
 
     def test_clear_pairs(self, negations, vectors):
         u, w = vectors
-        form = LaurentForm(2, {((), (0, 1)): u, ((), (1, 0)): w}, self.WINDOW)
+        form = LaurentForm(2, {((), (0, 1)): u, ((), (1, 0)): w})
         # Delta = z1 - z2: w's -z2 term lands on (1, 1), which u's z1 term made
         got = clear_pairs(form, Connection([0, 0], {(0, 1): 1}))
         assert len(negations) == 1
@@ -881,18 +865,14 @@ class TestNegatedCopies:
 class TestCochainAssembly:
     def test_parity_twist(self):
         ctx = ParameterContext(())
-        omega = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)}, (-5, 5))
+        omega = LaurentForm(1, {((0,), (0,)): ctx.scalar(1)})
         tau = WittElement.basis(1)  # contraction inserts -z^2
         plain = omega.contract(tau)
         twisted = contraction_cochain(omega, [tau])
-        assert plain.nonzero_terms()[0][2].as_fraction() == Fraction(-1)
-        assert twisted.nonzero_terms()[0][2].as_fraction() == Fraction(1)
+        assert [v.as_fraction() for v in plain.terms.values()] == [Fraction(-1)]
+        assert [v.as_fraction() for v in twisted.terms.values()] == [Fraction(1)]
         # depth 3: twist is +1, so plain and twisted agree on a nonzero value
-        omega3 = LaurentForm(
-            3,
-            {((0, 1, 2), (0, 0, 0)): ctx.scalar(1)},
-            (-5, 5),
-        )
+        omega3 = LaurentForm(3, {((0, 1, 2), (0, 0, 0)): ctx.scalar(1)})
         fields = [WittElement.basis(n) for n in (0, 1, 2)]
         a = omega3
         for field in reversed(fields):
@@ -906,7 +886,7 @@ class TestOneVariableCohomology:
     def test_kernel_witness_is_closed_in_laurent_layer(self):
         ctx = ParameterContext(())
         conn = Connection([Fraction(-3)])
-        witness = LaurentForm(1, {((), (3,)): ctx.scalar(1)}, (0, 5))
+        witness = LaurentForm(1, {((), (3,)): ctx.scalar(1)})
         assert cleared_d(witness, conn).is_zero()
-        non_witness = LaurentForm(1, {((), (2,)): ctx.scalar(1)}, (0, 5))
+        non_witness = LaurentForm(1, {((), (2,)): ctx.scalar(1)})
         assert not cleared_d(non_witness, conn).is_zero()

@@ -273,9 +273,9 @@ class TestReflectionCochains:
         rc = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         u = rc.source.act(gen("f", 0), rc.source.vacuum())
         top = rc.component([], u)
-        assert top.window == (-rc.mode_max, math.inf)
+        assert rc.window == (-rc.mode_max, math.inf)
         assert top.terms
-        assert all(sum(exps) >= top.window[0] for _, exps in top.terms)
+        assert all(sum(exps) >= rc.window[0] for _, exps in top.terms)
         broken = ReflectionCochains(CartanData.sl2(), (ctx.param("lam"),), [0], ctx, mode_max=3)
         broken.act_target = lambda x, v: 2 * broken.target.act(x, v)
         rows = [[gen("e", 0)], [gen("f", 0)], [gen("e", 0), gen("f", 0)]]
@@ -283,7 +283,6 @@ class TestReflectionCochains:
             for xs in rows:
                 got = fam.residual(xs, u)
                 want = every_value_residual(fam, xs, u)
-                assert got.window == want.window
                 assert (got - want).is_zero(), xs
         assert not broken.residual(rows[0], u).is_zero()
 
@@ -293,12 +292,12 @@ class TestReflectionCochains:
         u = rc.source.vacuum()
         plain = rc.component([], u)
         replaced = rc.component([gen("e", 0)], u)
-        assert plain.nonzero_terms()
-        assert replaced.nonzero_terms()
+        assert plain.terms
+        assert replaced.terms
         # unreplaced slots carry dz and strictly negative exponents
-        for subset, exps, _ in plain.nonzero_terms():
+        for subset, exps in plain.terms:
             assert subset == (0,) and exps[0] <= -1
-        for subset, exps, _ in replaced.nonzero_terms():
+        for subset, exps in replaced.terms:
             assert subset == () and exps[0] <= 0
 
     def test_window_stability_under_mode_cap(self):
@@ -309,11 +308,11 @@ class TestReflectionCochains:
         )
         small = small_rc.component([gen("e", 0)], small_rc.source.vacuum())
         large = large_rc.component([gen("e", 0)], large_rc.source.vacuum())
-        for subset, exps, value in small.nonzero_terms():
+        assert small.terms
+        for key, value in small.terms.items():
             # the two families build equal but distinct modules, whose vectors
             # do not combine; the scalars are canonical, so terms compare exactly
-            match = [v for s, e, v in large.nonzero_terms() if (s, e) == (subset, exps)]
-            assert match and match[0].terms == value.terms
+            assert key in large.terms and large.terms[key].terms == value.terms
 
     def test_range_completeness_under_mode_cap(self):
         # mode_max 2 and 4 agree coefficient for coefficient on every degree
@@ -329,13 +328,14 @@ class TestReflectionCochains:
             small, large = (ReflectionCochains(cd, hw, word, ctx, mode_max=cap) for cap in (2, 4))
             rows = [[]] + [[gen(k, i)] for k in kinds for i in range(rank)]
             rows += [[gen("e", 0), gen("f", rank - 1)]]
+            assert large.window[0] < small.window[0]
+            # no pairs: cleared_d moves the degrees by -1, clear_pairs by 0
             for xs in rows:
                 a = small.component(xs, small.source.vacuum())
                 b = large.component(xs, large.source.vacuum())
-                assert b.window[0] < a.window[0]
-                for op in (lambda f, conn: f, cleared_d, clear_pairs):
+                for op, s in ((lambda f, conn: f, 0), (cleared_d, -1), (clear_pairs, 0)):
                     got, want = op(a, small.connection), op(b, large.connection)
-                    lo, hi = got.window
+                    lo, hi = small.window[0] + s, small.window[1] + s
                     keys = [k for k in got.terms.keys() | want.terms.keys() if lo <= sum(k[1]) <= hi]
                     for key in keys:
                         g, w = got.terms.get(key), want.terms.get(key)
@@ -372,9 +372,9 @@ class TestReflectionCochains:
 
     def test_row_window_covers_koszul_terms(self):
         # the rows vanish and LaurentForm drops zeros, so a row range that
-        # missed the d' terms would pass untested: the range is every degree
-        # from -a*mode_max up, and it holds every degree of the depth-1
-        # components entering d' down to that floor
+        # missed the d' terms would pass untested: the range is the family
+        # window, every degree from -a*mode_max up, and it holds every degree
+        # of the depth-1 components entering d' down to that floor
         cd = CartanData.sl3()
         ctx = ParameterContext(("lam0", "lam1"))
         hw = (ctx.param("lam0"), ctx.param("lam1"))
@@ -382,9 +382,10 @@ class TestReflectionCochains:
         u = rc.source.vacuum()
         pairs = [(gen("e", 0), gen("e", 1)), (gen("h", 0), gen("e", 1))]
         inside = 0
+        lo, hi = rc.window
+        assert (lo, hi) == (-4, math.inf) and not rc.connection.active_pairs()
         for x, y in pairs:
-            lo, hi = rc.residual([x, y], u).window
-            assert (lo, hi) == (-4, math.inf)
+            assert rc.residual([x, y], u).is_zero()
             for z in (x, y):
                 for v in (u, rc.source.act(x, u), rc.source.act(y, u)):
                     degrees = [sum(exps) for _, exps in rc.component([z], v).terms]
@@ -456,8 +457,8 @@ class TestReflectionCochains:
         # on the vacuum the slot for the first reflection only reacts to the
         # matching raising generator, so e_1 lights up both dz sectors
         lf = rc.component([gen("e", 1)], u)
-        assert lf.nonzero_terms()
-        subsets = {subset for subset, _, _ in lf.nonzero_terms()}
+        assert lf.terms
+        subsets = {subset for subset, _ in lf.terms}
         assert subsets == {(0,), (1,)}
 
 
@@ -537,14 +538,13 @@ class TestResidueFunctional:
         # through top cohomology
         kappas = [2, 3]
         conn = Connection([Fraction(2), Fraction(3)])
-        window = (-12, 6)
         rng_terms = {
             ((0,), (-2, 1)): Fraction(5),
             ((0,), (-4, -1)): Fraction(-3, 2),
             ((1,), (1, -3)): Fraction(7),
             ((1,), (-5, 0)): Fraction(2, 3),
         }
-        eta = LaurentForm(2, rng_terms, window)
+        eta = LaurentForm(2, rng_terms)
         deta = cleared_d(eta, conn)
         val = residue_functional(deta, kappas, {})
         assert val is None or val == 0
@@ -553,8 +553,8 @@ class TestResidueFunctional:
         form = LaurentForm(
             2,
             {((0, 1), (-3, -4)): Fraction(11), ((0, 1), (-1, -1)): Fraction(5)},
-            (-8, 0),
         )
         assert residue_functional(form, [2, 3], {}) == Fraction(11)
-        with pytest.raises(ValueError):
-            residue_functional(form, [7, 3], {})
+        # no coefficient at the read exponents: the family window says whether
+        # that is a zero (TotalComplex.residue checks the read degree)
+        assert residue_functional(form, [7, 3], {}) is None

@@ -25,7 +25,6 @@ from screenops.fields import (
 from screenops import virasoro
 from screenops.forms import (
     WittElement,
-    _in_window,
     _pair_power_monomials,
     clear_pairs,
     cleared_d,
@@ -224,7 +223,6 @@ class TestNormalMultiVertex:
         u = osc_apply(("b", -1), space.vacuum())
         assert not normal_multi_vertex([b, b], u, -2).terms
         M = normal_multi_vertex([b, b], u, 1)
-        assert M.window == (-math.inf, 1)
         assert {exps for _, exps in M.terms} == {
             (e1, e2) for e1 in range(-1, 3) for e2 in range(-1, 3) if -1 <= e1 + e2 <= 1}
         with pytest.raises(ValueError):
@@ -258,8 +256,13 @@ class TestTransportDefect:
         defect = multi_vertex_transport_defect(
             -2, [QQ(3, 2), QQ(-1, 2)], QQ(1, 3), space.vacuum(), 3
         )
-        assert defect.window == (-math.inf, 1)
         assert defect.is_zero()
+        # the defect keeps the degrees it is exact on: through min(cap, cap + n)
+        for n in (-2, 2):
+            wrong = multi_vertex_transport_defect(
+                n, [QQ(3, 2), QQ(-1, 2)], QQ(1, 3), space.vacuum(), 3, weight_shift=1
+            )
+            assert max(sum(exps) for _, exps in wrong.terms) == min(3, 3 + n)
 
     def test_wrong_weight_is_visible(self, rational):
         ctx, space = rational
@@ -309,28 +312,39 @@ class TestScreeningCochains:
         assert not res.is_zero()
 
     def test_empty_residual_window_is_rejected(self):
-        # regression: a row that compares nothing must not pass.  At cap -1 the
-        # vacuum's top form is empty, but L_n vac for n < 0 has energy -n, so
-        # its top form has terms at degrees n..-1; the row range ends at
-        # -1 + n - 1 (one slot) or -1 + n (pairs dropped), below all of them
+        # regression: a row that compares nothing must not pass.  The vacuum's
+        # top form starts at degree 0, and L_-2 vac has energy 2, so its top
+        # form starts at -2.  The one-slot row [e_-2] compares the degrees
+        # through cap - 1: at cap -1 that is degree -2, where the row
+        # vanishes; at cap -2 its components hold terms (L_-2 vac at degree
+        # -2) but none at degree -3 or below, so it raises
         ctx = ParameterContext(())
         fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=-1)
         vac = fam.space.vacuum()
-        assert not fam.top_form(vac).terms
-        assert fam.top_form(fam.act_source(WittElement.basis(-2), vac)).terms
+        assert not fam.component([], vac).terms
+        assert fam.residual([WittElement.basis(-2)], vac).is_zero()
+        fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=-2)
+        assert fam.component([], fam.act_source(WittElement.basis(-2), vac)).terms
         with pytest.raises(ValueError, match="window exceeded"):
             fam.residual([WittElement.basis(-2)], vac)
+        # pairs dropped, cap -1: L_-1 vac has terms at degree -1 only, above the
+        # row range, which ends at -2
         broken = VertexScreeningCochains(
             ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=-1, include_pairs=False
         )
         with pytest.raises(ValueError, match="window exceeded"):
             broken.residual([WittElement.basis(-1)], broken.space.vacuum())
-        # the rows that a box window once left empty now compare whole degree
-        # pieces: the one-slot row vanishes, the dropped-pairs row does not
+        # a row [e_n] compares the degrees through cap + |Delta| - 1: at cap 0
+        # the one-slot row [e_2] misses the vacuum's top form at degree 0, at
+        # cap 1 it holds it and vanishes; at cap 2 the dropped-pairs row
+        # compares degree 1 and does not vanish
         fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=0)
+        with pytest.raises(ValueError, match="window exceeded"):
+            fam.residual([WittElement.basis(2)], fam.space.vacuum())
+        fam = VertexScreeningCochains(ctx, QQ(-2, 5), QQ(3, 2), 1, window_halfwidth=1)
         assert fam.residual([WittElement.basis(2)], fam.space.vacuum()).is_zero()
         broken = VertexScreeningCochains(
-            ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=1, include_pairs=False
+            ctx, QQ(-2, 5), QQ(3, 2), 2, window_halfwidth=2, include_pairs=False
         )
         assert not broken.residual([WittElement.basis(1)], broken.space.vacuum()).is_zero()
 
@@ -411,7 +425,7 @@ class TestMemoisedRoutes:
         top = fam.unit_top(mon, cap)
         assert fam.unit_top(mon, cap) is top and fam.unit_top(mon, cap - 1) is top
         higher = fam.unit_top(mon, cap + 1)
-        assert higher is not top and higher.window == (-math.inf, cap + 1)
+        assert higher is not top and fam._tops[mon] == (cap + 1, higher)
         assert fam.unit_top(mon, cap) is higher
         assert {k: v for k, v in higher.terms.items() if sum(k[1]) <= cap} == top.terms
         # the natural floor: no term below minus the unit's energy, and one at it
@@ -420,26 +434,34 @@ class TestMemoisedRoutes:
         assert min(sum(exps) for _, exps in higher.terms) >= -energy
 
     def test_top_form_sums_unit_forms(self, family_and_probe):
+        # sum c * unit_top(mon) over the terms c*mon of u is the top form on u;
+        # the Feigin-Fuchs top component is that form, cut at the cap even
+        # after a higher-cap read has grown the memo (the Wakimoto one takes
+        # the charged prefactors as well)
         fam, u = family_and_probe
         assert len(set(u.terms.values())) > 1
-        got = fam.top_form(u)
-        want = multi_vertex_form((fam.mu,) * fam.slots, u, fam.window[1])
-        assert got.window == want.window
-        assert want.terms and set(got.terms) == set(want.terms)
-        for key, value in want.terms.items():
-            assert got.terms[key] == value
-            assert got.terms[key].space is fam.target
+        cap = fam.window[1]
+        want = multi_vertex_form((fam.mu,) * fam.slots, u, cap)
+        got = fam._sum_units(u, lambda mon: fam.unit_top(mon, cap).terms)
+        fam.unit_top(max(u.terms, key=len), cap + 2)
+        tops = [got, fam.component([], u)] if isinstance(fam, VertexScreeningCochains) else [got]
+        for got in tops:
+            assert want.terms and set(got.terms) == set(want.terms)
+            for key, value in want.terms.items():
+                assert got.terms[key] == value
+                assert got.terms[key].space is fam.target
 
     def test_top_form_rejects_a_foreign_vector(self, family_and_probe):
         fam, _ = family_and_probe
         with pytest.raises(ValueError, match="the family expects"):
-            fam.top_form(fam.target.vacuum())
+            fam.component([], fam.target.vacuum())
 
 
-def coefficients_agree(small, large):
-    """small equals large on every total degree of small's range, coefficient
-    for coefficient; returns the number of coefficients compared."""
-    lo, hi = small.window
+def coefficients_agree(small, large, window):
+    """small equals large on every total degree of the window, coefficient for
+    coefficient, and small has no term outside it; returns the number compared."""
+    lo, hi = window
+    assert all(lo <= sum(key[1]) <= hi for key in small.terms)
     keys = [key for key in small.terms.keys() | large.terms.keys() if lo <= sum(key[1]) <= hi]
     for key in keys:
         got, want = small.terms.get(key), large.terms.get(key)
@@ -449,15 +471,18 @@ def coefficients_agree(small, large):
 
 def rows_agree(small, large, rows, probes):
     """component, cleared_d and clear_pairs of two families that differ only in
-    their degree cap agree on the smaller range; returns the coefficients compared."""
+    their degree cap agree on the smaller window, moved by |Delta| - 1 and
+    |Delta|; returns the coefficients compared."""
+    assert large.window[1] > small.window[1]
+    shift = len(small.connection.active_pairs())
     compared = 0
     for xs in rows:
         for u in probes:
             a, b = small.component(xs, u), large.component(xs, FockVector(large.source, u.terms))
-            assert b.window[1] > a.window[1]
-            compared += coefficients_agree(a, b)
-            for op in (cleared_d, clear_pairs):
-                compared += coefficients_agree(op(a, small.connection), op(b, large.connection))
+            for op, s in ((lambda f, conn: f, 0), (cleared_d, shift - 1), (clear_pairs, shift)):
+                window = tuple(w + s for w in small.window)
+                compared += coefficients_agree(op(a, small.connection), op(b, large.connection),
+                                               window)
     return compared
 
 
@@ -480,6 +505,14 @@ class TestRangeCompleteness:
             vac = small.space.vacuum()
             probes = [vac, osc_apply(("b", -1), vac)]
             compared += rows_agree(small, large, [xs for xs in rows if len(xs) <= slots], probes)
+        # a contraction by e_-2 lowers the degree by one, so the component
+        # reads the top form one degree past the cap and still reaches it
+        at4, at6 = (VertexScreeningCochains(sym, sym.param("alpha"), sym.param("b"), 1,
+                                            window_halfwidth=cap) for cap in (4, 6))
+        got = at4.component([W(-2)], at4.space.vacuum())
+        want = at6.component([W(-2)], at6.space.vacuum())
+        assert max(sum(exps) for _, exps in got.terms) == 4
+        compared += coefficients_agree(got, want, (-math.inf, 4))
         assert compared > 1000
 
     def test_wakimoto_caps_1_and_4(self):
@@ -510,10 +543,10 @@ class TestInWindowAction:
             )
             u = osc_apply(("b", -1), fam.space.vacuum())
             comp = fam.component(xs[1:], u)
-            assert any(not _in_window(exps, comp.window) for _, exps in comp.terms)
+            # d' reads it through cap - 1, and it has terms at the cap
+            assert any(sum(exps) == fam.window[1] for _, exps in comp.terms)
             got = fam.residual(xs, u)
             want = every_value_residual(fam, xs, u)
-            assert got.window == want.window
             assert (got - want).is_zero()
             nonzero += not got.is_zero()
         assert nonzero == 1
@@ -523,8 +556,8 @@ class TestInWindowAction:
     def test_target_action_only_on_the_row_range(self, slots, xs):
         # every value the target action sees lands in the row range once the
         # d' shift |Delta| moves its degree; the top component that d' reads
-        # has terms above that range, since d'' of the depth-1 component with
-        # the field z^(n+1), n < 0, reaches n degrees less far
+        # has terms above that range, which ends where d'' of the depth-1
+        # component does, one degree below the window moved by |Delta|
         fam = VertexScreeningCochains(ParameterContext(()), QQ(-2, 5), QQ(3, 2), slots)
         u = osc_apply(("b", -1), fam.space.vacuum())
         degrees, forms, acted = {}, [], []
@@ -542,10 +575,10 @@ class TestInWindowAction:
 
         fam.component, fam.act_target = spy_component, spy_act
         row = fam.residual(xs, u)
-        lo, hi = row.window
         shift = len(fam.connection.active_pairs())
+        lo, hi = fam.window[0] + shift, fam.window[1] + shift - 1
         assert any(sum(exps) + shift > hi for _, exps in component([], u).terms)
-        assert acted and all(lo <= d + shift <= hi for d in acted), (sorted(set(acted)), row.window)
+        assert acted and all(lo <= d + shift <= hi for d in acted), (sorted(set(acted)), hi)
         assert row.is_zero()
 
 
