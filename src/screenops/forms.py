@@ -482,6 +482,12 @@ def _add_offsets(out: dict, subset: tuple, exps: tuple, value, shifts) -> None:
             out[key] = out[key] + add if key in out else add
 
 
+def _checked_nvars(form: LaurentForm, conn: Connection) -> int:
+    if form.nvars != len(conn.kappa):
+        raise ValueError("form has %d variables, connection %d" % (form.nvars, len(conn.kappa)))
+    return form.nvars
+
+
 def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
     """Delta * (twisted de Rham differential), Delta = prod of active pair diffs.
 
@@ -494,7 +500,7 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
     value is scaled once per output exponent.  Every piece moves the degree
     by |Delta| - 1, so the output is exact on the input's range moved by it.
     """
-    nvars = form.nvars
+    nvars = _checked_nvars(form, conn)
     active = conn.active_pairs()
     out: dict = {}
     for q in range(nvars):
@@ -526,10 +532,11 @@ def cleared_d(form: LaurentForm, conn: Connection) -> LaurentForm:
 def clear_pairs(form: LaurentForm, conn: Connection) -> LaurentForm:
     """Delta * form, for comparing against cleared_d outputs: each value is
     scaled once per monomial of Delta, all into one dict."""
+    nvars = _checked_nvars(form, conn)
     active = conn.active_pairs()
     if not active:
         return form
-    delta = _pair_power_monomials(form.nvars, dict.fromkeys(active, 1))
+    delta = _pair_power_monomials(nvars, dict.fromkeys(active, 1))
     shifts = [(d, None if c == 1 else c) for d, c in delta.items()]
     out: dict = {}
     for (subset, exps), value in form.terms.items():

@@ -157,7 +157,7 @@ def _word_depth(word: Word, rank: int) -> Depth:
 class WeightSpace:
     """One multidegree slice of U(n_-) with its Serre-ideal echelon basis."""
 
-    __slots__ = ("cd", "depth", "words", "index", "rows", "basis_words", "basis_index")
+    __slots__ = ("cd", "depth", "words", "index", "rows", "basis_words")
 
     def __init__(self, cd: CartanData, depth: Depth):
         self.cd = cd
@@ -168,7 +168,6 @@ class WeightSpace:
         self._build_ideal()
         pivots = set(self.rows)
         self.basis_words = [w for n, w in enumerate(self.words) if n not in pivots]
-        self.basis_index = {w: n for n, w in enumerate(self.basis_words)}
 
     def _build_ideal(self):
         cd, depth = self.cd, self.depth

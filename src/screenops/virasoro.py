@@ -759,10 +759,12 @@ class VertexCochains(TotalComplex):
     live in ``target``, the source shifted by slots*mu.  ``action(space)``
     builds the algebra's action on one module (``act_src``, ``act_tgt``).
     ``window`` holds the total degrees through the cap ``window_halfwidth``,
-    and every component is exact on it and holds no degree above the cap:
-    each reads the top form as far past the cap as its contractions (and,
-    for Wakimoto, its charged prefactors) need.  ``unit_top`` memoises each
-    unit monomial's top form in ``_tops``, with the cap it was built to.
+    and every component is exact on it and holds no degree above the cap.
+    ``read_top``, the one reader, reads the top form through cap - sum_x
+    min(n + 1) over the modes e_n of each x (contracting e_n raises the
+    degree by n + 1), plus the ``reach`` its family's values lose after it
+    (Wakimoto: (slots - a)(E + 1), by its charged prefactors).  ``unit_top``
+    memoises each unit monomial's top form in ``_tops``, with its cap.
     """
 
     def __init__(self, source: FockSpace, mu, slots: int, window_halfwidth: int,
@@ -798,16 +800,24 @@ class VertexCochains(TotalComplex):
                 lambda v: FockVector(self.target, v.terms))
         return built[1]
 
-    def _sum_units(self, u: FockVector, unit) -> LaurentForm:
-        """sum c * unit(mon) over the terms c*mon of u; unit(mon) gives form terms."""
+    def read_top(self, xs: Sequence, u: FockVector, reach: int) -> LaurentForm:
+        """The top form on u through cap - sum_x min(n + 1) + reach, contracted by xs."""
         if u.space is not self.source and u.space != self.source:
             raise ValueError("vector lives over %r, the family expects %r" % (u.space, self.source))
+        read = self.window[1] - sum(min((n + 1 for n in x.coeffs), default=0) for x in xs) + reach
         terms: dict = {}
         for mon, c in u.terms.items():
-            for key, value in unit(mon).items():
-                add = c * value
-                terms[key] = terms[key] + add if key in terms else add
-        return LaurentForm(self.slots, terms)
+            for key, value in self.unit_top(mon, read).terms.items():
+                if sum(key[1]) <= read:
+                    add = c * value
+                    terms[key] = terms[key] + add if key in terms else add
+        return contraction_cochain(LaurentForm(self.slots, terms), xs)
+
+    def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
+        """The top form on u contracted by xs, with the degrees above the cap dropped."""
+        cap = self.window[1]
+        return LaurentForm(self.slots, {
+            k: v for k, v in self.read_top(xs, u, 0).terms.items() if sum(k[1]) <= cap})
 
     def act_target(self, x, v: FockVector) -> FockVector:
         return self.act_tgt.apply_element(x, v)
@@ -845,16 +855,6 @@ class VertexScreeningCochains(VertexCochains):
         super().__init__(FockSpace(OscSpec(ctx), alpha), beta, slots, window_halfwidth,
                          include_pairs, functools.partial(StressAction, self.alpha0))
         self.space = self.source
-
-    def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
-        """The top form on u through cap - sum_x min(n + 1) over the modes e_n
-        of each x, contracted by xs, with the degrees above the cap dropped."""
-        cap = self.window[1]
-        read = cap - sum(min((n + 1 for n in x.coeffs), default=0) for x in xs)
-        top = self._sum_units(u, lambda mon: {
-            k: v for k, v in self.unit_top(mon, read).terms.items() if sum(k[1]) <= read})
-        form = contraction_cochain(top, xs)
-        return LaurentForm(self.slots, {k: v for k, v in form.terms.items() if sum(k[1]) <= cap})
 
     # -- the verified statements ------------------------------------------------
 

@@ -42,15 +42,9 @@ from .fock import (
     ModeOperator,
     OscSpec,
     commutator_blocks,
-    monomial_energy,
     osc_apply,
 )
-from .forms import (
-    LaurentForm,
-    TotalComplex,
-    WittElement,
-    contraction_cochain,
-)
+from .forms import LaurentForm, TotalComplex, WittElement
 from .scalars import Combination, ParameterContext, ParamScalar
 from .virasoro import VertexCochains
 
@@ -1068,7 +1062,7 @@ class ScreeningCochains(VertexCochains):
     The top form of the local system is the joint normal-ordered product of
     ``slots`` screening vertices V[label_shift](z_q) dz_q on u (``unit_top``
     per unit monomial); the depth-a component contracts a Witt elements into it
-    (``contraction_cochain``, with its position signs and parity twist).
+    (``VertexCochains.read_top``, with its position signs and parity twist).
     Each loop element maps to sum c e_{n-1} over its F<n> terms, since
     contracting dz_q with e_{n-1} = -z^n d/dz substitutes the companion of
     F<n> (a multiple of the same vertex) into slot q; the raising and Cartan
@@ -1077,13 +1071,13 @@ class ScreeningCochains(VertexCochains):
     slots that keep dz then take the charged prefactor -beta(z_q) of the
     screening current, and the substituted ones the scalar of the companion
     image.  ``window_halfwidth`` is the degree cap: every component is exact
-    on the total degrees through it.  ``mode_bound`` still refuses a loop
-    shift n that reads the vertex more than ``mode_bound`` exponents past
-    what the charged prefactor reads: it raises "window exceeded".  Rows of
-    the total differential combine the Koszul
-    differential of the current action with the pair-cleared twisted de Rham
-    differential.  At integral exponents ``TotalComplex.residue`` reads an
-    intertwiner of the current action off the top component.
+    on the total degrees through it.  ``mode_bound`` refuses a loop shift n
+    that reads the vertex more than ``mode_bound`` exponents past what the
+    charged prefactor reads, by the energy bound E of the whole vector u: it
+    raises "window exceeded".  Rows of the total differential combine the
+    Koszul differential of the current action with the pair-cleared twisted
+    de Rham differential.  At integral exponents ``TotalComplex.residue``
+    reads an intertwiner of the current action off the top component.
     """
 
     def __init__(
@@ -1115,29 +1109,32 @@ class ScreeningCochains(VertexCochains):
 
     # -- components -------------------------------------------------------------
 
-    def _unit_component(self, fields: list, mon) -> dict:
-        """Terms of the depth-a component on one unit monomial, through degree hi.
+    def _witt(self, x: LoopElement) -> WittElement:
+        """sum c e_{n-1} over the F<n> terms of x, with Fraction c when rational."""
+        return WittElement({
+            key[1] - 1: c.as_fraction() if c.is_rational() else c
+            for key, c in x.terms.items()
+            if key != "c" and key[0] == "F"
+        })
 
-        A contraction by e_{n-1} raises the degree by n >= shift, and the
-        charged prefactor of each slot that keeps dz lowers it by at most
-        bound + 1: the top form is read through degree
-        hi - a*shift + (slots - a)(bound + 1).
-        """
-        bound = monomial_energy(mon)
-        hi = self.window[1]
+    def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
+        """``read_top`` on scale * u, which carries the sign and image scale, with reach
+        (slots - a)(E + 1); then -beta(z_q) on each slot that keeps dz, and the cut."""
+        fields = [self._witt(x) for x in xs]
         a = len(fields)
-        shift = min((n + 1 for f in fields for n in f.coeffs), default=0)
+        bound = u.energy_bound()
+        hi = self.window[1]
+        shift = min((n for f in fields for n in f.coeffs), default=-1) + 1
         if shift < -(bound + 1 + self.mode_bound):
-            raise ValueError(
-                "window exceeded: loop shift %d reads the vertex past the "
-                "mode bound" % shift
-            )
-        omega = self.unit_top(mon, hi - a * shift + (self.slots - a) * (bound + 1))
-        # beta(z_q) = sum_m a_m z_q^(-m-1) on every slot that keeps dz (its sign
-        # is in component); a_m with m past the energy bound kills the unit, and
-        # below d - 1 - hi - later the later slots cannot bring degree d to hi
+            raise ValueError("window exceeded: loop shift %d reads the vertex past the "
+                             "mode bound" % shift)
+        scale = QQ(-1) ** (self.slots - a) * self._image_scale ** a
+        omega = self.read_top(fields, scale * u, (self.slots - a) * (bound + 1))
+        # beta(z_q) = sum_m a_m z_q^(-m-1) on every slot that keeps dz: a_m with
+        # m > E kills u, since its partner as_(-m) comes from u alone, and below
+        # d - 1 - hi - later the later slots cannot bring degree d to hi
         terms: dict = {}
-        for (subset, exps), value in contraction_cochain(omega, fields).terms.items():
+        for (subset, exps), value in omega.terms.items():
             partial = [(exps, value, sum(exps))]
             for i, q in enumerate(subset):
                 later = (len(subset) - 1 - i) * (bound + 1)
@@ -1152,23 +1149,7 @@ class ScreeningCochains(VertexCochains):
                 if d <= hi:
                     key = (subset, e)
                     terms[key] = terms[key] + w if key in terms else w
-        return terms
-
-    def _witt(self, x: LoopElement) -> WittElement:
-        """sum c e_{n-1} over the F<n> terms of x, with Fraction c when rational."""
-        return WittElement({
-            key[1] - 1: c.as_fraction() if c.is_rational() else c
-            for key, c in x.terms.items()
-            if key != "c" and key[0] == "F"
-        })
-
-    def component(self, xs: Sequence, u: FockVector) -> LaurentForm:
-        """The depth-len(xs) component on u; scale * u carries the sign and image
-        scale, so each unit value takes one product with its coefficient."""
-        fields = [self._witt(x) for x in xs]
-        a = len(fields)
-        scale = QQ(-1) ** (self.slots - a) * self._image_scale ** a
-        return self._sum_units(scale * u, lambda mon: self._unit_component(fields, mon))
+        return LaurentForm(self.slots, terms)
 
     # -- the rows ---------------------------------------------------------------
 

@@ -25,6 +25,11 @@ Each function recomputes something the package computes another way:
   applied to every value of a component, inside the row range or not, and
   the sum cut to that range at the end, checked against
   ``TotalComplex.residual``, which acts on the values that land in it only;
+* ``wakimoto_component_per_unit`` -- the Wakimoto screening component read,
+  contracted and given its charged prefactors one unit monomial at a time,
+  through hi - a*min_all(n + 1) + (slots - a)(e + 1) for a unit of energy e,
+  checked against ``ScreeningCochains.component``, which reads the summed
+  top form once through hi - sum_x min(n + 1) + (slots - a)(E + 1);
 * ``cleared_d_stepwise`` and ``clear_pairs_stepwise`` -- Delta times the
   twisted differential, and Delta times a form, built one intermediate form
   per derivative, shift, dz_q wedge and pair factor, checked against the
@@ -52,7 +57,7 @@ import random
 from fractions import Fraction
 
 from screenops.fields import _exp_multiset_coeff
-from screenops.fock import _partitions, is_annihilator, osc_apply
+from screenops.fock import _partitions, is_annihilator, monomial_energy, osc_apply
 from screenops.forms import (
     FactoredCoeff,
     LaurentForm,
@@ -60,6 +65,7 @@ from screenops.forms import (
     _value_is_zero,
     clear_pairs,
     cleared_d,
+    contraction_cochain,
     koszul_value,
 )
 from screenops.kacmoody import VermaVector
@@ -318,6 +324,41 @@ def every_value_residual(fam, xs, u):
         out = out - second if len(xs) % 2 else out + second
         hi -= 1
     return LaurentForm(out.nvars, {k: v for k, v in out.terms.items() if lo <= sum(k[1]) <= hi})
+
+
+def wakimoto_component_per_unit(fam, xs, u):
+    """The depth-a component of the Wakimoto family ``fam`` on u, one unit at a time.
+
+    Each unit monomial of energy e is read through hi - a*shift +
+    (slots - a)(e + 1), shift the least n + 1 over the modes e_n of every
+    field, contracted on its own, and given -beta(z_q) on each slot that keeps
+    dz with the modes a_m, m <= e, that can still land at or below the cap hi.
+    """
+    fields = [fam._witt(x) for x in xs]
+    a = len(fields)
+    scale = Fraction(-1) ** (fam.slots - a) * fam._image_scale ** a
+    hi = fam.window[1]
+    shift = min((n + 1 for f in fields for n in f.coeffs), default=0)
+    terms = {}
+    for mon, c in (scale * u).terms.items():
+        bound = monomial_energy(mon)
+        omega = fam.unit_top(mon, hi - a * shift + (fam.slots - a) * (bound + 1))
+        for (subset, exps), value in contraction_cochain(omega, fields).terms.items():
+            partial = [(exps, value, sum(exps))]
+            for i, q in enumerate(subset):
+                later = (len(subset) - 1 - i) * (bound + 1)
+                partial = [
+                    (e[:q] + (e[q] - m - 1,) + e[q + 1:], moved, d - m - 1)
+                    for e, w, d in partial
+                    for m in range(d - 1 - hi - later, bound + 1)
+                    for moved in (osc_apply(("a", m), w),)
+                    if not moved.is_zero()
+                ]
+            for e, w, d in partial:
+                if d <= hi:
+                    key = (subset, e)
+                    terms[key] = terms[key] + c * w if key in terms else c * w
+    return LaurentForm(fam.slots, terms)
 
 
 def mul_zdiff_stepwise(form, i, j):

@@ -736,6 +736,17 @@ class TestLaurentLayer:
         ):
             assert clear_pairs(form, conn).terms == form.terms
 
+    @pytest.mark.parametrize("op", [cleared_d, clear_pairs], ids=lambda op: op.__name__)
+    def test_form_and_connection_must_share_their_variables(self, op):
+        # more variables than exponents used to escape as an IndexError from
+        # cleared_d, and fewer silently ignored the extra exponents
+        with pytest.raises(ValueError, match="form has 2 variables, connection 1"):
+            op(LaurentForm(2, {((), (1, 0)): 1}), Connection([1]))
+        with pytest.raises(ValueError, match="form has 1 variables, connection 2"):
+            op(LaurentForm(1, {((), (1,)): 1}), Connection([1, 5]))
+        with pytest.raises(ValueError, match="form has 1 variables, connection 2"):
+            op(LaurentForm(1, {((), (1,)): 1}), Connection([1, 5], {(0, 1): 3}))
+
     def test_map_values_acts_on_every_value(self):
         ctx = ParameterContext(())
         terms = {((), (0, 0)): ctx.scalar(1), ((0,), (4, -3)): ctx.scalar(2),

@@ -97,3 +97,31 @@ def test_every_definition_is_referenced():
                    for lines in texts for line in lines):
             unreferenced.append(name)
     assert not unreferenced, unreferenced
+
+
+def _stored_attributes(tree):
+    # each __slots__ entry and each ``self.x = ...`` target, by class
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                for name in ast.literal_eval(node.value):
+                    yield cls.name, name
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    yield cls.name, node.attr
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute that is assigned but never loaded, as ``obj.x`` anywhere in
+    # the sources, tests or benchmark, is dead state
+    read = {node.attr for top in ("src", "tests", "perfbench")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    unread = sorted({"%s.%s" % (cls, name)
+                     for path in sorted(PACKAGE.glob("*.py"))
+                     for cls, name in _stored_attributes(ast.parse(path.read_text()))
+                     if name not in read})
+    assert not unread, unread

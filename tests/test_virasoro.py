@@ -51,7 +51,7 @@ from screenops.virasoro import (
 
 from screenops.wakimoto import AffineParams, LoopElement, ScreeningCochains, screening_ops
 
-from oracles import every_value_residual
+from oracles import every_value_residual, wakimoto_component_per_unit
 
 QQ = Fraction
 
@@ -434,22 +434,47 @@ class TestMemoisedRoutes:
         assert min(sum(exps) for _, exps in higher.terms) >= -energy
 
     def test_top_form_sums_unit_forms(self, family_and_probe):
-        # sum c * unit_top(mon) over the terms c*mon of u is the top form on u;
-        # the Feigin-Fuchs top component is that form, cut at the cap even
-        # after a higher-cap read has grown the memo (the Wakimoto one takes
-        # the charged prefactors as well)
+        # sum c * unit_top(mon) over the terms c*mon of u, read through the cap,
+        # is the top form on u, even after a higher-cap read has grown the
+        # memo; the Feigin-Fuchs top component is that form (the Wakimoto one
+        # takes the charged prefactors as well)
         fam, u = family_and_probe
         assert len(set(u.terms.values())) > 1
         cap = fam.window[1]
         want = multi_vertex_form((fam.mu,) * fam.slots, u, cap)
-        got = fam._sum_units(u, lambda mon: fam.unit_top(mon, cap).terms)
+        got = fam.read_top([], u, 0)
         fam.unit_top(max(u.terms, key=len), cap + 2)
-        tops = [got, fam.component([], u)] if isinstance(fam, VertexScreeningCochains) else [got]
+        tops = [got, fam.read_top([], u, 0)]
+        if isinstance(fam, VertexScreeningCochains):
+            tops.append(fam.component([], u))
         for got in tops:
             assert want.terms and set(got.terms) == set(want.terms)
             for key, value in want.terms.items():
                 assert got.terms[key] == value
                 assert got.terms[key].space is fam.target
+
+    @pytest.mark.parametrize("slots, rows", [
+        (2, [["F1", "F-1"], ["F0", "F1-2H0"], ["F1"], []]),
+        (3, [["F1", "F0", "F-1"], ["F1", "F-1"], ["F0"], []]),
+    ])
+    def test_wakimoto_read_matches_the_per_unit_route(self, slots, rows):
+        # one read of the summed top form through cap - sum_x min(n + 1) +
+        # (slots - a)(E + 1) against the per-unit reads through
+        # cap - a*min_all(n + 1) + (slots - a)(e + 1), on a probe that mixes
+        # energies 0, 1 and 2, so E exceeds some units' energy e
+        fam = ScreeningCochains(screening_ops(AffineParams.generic()), slots, window_halfwidth=1)
+        u = _wakimoto_probe(fam)
+        assert len({FockVector(fam.source, {m: 1}).energy_bound() for m in u.terms}) > 1
+        L = lambda name, n: LoopElement.basis(fam.ctx, name, n)  # noqa: E731
+        elements = {"F1": L("F", 1), "F0": L("F", 0), "F-1": L("F", -1),
+                    "F1-2H0": L("F", 1) + Fraction(-2) * L("H", 0)}
+        nonzero = 0
+        for row in rows:
+            xs = [elements[name] for name in row]
+            got = fam.component(xs, u)
+            assert got.terms == wakimoto_component_per_unit(fam, xs, u).terms, row
+            nonzero += not got.is_zero()
+        assert nonzero == len(rows)
 
     def test_top_form_rejects_a_foreign_vector(self, family_and_probe):
         fam, _ = family_and_probe
