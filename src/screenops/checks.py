@@ -14,19 +14,15 @@ built only for the failing case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable
 
 __all__ = ["CheckResult", "passed", "control", "first_failure"]
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    anchor: str
-    ok: bool
-    witness: str = ""
-    expected_fail: bool = False
+class CheckResult(namedtuple("CheckResult", "check_id anchor ok witness expected_fail",
+                             defaults=("", False))):
+    __slots__ = ()
 
     @property
     def status(self) -> str:

@@ -5,7 +5,7 @@ Builds the deformed quadratic stress tensor as exact mode operators
 fields as Laurent forms with module-vector values, and the cochain
 family of a product of screening currents over the local system of their
 vertex parts (``VertexCochains``, the base of the Feigin-Fuchs family here
-and of ``wakimoto.ScreeningCochains``).  At integral exponents
+and of ``wakimoto_screenings.ScreeningCochains``).  At integral exponents
 (and a nonnegative pair exponent) the family's ``residue``, which
 ``forms.TotalComplex`` reads off the top component, maps its Fock space to
 the label-shifted ``target`` and commutes with every stress mode.

@@ -1,6 +1,6 @@
 """The first-failure search behind every multi-case check."""
 
-from screenops.checks import first_failure, passed
+from screenops.checks import CheckResult, control, first_failure, passed
 
 
 def test_witness_names_the_first_failing_case():
@@ -41,3 +41,15 @@ def test_failing_case_with_empty_witness_is_still_a_failure():
     ok, witness = first_failure([(0,)], lambda k: False, lambda k: "")
     assert (ok, witness) == (False, "")
     assert passed("empty-witness", "a failing case reads as a failure", ok, witness).status == "FAIL"
+
+
+def test_check_result_repr_equality_defaults_and_status():
+    # battery digests hash these reprs, so their text is part of the record
+    result = passed("id", "anchor", True)
+    assert repr(result) == (
+        "CheckResult(check_id='id', anchor='anchor', ok=True, witness='', expected_fail=False)"
+    )
+    assert result == CheckResult("id", "anchor", True) != control("id", "anchor", True)
+    statuses = [r.status for r in (result, passed("id", "anchor", False),
+                                   control("id", "anchor", True), control("id", "anchor", False))]
+    assert statuses == ["PASS", "FAIL", "EXPECTED-FAIL", "FAIL"]

@@ -27,7 +27,8 @@ from screenops.fields import (
     vertex_creation_coeff,
     wick_ope,
 )
-from screenops.wakimoto import AffineParams, screening_ops, wakimoto_current, wakimoto_space
+from screenops.wakimoto import AffineParams, wakimoto_current, wakimoto_space
+from screenops.wakimoto_screenings import screening_ops
 
 from oracles import vertex_creation_stepwise
 

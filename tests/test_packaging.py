@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +129,28 @@ def test_every_stored_attribute_is_read():
                      for cls, name in _stored_attributes(ast.parse(path.read_text()))
                      if name not in read})
     assert not unread, unread
+
+
+_COLD_IMPORT = """
+import json, sys
+import screenops.wakimoto as w
+loaded = sorted(sys.modules)
+from screenops import wakimoto_screenings as ws
+print(json.dumps({
+    "screenops": [m for m in loaded if m.split(".")[0] == "screenops"],
+    "dataclasses": "dataclasses" in loaded,
+    "same": [w.ScreeningCochains is ws.ScreeningCochains, w.screening_ops is ws.screening_ops],
+}))
+"""
+
+
+def test_current_algebra_imports_alone():
+    # a fresh interpreter without site hooks, so only screenops decides what loads
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", _COLD_IMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert got["screenops"] == ["screenops", "screenops.checks", "screenops.fields",
+                                "screenops.fock", "screenops.scalars", "screenops.wakimoto"]
+    assert not got["dataclasses"]
+    assert got["same"] == [True, True]

@@ -21,7 +21,8 @@ from screenops.kacmoody import CartanData, gen
 from screenops.scalars import ParameterContext
 from screenops.verma_screenings import ReflectionCochains
 from screenops.virasoro import VertexScreeningCochains, normal_multi_vertex
-from screenops.wakimoto import AffineParams, LoopElement, ScreeningCochains, screening_ops
+from screenops.wakimoto import AffineParams, LoopElement
+from screenops.wakimoto_screenings import ScreeningCochains, screening_ops
 
 
 def garbage_closures(call) -> set:

@@ -49,7 +49,8 @@ from screenops.virasoro import (
     virasoro_apply,
 )
 
-from screenops.wakimoto import AffineParams, LoopElement, ScreeningCochains, screening_ops
+from screenops.wakimoto import AffineParams, LoopElement
+from screenops.wakimoto_screenings import ScreeningCochains, screening_ops
 
 from oracles import every_value_residual, wakimoto_component_per_unit
 

@@ -13,24 +13,26 @@ import pytest
 from screenops.scalars import ParameterContext, ParamPolynomial
 from screenops.fields import FieldExpr, apply_field_coeff, wick_ope
 from screenops.fock import FockVector, commutator_blocks, monomial_energy, osc_apply
-from screenops import wakimoto
+from screenops import wakimoto_screenings
 from screenops.forms import residue_functional
 from screenops.wakimoto import (
     AffineParams,
     CurrentAction,
     LoopElement,
-    ScreeningCochains,
-    ScreeningData,
     _deep_probes,
     current_bracket,
     current_pairing,
-    screening_cocycle,
-    screening_ops,
     verify_current_algebra,
-    verify_screened_current_brackets,
-    verify_screening_regularity,
     wakimoto_current,
     wakimoto_space,
+)
+from screenops.wakimoto_screenings import (
+    ScreeningCochains,
+    ScreeningData,
+    screening_cocycle,
+    screening_ops,
+    verify_screened_current_brackets,
+    verify_screening_regularity,
 )
 
 from oracles import monomial_charge
@@ -379,6 +381,20 @@ class TestCochainWindows:
         for xs in ([L("F", 0)], [L("F", 1)], [combo], [L("F", 0), combo], [L("H", 0)]):
             assert not fam.residual(xs, vac).is_zero(), xs
 
+    def test_doubled_target_action_shows_in_the_depth_four_rows(self):
+        # the same mutation on the three-slot family of screening_cocycle(3):
+        # its depth-(slots + 1) rows vanish intact and read nonzero mutated
+        data = screening_ops(AffineParams.generic())
+        fam = ScreeningCochains(data, 3, window_halfwidth=2, mode_bound=2)
+        L = lambda name, n: LoopElement.basis(fam.ctx, name, n)  # noqa: E731
+        vac = fam.source.vacuum()
+        rows = [[L("F", 1), L("F", 0), L("F", -1), last] for last in (L("F", 2), L("H", 0))]
+        assert all(fam.residual(xs, vac).is_zero() for xs in rows)
+        act = fam.act_target
+        fam.act_target = lambda x, v: 2 * act(x, v)
+        for xs in rows:
+            assert not fam.residual(xs, vac).is_zero(), xs
+
     def test_single_slot_row_zero(self):
         params = AffineParams.generic()
         ctx = params.ctx
@@ -507,7 +523,7 @@ def _br(a, b):
 
 class TestDescentHelpers:
     def test_word_reduction(self):
-        from screenops.wakimoto import _word_reduce
+        from screenops.wakimoto_screenings import _word_reduce
 
         ctx = ParameterContext(("nu", "chi"))
         got = _word_reduce(ctx, _br(_word("H"), _word("F")))
@@ -517,7 +533,7 @@ class TestDescentHelpers:
         assert (central - want).is_zero()
 
     def test_word_application_matches_reduction(self, setup):
-        from screenops.wakimoto import _word_apply, _word_reduce
+        from screenops.wakimoto_screenings import _word_apply, _word_reduce
 
         params, space, act = setup
         ctx = params.ctx
@@ -614,7 +630,7 @@ class TestBatteries:
         params = AffineParams.generic()
         f_text = wakimoto_current("F", params).render()
         screen_text = screening_ops(params).screen.render()
-        ope = wakimoto.wick_ope
+        ope = wakimoto_screenings.wick_ope
         pair_calls = []
 
         def broken(left, right):
@@ -624,7 +640,7 @@ class TestBatteries:
                 out.table[1] = out.pole(1) + out.pole(2)
             return out
 
-        monkeypatch.setattr(wakimoto, "wick_ope", broken)
+        monkeypatch.setattr(wakimoto_screenings, "wick_ope", broken)
         status = {r.check_id: r.status for r in verify_screening_regularity(mode_max=1)}
         assert len(pair_calls) == 1
         assert status["screen-collapse"] == "FAIL"
@@ -665,13 +681,13 @@ class TestBatteries:
     def test_conjecture_evidence_reads_the_residue_verdicts(self, monkeypatch):
         # a nonzero residue defect for (H, F) fails the bracket check and
         # the evidence check that reads the same per-pair verdict
-        defect = wakimoto._companion_residue_defect
+        defect = wakimoto_screenings._companion_residue_defect
 
         def broken(opes, data, x, y):
             out = defect(opes, data, x, y)
             return out + data.image("F") if (x, y) == ("H", "F") else out
 
-        monkeypatch.setattr(wakimoto, "_companion_residue_defect", broken)
+        monkeypatch.setattr(wakimoto_screenings, "_companion_residue_defect", broken)
         checks = {r.check_id: r for r in verify_screened_current_brackets()}
         assert checks["screened-pole-shape"].status == "PASS"
         assert checks["screened-bracket-ope"].status == "FAIL"
